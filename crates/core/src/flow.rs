@@ -484,6 +484,9 @@ impl HybridFlow {
     ///
     /// # Errors
     ///
+    /// Returns [`CoreError::Unsupported`], before any training, when
+    /// `options.reinforce` is on but `params.retain_training_data` is off:
+    /// the feedback loop retrains groups from their retained data.
     /// Returns [`CoreError::EmptyTrainingSet`] when the corpus carries no
     /// ground-truth models.
     pub fn new(
@@ -492,6 +495,11 @@ impl HybridFlow {
         cost: CostModel,
         options: HybridOptions,
     ) -> Result<HybridFlow, CoreError> {
+        if options.reinforce && !params.retain_training_data {
+            return Err(CoreError::Unsupported(
+                "reinforcement requires retain_training_data".into(),
+            ));
+        }
         let ml = MlFlow::train(corpus, params)?;
         let index = StructureIndex::from_corpus(corpus);
         Ok(HybridFlow {
@@ -844,6 +852,30 @@ mod tests {
         let (more_models, _, more_quarantine) = hybrid.run_robust(more);
         assert_eq!(more_models.len(), 2);
         assert!(more_quarantine.is_empty());
+    }
+
+    #[test]
+    fn reinforcement_without_retained_data_is_rejected_before_training() {
+        let discard = MlFlowParams {
+            retain_training_data: false,
+            ..MlFlowParams::quick()
+        };
+        let cost = CostModel::paper_calibrated();
+        // An empty corpus would fail training: the combination is
+        // rejected first.
+        let err =
+            HybridFlow::new(&[], discard.clone(), cost, HybridOptions::default()).unwrap_err();
+        assert!(matches!(err, CoreError::Unsupported(_)), "{err:?}");
+        let corpus = quick_corpus(Technology::Soi28, 2);
+        let err =
+            HybridFlow::new(&corpus, discard.clone(), cost, HybridOptions::default()).unwrap_err();
+        assert!(err.to_string().contains("retain_training_data"), "{err}");
+        // Without reinforcement nothing needs the retained data.
+        let options = HybridOptions {
+            reinforce: false,
+            ..HybridOptions::default()
+        };
+        assert!(HybridFlow::new(&corpus, discard, cost, options).is_ok());
     }
 
     #[test]

@@ -1,11 +1,18 @@
 //! Random Forest classifier: bagged CART trees with feature subsampling.
 //!
 //! This is the classifier the paper selects after comparing k-NN, SVM,
-//! linear and ridge models (§II.B). Determinism: all randomness derives
-//! from [`ForestParams::seed`].
+//! linear and ridge models (§II.B).
+//!
+//! A fit bins and deduplicates the dataset once (see `view.rs`), then
+//! draws every tree's bootstrap sample from one master stream, tree by
+//! tree, as a count per unique row. Only the tree fits run in parallel,
+//! and each reads the shared view through its own counts, so no tree
+//! copies the data. All randomness derives from [`ForestParams::seed`],
+//! and the forest is bit-identical at every thread count.
 
 use crate::data::Dataset;
-use crate::tree::{DecisionTree, TreeParams};
+use crate::tree::{DecisionTree, Sample, TreeParams};
+use crate::view::TrainView;
 use crate::Classifier;
 use ca_rng::{Rng, Xoshiro256StarStar};
 
@@ -18,7 +25,8 @@ pub struct ForestParams {
     pub max_depth: usize,
     /// Minimum samples per leaf.
     pub min_samples_leaf: usize,
-    /// Features examined per split; `None` = `sqrt(num_features)`.
+    /// Features examined per split; `None` = `max(round(sqrt(n)), n / 3)`
+    /// for `n` features, clamped to `1..=n`.
     pub max_features: Option<usize>,
     /// Bootstrap sample size as a fraction of the training set.
     pub bootstrap_fraction: f64,
@@ -120,13 +128,27 @@ impl RandomForest {
     /// bit-identical at every thread count: bootstrap sampling stays on
     /// the single sequential master stream, and each tree's fit depends
     /// only on its own sample and per-tree seed.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `data` is empty or holds a NaN or infinite feature.
     pub fn fit_with(&mut self, data: &Dataset, executor: &ca_exec::Executor) {
         assert!(!data.is_empty(), "cannot fit on an empty dataset");
+        let _span = ca_obs::span_root("ca_ml.forest.fit");
         self.num_classes = data.num_classes().max(1);
         self.trees.clear();
+        let view = TrainView::new(data);
+        // How much the deduplication saves: a tree's work scales with the
+        // unique rows its sample hits, not with the rows drawn.
+        ca_obs::counter!("ca_ml.forest.rows", Work).add(data.len() as u64);
+        ca_obs::counter!("ca_ml.forest.unique_rows", Work).add(view.num_unique() as u64);
         let mut rng = Xoshiro256StarStar::seed_from_u64(self.params.seed);
         let sample_size =
             ((data.len() as f64 * self.params.bootstrap_fraction).round() as usize).max(1);
+        assert!(
+            u32::try_from(sample_size).is_ok(),
+            "bootstrap sample too large"
+        );
         let max_features = self.params.max_features.unwrap_or_else(|| {
             // sqrt(n) is the classic forest default but starves trees when
             // only a handful of columns are informative (as in CA-matrix
@@ -135,15 +157,17 @@ impl RandomForest {
             let n = data.num_features();
             ((n as f64).sqrt().round() as usize).max(n / 3).clamp(1, n)
         });
-        // Bootstrap indices are drawn sequentially from the single master
-        // stream, exactly as the serial implementation did, so the forest
-        // stays bit-identical at every thread count. Only the tree fits —
-        // independent given their sample and per-tree seed — go parallel.
-        let bootstraps: Vec<Vec<usize>> = (0..self.params.num_trees)
+        // Bootstrap draws come from the single master stream, tree after
+        // tree, so the forest is the same at every thread count and equal
+        // to the reference trainer's (DESIGN.md §16). Each drawn row lands
+        // as a count on its unique row.
+        let bootstraps: Vec<Vec<u32>> = (0..self.params.num_trees)
             .map(|_| {
-                (0..sample_size)
-                    .map(|_| rng.gen_index(data.len()))
-                    .collect()
+                let mut counts = vec![0u32; view.num_unique()];
+                for _ in 0..sample_size {
+                    counts[view.unique_of[rng.gen_index(data.len())] as usize] += 1;
+                }
+                counts
             })
             .collect();
         let (max_depth, min_samples_leaf, seed) = (
@@ -151,22 +175,30 @@ impl RandomForest {
             self.params.min_samples_leaf,
             self.params.seed,
         );
-        let _span = ca_obs::span_root("ca_ml.forest.fit");
-        self.trees = executor.map(&bootstraps, |t, indices| {
+        self.trees = executor.map(&bootstraps, |t, counts| {
             // Per-tree fit time is a wall-clock observation (excluded
             // from determinism checks); the tree count is `work`.
             let _tree_span = ca_obs::span_root("ca_ml.forest.fit_tree");
             ca_obs::counter!("ca_ml.forest.trees_fitted", Work).inc();
-            let sample = data.subset(indices);
+            let mut sample: Vec<Sample> = counts
+                .iter()
+                .enumerate()
+                .filter(|&(_, &weight)| weight > 0)
+                .map(|(u, &weight)| Sample {
+                    row: u as u32,
+                    label: view.labels[u],
+                    weight,
+                })
+                .collect();
             let mut tree = DecisionTree::new(TreeParams {
                 max_depth,
                 min_samples_leaf,
                 max_features: Some(max_features),
                 seed: seed.wrapping_add(t as u64 + 1),
             });
-            // A bootstrap sample can miss classes entirely; the tree only
-            // sees its own sample, so re-align label space via max class.
-            tree.fit(&sample);
+            // A bootstrap sample can miss classes entirely; the tree's
+            // label space is its own sample's.
+            tree.fit_sample(&view, &mut sample);
             tree
         });
     }

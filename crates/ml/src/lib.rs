@@ -35,6 +35,7 @@ pub mod metrics;
 pub mod naive_bayes;
 pub mod tree;
 pub mod validate;
+mod view;
 
 pub use baselines::{KNearest, LinearClassifier, LinearLoss};
 pub use data::Dataset;

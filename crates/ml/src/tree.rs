@@ -1,13 +1,26 @@
 //! CART decision tree with Gini impurity.
 //!
-//! Split search is histogram-based: when a feature's values in a node span
-//! a small integer range (the common case for CA-matrix features, which
-//! are codes in `0..=3` and flags in `0..=1`), candidate thresholds are
-//! scanned in one counting pass; otherwise the node's values are sorted.
-//! Feature subsampling (`max_features`) makes the tree usable as a random
-//! forest member.
+//! Training reads a `TrainView` (`view.rs`): each column's sorted distinct values
+//! with a `u8` code per row (`u32` past 256 values), and rows deduplicated
+//! on (codes, label) with a multiplicity. A tree trains on a weighted
+//! sample of the view's unique rows, where weight `w` stands for `w`
+//! copies of the row, so a forest's bootstrap sample is a count per unique
+//! row rather than a copy of the data.
+//!
+//! At each node, one weighted histogram pass per sampled feature gives the
+//! per-class weight of every value present. Each boundary between two
+//! consecutive present values is a candidate, and the first one with the
+//! lowest weighted child Gini wins. The threshold is half a unit above the
+//! lower value when the node's values are integers spanning at most 64,
+//! and the midpoint of the two values otherwise. Rows go left when their
+//! value is `<=` the threshold in `f32`. These rules are fixed: every tree
+//! must stay identical to the reference trainer's in
+//! `crates/bench/tests/forest_differential.rs` (DESIGN.md §16). Feature
+//! subsampling (`max_features`) makes the tree usable as a random forest
+//! member.
 
 use crate::data::Dataset;
+use crate::view::{Codes, Column, TrainView};
 use crate::Classifier;
 use ca_rng::{Rng, SplitMix64};
 
@@ -98,39 +111,83 @@ impl DecisionTree {
         }
     }
 
-    fn build(&mut self, data: &Dataset, indices: &mut [usize], depth: usize) -> usize {
-        let counts = class_counts(data, indices, self.num_classes);
+    /// Grows the tree on a weighted sample of `view`'s unique rows: a
+    /// sample of weight `w` stands for `w` copies of its row, and the tree
+    /// is the one [`Classifier::fit`] grows on the dataset those copies
+    /// form. The label space is the sample's own (`max label + 1`).
+    pub(crate) fn fit_sample(&mut self, view: &TrainView, samples: &mut [Sample]) {
+        let k = samples
+            .iter()
+            .map(|s| s.label as usize + 1)
+            .max()
+            .unwrap_or(0)
+            .max(1);
+        self.num_classes = k;
+        self.nodes.clear();
+        self.importance = vec![0.0; view.columns.len()];
+        let mut counts = vec![0usize; k];
+        for s in samples.iter() {
+            counts[s.label as usize] += s.weight as usize;
+        }
+        let mut scratch = Scratch::new(view, k);
+        self.grow(view, &mut scratch, samples, counts, 0);
+        let total: f64 = self.importance.iter().sum();
+        if total > 0.0 {
+            for v in &mut self.importance {
+                *v /= total;
+            }
+        }
+    }
+
+    /// Grows the subtree of one node holding `samples` (per-class weights
+    /// `counts`) and returns its node id. Nodes are numbered in pre-order.
+    fn grow(
+        &mut self,
+        view: &TrainView,
+        scratch: &mut Scratch,
+        samples: &mut [Sample],
+        counts: Vec<usize>,
+        depth: usize,
+    ) -> usize {
+        let n: usize = counts.iter().sum();
         let majority = argmax(&counts);
-        let node_gini = gini(&counts, indices.len());
-        let stop = depth >= self.params.max_depth
-            || indices.len() < 2 * self.params.min_samples_leaf
-            || node_gini == 0.0;
+        let node_gini = gini(&counts, n);
+        let min_leaf = self.params.min_samples_leaf;
+        let stop = depth >= self.params.max_depth || n < 2 * min_leaf || node_gini == 0.0;
         if !stop {
-            if let Some((feature, threshold)) = self.best_split(data, indices, &counts) {
-                // Partition indices in place.
+            if let Some((feature, threshold)) = self.best_split(view, scratch, samples, &counts) {
+                // Partition by the feature value itself, in `f32`: a
+                // midpoint threshold can round onto the value above it,
+                // and then that value goes left too.
+                let column = &view.columns[feature];
+                let mut left_counts = vec![0usize; counts.len()];
                 let mut mid = 0;
-                for i in 0..indices.len() {
-                    if data.row(indices[i])[feature] <= threshold {
-                        indices.swap(i, mid);
+                for i in 0..samples.len() {
+                    let s = samples[i];
+                    if column.value(s.row as usize) <= threshold {
+                        left_counts[s.label as usize] += s.weight as usize;
+                        samples.swap(i, mid);
                         mid += 1;
                     }
                 }
-                if mid >= self.params.min_samples_leaf
-                    && indices.len() - mid >= self.params.min_samples_leaf
-                {
+                let left_n: usize = left_counts.iter().sum();
+                let right_n = n - left_n;
+                if left_n >= min_leaf && right_n >= min_leaf {
+                    let right_counts: Vec<usize> = counts
+                        .iter()
+                        .zip(&left_counts)
+                        .map(|(t, l)| t - l)
+                        .collect();
                     // Mean-decrease-in-impurity bookkeeping.
-                    let left_counts = class_counts(data, &indices[..mid], self.num_classes);
-                    let right_counts = class_counts(data, &indices[mid..], self.num_classes);
-                    let n = indices.len() as f64;
-                    let child = (mid as f64 * gini(&left_counts, mid)
-                        + (indices.len() - mid) as f64 * gini(&right_counts, indices.len() - mid))
-                        / n;
-                    self.importance[feature] += n * (node_gini - child).max(0.0);
+                    let child = (left_n as f64 * gini(&left_counts, left_n)
+                        + right_n as f64 * gini(&right_counts, right_n))
+                        / n as f64;
+                    self.importance[feature] += n as f64 * (node_gini - child).max(0.0);
                     let id = self.nodes.len();
                     self.nodes.push(Node::Leaf { label: majority }); // placeholder
-                    let (left_idx, right_idx) = indices.split_at_mut(mid);
-                    let left = self.build(data, left_idx, depth + 1);
-                    let right = self.build(data, right_idx, depth + 1);
+                    let (left_samples, right_samples) = samples.split_at_mut(mid);
+                    let left = self.grow(view, scratch, left_samples, left_counts, depth + 1);
+                    let right = self.grow(view, scratch, right_samples, right_counts, depth + 1);
                     self.nodes[id] = Node::Split {
                         feature,
                         threshold,
@@ -147,40 +204,40 @@ impl DecisionTree {
     }
 
     /// Finds the impurity-minimizing `(feature, threshold)` over the
-    /// (sub)sampled features, or `None` when nothing improves.
+    /// (sub)sampled features, or `None` when nothing improves. The feature
+    /// draw happens at every node that is not a stop, even when the split
+    /// it finds is later rejected by `min_samples_leaf`.
     fn best_split(
         &mut self,
-        data: &Dataset,
-        indices: &[usize],
-        total_counts: &[usize],
+        view: &TrainView,
+        scratch: &mut Scratch,
+        samples: &[Sample],
+        counts: &[usize],
     ) -> Option<(usize, f32)> {
-        let n_features = data.num_features();
+        let n_features = view.columns.len();
         let k = self
             .params
             .max_features
             .unwrap_or(n_features)
             .min(n_features);
-        let mut features: Vec<usize> = (0..n_features).collect();
+        let features = &mut scratch.features;
+        features.clear();
+        features.extend(0..n_features);
         // Partial Fisher-Yates to pick k random features.
         for i in 0..k {
             let j = i + self.rng.gen_index(n_features - i);
             features.swap(i, j);
         }
         let mut best: Option<(f64, usize, f32)> = None;
-        let n = indices.len() as f64;
-        for &feature in &features[..k] {
+        for i in 0..k {
+            let feature = scratch.features[i];
             if let Some((threshold, score)) =
-                best_threshold(data, indices, feature, total_counts, self.num_classes)
+                scratch.column_split(&view.columns[feature], samples, counts)
             {
-                let improves = match best {
-                    None => true,
-                    Some((best_score, _, _)) => score < best_score - 1e-12,
-                };
-                if improves {
+                if best.is_none_or(|(best_score, _, _)| score < best_score - 1e-12) {
                     best = Some((score, feature, threshold));
                 }
             }
-            let _ = n;
         }
         best.map(|(_, f, t)| (f, t))
     }
@@ -208,19 +265,22 @@ impl DecisionTree {
 }
 
 impl Classifier for DecisionTree {
+    /// Trains on `data`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `data` is empty or holds a NaN or infinite feature.
     fn fit(&mut self, data: &Dataset) {
         assert!(!data.is_empty(), "cannot fit on an empty dataset");
-        self.num_classes = data.num_classes().max(1);
-        self.nodes.clear();
-        self.importance = vec![0.0; data.num_features()];
-        let mut indices: Vec<usize> = (0..data.len()).collect();
-        self.build(data, &mut indices, 0);
-        let total: f64 = self.importance.iter().sum();
-        if total > 0.0 {
-            for v in &mut self.importance {
-                *v /= total;
-            }
-        }
+        let view = TrainView::new(data);
+        let mut samples: Vec<Sample> = (0..view.num_unique())
+            .map(|u| Sample {
+                row: u as u32,
+                label: view.labels[u],
+                weight: view.multiplicity[u],
+            })
+            .collect();
+        self.fit_sample(&view, &mut samples);
     }
 
     fn predict(&self, row: &[f32]) -> u32 {
@@ -229,12 +289,181 @@ impl Classifier for DecisionTree {
     }
 }
 
-fn class_counts(data: &Dataset, indices: &[usize], k: usize) -> Vec<usize> {
-    let mut counts = vec![0usize; k];
-    for &i in indices {
-        counts[data.label(i) as usize] += 1;
+/// A unique row of a [`TrainView`] in a tree's sample, with the number of
+/// copies the sample holds.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Sample {
+    /// Unique row index in the view.
+    pub row: u32,
+    /// Its label.
+    pub label: u32,
+    /// Copies of it in the sample (at least 1).
+    pub weight: u32,
+}
+
+/// Per-tree buffers reused across nodes.
+struct Scratch {
+    /// Feature indices, permuted by the per-node draw.
+    features: Vec<usize>,
+    /// Per-(code, class) weight of a `u8`-coded column in one node.
+    hist: Vec<usize>,
+    /// `(code, label, weight)` of a `u32`-coded column in one node.
+    runs: Vec<(u32, u32, u32)>,
+    /// Per-class weight of one run of `runs`.
+    run_counts: Vec<usize>,
+    /// Per-class weight left and right of a candidate threshold.
+    left: Vec<usize>,
+    right: Vec<usize>,
+}
+
+impl Scratch {
+    fn new(view: &TrainView, k: usize) -> Scratch {
+        Scratch {
+            features: Vec::with_capacity(view.columns.len()),
+            hist: vec![0; view.max_narrow_values() * k],
+            runs: Vec::new(),
+            run_counts: vec![0; k],
+            left: vec![0; k],
+            right: vec![0; k],
+        }
     }
-    counts
+
+    /// Scans the thresholds of one column in one node, returning the best
+    /// `(threshold, weighted child Gini)`, or `None` when the column is
+    /// constant there. One weighted histogram pass collects the per-class
+    /// weight of every code present in the node.
+    fn column_split(
+        &mut self,
+        column: &Column,
+        samples: &[Sample],
+        total_counts: &[usize],
+    ) -> Option<(f32, f64)> {
+        let k = total_counts.len();
+        let mut scan = Scan::new(column, total_counts, &mut self.left, &mut self.right);
+        match &column.codes {
+            Codes::Narrow(codes) => {
+                let hist = &mut self.hist[..column.values.len() * k];
+                for s in samples {
+                    hist[usize::from(codes[s.row as usize]) * k + s.label as usize] +=
+                        s.weight as usize;
+                }
+                for (code, counts) in hist.chunks_exact(k).enumerate() {
+                    if counts.iter().any(|&c| c > 0) {
+                        scan.push(code, counts);
+                    }
+                }
+                hist.fill(0);
+            }
+            Codes::Wide(codes) => {
+                // Too many codes for a dense histogram: sort the node's
+                // codes instead.
+                self.runs.clear();
+                self.runs.extend(
+                    samples
+                        .iter()
+                        .map(|s| (codes[s.row as usize], s.label, s.weight)),
+                );
+                self.runs.sort_unstable_by_key(|r| r.0);
+                for run in self.runs.chunk_by(|a, b| a.0 == b.0) {
+                    self.run_counts.fill(0);
+                    for &(_, label, weight) in run {
+                        self.run_counts[label as usize] += weight as usize;
+                    }
+                    scan.push(run[0].0 as usize, &self.run_counts);
+                }
+            }
+        }
+        scan.finish()
+    }
+}
+
+/// Threshold search over the codes of one column present in a node, fed
+/// in ascending order with each code's per-class weight.
+///
+/// Every boundary between two consecutive present values is a candidate;
+/// the first one with the lowest weighted child Gini wins. Its threshold
+/// follows the value domain of the node: when every present value is an
+/// integer and they span at most 64, it is the lower value plus one half
+/// (the counting rule); otherwise it is the midpoint of the two values.
+struct Scan<'a> {
+    values: &'a [f32],
+    total_counts: &'a [usize],
+    total: usize,
+    left: &'a mut [usize],
+    right: &'a mut [usize],
+    left_total: usize,
+    first: usize,
+    prev: Option<usize>,
+    integral: bool,
+    /// `(score, code below, code above)` of the best boundary so far.
+    best: Option<(f64, usize, usize)>,
+}
+
+impl<'a> Scan<'a> {
+    fn new(
+        column: &'a Column,
+        total_counts: &'a [usize],
+        left: &'a mut [usize],
+        right: &'a mut [usize],
+    ) -> Scan<'a> {
+        left.fill(0);
+        Scan {
+            values: &column.values,
+            total_counts,
+            total: total_counts.iter().sum(),
+            left,
+            right,
+            left_total: 0,
+            first: 0,
+            prev: None,
+            integral: true,
+            best: None,
+        }
+    }
+
+    fn push(&mut self, code: usize, counts: &[usize]) {
+        match self.prev {
+            None => self.first = code,
+            Some(below) => {
+                let left_total = self.left_total;
+                let right_total = self.total - left_total;
+                for ((r, &t), &l) in self
+                    .right
+                    .iter_mut()
+                    .zip(self.total_counts)
+                    .zip(&*self.left)
+                {
+                    *r = t - l;
+                }
+                let score = (left_total as f64 * gini(self.left, left_total)
+                    + right_total as f64 * gini(self.right, right_total))
+                    / self.total as f64;
+                if self.best.is_none_or(|(s, _, _)| score < s) {
+                    self.best = Some((score, below, code));
+                }
+            }
+        }
+        for (l, &c) in self.left.iter_mut().zip(counts) {
+            *l += c;
+        }
+        self.left_total += counts.iter().sum::<usize>();
+        self.integral &= self.values[code].fract() == 0.0;
+        self.prev = Some(code);
+    }
+
+    fn finish(self) -> Option<(f32, f64)> {
+        let (score, below, above) = self.best?;
+        let min_v = self.values[self.first];
+        let max_v = self.values[self.prev?];
+        let v = self.values[below];
+        let threshold = if self.integral && (max_v - min_v) as usize <= 64 {
+            let b = (v - min_v) as usize;
+            min_v + b as f32 + 0.5
+        } else {
+            (v + self.values[above]) / 2.0
+        };
+        Some((threshold, score))
+    }
 }
 
 fn argmax(counts: &[usize]) -> u32 {
@@ -258,117 +487,6 @@ fn gini(counts: &[usize], total: usize) -> f64 {
             p * p
         })
         .sum::<f64>()
-}
-
-/// Scans thresholds of one feature, returning the best `(threshold,
-/// weighted child Gini)` strictly better than no split.
-fn best_threshold(
-    data: &Dataset,
-    indices: &[usize],
-    feature: usize,
-    total_counts: &[usize],
-    k: usize,
-) -> Option<(f32, f64)> {
-    // Detect a small non-negative integer domain for the counting path.
-    let mut min_v = f32::INFINITY;
-    let mut max_v = f32::NEG_INFINITY;
-    let mut integral = true;
-    for &i in indices {
-        let v = data.row(i)[feature];
-        min_v = min_v.min(v);
-        max_v = max_v.max(v);
-        if v.fract() != 0.0 {
-            integral = false;
-        }
-    }
-    if min_v >= max_v {
-        return None; // constant feature
-    }
-    let span = (max_v - min_v) as usize;
-    if integral && span <= 64 {
-        counting_threshold(data, indices, feature, total_counts, k, min_v, span)
-    } else {
-        sorting_threshold(data, indices, feature, total_counts, k)
-    }
-}
-
-fn counting_threshold(
-    data: &Dataset,
-    indices: &[usize],
-    feature: usize,
-    total_counts: &[usize],
-    k: usize,
-    min_v: f32,
-    span: usize,
-) -> Option<(f32, f64)> {
-    let buckets = span + 1;
-    let mut hist = vec![0usize; buckets * k];
-    for &i in indices {
-        let v = data.row(i)[feature];
-        let b = (v - min_v) as usize;
-        hist[b * k + data.label(i) as usize] += 1;
-    }
-    let total = indices.len();
-    let mut left = vec![0usize; k];
-    let mut left_total = 0usize;
-    let mut best: Option<(f32, f64)> = None;
-    for b in 0..span {
-        for c in 0..k {
-            left[c] += hist[b * k + c];
-        }
-        left_total += hist[b * k..b * k + k].iter().sum::<usize>();
-        if left_total == 0 || left_total == total {
-            continue;
-        }
-        let right_total = total - left_total;
-        let right: Vec<usize> = (0..k).map(|c| total_counts[c] - left[c]).collect();
-        let score = (left_total as f64 * gini(&left, left_total)
-            + right_total as f64 * gini(&right, right_total))
-            / total as f64;
-        let threshold = min_v + b as f32 + 0.5;
-        if best.is_none_or(|(_, s)| score < s) {
-            best = Some((threshold, score));
-        }
-    }
-    let _ = total_counts;
-    best
-}
-
-fn sorting_threshold(
-    data: &Dataset,
-    indices: &[usize],
-    feature: usize,
-    total_counts: &[usize],
-    k: usize,
-) -> Option<(f32, f64)> {
-    let mut pairs: Vec<(f32, u32)> = indices
-        .iter()
-        .map(|&i| (data.row(i)[feature], data.label(i)))
-        .collect();
-    // Total order (invariant D7): the split order feeds the tree
-    // structure, which must be canonical even for pathological inputs.
-    pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let total = pairs.len();
-    let mut left = vec![0usize; k];
-    let mut best: Option<(f32, f64)> = None;
-    for w in 0..total - 1 {
-        left[pairs[w].1 as usize] += 1;
-        if pairs[w].0 == pairs[w + 1].0 {
-            continue;
-        }
-        let left_total = w + 1;
-        let right_total = total - left_total;
-        let right: Vec<usize> = (0..k).map(|c| total_counts[c] - left[c]).collect();
-        let score = (left_total as f64 * gini(&left, left_total)
-            + right_total as f64 * gini(&right, right_total))
-            / total as f64;
-        let threshold = (pairs[w].0 + pairs[w + 1].0) / 2.0;
-        if best.is_none_or(|(_, s)| score < s) {
-            best = Some((threshold, score));
-        }
-    }
-    let _ = total_counts;
-    best
 }
 
 #[cfg(test)]

@@ -32,6 +32,23 @@ CA_THREADS=4 cargo test -q --test packed_equivalence --offline
 echo "==> cargo test (offline, CA_PACKED=0 scalar path)"
 CA_PACKED=0 cargo test -q --workspace --offline
 
+# The binned forest trainer is only allowed to exist because its trees
+# are byte-identical to the frozen row-major trainer it replaced
+# (DESIGN.md §16). The differential suite compares them on every group
+# of the quick SOI28 corpus, which is only affordable in release mode,
+# so run it there explicitly at both thread counts.
+echo "==> forest differential (binned vs reference trainer, CA_THREADS=1)"
+CA_THREADS=1 cargo test -q --release -p ca-bench --test forest_differential --offline
+
+echo "==> forest differential (binned vs reference trainer, CA_THREADS=4)"
+CA_THREADS=4 cargo test -q --release -p ca-bench --test forest_differential --offline
+
+# The repository benchmark is its own package (perfbench/, outside the
+# workspace) and calls the crates' public APIs. Build and test it here,
+# so a change to an API it calls fails CI rather than the benchmark run.
+echo "==> perfbench (benchmark package builds and its unit tests pass)"
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 # The crash-recovery suite SIGKILLs child runs mid-library and proves the
 # session store resumes to byte-identical outputs (DESIGN.md §8). Run it
 # explicitly at both thread counts so the kill/resume path — not just the

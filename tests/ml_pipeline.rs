@@ -4,7 +4,7 @@
 use cell_aware::core::{
     Activation, CanonicalCell, MlFlow, MlFlowParams, PreparedCell, StructureIndex,
 };
-use cell_aware::defects::GenerateOptions;
+use cell_aware::defects::{to_cam, GenerateOptions};
 use cell_aware::netlist::library::{generate_library, LibraryConfig};
 use cell_aware::netlist::Technology;
 
@@ -57,8 +57,29 @@ fn canonical_hashes_are_technology_independent() {
     assert!(compared >= 10, "only {compared} templates compared");
 }
 
+/// FNV-1a digest of named documents: each name and body, length-prefixed,
+/// in name order.
+fn digest_docs(docs: &std::collections::BTreeMap<String, String>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for (name, body) in docs {
+        for part in [name.as_bytes(), body.as_bytes()] {
+            for &b in (part.len() as u64).to_le_bytes().iter().chain(part) {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    h
+}
+
+/// Digest of the `.cam` text of every C28 model the SOI28-trained flow
+/// predicts, pinned across commits: a change to the forest trainer that
+/// moves any predicted bit changes it.
+const C28_PREDICTED_CAM: u64 = 0xdabf_ad4f_162a_3524;
+
 /// Cross-technology prediction: most shared-structure cells predict above
-/// 95%, and the overall mean clears 90% (shape of Tables IV.b/IV.c).
+/// 95%, and the overall mean clears 90% (shape of Tables IV.b/IV.c). The
+/// predicted models are pinned by digest across commits.
 #[test]
 fn cross_technology_prediction_quality() {
     let soi: Vec<PreparedCell> = characterize_lib(Technology::Soi28)
@@ -70,11 +91,13 @@ fn cross_technology_prediction_quality() {
     let c28 = characterize_lib(Technology::C28);
     let mut identical_accs = Vec::new();
     let mut all_accs = Vec::new();
+    let mut cams = std::collections::BTreeMap::new();
     for (_, prepared) in c28.iter() {
         if !flow.covers(prepared) {
             continue;
         }
         let predicted = flow.predict(prepared).expect("covered");
+        cams.insert(prepared.cell.name().to_string(), to_cam(&predicted));
         let acc = prepared.accuracy_of(&predicted);
         all_accs.push(acc);
         if index.classify(&prepared.canonical) == cell_aware::core::StructuralMatch::Identical {
@@ -90,6 +113,13 @@ fn cross_technology_prediction_quality() {
     assert!(
         id_mean >= mean - 1e-9,
         "identical {id_mean} should be >= population {mean}"
+    );
+    let digest = digest_docs(&cams);
+    assert_eq!(
+        digest,
+        C28_PREDICTED_CAM,
+        "predicted C28 models changed: digest {digest:#018x} over {} cells",
+        cams.len()
     );
 }
 
