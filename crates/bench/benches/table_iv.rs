@@ -4,7 +4,6 @@
 use ca_bench::corpus::{build_corpus, Profile};
 use ca_bench::microbench::BenchGroup;
 use ca_core::{train_group_forest, PreparedCell};
-use ca_ml::Classifier;
 use ca_netlist::Technology;
 use std::collections::BTreeMap;
 
@@ -30,7 +29,7 @@ fn main() {
         let train: Vec<&PreparedCell> = cells[1..].to_vec();
         let (forest, _) = train_group_forest(&train, &params).expect("trains");
         let target = cells[0];
-        let predicted = target.predict_model(|row| forest.predict(row) == 1);
+        let predicted = target.predict_model(&forest);
         target.accuracy_of(&predicted)
     });
     group.finish();

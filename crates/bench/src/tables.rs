@@ -55,7 +55,7 @@ pub fn table_iv_a(profile: Profile) -> Grid {
                 continue;
             };
             let target = &cells[i].prepared;
-            let predicted = target.predict_model(|row| forest.predict(row) == 1);
+            let predicted = target.predict_model(&forest);
             // The paper's Table IV reports open defects (shorts "similar").
             grid.record(
                 key.0,
@@ -194,7 +194,7 @@ pub fn algo_comparison(profile: Profile) -> String {
     let capped = full_data.subset(&capped_idx);
     let mut rows: Vec<(String, String)> = Vec::new();
     let mut eval = |name: &str, classifier: &dyn Classifier| {
-        let predicted = target.predict_model(|row| classifier.predict(row) == 1);
+        let predicted = target.predict_model(classifier);
         let acc = target.accuracy_of(&predicted);
         rows.push((name.to_string(), format!("{:6.2}%", acc * 100.0)));
     };

@@ -194,7 +194,7 @@ impl MlFlow {
                     inputs: prepared.cell.num_inputs(),
                     transistors: prepared.cell.num_transistors(),
                 })?;
-        Ok(prepared.predict_model(|row| group.forest.predict(row) == 1))
+        Ok(prepared.predict_model(&group.forest))
     }
 
     /// Predicts models for a batch of prepared cells on `executor`,

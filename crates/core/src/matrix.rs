@@ -19,7 +19,7 @@ use crate::activation::Activation;
 use crate::canonical::CanonicalCell;
 use crate::error::CoreError;
 use ca_defects::{BitRow, CaModel, DefectKind, DefectUniverse, GenerateOptions};
-use ca_ml::Dataset;
+use ca_ml::{Classifier, Dataset};
 use ca_netlist::{Cell, Terminal};
 use ca_sim::{Injection, SimBudget, SimError};
 
@@ -35,7 +35,16 @@ pub struct MatrixLayout {
 impl MatrixLayout {
     /// Total number of feature columns.
     pub fn num_features(self) -> usize {
-        self.num_inputs + 1 + self.num_transistors + 3 * self.num_transistors + 1
+        self.stimulus_width() + 3 * self.num_transistors + 1
+    }
+
+    /// Number of columns of the stimulus block, which holds the input
+    /// waves, the output wave and the activity waves (`n + 1 + T`). The
+    /// defect block (D/G/S flags and kind, `3T + 1` columns) follows it.
+    /// A row's stimulus block depends only on its stimulus and its defect
+    /// block only on its defect.
+    pub fn stimulus_width(self) -> usize {
+        self.num_inputs + 1 + self.num_transistors
     }
 
     /// Column index of input pin `i`'s wave.
@@ -62,7 +71,7 @@ impl MatrixLayout {
             Terminal::Source => 2,
             Terminal::Bulk => panic!("bulk terminals are not part of the CA-matrix"),
         };
-        self.num_inputs + 1 + self.num_transistors + 3 * k + offset
+        self.stimulus_width() + 3 * k + offset
     }
 
     /// Column index of the defect-kind code.
@@ -200,25 +209,37 @@ impl PreparedCell {
         }
     }
 
-    /// Encodes the feature row for (`stimulus` index, defect `injection`).
-    ///
-    /// Pass [`Injection::None`] for a "free" row.
-    pub fn encode_row(&self, stimulus: usize, injection: Injection) -> Vec<f32> {
+    /// Encodes the stimulus block of `stimulus`'s rows
+    /// ([`MatrixLayout::stimulus_width`] columns): input waves, golden
+    /// output wave and each canonical transistor's activity wave.
+    pub fn encode_stimulus(&self, stimulus: usize) -> Vec<f32> {
         let layout = self.layout();
-        let mut row = vec![0.0f32; layout.num_features()];
+        let mut block = vec![0.0f32; layout.stimulus_width()];
         let stim = &self.activation.stimuli()[stimulus];
         for (i, w) in stim.waves().iter().enumerate() {
-            row[layout.input_col(i)] = w.code() as f32;
+            block[layout.input_col(i)] = w.code() as f32;
         }
-        row[layout.output_col()] = self.activation.output_waves()[stimulus].code() as f32;
+        block[layout.output_col()] = self.activation.output_waves()[stimulus].code() as f32;
         for (tid, _) in self.cell.transistor_ids() {
             let k = self.canonical.position(tid);
-            row[layout.activity_col(k)] =
+            block[layout.activity_col(k)] =
                 self.activation.transistor_wave(stimulus, tid).code() as f32;
         }
+        block
+    }
+
+    /// Encodes the defect block of `injection`'s rows (the columns after
+    /// [`MatrixLayout::stimulus_width`]): D/G/S flags of each canonical
+    /// transistor and the defect kind.
+    ///
+    /// Pass [`Injection::None`] for a "free" row.
+    pub fn encode_defect(&self, injection: Injection) -> Vec<f32> {
+        let layout = self.layout();
+        let offset = layout.stimulus_width();
+        let mut block = vec![0.0f32; layout.num_features() - offset];
         let mut flag = |tid: ca_netlist::TransistorId, term: Terminal| {
             let k = self.canonical.position(tid);
-            row[layout.defect_col(k, term)] = 1.0;
+            block[layout.defect_col(k, term) - offset] = 1.0;
         };
         let kind_code = match injection {
             Injection::None => 0.0,
@@ -238,16 +259,34 @@ impl PreparedCell {
                 for (tid, t) in self.cell.transistor_ids() {
                     for term in Terminal::CHANNEL_AND_GATE {
                         if t.terminal(term) == a || t.terminal(term) == b {
-                            let k = self.canonical.position(tid);
-                            row[layout.defect_col(k, term)] = 1.0;
+                            flag(tid, term);
                         }
                     }
                 }
                 2.0
             }
         };
-        row[layout.kind_col()] = kind_code;
+        block[layout.kind_col() - offset] = kind_code;
+        block
+    }
+
+    /// Encodes the feature row for (`stimulus` index, defect `injection`):
+    /// its stimulus block followed by its defect block.
+    ///
+    /// Pass [`Injection::None`] for a "free" row.
+    pub fn encode_row(&self, stimulus: usize, injection: Injection) -> Vec<f32> {
+        let mut row = self.encode_stimulus(stimulus);
+        row.extend(self.encode_defect(injection));
         row
+    }
+
+    /// The stimulus blocks of every stimulus, in activation order.
+    fn stimulus_blocks(&self) -> Dataset {
+        let mut blocks = Dataset::new(self.layout().stimulus_width());
+        for s in 0..self.activation.stimuli().len() {
+            blocks.push_row(&self.encode_stimulus(s), 0);
+        }
+        blocks
     }
 
     /// Builds the labelled training rows of this cell: one row per
@@ -261,31 +300,44 @@ impl PreparedCell {
             .model
             .as_ref()
             .expect("training_rows requires a characterized cell");
-        let n_stimuli = self.activation.stimuli().len();
-        for s in 0..n_stimuli {
-            out.push_row(&self.encode_row(s, Injection::None), 0);
+        let stimuli = self.stimulus_blocks();
+        let mut row = Vec::with_capacity(self.layout().num_features());
+        let mut push = |s: usize, defect: &[f32], label: u32| {
+            row.clear();
+            row.extend_from_slice(stimuli.row(s));
+            row.extend_from_slice(defect);
+            out.push_row(&row, label);
+        };
+        let free = self.encode_defect(Injection::None);
+        for s in 0..stimuli.len() {
+            push(s, &free, 0);
         }
         for defect in self.universe.defects() {
-            for s in 0..n_stimuli {
-                let label = u32::from(model.detects(defect.id, s));
-                out.push_row(&self.encode_row(s, defect.injection), label);
+            let block = self.encode_defect(defect.injection);
+            for s in 0..stimuli.len() {
+                push(s, &block, u32::from(model.detects(defect.id, s)));
             }
         }
     }
 
-    /// Predicts a full CA model using `predict` for each ⟨defect,
-    /// stimulus⟩ row.
-    pub fn predict_model(&self, mut predict: impl FnMut(&[f32]) -> bool) -> CaModel {
-        let n_stimuli = self.activation.stimuli().len();
-        let rows: Vec<BitRow> = self
-            .universe
-            .defects()
-            .iter()
-            .map(|defect| {
-                let mut row = BitRow::zeros(n_stimuli);
-                for s in 0..n_stimuli {
-                    let features = self.encode_row(s, defect.injection);
-                    row.set(s, predict(&features));
+    /// Predicts a full CA model: a ⟨defect, stimulus⟩ pair is detected
+    /// when `classifier` labels its row 1. The stimulus and defect blocks
+    /// are encoded once each and classified as a product
+    /// ([`Classifier::predict_product`]).
+    pub fn predict_model(&self, classifier: &dyn Classifier) -> CaModel {
+        let layout = self.layout();
+        let stimuli = self.stimulus_blocks();
+        let mut defects = Dataset::new(layout.num_features() - layout.stimulus_width());
+        for defect in self.universe.defects() {
+            defects.push_row(&self.encode_defect(defect.injection), 0);
+        }
+        let labels = classifier.predict_product(&stimuli, &defects);
+        let n = stimuli.len();
+        let rows: Vec<BitRow> = (0..defects.len())
+            .map(|d| {
+                let mut row = BitRow::zeros(n);
+                for (s, &label) in labels[d * n..(d + 1) * n].iter().enumerate() {
+                    row.set(s, label == 1);
                 }
                 row
             })
@@ -335,6 +387,7 @@ impl PreparedCell {
 mod tests {
     use super::*;
     use ca_netlist::spice;
+    use std::collections::BTreeMap;
 
     const NAND2: &str = "\
 .SUBCKT NAND2 A B Z VDD VSS
@@ -432,25 +485,76 @@ MN11 net0 B VSS VSS nch
 
     #[test]
     fn perfect_oracle_reproduces_ground_truth() {
-        let p = prepared();
-        let truth = p.model.clone().unwrap();
         // An oracle that re-simulates is exactly the conventional flow;
-        // emulate it by looking labels up from the truth model.
-        let universe = p.universe.clone();
-        let mut cursor = Vec::new();
-        for d in universe.defects() {
-            for s in 0..16 {
-                cursor.push(truth.detects(d.id, s));
+        // emulate it with a classifier that looks each row's label up in
+        // the truth model.
+        struct Lookup(BTreeMap<Vec<u32>, u32>);
+        impl Classifier for Lookup {
+            fn fit(&mut self, _: &Dataset) {}
+            fn predict(&self, row: &[f32]) -> u32 {
+                self.0[&row.iter().map(|v| v.to_bits()).collect::<Vec<_>>()]
             }
         }
-        let mut i = 0;
-        let predicted = p.predict_model(|_| {
-            let v = cursor[i];
-            i += 1;
-            v
-        });
+        let p = prepared();
+        let truth = p.model.clone().unwrap();
+        let mut labels = BTreeMap::new();
+        for d in p.universe.defects() {
+            for s in 0..16 {
+                let row = p.encode_row(s, d.injection);
+                let key = row.iter().map(|v| v.to_bits()).collect();
+                let label = u32::from(truth.detects(d.id, s));
+                assert!(labels.insert(key, label).is_none(), "rows are distinct");
+            }
+        }
+        let predicted = p.predict_model(&Lookup(labels));
         assert!((p.accuracy_of(&predicted) - 1.0).abs() < 1e-12);
         assert_eq!(predicted.classes.len(), truth.classes.len());
+    }
+
+    #[test]
+    fn rows_are_a_stimulus_block_then_a_defect_block() {
+        let p = prepared();
+        let layout = p.layout();
+        assert_eq!(
+            layout.stimulus_width(),
+            layout.defect_col(0, Terminal::Drain)
+        );
+        let z = p.cell.find_net("Z").unwrap();
+        let net0 = p.cell.find_net("net0").unwrap();
+        let net_short = Injection::NetShort { a: z, b: net0 };
+        let mut injections: Vec<Injection> =
+            p.universe.defects().iter().map(|d| d.injection).collect();
+        injections.extend([Injection::None, net_short]);
+        for injection in injections {
+            let defect = p.encode_defect(injection);
+            assert_eq!(
+                defect.len(),
+                layout.num_features() - layout.stimulus_width()
+            );
+            for s in 0..16 {
+                let mut row = p.encode_stimulus(s);
+                row.extend(&defect);
+                assert_eq!(
+                    p.encode_row(s, injection),
+                    row,
+                    "{injection:?}, stimulus {s}"
+                );
+            }
+        }
+        // The net short flags every terminal on Z (three drains) or net0
+        // (MN10's source, MN11's drain), at their full-row columns.
+        let row = p.encode_row(0, net_short);
+        let mut flagged = Vec::new();
+        for (tid, t) in p.cell.transistor_ids() {
+            for term in [Terminal::Drain, Terminal::Gate, Terminal::Source] {
+                if row[layout.defect_col(p.canonical.position(tid), term)] == 1.0 {
+                    flagged.push(format!("{}_{term}", t.name()));
+                }
+            }
+        }
+        flagged.sort();
+        assert_eq!(flagged, ["MN10_D", "MN10_S", "MN11_D", "MPX_D", "MPY_D"]);
+        assert_eq!(row[layout.kind_col()], 2.0);
     }
 
     #[test]

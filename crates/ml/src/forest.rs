@@ -9,6 +9,9 @@
 //! and each reads the shared view through its own counts, so no tree
 //! copies the data. All randomness derives from [`ForestParams::seed`],
 //! and the forest is bit-identical at every thread count.
+//!
+//! `predict_product` descends each tree once for a whole product of two
+//! blocks of columns and counts integer votes per pair (DESIGN.md §17).
 
 use crate::data::Dataset;
 use crate::tree::{DecisionTree, Sample, TreeParams};
@@ -217,6 +220,48 @@ impl Classifier for RandomForest {
             .max_by(|a, b| a.1.total_cmp(b.1))
             .map(|(i, _)| i as u32)
             .unwrap_or(0)
+    }
+
+    /// Sends the whole product down each tree once (see
+    /// `DecisionTree::descend_product`) and counts every pair's votes as
+    /// integers. Vote fractions share one denominator, so the class with
+    /// the most votes, the last one on a tie, is the class
+    /// [`Classifier::predict`] picks; a label outside the forest's label
+    /// space gets no vote, as in [`RandomForest::predict_proba`].
+    fn predict_product(&self, left: &Dataset, right: &Dataset) -> Vec<u32> {
+        assert!(!self.trees.is_empty(), "predict before fit");
+        let pairs = left.len() * right.len();
+        ca_obs::counter!("ca_ml.predict.rows", Work).add(pairs as u64);
+        let k = self.num_classes.max(1);
+        // Votes of pair `p` for class `c` at `p * k + c`.
+        let mut votes = vec![0u32; pairs * k];
+        let mut ls: Vec<usize> = (0..left.len()).collect();
+        let mut rs: Vec<usize> = (0..right.len()).collect();
+        for tree in &self.trees {
+            tree.descend_product(0, left, right, &mut ls, &mut rs, &mut |label, ls, rs| {
+                let label = label as usize;
+                if label >= k {
+                    return;
+                }
+                for &r in rs {
+                    for &l in ls {
+                        votes[(r * left.len() + l) * k + label] += 1;
+                    }
+                }
+            });
+        }
+        votes
+            .chunks_exact(k)
+            .map(|votes| {
+                let mut best = 0;
+                for (class, &v) in votes.iter().enumerate() {
+                    if v >= votes[best] {
+                        best = class;
+                    }
+                }
+                best as u32
+            })
+            .collect()
     }
 }
 

@@ -64,6 +64,26 @@ pub trait Classifier {
     fn predict_batch(&self, data: &Dataset) -> Vec<u32> {
         (0..data.len()).map(|i| self.predict(data.row(i))).collect()
     }
+
+    /// Predicts every row of the product of two blocks of columns: row
+    /// `(l, r)` is `left.row(l)` followed by `right.row(r)`, and its label
+    /// lands at `r * left.len() + l`. The blocks' labels are ignored.
+    ///
+    /// This default predicts each concatenated row and is the definition
+    /// the overrides must reproduce label for label.
+    fn predict_product(&self, left: &Dataset, right: &Dataset) -> Vec<u32> {
+        let mut row = Vec::with_capacity(left.num_features() + right.num_features());
+        let mut labels = Vec::with_capacity(left.len() * right.len());
+        for r in 0..right.len() {
+            for l in 0..left.len() {
+                row.clear();
+                row.extend_from_slice(left.row(l));
+                row.extend_from_slice(right.row(r));
+                labels.push(self.predict(&row));
+            }
+        }
+        labels
+    }
 }
 
 #[cfg(test)]
@@ -79,5 +99,22 @@ mod tests {
         boxed.fit(&data);
         assert_eq!(boxed.predict(&[0.9]), 1);
         assert_eq!(boxed.predict_batch(&data), vec![0, 1]);
+    }
+
+    #[test]
+    fn product_labels_are_right_major() {
+        // Labels the row by its left value when the right one is 0, by
+        // its right value otherwise.
+        struct Pick;
+        impl Classifier for Pick {
+            fn fit(&mut self, _: &Dataset) {}
+            fn predict(&self, row: &[f32]) -> u32 {
+                (if row[1] == 0.0 { row[0] } else { row[1] }) as u32
+            }
+        }
+        let left = Dataset::from_parts(vec![1.0, 2.0, 3.0], vec![0; 3], 1);
+        let right = Dataset::from_parts(vec![0.0, 7.0], vec![0; 2], 1);
+        assert_eq!(Pick.predict_product(&left, &right), vec![1, 2, 3, 7, 7, 7]);
+        assert!(Pick.predict_product(&left, &Dataset::new(1)).is_empty());
     }
 }

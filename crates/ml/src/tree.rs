@@ -18,6 +18,9 @@
 //! `crates/bench/tests/forest_differential.rs` (DESIGN.md §16). Feature
 //! subsampling (`max_features`) makes the tree usable as a random forest
 //! member.
+//!
+//! `predict_product` labels the product of two blocks of columns in one
+//! descent that carries an index list per block (DESIGN.md §17).
 
 use crate::data::Dataset;
 use crate::view::{Codes, Column, TrainView};
@@ -242,6 +245,50 @@ impl DecisionTree {
         best.map(|(_, f, t)| (f, t))
     }
 
+    /// Sends the product of `left` and `right` (row `(l, r)` is
+    /// `left.row(l)` followed by `right.row(r)`) down the subtree of node
+    /// `id`, where `ls` and `rs` hold the left and right row indices that
+    /// reach it. A split on a left column reorders only `ls`, and one on a
+    /// right column only `rs`, by the comparison [`Classifier::predict`]
+    /// makes on the concatenated row, so every pair reaches the leaf it
+    /// would reach alone. Each leaf reached by a nonempty product gets
+    /// `leaf(label, ls, rs)`.
+    pub(crate) fn descend_product(
+        &self,
+        id: usize,
+        left: &Dataset,
+        right: &Dataset,
+        ls: &mut [usize],
+        rs: &mut [usize],
+        leaf: &mut impl FnMut(u32, &[usize], &[usize]),
+    ) {
+        if ls.is_empty() || rs.is_empty() {
+            return;
+        }
+        match self.nodes[id] {
+            Node::Leaf { label } => leaf(label, ls, rs),
+            Node::Split {
+                feature,
+                threshold,
+                left: below,
+                right: above,
+            } => {
+                let width = left.num_features();
+                if feature < width {
+                    let mid = partition(ls, |l| left.row(l)[feature] <= threshold);
+                    let (ls_below, ls_above) = ls.split_at_mut(mid);
+                    self.descend_product(below, left, right, ls_below, rs, leaf);
+                    self.descend_product(above, left, right, ls_above, rs, leaf);
+                } else {
+                    let mid = partition(rs, |r| right.row(r)[feature - width] <= threshold);
+                    let (rs_below, rs_above) = rs.split_at_mut(mid);
+                    self.descend_product(below, left, right, ls, rs_below, leaf);
+                    self.descend_product(above, left, right, ls, rs_above, leaf);
+                }
+            }
+        }
+    }
+
     fn predict_one(&self, row: &[f32]) -> u32 {
         let mut i = 0;
         loop {
@@ -287,6 +334,36 @@ impl Classifier for DecisionTree {
         assert!(!self.nodes.is_empty(), "predict before fit");
         self.predict_one(row)
     }
+
+    /// One descent for the whole product (see `descend_product`); each
+    /// leaf labels every pair that reaches it.
+    fn predict_product(&self, left: &Dataset, right: &Dataset) -> Vec<u32> {
+        assert!(!self.nodes.is_empty(), "predict before fit");
+        let mut labels = vec![0; left.len() * right.len()];
+        let mut ls: Vec<usize> = (0..left.len()).collect();
+        let mut rs: Vec<usize> = (0..right.len()).collect();
+        self.descend_product(0, left, right, &mut ls, &mut rs, &mut |label, ls, rs| {
+            for &r in rs {
+                for &l in ls {
+                    labels[r * left.len() + l] = label;
+                }
+            }
+        });
+        labels
+    }
+}
+
+/// Moves the indices `goes_left` accepts to the front of `idx` and
+/// returns how many there are.
+fn partition(idx: &mut [usize], goes_left: impl Fn(usize) -> bool) -> usize {
+    let mut mid = 0;
+    for i in 0..idx.len() {
+        if goes_left(idx[i]) {
+            idx.swap(i, mid);
+            mid += 1;
+        }
+    }
+    mid
 }
 
 /// A unique row of a [`TrainView`] in a tree's sample, with the number of
@@ -301,15 +378,24 @@ pub(crate) struct Sample {
     pub weight: u32,
 }
 
+/// Partial histograms of a `u8`-coded column's pass, filled round robin.
+/// A CA-matrix column holds a few values of two classes, so consecutive
+/// samples mostly hit the same few bins, and each `+=` into one histogram
+/// would wait for the store of the one before. `column_split` unrolls
+/// the pass by this count.
+const PARTIALS: usize = 4;
+
 /// Per-tree buffers reused across nodes.
 struct Scratch {
     /// Feature indices, permuted by the per-node draw.
     features: Vec<usize>,
-    /// Per-(code, class) weight of a `u8`-coded column in one node.
-    hist: Vec<usize>,
+    /// [`PARTIALS`] histograms of per-(code, class) weight of a
+    /// `u8`-coded column in one node. A node's weight is at most its
+    /// tree's sample size, which fits in a `u32`.
+    hist: Vec<u32>,
     /// `(code, label, weight)` of a `u32`-coded column in one node.
     runs: Vec<(u32, u32, u32)>,
-    /// Per-class weight of one run of `runs`.
+    /// Per-class weight of one code present in a node.
     run_counts: Vec<usize>,
     /// Per-class weight left and right of a candidate threshold.
     left: Vec<usize>,
@@ -320,7 +406,7 @@ impl Scratch {
     fn new(view: &TrainView, k: usize) -> Scratch {
         Scratch {
             features: Vec::with_capacity(view.columns.len()),
-            hist: vec![0; view.max_narrow_values() * k],
+            hist: vec![0; PARTIALS * view.max_narrow_values() * k],
             runs: Vec::new(),
             run_counts: vec![0; k],
             left: vec![0; k],
@@ -342,14 +428,30 @@ impl Scratch {
         let mut scan = Scan::new(column, total_counts, &mut self.left, &mut self.right);
         match &column.codes {
             Codes::Narrow(codes) => {
-                let hist = &mut self.hist[..column.values.len() * k];
-                for s in samples {
-                    hist[usize::from(codes[s.row as usize]) * k + s.label as usize] +=
-                        s.weight as usize;
+                let width = column.values.len() * k;
+                let hist = &mut self.hist[..PARTIALS * width];
+                // Sample `i` goes into partial histogram `i % 4`.
+                let (h01, h23) = hist.split_at_mut(2 * width);
+                let (h0, h1) = h01.split_at_mut(width);
+                let (h2, h3) = h23.split_at_mut(width);
+                let bin_of = |s: &Sample| usize::from(codes[s.row as usize]) * k + s.label as usize;
+                let mut chunks = samples.chunks_exact(PARTIALS);
+                for c in &mut chunks {
+                    h0[bin_of(&c[0])] += c[0].weight;
+                    h1[bin_of(&c[1])] += c[1].weight;
+                    h2[bin_of(&c[2])] += c[2].weight;
+                    h3[bin_of(&c[3])] += c[3].weight;
                 }
-                for (code, counts) in hist.chunks_exact(k).enumerate() {
-                    if counts.iter().any(|&c| c > 0) {
-                        scan.push(code, counts);
+                for (h, s) in [h0, h1, h2].into_iter().zip(chunks.remainder()) {
+                    h[bin_of(s)] += s.weight;
+                }
+                for code in 0..column.values.len() {
+                    for (label, count) in self.run_counts.iter_mut().enumerate() {
+                        let bin = code * k + label;
+                        *count = (0..PARTIALS).map(|p| hist[p * width + bin] as usize).sum();
+                    }
+                    if self.run_counts.iter().any(|&c| c > 0) {
+                        scan.push(code, &self.run_counts);
                     }
                 }
                 hist.fill(0);

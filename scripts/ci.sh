@@ -43,6 +43,17 @@ CA_THREADS=1 cargo test -q --release -p ca-bench --test forest_differential --of
 echo "==> forest differential (binned vs reference trainer, CA_THREADS=4)"
 CA_THREADS=4 cargo test -q --release -p ca-bench --test forest_differential --offline
 
+# Product prediction (one descent per tree for a cell's stimulus x
+# defect product) is only allowed to exist because it predicts the same
+# models as row-wise prediction (DESIGN.md §17). Its real-corpus case
+# predicts every covered quick C40 and C28 cell both ways, which is
+# only affordable in release mode.
+echo "==> product prediction (product vs row-wise, CA_THREADS=1)"
+CA_THREADS=1 cargo test -q --release -p ca-bench --test product_prediction --offline
+
+echo "==> product prediction (product vs row-wise, CA_THREADS=4)"
+CA_THREADS=4 cargo test -q --release -p ca-bench --test product_prediction --offline
+
 # The repository benchmark is its own package (perfbench/, outside the
 # workspace) and calls the crates' public APIs. Build and test it here,
 # so a change to an API it calls fails CI rather than the benchmark run.
