@@ -1,4 +1,5 @@
-//! The analysis rule families D8–D12 (DESIGN.md §15).
+//! The rules clippy cannot express: D7, D8, D11 and D12 (DESIGN.md
+//! §10, §15).
 //!
 //! Each check walks the [`crate::model::FileModel`]s of the audited
 //! source set and emits findings through [`Ctx`], which routes them
@@ -9,12 +10,52 @@ use crate::model::{adjacent, FileModel, LockKind, MetricKind};
 use crate::{Finding, Severity};
 use std::collections::{BTreeMap, BTreeSet};
 
+/// One rule: its id, what it forbids, and a one-line fix hint.
+#[derive(Debug, Clone, Copy)]
+pub struct Rule {
+    /// Stable id (`D7`, `D8`, `D11`, `D12`).
+    pub id: &'static str,
+    /// What the rule forbids.
+    pub summary: &'static str,
+    /// One-line fix hint.
+    pub hint: &'static str,
+}
+
+/// The rules `ca-audit` enforces, in id order. D1–D6 and D9 are clippy
+/// lints and D10 is a round-trip test (DESIGN.md §10).
+pub const RULES: [Rule; 4] = [
+    Rule {
+        id: "D7",
+        summary: "partial float comparison feeding canonical ordering",
+        hint: "use f32/f64 `total_cmp` so NaN cannot poison a canonical sort",
+    },
+    Rule {
+        id: "D8",
+        summary: "lock-order hazard: nested acquisition or a cycle in the static order graph",
+        hint: "acquire locks in one global order; audit a deliberate nesting with `// ca-audit: allow(D8, <why>)`",
+    },
+    Rule {
+        id: "D11",
+        summary: "metric outside the taxonomy, prefix set, or colliding with another signature",
+        hint: "name metrics `<crate>.<subsystem>.<event>` under an INSTRUMENTED_PREFIXES entry",
+    },
+    Rule {
+        id: "D12",
+        summary: "env-var drift between `CA_*` reads in code and the README env-var table",
+        hint: "keep the README `ca-audit:env-table` rows in lockstep with the `CA_*` reads in code",
+    },
+];
+
+fn hint_of(rule: &str) -> &'static str {
+    RULES.iter().find(|r| r.id == rule).map_or("", |r| r.hint)
+}
+
 /// Shared check context: the parsed files, the optional README, the
 /// findings so far and the pragma-usage ledger.
 pub struct Ctx<'a> {
     /// Parsed source files.
     pub files: &'a [FileModel],
-    /// README `(label, content)` for D12; absent in single-file scans.
+    /// README `(label, content)` for D12; absent disables D12.
     pub readme: Option<(&'a str, &'a str)>,
     /// Findings accumulated by the checks.
     pub findings: Vec<Finding>,
@@ -23,9 +64,7 @@ pub struct Ctx<'a> {
 }
 
 impl<'a> Ctx<'a> {
-    /// Emits a finding unless an `allow(rule, ..)` pragma covers it;
-    /// returns whether the finding was actually emitted.
-    #[allow(clippy::too_many_arguments)]
+    /// Emits a finding unless an `allow(rule, ..)` pragma covers it.
     fn emit(
         &mut self,
         fi: usize,
@@ -34,28 +73,18 @@ impl<'a> Ctx<'a> {
         rule: &'static str,
         severity: Severity,
         message: String,
-        hint: &'static str,
-    ) -> bool {
+    ) {
         let file = &self.files[fi];
-        if let Some(pline) = file.scrub.allow_covering(line, rule) {
+        if let Some(pline) = file.pragma_covering(line, rule) {
             self.used.insert((file.label.clone(), pline));
-            return false;
+            return;
         }
-        self.findings.push(Finding {
-            file: file.label.clone(),
-            line,
-            col,
-            rule,
-            severity,
-            message,
-            hint,
-        });
-        true
+        let label = file.label.clone();
+        self.emit_raw(&label, line, col, rule, severity, message);
     }
 
     /// Emits at a raw label (README rows, cycle summaries) with no
     /// pragma routing.
-    #[allow(clippy::too_many_arguments)]
     fn emit_raw(
         &mut self,
         label: &str,
@@ -64,7 +93,6 @@ impl<'a> Ctx<'a> {
         rule: &'static str,
         severity: Severity,
         message: String,
-        hint: &'static str,
     ) {
         self.findings.push(Finding {
             file: label.to_string(),
@@ -73,29 +101,69 @@ impl<'a> Ctx<'a> {
             rule,
             severity,
             message,
-            hint,
+            hint: hint_of(rule),
         });
     }
 }
 
-/// Runs every analysis rule family.
+/// Runs every rule.
 pub fn run_all(ctx: &mut Ctx<'_>) {
+    check_partial_cmp(ctx);
     check_lock_order(ctx);
-    check_panic_path(ctx);
-    check_protocol_drift(ctx);
     check_metric_inventory(ctx);
     check_env_inventory(ctx);
 }
 
-const D8_HINT: &str =
-    "acquire locks in one global order; audit a deliberate nesting with `// ca-audit: allow(D8, <why>)`";
-const D9_HINT: &str = "supervise the panic with catch_unwind or annotate `// PANIC-OK: <reason>`";
-const D10_HINT: &str =
-    "keep encoder arm, decoder arm, size cap and wire-version note in lockstep for every tag";
-const D11_HINT: &str =
-    "name metrics `<crate>.<subsystem>.<event>` under an INSTRUMENTED_PREFIXES entry";
-const D12_HINT: &str =
-    "keep the README `ca-audit:env-table` rows in lockstep with the `CA_*` reads in code";
+// ---------------------------------------------------------------- D7
+
+/// Crates whose float orderings feed canonical bytes or model labels.
+const D7_CRATES: &[&str] = &[
+    "ca-core",
+    "ca-netlist",
+    "ca-defects",
+    "ca-store",
+    "ca-shard",
+    "ca-serve",
+    "ca-sim",
+    "ca-ml",
+];
+
+/// D7: a `partial_cmp` call — `.partial_cmp(..)` or a `::partial_cmp`
+/// path — outside test code, one finding per line. Defining
+/// `fn partial_cmp` is not a call. Clippy cannot express this rule: a
+/// `disallowed-methods` entry for `PartialOrd::partial_cmp` fires on
+/// every `#[derive(PartialOrd)]`, and `f64::partial_cmp` does not
+/// resolve.
+fn check_partial_cmp(ctx: &mut Ctx<'_>) {
+    let mut sites = Vec::new();
+    for (fi, file) in ctx.files.iter().enumerate() {
+        if !D7_CRATES.contains(&file.crate_name.as_str()) {
+            continue;
+        }
+        let mut last_line = 0;
+        for (i, t) in file.toks.iter().enumerate().skip(1) {
+            let called = file.toks[i - 1].is_punct('.') || file.toks[i - 1].is_punct(':');
+            if t.is_ident("partial_cmp")
+                && called
+                && t.line != last_line
+                && !file.is_test_line(t.line)
+            {
+                last_line = t.line;
+                sites.push((fi, t.line, t.col));
+            }
+        }
+    }
+    for (fi, line, col) in sites {
+        ctx.emit(
+            fi,
+            line,
+            col,
+            "D7",
+            Severity::Warning,
+            "`partial_cmp`: partial float comparison feeding canonical ordering".to_string(),
+        );
+    }
+}
 
 // ---------------------------------------------------------------- D8
 
@@ -263,7 +331,10 @@ fn check_lock_order(ctx: &mut Ctx<'_>) {
 
 /// Walks one fn body, tracking held guards and emitting D8 nesting
 /// findings; records order edges and call-graph facts.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "threads the crate's lock tables and the graph accumulators"
+)]
 fn analyze_fn_locks(
     ctx: &mut Ctx<'_>,
     fi: usize,
@@ -425,15 +496,8 @@ fn analyze_fn_locks(
         } else {
             format!("`{new_class}` acquired while `{held_class}` is held")
         };
-        let emitted = ctx.emit(
-            site.fi,
-            site.line,
-            site.col,
-            "D8",
-            Severity::Error,
-            msg,
-            D8_HINT,
-        );
+        ctx.emit(site.fi, site.line, site.col, "D8", Severity::Error, msg);
+        // Pragma'd nestings still feed the order graph.
         if !reentrant {
             edges.push(Edge {
                 from: held_class,
@@ -441,7 +505,6 @@ fn analyze_fn_locks(
                 site,
                 direct: true,
             });
-            let _ = emitted; // pragma'd nestings still feed the graph
         }
     }
     fn_locks.entry(fn_key.clone()).or_default().extend(acquired);
@@ -453,7 +516,10 @@ fn analyze_fn_locks(
 
 /// Registers one acquisition: nesting records against held guards,
 /// then the new guard with its binding lifetime.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one acquisition's site, span and the walk's guard state"
+)]
 fn record_acquisition(
     file: &FileModel,
     acq_idx: usize,
@@ -663,648 +729,7 @@ fn report_lock_cycles(ctx: &mut Ctx<'_>, edges: &[Edge]) {
             "D8",
             Severity::Error,
             format!("lock-order cycle between {}", members.join(" <-> ")),
-            D8_HINT,
         );
-    }
-}
-
-// ---------------------------------------------------------------- D9
-
-/// Crates whose request/worker/item bodies are panic-supervised.
-const D9_CRATES: &[&str] = &["ca-serve", "ca-shard", "ca-exec"];
-
-fn check_panic_path(ctx: &mut Ctx<'_>) {
-    let mut sites: Vec<(usize, usize, usize, String)> = Vec::new();
-    for (fi, file) in ctx.files.iter().enumerate() {
-        if !D9_CRATES.contains(&file.crate_name.as_str()) {
-            continue;
-        }
-        for f in &file.fns {
-            if f.is_test {
-                continue;
-            }
-            let Some((bo, bc)) = f.body else { continue };
-            let toks = &file.toks;
-            for i in bo..=bc.min(toks.len().saturating_sub(1)) {
-                let t = &toks[i];
-                // `.unwrap()` / `.expect(..)`.
-                if t.is_punct('.')
-                    && toks
-                        .get(i + 1)
-                        .is_some_and(|m| m.is_ident("unwrap") || m.is_ident("expect"))
-                    && toks.get(i + 2).is_some_and(|n| n.is_punct('('))
-                {
-                    let m = &toks[i + 1];
-                    if !exempt(file, i + 1, m.line) {
-                        sites.push((fi, m.line, m.col, format!("`.{}()` may panic", m.text)));
-                    }
-                }
-                // Slice/array index `x[i]` (ranges are out of scope).
-                if t.is_punct('[') && i > bo {
-                    let prev = &toks[i - 1];
-                    // A keyword before `[` means a slice pattern
-                    // (`let [a, b] = ..`), not an index expression.
-                    let keyword = matches!(
-                        prev.text.as_str(),
-                        "let"
-                            | "ref"
-                            | "mut"
-                            | "in"
-                            | "if"
-                            | "else"
-                            | "while"
-                            | "for"
-                            | "match"
-                            | "return"
-                            | "move"
-                            | "as"
-                            | "box"
-                            | "break"
-                            | "continue"
-                    );
-                    let indexes = (prev.kind == TokKind::Ident && !keyword)
-                        || prev.is_punct(')')
-                        || prev.is_punct(']');
-                    let close = file.partner(i);
-                    if indexes
-                        && close > i + 1
-                        && !has_top_level_range(file, i, close)
-                        && !exempt(file, i, t.line)
-                    {
-                        sites.push((fi, t.line, t.col, "indexing may panic".to_string()));
-                    }
-                }
-            }
-        }
-    }
-    for (fi, line, col, what) in sites {
-        ctx.emit(
-            fi,
-            line,
-            col,
-            "D9",
-            Severity::Warning,
-            format!("{what} in a supervised region"),
-            D9_HINT,
-        );
-    }
-}
-
-/// D9 exemptions that don't need the pragma ledger: inside a
-/// `catch_unwind(..)` argument, or annotated `// PANIC-OK:`.
-fn exempt(file: &FileModel, idx: usize, line: usize) -> bool {
-    file.catch_ranges.iter().any(|&(o, c)| o < idx && idx < c) || file.scrub.has_panic_ok(line)
-}
-
-/// Whether `(open..close)` contains a `..` at bracket top level.
-fn has_top_level_range(file: &FileModel, open: usize, close: usize) -> bool {
-    let toks = &file.toks;
-    let mut k = open + 1;
-    while k < close {
-        let t = &toks[k];
-        if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-            k = file.partner(k) + 1;
-            continue;
-        }
-        if t.is_punct('.')
-            && toks
-                .get(k + 1)
-                .is_some_and(|n| n.is_punct('.') && adjacent(t, n))
-        {
-            return true;
-        }
-        k += 1;
-    }
-    false
-}
-
-// --------------------------------------------------------------- D10
-
-#[derive(Default)]
-struct TagSide {
-    /// tag -> (variant name if known, site, decoder-guard-has-version).
-    tags: BTreeMap<u64, (Option<String>, Site, bool)>,
-    /// tag -> every `Head::Variant` path in the decoder arm body. Arm
-    /// bodies construct nested enums (field decoders) before the outer
-    /// variant, so the real variant is resolved against the encoder's
-    /// enum name once both sides are known.
-    cands: BTreeMap<u64, Vec<(String, String)>>,
-    dups: Vec<(u64, Site)>,
-    enum_name: Option<String>,
-    has_wildcard: bool,
-    fn_site: Option<Site>,
-}
-
-fn check_protocol_drift(ctx: &mut Ctx<'_>) {
-    // (crate, direction) -> encoder/decoder tag tables.
-    let mut enc: BTreeMap<(String, String), TagSide> = BTreeMap::new();
-    let mut dec: BTreeMap<(String, String), TagSide> = BTreeMap::new();
-    for (fi, file) in ctx.files.iter().enumerate() {
-        for f in &file.fns {
-            if f.is_test || f.body.is_none() {
-                continue;
-            }
-            let (is_enc, dir) = if let Some(d) = f.name.strip_prefix("encode_") {
-                (true, d.to_string())
-            } else if let Some(d) = f.name.strip_prefix("decode_") {
-                (false, d.to_string())
-            } else {
-                continue;
-            };
-            let key = (file.crate_name.clone(), dir);
-            let side = if is_enc {
-                extract_encoder(file, fi, f.body.unwrap())
-            } else {
-                extract_decoder(file, fi, f.body.unwrap())
-            };
-            let Some(mut side) = side else { continue };
-            side.fn_site = Some(Site {
-                fi,
-                line: f.line,
-                col: f.col,
-            });
-            let table = if is_enc { &mut enc } else { &mut dec };
-            let entry = table.entry(key).or_default();
-            merge_side(entry, side);
-        }
-    }
-
-    let keys: BTreeSet<(String, String)> = enc.keys().chain(dec.keys()).cloned().collect();
-    for key in keys {
-        let e = enc.remove(&key).unwrap_or_default();
-        let mut d = dec.remove(&key).unwrap_or_default();
-        if e.tags.is_empty() && d.tags.is_empty() {
-            continue; // length-prefixed codecs with no tag byte (ca-shard)
-        }
-        resolve_decoder_variants(&mut d, e.enum_name.as_deref());
-        let (crate_name, dir) = &key;
-        for (tag, site) in e.dups.iter().chain(d.dups.iter()) {
-            let s = site.clone();
-            ctx.emit(
-                s.fi,
-                s.line,
-                s.col,
-                "D10",
-                Severity::Error,
-                format!("duplicate wire tag {tag} for direction `{dir}`"),
-                D10_HINT,
-            );
-        }
-        for (tag, (variant, site, _)) in &e.tags {
-            match d.tags.get(tag) {
-                None if !d.tags.is_empty() || d.fn_site.is_some() => {
-                    let v = variant.clone().unwrap_or_else(|| format!("tag {tag}"));
-                    ctx.emit(
-                        site.fi,
-                        site.line,
-                        site.col,
-                        "D10",
-                        Severity::Error,
-                        format!("`{v}` (tag {tag}) is encoded but has no decoder arm"),
-                        D10_HINT,
-                    );
-                }
-                Some((dvar, dsite, _)) => {
-                    if let (Some(ev), Some(dv)) = (variant, dvar) {
-                        if ev != dv {
-                            ctx.emit(
-                                dsite.fi,
-                                dsite.line,
-                                dsite.col,
-                                "D10",
-                                Severity::Error,
-                                format!(
-                                    "tag {tag} encodes `{ev}` but decodes `{dv}` (direction `{dir}`)"
-                                ),
-                                D10_HINT,
-                            );
-                        }
-                    }
-                }
-                None => {}
-            }
-        }
-        for (tag, (variant, site, _)) in &d.tags {
-            if !e.tags.contains_key(tag) && (!e.tags.is_empty() || e.fn_site.is_some()) {
-                let v = variant.clone().unwrap_or_else(|| format!("tag {tag}"));
-                ctx.emit(
-                    site.fi,
-                    site.line,
-                    site.col,
-                    "D10",
-                    Severity::Error,
-                    format!("`{v}` (tag {tag}) is decoded but has no encoder arm"),
-                    D10_HINT,
-                );
-            }
-        }
-        if let Some(fs) = &d.fn_site {
-            if !d.tags.is_empty() && !d.has_wildcard {
-                ctx.emit(
-                    fs.fi,
-                    fs.line,
-                    fs.col,
-                    "D10",
-                    Severity::Error,
-                    format!("decoder for `{dir}` has no wildcard arm rejecting unknown tags"),
-                    D10_HINT,
-                );
-            }
-        }
-        check_caps(
-            ctx,
-            crate_name,
-            dir,
-            e.fn_site.as_ref().or(d.fn_site.as_ref()),
-        );
-        check_wire_docs(ctx, crate_name, dir, &e, &d);
-    }
-}
-
-/// Fills each decoder tag's variant from its candidate paths: the one
-/// whose head matches the encoder's enum, or — for decoder-only
-/// directions — the first head that isn't a std wrapper or error type.
-fn resolve_decoder_variants(d: &mut TagSide, encoder_enum: Option<&str>) {
-    let guessed = encoder_enum.map(str::to_string).or_else(|| {
-        d.cands
-            .values()
-            .flatten()
-            .find(|(h, _)| {
-                !matches!(h.as_str(), "Ok" | "Err" | "Some" | "None") && !h.ends_with("Error")
-            })
-            .map(|(h, _)| h.clone())
-    });
-    let Some(en) = guessed else { return };
-    for (tag, info) in d.tags.iter_mut() {
-        if info.0.is_none() {
-            info.0 = d
-                .cands
-                .get(tag)
-                .and_then(|cs| cs.iter().find(|(h, _)| *h == en).map(|(_, v)| v.clone()));
-        }
-    }
-    d.enum_name.get_or_insert(en);
-}
-
-fn merge_side(into: &mut TagSide, from: TagSide) {
-    for (tag, v) in from.tags {
-        match into.tags.entry(tag) {
-            std::collections::btree_map::Entry::Occupied(_) => into.dups.push((tag, v.1.clone())),
-            std::collections::btree_map::Entry::Vacant(slot) => {
-                slot.insert(v);
-            }
-        }
-    }
-    for (tag, cs) in from.cands {
-        into.cands.entry(tag).or_default().extend(cs);
-    }
-    into.dups.extend(from.dups);
-    into.enum_name = into.enum_name.take().or(from.enum_name);
-    into.has_wildcard |= from.has_wildcard;
-    into.fn_site = into.fn_site.take().or(from.fn_site);
-}
-
-/// A `match` arm: pattern and body token ranges (`[start, end)`).
-struct Arm {
-    pat: (usize, usize),
-    body: (usize, usize),
-}
-
-/// Iterates the arms of the match whose brace pair is `(open, close)`.
-fn match_arms(file: &FileModel, open: usize, close: usize) -> Vec<Arm> {
-    let toks = &file.toks;
-    let mut arms = Vec::new();
-    let mut i = open + 1;
-    while i < close {
-        let pat_start = i;
-        let mut arrow = None;
-        while i < close {
-            let t = &toks[i];
-            if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-                i = file.partner(i) + 1;
-                continue;
-            }
-            if file.is_fat_arrow(i) {
-                arrow = Some(i);
-                break;
-            }
-            i += 1;
-        }
-        let Some(arrow) = arrow else { break };
-        let body_start = arrow + 2;
-        let body_end;
-        if toks.get(body_start).is_some_and(|t| t.is_punct('{')) {
-            body_end = file.partner(body_start) + 1;
-            i = body_end;
-            if toks.get(i).is_some_and(|t| t.is_punct(',')) {
-                i += 1;
-            }
-        } else {
-            let mut j = body_start;
-            while j < close {
-                let t = &toks[j];
-                if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-                    j = file.partner(j) + 1;
-                    continue;
-                }
-                if t.is_punct(',') {
-                    break;
-                }
-                j += 1;
-            }
-            body_end = j;
-            i = j + 1;
-        }
-        arms.push(Arm {
-            pat: (pat_start, arrow),
-            body: (body_start, body_end),
-        });
-    }
-    arms
-}
-
-/// All `match` brace pairs in a body, in source order.
-fn find_matches(file: &FileModel, bo: usize, bc: usize) -> Vec<(usize, usize)> {
-    let toks = &file.toks;
-    let mut out = Vec::new();
-    let mut i = bo;
-    while i <= bc && i < toks.len() {
-        if toks[i].is_ident("match") {
-            let mut j = i + 1;
-            while j <= bc && j < toks.len() {
-                let t = &toks[j];
-                if t.is_punct('(') || t.is_punct('[') {
-                    j = file.partner(j) + 1;
-                    continue;
-                }
-                if t.is_punct('{') {
-                    out.push((j, file.partner(j)));
-                    break;
-                }
-                j += 1;
-            }
-        }
-        i += 1;
-    }
-    out
-}
-
-/// First `A::B` path in `[from, to)` matching `enum_name` (or any
-/// plausibly enum-like path when the enum is unknown).
-fn first_variant_path(
-    file: &FileModel,
-    from: usize,
-    to: usize,
-    enum_name: Option<&str>,
-) -> Option<(String, String)> {
-    let toks = &file.toks;
-    let mut fallback = None;
-    let mut k = from;
-    while k + 3 < toks.len() && k < to {
-        if toks[k].kind == TokKind::Ident
-            && file.is_path_sep(k + 1)
-            && toks.get(k + 3).is_some_and(|t| t.kind == TokKind::Ident)
-        {
-            let a = toks[k].text.clone();
-            let b = toks[k + 3].text.clone();
-            let caps = |s: &str| s.chars().next().is_some_and(char::is_uppercase);
-            if caps(&a) && caps(&b) {
-                if enum_name == Some(a.as_str()) {
-                    return Some((a, b));
-                }
-                if enum_name.is_none()
-                    && fallback.is_none()
-                    && !matches!(a.as_str(), "Ok" | "Err" | "Some" | "None")
-                    && !a.ends_with("Error")
-                {
-                    fallback = Some((a, b));
-                }
-            }
-        }
-        k += 1;
-    }
-    if enum_name.is_none() {
-        fallback
-    } else {
-        None
-    }
-}
-
-/// Every `Head::Variant` path in `[from, to)` with a capitalised head
-/// that isn't a std wrapper, in source order.
-fn all_variant_paths(file: &FileModel, from: usize, to: usize) -> Vec<(String, String)> {
-    let toks = &file.toks;
-    let mut out = Vec::new();
-    let mut k = from;
-    while k + 3 < toks.len() && k < to {
-        if toks[k].kind == TokKind::Ident
-            && file.is_path_sep(k + 1)
-            && toks.get(k + 3).is_some_and(|t| t.kind == TokKind::Ident)
-        {
-            let a = toks[k].text.clone();
-            let b = toks[k + 3].text.clone();
-            let caps = |s: &str| s.chars().next().is_some_and(char::is_uppercase);
-            if caps(&a) && caps(&b) && !matches!(a.as_str(), "Ok" | "Err" | "Some" | "None") {
-                out.push((a, b));
-            }
-        }
-        k += 1;
-    }
-    out
-}
-
-/// Encoder extraction: the first match whose arms pattern on
-/// `Enum::Variant`; tag = first `push(<int>)` in each arm body.
-fn extract_encoder(file: &FileModel, fi: usize, body: (usize, usize)) -> Option<TagSide> {
-    let toks = &file.toks;
-    for (open, close) in find_matches(file, body.0, body.1) {
-        let arms = match_arms(file, open, close);
-        let mut side = TagSide::default();
-        for arm in &arms {
-            let Some((e, v)) = first_variant_path(file, arm.pat.0, arm.pat.1, None) else {
-                continue;
-            };
-            side.enum_name.get_or_insert(e);
-            // First `push(<int>)` in the arm body is the tag write.
-            let mut tag = None;
-            let mut site = None;
-            let mut k = arm.body.0;
-            while k < arm.body.1 && k + 2 < toks.len() {
-                if toks[k].is_ident("push")
-                    && toks[k + 1].is_punct('(')
-                    && toks[k + 2].kind == TokKind::Num
-                {
-                    tag = parse_int(&toks[k + 2].text);
-                    site = Some(Site {
-                        fi,
-                        line: toks[k + 2].line,
-                        col: toks[k + 2].col,
-                    });
-                    break;
-                }
-                k += 1;
-            }
-            if let (Some(tag), Some(site)) = (tag, site) {
-                match side.tags.entry(tag) {
-                    std::collections::btree_map::Entry::Occupied(_) => {
-                        side.dups.push((tag, site));
-                    }
-                    std::collections::btree_map::Entry::Vacant(slot) => {
-                        slot.insert((Some(v), site, false));
-                    }
-                }
-            }
-        }
-        if !side.tags.is_empty() {
-            return Some(side);
-        }
-    }
-    None
-}
-
-/// Decoder extraction: the first match with integer-literal arm
-/// patterns is the tag dispatch.
-fn extract_decoder(file: &FileModel, fi: usize, body: (usize, usize)) -> Option<TagSide> {
-    let toks = &file.toks;
-    for (open, close) in find_matches(file, body.0, body.1) {
-        let arms = match_arms(file, open, close);
-        let mut side = TagSide::default();
-        for arm in &arms {
-            let first = &toks[arm.pat.0];
-            if first.kind == TokKind::Num {
-                let Some(tag) = parse_int(&first.text) else {
-                    continue;
-                };
-                let guard_has_version = (arm.pat.0..arm.pat.1).any(|k| toks[k].is_ident("if"))
-                    && (arm.pat.0..arm.pat.1).any(|k| toks[k].is_ident("version"));
-                let site = Site {
-                    fi,
-                    line: first.line,
-                    col: first.col,
-                };
-                if side.tags.contains_key(&tag) {
-                    side.dups.push((tag, site));
-                } else {
-                    side.cands
-                        .insert(tag, all_variant_paths(file, arm.body.0, arm.body.1));
-                    side.tags.insert(tag, (None, site, guard_has_version));
-                }
-            } else if (first.kind == TokKind::Ident || first.is_punct('_'))
-                && arm.pat.1 == arm.pat.0 + 1
-            {
-                side.has_wildcard = true;
-            }
-        }
-        if !side.tags.is_empty() {
-            return Some(side);
-        }
-    }
-    None
-}
-
-fn parse_int(text: &str) -> Option<u64> {
-    let t = text.replace('_', "");
-    let t = t
-        .trim_end_matches(|c: char| c.is_ascii_alphabetic())
-        .to_string();
-    t.parse().ok()
-}
-
-/// A referenced `MAX_<DIRECTION>*` cap const must exist in the crate.
-fn check_caps(ctx: &mut Ctx<'_>, crate_name: &str, dir: &str, at: Option<&Site>) {
-    let want = format!("MAX_{}", dir.to_uppercase());
-    let mut decl = false;
-    let mut uses = 0usize;
-    for file in ctx.files.iter().filter(|f| f.crate_name == crate_name) {
-        for (i, t) in file.toks.iter().enumerate() {
-            if t.kind == TokKind::Ident && t.text.starts_with(&want) {
-                if i > 0
-                    && (file.toks[i - 1].is_ident("const") || file.toks[i - 1].is_ident("static"))
-                {
-                    decl = true;
-                } else {
-                    uses += 1;
-                }
-            }
-        }
-    }
-    if !(decl && uses >= 1) {
-        if let Some(s) = at {
-            ctx.emit(
-                s.fi,
-                s.line,
-                s.col,
-                "D10",
-                Severity::Error,
-                format!("no referenced `{want}*` size cap for wire direction `{dir}`"),
-                D10_HINT,
-            );
-        }
-    }
-}
-
-/// Every codec variant needs a `wire v1` / `wire v2` doc note; v2-only
-/// frames must be behind a version guard in the decoder.
-fn check_wire_docs(ctx: &mut Ctx<'_>, crate_name: &str, dir: &str, e: &TagSide, d: &TagSide) {
-    let Some(enum_name) = e.enum_name.clone().or_else(|| d.enum_name.clone()) else {
-        return;
-    };
-    let Some((fi, en)) = ctx
-        .files
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| f.crate_name == crate_name)
-        .find_map(|(fi, f)| {
-            f.enums
-                .iter()
-                .find(|en| en.name == enum_name)
-                .map(|en| (fi, en))
-        })
-    else {
-        return;
-    };
-    let variants: Vec<(String, usize, usize, String)> = en
-        .variants
-        .iter()
-        .map(|v| (v.name.clone(), v.line, v.col, v.doc.clone()))
-        .collect();
-    for (name, line, col, doc) in variants {
-        let v1 = doc.contains("wire v1");
-        let v2 = doc.contains("wire v2");
-        if !v1 && !v2 {
-            ctx.emit(
-                fi,
-                line,
-                col,
-                "D10",
-                Severity::Warning,
-                format!("`{enum_name}::{name}` has no wire-version note (direction `{dir}`)"),
-                D10_HINT,
-            );
-            continue;
-        }
-        if v2 && !v1 {
-            // v2-only frame: its decoder arm must be version-guarded.
-            let guarded = d
-                .tags
-                .values()
-                .any(|(dv, _, g)| dv.as_deref() == Some(name.as_str()) && *g);
-            let decoded = d
-                .tags
-                .values()
-                .any(|(dv, _, _)| dv.as_deref() == Some(name.as_str()));
-            if decoded && !guarded {
-                ctx.emit(
-                    fi,
-                    line,
-                    col,
-                    "D10",
-                    Severity::Error,
-                    format!("v2-only `{enum_name}::{name}` is decoded without a version guard"),
-                    D10_HINT,
-                );
-            }
-        }
     }
 }
 
@@ -1378,7 +803,7 @@ fn check_metric_inventory(ctx: &mut Ctx<'_>) {
         }
     }
     for (fi, line, col, sev, msg) in pending {
-        ctx.emit(fi, line, col, "D11", sev, msg, D11_HINT);
+        ctx.emit(fi, line, col, "D11", sev, msg);
     }
     // Signature collisions: the registry fixes (kind, class) at first
     // registration, so a second signature is silent data corruption.
@@ -1406,7 +831,7 @@ fn check_metric_inventory(ctx: &mut Ctx<'_>) {
         }
     }
     for (fi, line, col, msg) in collisions {
-        ctx.emit(fi, line, col, "D11", Severity::Error, msg, D11_HINT);
+        ctx.emit(fi, line, col, "D11", Severity::Error, msg);
     }
     // Stale prefixes: a declared prefix with no live site is debt.
     if let Some((fi, line, values)) = prefixes {
@@ -1420,7 +845,6 @@ fn check_metric_inventory(ctx: &mut Ctx<'_>) {
                         "D11",
                         Severity::Warning,
                         format!("INSTRUMENTED_PREFIXES entry `{p}` has no metric site"),
-                        D11_HINT,
                     );
                 }
             }
@@ -1510,7 +934,6 @@ fn check_env_inventory(ctx: &mut Ctx<'_>) {
             "D12",
             Severity::Error,
             "README has no `ca-audit:env-table` sentinel for the CA_* env-var table".to_string(),
-            D12_HINT,
         );
         return;
     }
@@ -1522,7 +945,6 @@ fn check_env_inventory(ctx: &mut Ctx<'_>) {
             "D12",
             Severity::Error,
             format!("duplicate env-table row for `{name}`"),
-            D12_HINT,
         );
     }
     for (name, (fi, line, col)) in &reads {
@@ -1534,7 +956,6 @@ fn check_env_inventory(ctx: &mut Ctx<'_>) {
                 "D12",
                 Severity::Error,
                 format!("env var `{name}` is read here but missing from the README env-var table"),
-                D12_HINT,
             );
         }
     }
@@ -1547,7 +968,6 @@ fn check_env_inventory(ctx: &mut Ctx<'_>) {
                 "D12",
                 Severity::Error,
                 format!("documented env var `{name}` has no reader in the workspace"),
-                D12_HINT,
             );
         }
     }

@@ -65,10 +65,6 @@ impl Tok {
 pub struct Comment {
     /// Full comment text including the `//` / `/*` marker.
     pub text: String,
-    /// Byte offset of the comment start.
-    pub pos: usize,
-    /// Raw byte length.
-    pub raw_len: usize,
     /// 1-based line of the comment start.
     pub line: usize,
     /// 1-based column of the comment start.
@@ -178,8 +174,6 @@ impl<'a> Lexer<'a> {
         let (line, col) = self.span(from);
         self.out.comments.push(Comment {
             text: self.s[from..end].to_string(),
-            pos: from,
-            raw_len: end - from,
             line,
             col,
         });
@@ -204,8 +198,6 @@ impl<'a> Lexer<'a> {
         let (line, col) = self.span(from);
         self.out.comments.push(Comment {
             text: self.s[from..j].to_string(),
-            pos: from,
-            raw_len: j - from,
             line,
             col,
         });

@@ -2,45 +2,46 @@
 //!
 //! The reproduction's core guarantees — canonical CA-matrix bytes and
 //! `.cam` exports identical at any thread count and across crash-resume
-//! — rest on conventions the compiler cannot check: no hash-ordered
-//! iteration feeding canonical output, no ambient clocks or randomness,
-//! no raw durable writes, no ad-hoc stdout/stderr in library crates.
-//! This crate enforces those conventions as machine-checked rules over
-//! the workspace's own sources.
+//! — rest on conventions: no hash-ordered iteration feeding canonical
+//! output, no ambient clocks or randomness, no raw durable writes, no
+//! ad-hoc stdout/stderr in library crates. Clippy enforces the rules it
+//! can express (D1–D6 and D9, through `clippy.toml` and crate-root lint
+//! attributes), and a round-trip test replaces D10. This crate keeps
+//! the four rules clippy cannot express ([`checks::RULES`]): partial
+//! float comparisons (D7), lock order (D8), the metric inventory (D11)
+//! and the env-var table (D12).
 //!
-//! The analyzer is dependency-free and built in two layers:
-//!
-//! 1. A real Rust lexer ([`lexer`]) — nested block comments, raw
-//!    strings, lifetimes vs. char literals — feeding a scrubbed
-//!    code-only view ([`scrub`]) that the token rules D1–D7 search.
-//! 2. An item-level workspace model ([`model`]) — functions with impl
-//!    context and body spans, lock fields and statics, enums with
-//!    variant docs, metric-macro and `CA_*` env sites — that the
-//!    analysis rules D8–D12 ([`checks`]) reason over: lock order,
-//!    panic paths, protocol drift, metric and env inventories.
+//! The analyzer is dependency-free: a real Rust lexer ([`lexer`]) feeds
+//! an item-level workspace model ([`model`]) — functions with impl
+//! context and body spans, lock fields and statics, metric-macro and
+//! `CA_*` env sites, `#[cfg(test)]` lines — that the checks
+//! ([`checks`]) reason over.
 //!
 //! Suppressions are explicit and audited themselves:
 //!
 //! ```text
-//! // ca-audit: allow(D4, deliberate corruption harness)
-//! std::fs::write(&path, &bytes)?;
+//! // ca-audit: allow(D11, recorded here on behalf of obs-free ca-store)
+//! crate::counter!("ca_store.recovery.reported", Ops).inc();
 //! ```
 //!
-//! A pragma covers its own line and the next line, must name a known
-//! rule, must carry a non-empty reason, and must actually suppress
+//! A pragma covers its own line and the next line, must name a rule of
+//! this crate, must carry a non-empty reason, and must actually suppress
 //! something — malformed or unused pragmas are findings in their own
-//! right, and an unused pragma points at its own `file:line:col`. See
-//! [`rules::rules`] and [`rules::analysis_rules`] for the rule tables.
+//! right (A0, A1), and an unused pragma points at its own
+//! `file:line:col`.
 
-pub mod baseline;
+// Workspace rule D6 (DESIGN.md §10): document every `unsafe` block.
+// Every lint suppression states its reason.
+#![deny(
+    clippy::undocumented_unsafe_blocks,
+    clippy::allow_attributes_without_reason
+)]
+
 pub mod checks;
 pub mod lexer;
 pub mod model;
-pub mod rules;
-pub mod scrub;
 
 use model::FileModel;
-use rules::RuleSpec;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -72,7 +73,8 @@ pub struct Finding {
     pub line: usize,
     /// 1-based column (byte offset within the line).
     pub col: usize,
-    /// Rule id (`D1`..`D12`, or `A0`/`A1` for pragma hygiene).
+    /// Rule id (`D7`, `D8`, `D11`, `D12`, or `A0`/`A1` for pragma
+    /// hygiene).
     pub rule: &'static str,
     /// Severity.
     pub severity: Severity,
@@ -112,76 +114,15 @@ pub struct SourceSet {
     pub readme: Option<(String, String)>,
 }
 
-/// Audits a source set with the standard rule tables. This is the one
-/// entry point both [`audit_workspace`] and the fixture self-tests
-/// drive; findings come back sorted by `(file, line, col, rule)`.
+/// Audits a source set with every rule. This is the one entry point both
+/// [`audit_workspace`] and the fixture self-tests drive; findings come
+/// back sorted by `(file, line, col, rule)`.
 pub fn audit_sources(set: &SourceSet) -> Vec<Finding> {
-    run(set, rules::rules())
-}
-
-/// Scans one file's content as crate `crate_name` with a custom token
-/// rule table (plus the always-on analysis rules and pragma hygiene).
-pub fn scan_source(
-    crate_name: &str,
-    path_label: &str,
-    content: &str,
-    rules: &[RuleSpec],
-) -> Vec<Finding> {
-    let set = SourceSet {
-        files: vec![SourceFile {
-            crate_name: crate_name.to_string(),
-            label: path_label.to_string(),
-            content: content.to_string(),
-        }],
-        readme: None,
-    };
-    run(&set, rules)
-}
-
-fn run(set: &SourceSet, token_rules: &[RuleSpec]) -> Vec<Finding> {
     let models: Vec<FileModel> = set
         .files
         .iter()
         .map(|f| FileModel::build(&f.crate_name, &f.label, &f.content))
         .collect();
-
-    let mut findings = Vec::new();
-    // (label, pragma line) pairs that suppressed at least one finding.
-    let mut used: BTreeSet<(String, usize)> = BTreeSet::new();
-
-    // Layer 1: token rules over the scrubbed code view.
-    for m in &models {
-        for rule in token_rules {
-            if !rule.scope.applies(&m.crate_name) {
-                continue;
-            }
-            for token in rule.tokens {
-                for (line, col) in m.scrub.token_sites(token) {
-                    if !rule.include_tests && m.scrub.is_test_line(line) {
-                        continue;
-                    }
-                    if rule.id == "D6" && m.scrub.has_safety_comment(line) {
-                        continue;
-                    }
-                    if let Some(pline) = m.scrub.allow_covering(line, rule.id) {
-                        used.insert((m.label.clone(), pline));
-                        continue;
-                    }
-                    findings.push(Finding {
-                        file: m.label.clone(),
-                        line,
-                        col,
-                        rule: rule.id,
-                        severity: Severity::Warning,
-                        message: format!("`{}`: {}", token, rule.summary),
-                        hint: rule.hint,
-                    });
-                }
-            }
-        }
-    }
-
-    // Layer 2: the model-driven analysis rules.
     let mut ctx = checks::Ctx {
         files: &models,
         readme: set
@@ -192,15 +133,13 @@ fn run(set: &SourceSet, token_rules: &[RuleSpec]) -> Vec<Finding> {
         used: BTreeSet::new(),
     };
     checks::run_all(&mut ctx);
-    findings.extend(ctx.findings);
-    used.extend(ctx.used);
+    let (mut findings, used) = (ctx.findings, ctx.used);
 
     // Pragma hygiene last, against the global ledger: malformed
     // pragmas and unknown rules are errors; a pragma that suppressed
     // nothing anywhere is a warning pointing at the pragma itself.
-    let known = rules::known_rule_ids();
     for m in &models {
-        for bad in &m.scrub.malformed_pragmas {
+        for bad in &m.malformed_pragmas {
             findings.push(Finding {
                 file: m.label.clone(),
                 line: bad.line,
@@ -211,8 +150,8 @@ fn run(set: &SourceSet, token_rules: &[RuleSpec]) -> Vec<Finding> {
                 hint: "write `// ca-audit: allow(<rule-id>, <reason>)` with a non-empty reason",
             });
         }
-        for allow in &m.scrub.allows {
-            if !known.contains(&allow.rule.as_str()) {
+        for allow in &m.pragmas {
+            if !checks::RULES.iter().any(|r| r.id == allow.rule) {
                 findings.push(Finding {
                     file: m.label.clone(),
                     line: allow.line,
@@ -220,7 +159,7 @@ fn run(set: &SourceSet, token_rules: &[RuleSpec]) -> Vec<Finding> {
                     rule: "A0",
                     severity: Severity::Error,
                     message: format!("pragma names unknown rule `{}`", allow.rule),
-                    hint: "use a rule id from `ca-audit --list-rules`",
+                    hint: "use a rule id from `ca-audit --list-rules`; clippy rules take `#[expect(lint, reason = \"…\")]`",
                 });
             } else if !used.contains(&(m.label.clone(), allow.line)) {
                 findings.push(Finding {
@@ -255,7 +194,8 @@ pub struct WorkspaceFile {
 
 /// Lists the library sources the audit covers: `crates/*/src/**/*.rs`
 /// plus the facade's `src/**/*.rs`. Tests, examples and benches outside
-/// `src/` are not library code and are out of scope (DESIGN.md §10).
+/// `src/` are not library code and are out of scope (DESIGN.md §10);
+/// clippy's `--all-targets` run covers them for the clippy rules.
 ///
 /// # Errors
 ///
@@ -341,8 +281,8 @@ pub fn load_workspace(root: &Path) -> std::io::Result<SourceSet> {
     Ok(set)
 }
 
-/// Audits every library source under `root` with the standard rule
-/// tables, returning findings sorted by `(file, line, col, rule)`.
+/// Audits every library source under `root` with every rule, returning
+/// findings sorted by `(file, line, col, rule)`.
 ///
 /// # Errors
 ///
@@ -456,13 +396,9 @@ pub fn escape_json(s: &str) -> String {
     out
 }
 
-/// `Scope` re-exported for rule-table consumers.
-pub use rules::rules as rule_table;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rules::Scope;
 
     #[test]
     fn findings_display_as_file_line_col() {
@@ -470,14 +406,14 @@ mod tests {
             file: "crates/x/src/lib.rs".into(),
             line: 7,
             col: 4,
-            rule: "D1",
+            rule: "D7",
             severity: Severity::Warning,
             message: "m".into(),
             hint: "h",
         };
         assert_eq!(
             f.to_string(),
-            "warn[D1] crates/x/src/lib.rs:7:4: m (fix: h)"
+            "warn[D7] crates/x/src/lib.rs:7:4: m (fix: h)"
         );
     }
 
@@ -500,11 +436,13 @@ mod tests {
     }
 
     #[test]
-    fn scope_matching() {
-        assert!(Scope::Except(&["ca-obs"]).applies("ca-core"));
-        assert!(!Scope::Except(&["ca-obs"]).applies("ca-obs"));
-        assert!(Scope::Only(&["ca-core"]).applies("ca-core"));
-        assert!(!Scope::Only(&["ca-core"]).applies("ca-ml"));
+    fn rule_ids_are_unique_and_ordered() {
+        let ids: Vec<&str> = checks::RULES.iter().map(|r| r.id).collect();
+        assert_eq!(ids, ["D7", "D8", "D11", "D12"]);
+        for rule in checks::RULES {
+            assert!(!rule.summary.is_empty(), "{}", rule.id);
+            assert!(!rule.hint.is_empty(), "{}", rule.id);
+        }
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! ca-audit [--root DIR] [--json] [--deny warn] [--list-rules]
-//!          [--baseline FILE] [--write-baseline FILE]
 //!          [--metrics] [--env-table]
 //! ```
 //!
@@ -10,9 +9,16 @@
 //! (errors always fail; warnings fail under `--deny warn`), 2 usage or
 //! I/O error.
 
+// Workspace rule D6 (DESIGN.md §10): document every `unsafe` block.
+// Every lint suppression states its reason.
+#![deny(
+    clippy::undocumented_unsafe_blocks,
+    clippy::allow_attributes_without_reason
+)]
+
 use ca_audit::{
-    audit_workspace, baseline, metric_inventory, render_json, render_metric_inventory, rule_table,
-    rules, Severity,
+    audit_workspace, checks::RULES, metric_inventory, render_json, render_metric_inventory,
+    Severity,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -22,8 +28,6 @@ fn main() -> ExitCode {
     let mut json = false;
     let mut deny_warn = false;
     let mut list_rules = false;
-    let mut baseline_file: Option<PathBuf> = None;
-    let mut write_baseline: Option<PathBuf> = None;
     let mut metrics = false;
     let mut env_table = false;
     let mut args = std::env::args().skip(1);
@@ -38,14 +42,6 @@ fn main() -> ExitCode {
                 Some("warn") => deny_warn = true,
                 _ => return usage("--deny takes the literal `warn`"),
             },
-            "--baseline" => match args.next() {
-                Some(f) => baseline_file = Some(PathBuf::from(f)),
-                None => return usage("--baseline needs a file"),
-            },
-            "--write-baseline" => match args.next() {
-                Some(f) => write_baseline = Some(PathBuf::from(f)),
-                None => return usage("--write-baseline needs a file"),
-            },
             "--metrics" => metrics = true,
             "--env-table" => env_table = true,
             "--list-rules" => list_rules = true,
@@ -58,11 +54,7 @@ fn main() -> ExitCode {
     }
 
     if list_rules {
-        for rule in rule_table() {
-            println!("{:4} {}", rule.id, rule.summary);
-            println!("     fix: {}", rule.hint);
-        }
-        for rule in rules::analysis_rules() {
+        for rule in RULES {
             println!("{:4} {}", rule.id, rule.summary);
             println!("     fix: {}", rule.hint);
         }
@@ -120,69 +112,27 @@ fn main() -> ExitCode {
         }
     };
 
-    if let Some(path) = write_baseline {
-        let text = baseline::render(&findings);
-        // ca-audit: allow(D4, baseline ratchet is a dev-only artifact, not durable campaign state)
-        if let Err(e) = std::fs::write(&path, text) {
-            eprintln!("ca-audit: cannot write baseline {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "ca-audit: wrote baseline with {} finding(s) to {}",
-            findings.len(),
-            path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let (findings, suppressed, stale) = match &baseline_file {
-        Some(path) => match std::fs::read_to_string(path) {
-            Ok(text) => {
-                let keys = baseline::parse(&text);
-                baseline::apply(findings, &keys)
-            }
-            Err(e) => {
-                eprintln!("ca-audit: cannot read baseline {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        },
-        None => (findings, 0, Vec::new()),
-    };
-
+    let errors = findings
+        .iter()
+        .filter(|f| f.severity == Severity::Error)
+        .count();
     if json {
         println!("{}", render_json(&findings));
-    } else if findings.is_empty() && stale.is_empty() {
-        let n_rules = rule_table().len() + rules::analysis_rules().len();
-        if suppressed > 0 {
-            println!(
-                "ca-audit: workspace clean ({n_rules} rules, {suppressed} baselined finding(s))"
-            );
-        } else {
-            println!("ca-audit: workspace clean ({n_rules} rules)");
-        }
+    } else if findings.is_empty() {
+        println!("ca-audit: workspace clean ({} rules)", RULES.len());
     } else {
         for finding in &findings {
             println!("{finding}");
         }
-        for entry in &stale {
-            println!("error[A2] {entry}: stale baseline entry matches nothing; remove it");
-        }
-        let errors = findings
-            .iter()
-            .filter(|f| f.severity == Severity::Error)
-            .count();
         println!(
-            "ca-audit: {} finding(s) ({} error(s), {} warning(s), {} stale baseline entr(y/ies))",
+            "ca-audit: {} finding(s) ({} error(s), {} warning(s))",
             findings.len(),
             errors,
             findings.len() - errors,
-            stale.len(),
         );
     }
 
-    let errors = findings.iter().any(|f| f.severity == Severity::Error);
-    let fail = errors || !stale.is_empty() || (deny_warn && !findings.is_empty());
-    if fail {
+    if errors > 0 || (deny_warn && !findings.is_empty()) {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
@@ -199,15 +149,13 @@ fn print_help() {
     println!(
         "ca-audit — workspace invariant auditor (DESIGN.md \u{a7}10, \u{a7}15)\n\n\
          USAGE: ca-audit [--root DIR] [--json] [--deny warn] [--list-rules]\n\
-                \u{20}       [--baseline FILE] [--write-baseline FILE] [--metrics] [--env-table]\n\n\
+                \u{20}       [--metrics] [--env-table]\n\n\
          OPTIONS:\n\
            --root DIR            workspace root to audit (default: .)\n\
            --json                emit a ca-audit/2 JSON report instead of text\n\
            --deny warn           exit non-zero on warnings, not just errors\n\
-           --baseline FILE       filter findings through a ratchet file; stale entries fail\n\
-           --write-baseline FILE write the current findings as a ratchet file and exit\n\
            --metrics             print the extracted metric inventory (name kind class)\n\
            --env-table           print the extracted CA_* env-var reads (name\\tfile:line)\n\
-           --list-rules          print the rule tables and exit"
+           --list-rules          print the rule table and exit"
     );
 }

@@ -1,17 +1,16 @@
 //! The workspace model: item-level structure recovered from the token
 //! stream (DESIGN.md §15).
 //!
-//! [`FileModel::build`] turns one lexed file into the facts the
-//! analysis rules (D8–D12) reason about: functions with body spans and
-//! impl context, lock-typed struct fields and statics, enums with
-//! per-variant doc text, `const` string arrays, `counter!` /
-//! `histogram!` / `timer!` invocation sites, `CA_*` env-var string
-//! literals, and `catch_unwind` argument ranges. It is a *recognizer*,
-//! not a full parser: it only understands the handful of shapes the
-//! rules need, and unknown syntax simply contributes no facts.
+//! [`FileModel::build`] turns one lexed file into the facts the rules
+//! (D7, D8, D11, D12) reason about: functions with body spans and impl
+//! context, lock-typed struct fields and statics, `const` string arrays,
+//! `counter!` / `histogram!` / `timer!` invocation sites, `CA_*` env-var
+//! string literals, the lines inside `#[cfg(test)]` items, and the
+//! `// ca-audit: allow(rule, reason)` pragmas. It is a *recognizer*, not
+//! a full parser: it only understands the handful of shapes the rules
+//! need, and unknown syntax simply contributes no facts.
 
-use crate::lexer::{self, Tok, TokKind};
-use crate::scrub::ScrubbedSource;
+use crate::lexer::{self, Comment, Tok, TokKind};
 
 /// Which lock-ish type a field or static holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,28 +68,6 @@ pub struct FnModel {
     /// acquire on behalf of their caller, so D8 attributes the lock at
     /// the call site and ignores the helper's own `.lock()`.
     pub mutex_param: bool,
-}
-
-/// One enum variant with its doc text.
-#[derive(Debug, Clone)]
-pub struct Variant {
-    /// Variant name.
-    pub name: String,
-    /// 1-based line.
-    pub line: usize,
-    /// 1-based column.
-    pub col: usize,
-    /// Concatenated `///` doc lines directly above the variant.
-    pub doc: String,
-}
-
-/// One enum item.
-#[derive(Debug, Clone)]
-pub struct EnumModel {
-    /// Enum name.
-    pub name: String,
-    /// Variants in declaration order.
-    pub variants: Vec<Variant>,
 }
 
 /// A `const NAME: .. = [ "a", "b", .. ]` string-array constant.
@@ -156,6 +133,29 @@ pub struct EnvSite {
     pub is_test: bool,
 }
 
+/// One `// ca-audit: allow(rule, reason)` suppression pragma. It covers
+/// its own line and the next one.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Pragma {
+    /// 1-based line of the comment.
+    pub line: usize,
+    /// 1-based column of the comment.
+    pub col: usize,
+    /// Rule id named by the pragma.
+    pub rule: String,
+}
+
+/// A `// ca-audit:` comment that does not parse as a pragma.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MalformedPragma {
+    /// 1-based line of the comment.
+    pub line: usize,
+    /// 1-based column of the comment.
+    pub col: usize,
+    /// What is wrong with it.
+    pub problem: &'static str,
+}
+
 /// One audited source file, parsed.
 pub struct FileModel {
     /// Owning package name.
@@ -172,18 +172,18 @@ pub struct FileModel {
     pub lock_fields: Vec<LockField>,
     /// Lock-typed statics.
     pub lock_statics: Vec<LockStatic>,
-    /// Enum items.
-    pub enums: Vec<EnumModel>,
     /// String-array constants.
     pub str_consts: Vec<StrArrayConst>,
     /// Metric macro sites.
     pub metric_sites: Vec<MetricSite>,
     /// `CA_*` env-var literals.
     pub env_sites: Vec<EnvSite>,
-    /// Token ranges of `catch_unwind(..)` argument lists.
-    pub catch_ranges: Vec<(usize, usize)>,
-    /// The scrubbed view (pragmas, test mask, marker comments).
-    pub scrub: ScrubbedSource,
+    /// Well-formed suppression pragmas.
+    pub pragmas: Vec<Pragma>,
+    /// `// ca-audit:` comments that do not parse.
+    pub malformed_pragmas: Vec<MalformedPragma>,
+    /// Per 0-based line: inside a `#[cfg(test)]` item.
+    test_mask: Vec<bool>,
 }
 
 /// Whether tokens `a` then `b` touch in the source (`::`, `=>`, `..`).
@@ -195,28 +195,66 @@ impl FileModel {
     /// Parses `content` as one file of crate `crate_name`.
     pub fn build(crate_name: &str, label: &str, content: &str) -> FileModel {
         let lexed = lexer::lex(content);
-        let scrub = ScrubbedSource::from_lexed(content, &lexed);
-        let toks = lexed.toks;
-        let match_idx = pair_brackets(&toks);
+        let (pragmas, malformed_pragmas) = parse_pragmas(&lexed.comments);
+        let match_idx = pair_brackets(&lexed.toks);
         let mut m = FileModel {
             crate_name: crate_name.to_string(),
             label: label.to_string(),
-            toks,
+            toks: lexed.toks,
             match_idx,
             fns: Vec::new(),
             lock_fields: Vec::new(),
             lock_statics: Vec::new(),
-            enums: Vec::new(),
             str_consts: Vec::new(),
             metric_sites: Vec::new(),
             env_sites: Vec::new(),
-            catch_ranges: Vec::new(),
-            scrub,
+            pragmas,
+            malformed_pragmas,
+            test_mask: vec![false; content.lines().count() + 1],
         };
-        let docs = doc_lines(&lexed.comments);
-        m.scan_items(&docs);
+        m.mask_test_items();
+        m.scan_items();
         m.scan_leaf_sites();
         m
+    }
+
+    /// Whether 1-based `line` lies inside a `#[cfg(test)]` item.
+    pub fn is_test_line(&self, line: usize) -> bool {
+        self.test_mask
+            .get(line.wrapping_sub(1))
+            .copied()
+            .unwrap_or(false)
+    }
+
+    /// If a pragma for `rule` covers 1-based `line` (same line or the
+    /// line directly above), returns the pragma's line.
+    pub fn pragma_covering(&self, line: usize, rule: &str) -> Option<usize> {
+        self.pragmas
+            .iter()
+            .find(|p| p.rule == rule && (p.line == line || p.line + 1 == line))
+            .map(|p| p.line)
+    }
+
+    /// Marks the lines of every `#[cfg(test)]` item: the attribute
+    /// through the item's closing brace, or through `;` for brace-less
+    /// items.
+    fn mask_test_items(&mut self) {
+        const ATTR: [&str; 7] = ["#", "[", "cfg", "(", "test", ")", "]"];
+        for i in 0..self.toks.len() {
+            let attr = self.toks.get(i..i + ATTR.len());
+            if !attr.is_some_and(|a| a.iter().zip(ATTR).all(|(t, s)| t.text == s)) {
+                continue;
+            }
+            let rest = &self.toks[i + ATTR.len()..];
+            let Some(k) = rest.iter().position(|t| t.is_punct('{') || t.is_punct(';')) else {
+                continue;
+            };
+            let end = i + ATTR.len() + k;
+            let last = self.toks[self.partner(end)].line;
+            for flag in &mut self.test_mask[self.toks[i].line - 1..last] {
+                *flag = true;
+            }
+        }
     }
 
     /// Partner index of the bracket token at `i`, or `i` itself when
@@ -234,17 +272,8 @@ impl FileModel {
                 .is_some_and(|n| n.is_punct(':') && adjacent(&self.toks[i], n))
     }
 
-    /// `=>` fat arrow starting at token index `i`?
-    pub fn is_fat_arrow(&self, i: usize) -> bool {
-        self.toks[i].is_punct('=')
-            && self
-                .toks
-                .get(i + 1)
-                .is_some_and(|n| n.is_punct('>') && adjacent(&self.toks[i], n))
-    }
-
-    /// Item scan: impl regions, fns, structs, statics, enums, consts.
-    fn scan_items(&mut self, docs: &std::collections::BTreeMap<usize, String>) {
+    /// Item scan: impl regions, fns, structs, statics, consts.
+    fn scan_items(&mut self) {
         // impl regions, innermost-wins, resolved per fn below.
         let mut impls: Vec<(usize, usize, String)> = Vec::new();
         let mut i = 0;
@@ -260,8 +289,6 @@ impl FileModel {
                 self.scan_struct(i);
             } else if t.is_ident("static") {
                 self.scan_static(i);
-            } else if t.is_ident("enum") {
-                self.scan_enum(i, docs);
             } else if t.is_ident("const") {
                 self.scan_const(i);
             }
@@ -394,7 +421,7 @@ impl FileModel {
             .iter()
             .rfind(|(o, c, _)| *o < at && at < *c)
             .map(|(_, _, ty)| ty.clone());
-        let is_test = self.scrub.is_test_line(line);
+        let is_test = self.is_test_line(line);
         self.fns.push(FnModel {
             name,
             impl_type,
@@ -524,7 +551,7 @@ impl FileModel {
             j += 1;
         }
         if let Some(kind) = kind {
-            let is_test = self.scrub.is_test_line(line);
+            let is_test = self.is_test_line(line);
             self.lock_statics.push(LockStatic {
                 name,
                 kind,
@@ -532,73 +559,6 @@ impl FileModel {
                 is_test,
             });
         }
-    }
-
-    fn scan_enum(&mut self, at: usize, docs: &std::collections::BTreeMap<usize, String>) {
-        let Some(name_tok) = self.toks.get(at + 1) else {
-            return;
-        };
-        if name_tok.kind != TokKind::Ident {
-            return;
-        }
-        let name = name_tok.text.clone();
-        let mut i = at + 2;
-        while i < self.toks.len() && !self.toks[i].is_punct('{') {
-            if self.toks[i].is_punct(';') {
-                return;
-            }
-            i += 1;
-        }
-        if i >= self.toks.len() {
-            return;
-        }
-        let close = self.partner(i);
-        let mut variants = Vec::new();
-        let mut j = i + 1;
-        while j < close {
-            // Skip attributes on the variant.
-            if self.toks[j].is_punct('#') {
-                if let Some(n) = self.toks.get(j + 1) {
-                    if n.is_punct('[') {
-                        j = self.partner(j + 1) + 1;
-                        continue;
-                    }
-                }
-            }
-            if self.toks[j].kind == TokKind::Ident {
-                let vtok = &self.toks[j];
-                let mut doc_parts: Vec<String> = Vec::new();
-                let mut l = vtok.line;
-                while l > 1 && docs.contains_key(&(l - 1)) {
-                    l -= 1;
-                    doc_parts.push(docs[&l].clone());
-                }
-                doc_parts.reverse();
-                variants.push(Variant {
-                    name: vtok.text.clone(),
-                    line: vtok.line,
-                    col: vtok.col,
-                    doc: doc_parts.join(" "),
-                });
-                // Skip payload and discriminant to the next `,`.
-                j += 1;
-                while j < close {
-                    let t = &self.toks[j];
-                    if t.is_punct(',') {
-                        j += 1;
-                        break;
-                    }
-                    if t.is_punct('(') || t.is_punct('{') || t.is_punct('[') {
-                        j = self.partner(j) + 1;
-                        continue;
-                    }
-                    j += 1;
-                }
-                continue;
-            }
-            j += 1;
-        }
-        self.enums.push(EnumModel { name, variants });
     }
 
     fn scan_const(&mut self, at: usize) {
@@ -647,11 +607,10 @@ impl FileModel {
         }
     }
 
-    /// Leaf-site scan: metric macros, env literals, catch_unwind args.
+    /// Leaf-site scan: metric macros and env literals.
     fn scan_leaf_sites(&mut self) {
         let mut metric_sites = Vec::new();
         let mut env_sites = Vec::new();
-        let mut catch_ranges = Vec::new();
         for i in 0..self.toks.len() {
             let t = &self.toks[i];
             if t.kind == TokKind::Str && is_env_name(&t.text) {
@@ -659,15 +618,8 @@ impl FileModel {
                     name: t.text.clone(),
                     line: t.line,
                     col: t.col,
-                    is_test: self.scrub.is_test_line(t.line),
+                    is_test: self.is_test_line(t.line),
                 });
-            }
-            if t.is_ident("catch_unwind") {
-                if let Some(n) = self.toks.get(i + 1) {
-                    if n.is_punct('(') {
-                        catch_ranges.push((i + 1, self.partner(i + 1)));
-                    }
-                }
             }
             let kind = match t.text.as_str() {
                 "counter" => Some(MetricKind::Counter),
@@ -724,12 +676,11 @@ impl FileModel {
                 class,
                 line: t.line,
                 col: t.col,
-                is_test: self.scrub.is_test_line(t.line),
+                is_test: self.is_test_line(t.line),
             });
         }
         self.metric_sites = metric_sites;
         self.env_sites = env_sites;
-        self.catch_ranges = catch_ranges;
     }
 }
 
@@ -741,13 +692,47 @@ fn is_env_name(s: &str) -> bool {
             .all(|b| b.is_ascii_uppercase() || b.is_ascii_digit() || b == b'_')
 }
 
-/// Map of 1-based line → stripped `///` doc-comment text.
-fn doc_lines(comments: &[lexer::Comment]) -> std::collections::BTreeMap<usize, String> {
-    comments
-        .iter()
-        .filter(|c| c.text.starts_with("///") && !c.text.starts_with("////"))
-        .map(|c| (c.line, c.text.trim_start_matches('/').trim().to_string()))
-        .collect()
+/// Parses `// ca-audit: allow(rule, reason)` pragmas out of plain line
+/// comments; doc comments (`///`, `//!`) merely describe pragmas. The
+/// marker must open the comment and nothing may follow the `)`, so
+/// prose quoting the syntax never parses as a pragma.
+fn parse_pragmas(comments: &[Comment]) -> (Vec<Pragma>, Vec<MalformedPragma>) {
+    let mut pragmas = Vec::new();
+    let mut malformed = Vec::new();
+    for c in comments {
+        if c.text.starts_with("///") || c.text.starts_with("//!") {
+            continue;
+        }
+        let Some(rest) = c.text.strip_prefix("//") else {
+            continue;
+        };
+        let Some(rest) = rest.trim_start().strip_prefix("ca-audit:") else {
+            continue;
+        };
+        let parsed = rest
+            .trim()
+            .strip_prefix("allow(")
+            .and_then(|args| args.strip_suffix(')'))
+            .ok_or("expected `allow(<rule>, <reason>)` and nothing after it")
+            .and_then(|args| args.split_once(',').ok_or("missing reason"))
+            .and_then(|(rule, reason)| match (rule.trim(), reason.trim()) {
+                ("", _) | (_, "") => Err("rule id and reason must both be non-empty"),
+                (rule, _) => Ok(rule),
+            });
+        match parsed {
+            Ok(rule) => pragmas.push(Pragma {
+                line: c.line,
+                col: c.col,
+                rule: rule.to_string(),
+            }),
+            Err(problem) => malformed.push(MalformedPragma {
+                line: c.line,
+                col: c.col,
+                problem,
+            }),
+        }
+    }
+    (pragmas, malformed)
 }
 
 /// Pairs `(){}[]` tokens; returns partner index per token.
@@ -840,19 +825,6 @@ mod tests {
     }
 
     #[test]
-    fn enum_variants_carry_docs() {
-        let m = model(
-            "pub enum Request {\n    /// Liveness probe (wire v1).\n    Ping,\n    /// Characterize one target (wire v1).\n    Characterize { id: u64 },\n}\n",
-        );
-        assert_eq!(m.enums.len(), 1);
-        let e = &m.enums[0];
-        assert_eq!(e.name, "Request");
-        assert_eq!(e.variants.len(), 2);
-        assert!(e.variants[0].doc.contains("wire v1"));
-        assert_eq!(e.variants[1].name, "Characterize");
-    }
-
-    #[test]
     fn const_str_arrays_extracted() {
         let m =
             model("pub const PREFIXES: [&str; 2] = [\n    \"ca_exec.\",\n    \"ca_sim.\",\n];\n");
@@ -885,12 +857,34 @@ mod tests {
     }
 
     #[test]
-    fn catch_unwind_ranges_cover_args() {
-        let m = model("fn f() {\n    let r = catch_unwind(AssertUnwindSafe(|| body(x)));\n}\n");
-        assert_eq!(m.catch_ranges.len(), 1);
-        let (o, c) = m.catch_ranges[0];
-        assert!(m.toks[o].is_punct('('));
-        assert!(m.toks[c].is_punct(')'));
+    fn cfg_test_items_are_masked() {
+        let m = model(
+            "fn live() {}\n#[cfg(test)]\nmod tests {\n    fn t() { let s = \"}\"; }\n}\nfn live2() {}\n#[cfg(test)]\nuse x::y;\nfn live3() {}\n",
+        );
+        let masked: Vec<usize> = (1..=10).filter(|&l| m.is_test_line(l)).collect();
+        assert_eq!(masked, [2, 3, 4, 5, 7, 8]);
+    }
+
+    #[test]
+    fn pragmas_parse_and_cover_the_next_line() {
+        let m = model(
+            "// ca-audit: allow(D8, audited nesting)\nlet g = m.lock();\n/// ca-audit: allow(D8, doc prose)\n",
+        );
+        assert_eq!(m.pragmas.len(), 1);
+        assert_eq!((m.pragmas[0].line, m.pragmas[0].col), (1, 1));
+        assert_eq!(m.pragma_covering(2, "D8"), Some(1));
+        assert_eq!(m.pragma_covering(3, "D8"), None);
+        assert_eq!(m.pragma_covering(2, "D7"), None);
+        assert!(m.malformed_pragmas.is_empty());
+    }
+
+    #[test]
+    fn malformed_pragmas_are_collected() {
+        let m = model(
+            "// ca-audit: allow(D8)\n// ca-audit: deny(D8, x)\n// ca-audit: allow(D8, x) trailing\n// ca-audit: allow(, x)\n// ca-audit: allow(D8, )\n",
+        );
+        assert!(m.pragmas.is_empty());
+        assert_eq!(m.malformed_pragmas.len(), 5);
     }
 
     #[test]

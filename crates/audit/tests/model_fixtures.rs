@@ -1,7 +1,9 @@
-//! Fire/quiet fixture self-tests for the analysis rules (D8–D12) and
-//! the pragma-hygiene span regression (A1). Each fire fixture seeds
-//! exactly one violation and pins the finding's span; each quiet
-//! fixture shows the audited way to write the same code.
+//! Fire/quiet fixture self-tests for the rules (D7, D8, D11, D12) and
+//! pragma hygiene (A0, A1). Each fire fixture seeds exactly one
+//! violation and pins the finding's span; each quiet fixture shows the
+//! audited way to write the same code. Fixture code lives in string
+//! literals, which the lexer never reads as code, so these snippets
+//! cannot leak findings into a real workspace audit.
 
 use ca_audit::{audit_sources, Severity, SourceFile, SourceSet};
 
@@ -21,6 +23,46 @@ fn set(files: &[(&str, &str, &str)]) -> SourceSet {
 
 fn rule<'a>(findings: &'a [ca_audit::Finding], id: &str) -> Vec<&'a ca_audit::Finding> {
     findings.iter().filter(|f| f.rule == id).collect()
+}
+
+/// Audits `src` as `crates/<dir>/src/fix.rs` of `crate_name`.
+fn audit_one(crate_name: &str, src: &str) -> Vec<ca_audit::Finding> {
+    let dir = crate_name.trim_start_matches("ca-");
+    let label = format!("crates/{dir}/src/fix.rs");
+    audit_sources(&set(&[(crate_name, &label, src)]))
+}
+
+// --------------------------------------------------------------- D7
+
+const D7_SORT: &str =
+    "fn f(v: &mut Vec<f64>) {\n    v.sort_by(|a, b| a.partial_cmp(b).unwrap());\n}\n";
+
+#[test]
+fn d7_fires_on_partial_cmp_in_canonical_crates() {
+    let findings = audit_one("ca-core", D7_SORT);
+    let d7 = rule(&findings, "D7");
+    assert_eq!(d7.len(), 1, "{findings:?}");
+    assert_eq!((d7[0].line, d7[0].col), (2, 24), "{}", d7[0]);
+    assert_eq!(d7[0].severity, Severity::Warning);
+    // The path form is the same comparison.
+    let path = "fn f(v: &mut Vec<f64>) { v.sort_by(|a, b| f64::partial_cmp(a, b).unwrap()); }\n";
+    assert_eq!(rule(&audit_one("ca-ml", path), "D7").len(), 1);
+}
+
+#[test]
+fn d7_quiet_on_total_cmp_definitions_tests_and_other_crates() {
+    let total = "fn f(v: &mut Vec<f64>) { v.sort_by(|a, b| a.total_cmp(b)); }\n";
+    // Defining `fn partial_cmp` in a PartialOrd impl is not a call.
+    let impl_def = "impl PartialOrd for X {\n    fn partial_cmp(&self, o: &X) -> Option<Ordering> { Some(self.cmp(o)) }\n}\n";
+    let in_test = "#[cfg(test)]\nmod tests {\n    fn f(v: &mut Vec<f64>) { v.sort_by(|a, b| a.partial_cmp(b).unwrap()); }\n}\n";
+    let mention =
+        "// a.partial_cmp(b) would break this\nfn f() { let s = \"x.partial_cmp(y)\"; }\n";
+    for src in [total, impl_def, in_test, mention] {
+        let findings = audit_one("ca-core", src);
+        assert!(rule(&findings, "D7").is_empty(), "{src}: {findings:?}");
+    }
+    // The bench binary ranks display tables however it likes.
+    assert!(rule(&audit_one("ca-bench", D7_SORT), "D7").is_empty());
 }
 
 // --------------------------------------------------------------- D8
@@ -168,155 +210,6 @@ impl S {
     assert!(d8[0].message.contains("lock-order cycle"), "{}", d8[0]);
 }
 
-// --------------------------------------------------------------- D9
-
-#[test]
-fn d9_fires_on_unwrap_and_indexing_in_supervised_crate() {
-    let src = r#"
-pub fn handler(xs: &[u32]) -> u32 {
-    let v = xs.first().unwrap();
-    *v + xs[0]
-}
-"#;
-    let findings = audit_sources(&set(&[("ca-serve", "crates/serve/src/fix.rs", src)]));
-    let d9 = rule(&findings, "D9");
-    assert_eq!(d9.len(), 2, "{findings:?}");
-    assert!(d9[0].message.contains("`.unwrap()` may panic"), "{}", d9[0]);
-    assert_eq!((d9[0].line, d9[1].line), (3, 4));
-    assert!(d9.iter().all(|f| f.severity == Severity::Warning));
-}
-
-#[test]
-fn d9_quiet_under_catch_unwind_panic_ok_and_patterns() {
-    let src = r#"
-pub fn handler(xs: &[u32]) -> u32 {
-    let caught = std::panic::catch_unwind(|| xs.first().unwrap() + xs[0]);
-    // PANIC-OK: fixture — xs is checked non-empty by the caller.
-    let head = xs[0];
-    let [a, b] = xs[..] else { return head };
-    let tail = &xs[1..];
-    caught.unwrap_or(0) + a + b + tail.len() as u32
-}
-"#;
-    let findings = audit_sources(&set(&[("ca-shard", "crates/shard/src/fix.rs", src)]));
-    assert!(rule(&findings, "D9").is_empty(), "{findings:?}");
-}
-
-#[test]
-fn d9_quiet_outside_supervised_crates() {
-    let src = "pub fn f(xs: &[u32]) -> u32 { xs.first().unwrap() + xs[0] }\n";
-    let findings = audit_sources(&set(&[("ca-netlist", "crates/netlist/src/fix.rs", src)]));
-    assert!(rule(&findings, "D9").is_empty(), "{findings:?}");
-}
-
-// --------------------------------------------------------------- D10
-
-/// A complete, drift-free codec: every tag has an encoder arm, a
-/// decoder arm, a wire-version note, and the caps const is referenced.
-const D10_CLEAN: &str = r#"
-pub const MAX_FRAME_PAYLOAD: u32 = 1 << 16;
-
-pub enum Frame {
-    /// Liveness probe (wire v1).
-    Ping,
-    /// Payload frame (wire v2) — version-guarded in the decoder.
-    Data(Vec<u8>),
-}
-
-pub fn encode_frame(f: &Frame, out: &mut Vec<u8>) {
-    match f {
-        Frame::Ping => out.push(1),
-        Frame::Data(d) => {
-            out.push(2);
-            assert!(d.len() <= MAX_FRAME_PAYLOAD as usize);
-            out.extend_from_slice(d);
-        }
-    }
-}
-
-pub fn decode_frame(version: u8, payload: &[u8]) -> Result<Frame, String> {
-    if payload.len() > MAX_FRAME_PAYLOAD as usize {
-        return Err("oversized".to_string());
-    }
-    match payload.first().copied().ok_or("empty")? {
-        1 => Ok(Frame::Ping),
-        2 if version >= 2 => Ok(Frame::Data(payload[1..].to_vec())),
-        t => Err(format!("bad tag {t}")),
-    }
-}
-"#;
-
-#[test]
-fn d10_quiet_on_complete_codec() {
-    let findings = audit_sources(&set(&[("ca-serve", "crates/serve/src/fix.rs", D10_CLEAN)]));
-    assert!(rule(&findings, "D10").is_empty(), "{findings:?}");
-}
-
-#[test]
-fn d10_fires_on_seeded_missing_decoder_arm() {
-    // Remove tag 2's decoder arm from the clean codec: exactly one
-    // error, at the encoder's push site for the now-orphaned tag.
-    let src = D10_CLEAN.replace(
-        "        2 if version >= 2 => Ok(Frame::Data(payload[1..].to_vec())),\n",
-        "",
-    );
-    let findings = audit_sources(&set(&[("ca-serve", "crates/serve/src/fix.rs", &src)]));
-    let d10 = rule(&findings, "D10");
-    assert_eq!(d10.len(), 1, "{findings:?}");
-    let f = d10[0];
-    assert_eq!(f.severity, Severity::Error);
-    assert!(
-        f.message
-            .contains("`Data` (tag 2) is encoded but has no decoder arm"),
-        "{f}"
-    );
-    // Span-accurate: the `2` literal of `out.push(2)` on line 15.
-    assert_eq!((f.line, f.col), (15, 22), "{f}");
-}
-
-#[test]
-fn d10_fires_on_variant_mismatch_and_missing_wildcard() {
-    let src = D10_CLEAN
-        .replace("1 => Ok(Frame::Ping),", "1 => Ok(Frame::Data(Vec::new())),")
-        .replace("        t => Err(format!(\"bad tag {t}\")),\n", "");
-    let findings = audit_sources(&set(&[("ca-serve", "crates/serve/src/fix.rs", &src)]));
-    let d10 = rule(&findings, "D10");
-    assert!(
-        d10.iter().any(|f| f
-            .message
-            .contains("tag 1 encodes `Ping` but decodes `Data`")),
-        "{findings:?}"
-    );
-    assert!(
-        d10.iter().any(|f| f.message.contains("no wildcard arm")),
-        "{findings:?}"
-    );
-}
-
-#[test]
-fn d10_fires_on_missing_version_guard_and_cap() {
-    let src = D10_CLEAN.replace("2 if version >= 2 =>", "2 =>").replace(
-        "pub fn decode_frame(version: u8,",
-        "pub fn decode_frame(_version: u8,",
-    );
-    let findings = audit_sources(&set(&[("ca-serve", "crates/serve/src/fix.rs", &src)]));
-    assert!(
-        rule(&findings, "D10")
-            .iter()
-            .any(|f| f.message.contains("decoded without a version guard")),
-        "{findings:?}"
-    );
-
-    let src = D10_CLEAN.replace("MAX_FRAME_PAYLOAD", "FRAME_LIMIT");
-    let findings = audit_sources(&set(&[("ca-serve", "crates/serve/src/fix.rs", &src)]));
-    assert!(
-        rule(&findings, "D10")
-            .iter()
-            .any(|f| f.message.contains("no referenced `MAX_FRAME*` size cap")),
-        "{findings:?}"
-    );
-}
-
 // --------------------------------------------------------------- D11
 
 const D11_PREFIXES: &str = r#"
@@ -433,7 +326,7 @@ fn d12_quiet_when_table_matches_reads() {
     assert!(rule(&findings, "D12").is_empty(), "{findings:?}");
 }
 
-// --------------------------------------------------------------- A1
+// ---------------------------------------------------------- A0 / A1
 
 /// Regression: an unused pragma is reported at the pragma's own
 /// file:line:col, not at whatever site the rule last visited — also
@@ -441,28 +334,55 @@ fn d12_quiet_when_table_matches_reads() {
 #[test]
 fn a1_points_at_the_pragma_itself() {
     let used = r#"
-pub fn handler(xs: &[u32]) -> u32 {
-    // ca-audit: allow(D9, fixture: suppresses the unwrap below)
-    xs.first().unwrap() + 1
+pub fn f(v: &mut Vec<f64>) {
+    // ca-audit: allow(D7, fixture: suppresses the comparison below)
+    v.sort_by(|a, b| a.partial_cmp(b).unwrap());
 }
 "#;
     let unused = r#"
 pub fn quiet() -> u32 {
-    // ca-audit: allow(D9, fixture: nothing here can fire)
+    // ca-audit: allow(D7, fixture: nothing here can fire)
     7
 }
 "#;
     let findings = audit_sources(&set(&[
-        ("ca-serve", "crates/serve/src/used.rs", used),
-        ("ca-serve", "crates/serve/src/unused.rs", unused),
+        ("ca-core", "crates/core/src/used.rs", used),
+        ("ca-core", "crates/core/src/unused.rs", unused),
     ]));
-    assert!(rule(&findings, "D9").is_empty(), "{findings:?}");
+    assert!(rule(&findings, "D7").is_empty(), "{findings:?}");
     let a1 = rule(&findings, "A1");
     assert_eq!(a1.len(), 1, "{findings:?}");
     let f = a1[0];
     assert_eq!(
         (f.file.as_str(), f.line, f.col),
-        ("crates/serve/src/unused.rs", 3, 5),
+        ("crates/core/src/unused.rs", 3, 5),
         "A1 must carry the pragma's own span: {f}"
     );
+}
+
+#[test]
+fn pragma_covers_its_own_line_and_the_next_only() {
+    let trailing = "fn f(v: &mut Vec<f64>) { v.sort_by(|a, b| a.partial_cmp(b).unwrap()) } // ca-audit: allow(D7, trailing form)\n";
+    assert!(audit_one("ca-core", trailing).is_empty());
+    // Two lines above the violation is out of range: it still fires,
+    // and the pragma is reported unused.
+    let far = format!("// ca-audit: allow(D7, too far away)\nfn pad() {{}}\n{D7_SORT}");
+    let findings = audit_one("ca-core", &far);
+    assert_eq!(rule(&findings, "D7").len(), 1, "{findings:?}");
+    assert_eq!(rule(&findings, "A1").len(), 1, "{findings:?}");
+}
+
+#[test]
+fn malformed_unknown_and_retired_pragmas_are_errors() {
+    for pragma in [
+        "// ca-audit: allow(D7)",
+        "// ca-audit: allow(D99, because)",
+        // Clippy enforces D4 now: suppress it with #[expect] instead.
+        "// ca-audit: allow(D4, deliberate corruption harness)",
+    ] {
+        let findings = audit_one("ca-core", &format!("{pragma}\nfn f() {{}}\n"));
+        let a0 = rule(&findings, "A0");
+        assert_eq!(a0.len(), 1, "{pragma}: {findings:?}");
+        assert_eq!(a0[0].severity, Severity::Error);
+    }
 }

@@ -5,6 +5,13 @@
 //! here; see `DESIGN.md` for the experiment index and `EXPERIMENTS.md`
 //! for measured-vs-paper numbers.
 
+// Workspace rule D6 (DESIGN.md §10): document every `unsafe` block.
+// Every lint suppression states its reason.
+#![deny(
+    clippy::undocumented_unsafe_blocks,
+    clippy::allow_attributes_without_reason
+)]
+
 pub mod corpus;
 pub mod microbench;
 pub mod packed_bench;

@@ -45,6 +45,13 @@
 //! With `CA_OBS_PATH` set, buffered observability events are flushed
 //! there as JSONL on exit.
 
+// Workspace rule D6 (DESIGN.md §10): document every `unsafe` block.
+// Every lint suppression states its reason.
+#![deny(
+    clippy::undocumented_unsafe_blocks,
+    clippy::allow_attributes_without_reason
+)]
+
 use ca_bench::corpus::Profile;
 use ca_bench::tables;
 use ca_netlist::Technology;

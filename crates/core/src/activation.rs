@@ -149,7 +149,7 @@ impl Activation {
             (0..n).fold(0usize, |acc, i| acc | (((r >> (n - 1 - i)) & 1) << i))
         };
         let mut activity_values = Vec::with_capacity(n_transistors);
-        #[allow(clippy::needless_range_loop)] // t indexes the inner dimension
+        #[allow(clippy::needless_range_loop, reason = "t indexes the inner dimension")]
         for t in 0..n_transistors {
             let bits: Vec<bool> = (0..n_static)
                 .map(|r| transistor_waves[row_to_stimulus(r)][t] == Wave::One)
@@ -166,7 +166,10 @@ impl Activation {
 
     /// Scalar golden pass: one simulator run per stimulus, collecting the
     /// output wave and every transistor's activity wave.
-    #[allow(clippy::type_complexity)]
+    #[allow(
+        clippy::type_complexity,
+        reason = "the output waves and the per-stimulus transistor waves"
+    )]
     fn golden_waves_scalar(
         cell: &Cell,
         stimuli: &[Stimulus],
@@ -198,7 +201,10 @@ impl Activation {
     /// [`CoreError::GoldenNotBinary`] for the first offending stimulus,
     /// checking the output first and then the gates in transistor-id
     /// order — the exact error the scalar pass reports.
-    #[allow(clippy::type_complexity)]
+    #[allow(
+        clippy::type_complexity,
+        reason = "the output waves and the per-stimulus transistor waves"
+    )]
     fn golden_waves_packed(
         cell: &Cell,
         stimuli: &[Stimulus],

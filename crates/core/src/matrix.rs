@@ -410,7 +410,7 @@ MN11 net0 B VSS VSS nch
             num_transistors: 4,
         };
         assert_eq!(layout.num_features(), 2 + 1 + 4 + 12 + 1);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for i in 0..2 {
             assert!(seen.insert(layout.input_col(i)));
         }

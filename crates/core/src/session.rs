@@ -691,7 +691,6 @@ fn encode_phase(phase: FailurePhase) -> u8 {
     }
 }
 
-// ca-audit: allow(D10, phase is a one-byte journal tag with no payload to cap)
 pub(crate) fn decode_phase(byte: u8) -> Option<FailurePhase> {
     match byte {
         0 => Some(FailurePhase::Lint),
@@ -726,7 +725,7 @@ MN1 net0 B VSS VSS nch
     #[test]
     fn options_tag_distinguishes_all_axes() {
         use ca_sim::DetectionPolicy;
-        let mut tags = std::collections::HashSet::new();
+        let mut tags = std::collections::BTreeSet::new();
         for driven in [false, true] {
             for floating in [false, true] {
                 for inter in [false, true] {
@@ -764,7 +763,7 @@ MN1 net0 B VSS VSS nch
             budget_tag(&b),
             budget_tag(&c),
         ];
-        let unique: std::collections::HashSet<u64> = tags.iter().copied().collect();
+        let unique: std::collections::BTreeSet<u64> = tags.iter().copied().collect();
         assert_eq!(unique.len(), tags.len(), "{tags:?}");
         assert_eq!(budget_tag(&unlimited), budget_tag(&SimBudget::default()));
     }
@@ -780,16 +779,32 @@ MN1 net0 B VSS VSS nch
         assert_ne!(base, fingerprint(&rewired));
     }
 
+    /// The slot of `phase` in `seen`. No `_` arm: a new phase does not
+    /// compile until it claims a slot, a slot past the array does not
+    /// compile until the array grows, and then `phase_codes_round_trip`
+    /// fails until the phase is listed there.
+    fn phase_slot(phase: FailurePhase, seen: &mut [bool; 4]) -> &mut bool {
+        match phase {
+            FailurePhase::Lint => &mut seen[0],
+            FailurePhase::Golden => &mut seen[1],
+            FailurePhase::Prepare => &mut seen[2],
+            FailurePhase::Characterize => &mut seen[3],
+        }
+    }
+
     #[test]
     fn phase_codes_round_trip() {
+        let mut seen = [false; 4];
         for phase in [
             FailurePhase::Lint,
             FailurePhase::Golden,
             FailurePhase::Prepare,
             FailurePhase::Characterize,
         ] {
+            *phase_slot(phase, &mut seen) = true;
             assert_eq!(decode_phase(encode_phase(phase)), Some(phase));
         }
+        assert_eq!(seen, [true; 4], "a FailurePhase is not round-tripped");
         assert_eq!(decode_phase(200), None);
     }
 

@@ -58,7 +58,10 @@ pub fn select_patterns(model: &CaModel) -> PatternSet {
     let mut class_pattern: Vec<Option<usize>> = vec![None; classes.len()];
     while !uncovered.is_empty() {
         let mut best: Option<(usize, usize, bool)> = None; // (count, stim, is_static)
-        #[allow(clippy::needless_range_loop)] // s is a stimulus id, not a position
+        #[allow(
+            clippy::needless_range_loop,
+            reason = "s is a stimulus id, not a position"
+        )]
         for s in 0..n_stimuli {
             let count = uncovered.iter().filter(|&&c| classes[c].row.get(s)).count();
             if count == 0 {

@@ -24,6 +24,25 @@
 //! The workspace is hermetic (no external crates), so this is plain
 //! `std::thread::scope` + `AtomicUsize`, not a dependency on rayon.
 
+// Workspace rules D5 and D6 (DESIGN.md §10): report through ca-obs, not
+// ad-hoc stdout/stderr, and document every `unsafe` block. Every lint
+// suppression states its reason.
+#![cfg_attr(
+    not(test),
+    deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)
+)]
+#![deny(
+    clippy::undocumented_unsafe_blocks,
+    clippy::allow_attributes_without_reason
+)]
+// Workspace rule D9: a panic in a work item is caught and re-raised on
+// the caller (see `map`), but the executor's own bookkeeping must not
+// panic at all.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
+)]
+
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -226,11 +245,11 @@ impl Executor {
                                 ca_obs::timer!("ca_exec.queue_wait")
                                     .record_ns(batch_start.elapsed_ns());
                             }
-                            if i >= items.len() {
+                            let Some(item) = items.get(i) else {
                                 break;
-                            }
+                            };
                             let _trace = fork.as_ref().map(|fp| fp.adopt(i as u64));
-                            local.push((i, catch_unwind(AssertUnwindSafe(|| f(i, &items[i])))));
+                            local.push((i, catch_unwind(AssertUnwindSafe(|| f(i, item)))));
                         }
                         // Every pull after a worker's first competes on
                         // the shared cursor: count those as steals.
@@ -257,9 +276,12 @@ impl Executor {
         let mut slots: Vec<Option<Result<R, _>>> = (0..items.len()).map(|_| None).collect();
         for part in &mut parts {
             for (i, result) in part.drain(..) {
-                // PANIC-OK: `i` is an item index the worker received from
-                // this function; `slots` spans every item index.
-                slots[i] = Some(result);
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "D9: `i` is an item index a worker pulled, and `slots` spans every item index"
+                )]
+                let slot = &mut slots[i];
+                *slot = Some(result);
             }
         }
         slots

@@ -15,6 +15,10 @@
 //! as a comparison on the raw feature would.
 
 use crate::data::Dataset;
+#[expect(
+    clippy::disallowed_types,
+    reason = "D1: the dedup index is only probed, never iterated; a BTreeMap would slow every fit"
+)]
 use std::collections::HashMap;
 
 /// Distinct values up to which a column's codes fit in a `u8`.
@@ -92,6 +96,10 @@ impl TrainView {
         }
 
         // Unique rows in order of first occurrence.
+        #[expect(
+            clippy::disallowed_types,
+            reason = "D1: probed by key only; unique rows keep first-occurrence order"
+        )]
         let mut index: HashMap<&[u8], u32> = HashMap::with_capacity(n);
         let mut first_row = Vec::new();
         let mut multiplicity: Vec<u32> = Vec::new();

@@ -28,7 +28,10 @@ impl Expr {
     }
 
     /// Convenience constructor for a negation.
-    #[allow(clippy::should_implement_trait)]
+    #[allow(
+        clippy::should_implement_trait,
+        reason = "a named constructor, not the `!` operator"
+    )]
     pub fn not(e: Expr) -> Expr {
         Expr::Not(Box::new(e))
     }

@@ -717,7 +717,7 @@ mod tests {
     fn xor3_truth_table() {
         let x = xor3_plan().to_expr();
         let tt = x.truth_table(3);
-        #[allow(clippy::needless_range_loop)] // p is the input pattern
+        #[allow(clippy::needless_range_loop, reason = "p is the input pattern")]
         for p in 0..8usize {
             let ones = p.count_ones() % 2 == 1;
             assert_eq!(tt[p], ones, "pattern {p}");
@@ -729,7 +729,7 @@ mod tests {
         // Z = S ? B : A with pins (A=0, B=1, S=2).
         let m = mux2_plan(false).to_expr();
         let tt = m.truth_table(3);
-        #[allow(clippy::needless_range_loop)] // p is the input pattern
+        #[allow(clippy::needless_range_loop, reason = "p is the input pattern")]
         for p in 0..8usize {
             let a = p & 1 == 1;
             let b = p & 2 == 2;
@@ -742,7 +742,7 @@ mod tests {
     fn maj3_truth_table() {
         let m = inverting_plus_buffer(3, maj3_expr()).to_expr();
         let tt = m.truth_table(3);
-        #[allow(clippy::needless_range_loop)] // p is the input pattern
+        #[allow(clippy::needless_range_loop, reason = "p is the input pattern")]
         for p in 0..8usize {
             assert_eq!(tt[p], (p as u32).count_ones() >= 2, "pattern {p}");
         }

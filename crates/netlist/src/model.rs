@@ -186,7 +186,10 @@ pub struct Transistor {
 
 impl Transistor {
     /// Creates a transistor connecting the given nets.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "a transistor is four terminals plus name, kind and geometry"
+    )]
     pub fn new(
         name: impl Into<String>,
         kind: MosKind,
@@ -470,7 +473,10 @@ impl CellBuilder {
     /// Returns [`NetlistError::Duplicate`] if a transistor with the same
     /// name exists, or [`NetlistError::UnknownNet`] if any terminal
     /// references an id that has not been added.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "mirrors Transistor::new: four terminals plus name, kind and geometry"
+    )]
     pub fn add_transistor(
         &mut self,
         name: impl Into<String>,
@@ -505,7 +511,10 @@ impl CellBuilder {
     /// defense in depth against future importers that bypass the
     /// builder — needs this escape hatch to prove it fires.
     #[cfg(test)]
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "mirrors Transistor::new: four terminals plus name, kind and geometry"
+    )]
     pub(crate) fn push_transistor_unchecked(
         &mut self,
         name: impl Into<String>,

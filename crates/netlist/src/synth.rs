@@ -393,7 +393,10 @@ impl<'a> Emitter<'a> {
 
     /// Emits the two-terminal network for `expr` between `top` (stage
     /// output side) and `bottom` (rail side).
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the recursion state of one series-parallel network"
+    )]
     fn emit_network(
         &mut self,
         expr: &StageExpr,
@@ -408,7 +411,10 @@ impl<'a> Emitter<'a> {
         self.emit_rec(expr, kind, top, bottom, stage, fresh, &mut path);
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the recursion state of one series-parallel network"
+    )]
     fn emit_rec(
         &mut self,
         expr: &StageExpr,

@@ -15,8 +15,9 @@
 //!   durations from an attempt number — so retry pacing stays
 //!   deterministic and injectable (invariants D2/D3).
 //!
-//! `ca-audit` enforces the invariant statically; code that needs time
-//! imports it from here instead of carrying a suppression pragma.
+//! Clippy enforces the invariant statically (`disallowed-methods` in the
+//! root `clippy.toml`); code that needs time imports it from here
+//! instead of carrying a suppression.
 
 use std::time::{Duration, Instant};
 

@@ -37,6 +37,13 @@
 //! unchanged. `tests/obs_determinism.rs` and the crash-recovery
 //! harness enforce this.
 
+// Workspace rule D6 (DESIGN.md §10): document every `unsafe` block.
+// Every lint suppression states its reason.
+#![deny(
+    clippy::undocumented_unsafe_blocks,
+    clippy::allow_attributes_without_reason
+)]
+
 pub mod clock;
 pub mod event;
 pub mod json;

@@ -13,6 +13,18 @@
 //! Both are seeded explicitly; the same seed always yields the same
 //! stream, on every platform.
 
+// Workspace rules D5 and D6 (DESIGN.md §10): report through ca-obs, not
+// ad-hoc stdout/stderr, and document every `unsafe` block. Every lint
+// suppression states its reason.
+#![cfg_attr(
+    not(test),
+    deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)
+)]
+#![deny(
+    clippy::undocumented_unsafe_blocks,
+    clippy::allow_attributes_without_reason
+)]
+
 /// The SplitMix64 generator: one 64-bit word of state, invertible output
 /// mixing. Ideal for seeding and for cheap inline streams.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -32,9 +32,24 @@
 //! daemon processes: SIGTERM drain, SIGKILL + restart byte-identity,
 //! overload shedding and queue-deadline behavior.
 
-// The daemon runs unattended; an unwrap in the serving path turns one
-// bad request into an outage.
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+// Workspace rules D5 and D6 (DESIGN.md §10): report through ca-obs, not
+// ad-hoc stdout/stderr, and document every `unsafe` block. Every lint
+// suppression states its reason.
+#![cfg_attr(
+    not(test),
+    deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)
+)]
+#![deny(
+    clippy::undocumented_unsafe_blocks,
+    clippy::allow_attributes_without_reason
+)]
+// Workspace rule D9: the daemon runs unattended; an unwrap or an
+// unchecked index in the serving path turns one bad request into an
+// outage.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
+)]
 
 pub mod admission;
 pub mod client;

@@ -13,6 +13,23 @@
 //! `SIGINT` trigger the drain; `SIGKILL` is the crash path the journal
 //! recovers from on the next start.
 
+// Workspace rules D5 and D6 (DESIGN.md §10): report through ca-obs, not
+// ad-hoc stdout/stderr, and document every `unsafe` block. Every lint
+// suppression states its reason.
+#![cfg_attr(
+    not(test),
+    deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)
+)]
+#![deny(
+    clippy::undocumented_unsafe_blocks,
+    clippy::allow_attributes_without_reason
+)]
+// Workspace rule D9, as in the library: the daemon runs unattended.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
+)]
+
 use ca_netlist::library::{generate_library, LibraryConfig, Technology};
 use ca_obs::protocol_marker;
 use ca_serve::server::{Endpoint, ServeConfig, Server};

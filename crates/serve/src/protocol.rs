@@ -314,6 +314,17 @@ impl<'a> Reader<'a> {
         Reader { bytes, pos: 0 }
     }
 
+    /// The next `len` bytes, or `Truncated` when fewer are present.
+    fn take(&mut self, len: usize, field: &'static str) -> Result<&'a [u8], ProtocolError> {
+        let bytes = self
+            .pos
+            .checked_add(len)
+            .and_then(|end| self.bytes.get(self.pos..end))
+            .ok_or(ProtocolError::Truncated(field))?;
+        self.pos += len;
+        Ok(bytes)
+    }
+
     fn u8(&mut self, field: &'static str) -> Result<u8, ProtocolError> {
         let b = *self
             .bytes
@@ -324,26 +335,14 @@ impl<'a> Reader<'a> {
     }
 
     fn u32(&mut self, field: &'static str) -> Result<u32, ProtocolError> {
-        let end = self
-            .pos
-            .checked_add(4)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or(ProtocolError::Truncated(field))?;
         let mut raw = [0u8; 4];
-        raw.copy_from_slice(&self.bytes[self.pos..end]);
-        self.pos = end;
+        raw.copy_from_slice(self.take(4, field)?);
         Ok(u32::from_le_bytes(raw))
     }
 
     fn u64(&mut self, field: &'static str) -> Result<u64, ProtocolError> {
-        let end = self
-            .pos
-            .checked_add(8)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or(ProtocolError::Truncated(field))?;
         let mut raw = [0u8; 8];
-        raw.copy_from_slice(&self.bytes[self.pos..end]);
-        self.pos = end;
+        raw.copy_from_slice(self.take(8, field)?);
         Ok(u64::from_le_bytes(raw))
     }
 
@@ -351,16 +350,10 @@ impl<'a> Reader<'a> {
         let len = self.u32(field)? as usize;
         // The declared length is checked against the bytes *present*
         // before any allocation: a hostile prefix cannot oversize.
-        let end = self
-            .pos
-            .checked_add(len)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or(ProtocolError::Truncated(field))?;
-        let s = std::str::from_utf8(&self.bytes[self.pos..end])
+        let bytes = self.take(len, field)?;
+        Ok(std::str::from_utf8(bytes)
             .map_err(|_| ProtocolError::BadUtf8(field))?
-            .to_string();
-        self.pos = end;
-        Ok(s)
+            .to_string())
     }
 
     fn finish(self) -> Result<(), ProtocolError> {
@@ -615,6 +608,53 @@ mod tests {
         ]
     }
 
+    /// The slot of `req`'s variant in `seen`, and the wire version that
+    /// introduced it. No `_` arm: a new variant does not compile until it
+    /// claims a slot, a slot past the array does not compile until the
+    /// array grows, and then `samples_cover_every_variant` fails until
+    /// `sample_requests` includes the variant.
+    fn request_slot<'a>(req: &Request, seen: &'a mut [bool; 6]) -> (&'a mut bool, u8) {
+        match req {
+            Request::Ping { .. } => (&mut seen[0], WIRE_V1),
+            Request::Characterize { .. } => (&mut seen[1], WIRE_V1),
+            Request::Lookup { .. } => (&mut seen[2], WIRE_V1),
+            Request::Stats => (&mut seen[3], WIRE_V1),
+            Request::Drain => (&mut seen[4], WIRE_V1),
+            Request::MetricsSnapshot => (&mut seen[5], 2),
+        }
+    }
+
+    /// As [`request_slot`], for responses.
+    fn response_slot<'a>(resp: &Response, seen: &'a mut [bool; 6]) -> (&'a mut bool, u8) {
+        match resp {
+            Response::Pong { .. } => (&mut seen[0], WIRE_V1),
+            Response::Model { .. } => (&mut seen[1], WIRE_V1),
+            Response::Error { .. } => (&mut seen[2], WIRE_V1),
+            Response::Stats { .. } => (&mut seen[3], WIRE_V1),
+            Response::Draining => (&mut seen[4], WIRE_V1),
+            Response::MetricsSnapshot { .. } => (&mut seen[5], 2),
+        }
+    }
+
+    /// The round-trip, truncation and framing tests below iterate the
+    /// samples, so every variant of both enums must be among them.
+    #[test]
+    fn samples_cover_every_variant() {
+        let mut seen = [false; 6];
+        for req in sample_requests() {
+            *request_slot(&req, &mut seen).0 = true;
+        }
+        assert_eq!(seen, [true; 6], "sample_requests misses a Request variant");
+        let mut seen = [false; 6];
+        for resp in sample_responses() {
+            *response_slot(&resp, &mut seen).0 = true;
+        }
+        assert_eq!(
+            seen, [true; 6],
+            "sample_responses misses a Response variant"
+        );
+    }
+
     #[test]
     fn requests_and_responses_round_trip() {
         for req in sample_requests() {
@@ -747,9 +787,9 @@ mod tests {
     }
 
     /// Old-frame compatibility: v1 payloads (no trace context, no
-    /// timing block, no tag 6) still decode, with the v2-only fields
-    /// defaulted. A v1 peer never sees the new fields; a v2 decoder
-    /// never demands them from a v1 frame.
+    /// timing block, no v2-only variant) still decode, with the v2-only
+    /// fields defaulted. A v1 peer never sees the new fields; a v2
+    /// decoder never demands them from a v1 frame.
     #[test]
     fn v1_frames_decode_with_defaulted_v2_fields() {
         // v1 Characterize: version 1, tag 2, client, deadline, target —
@@ -787,16 +827,31 @@ mod tests {
             }
         );
 
-        // Tag 6 did not exist in v1: a v1 frame claiming it is a
-        // BadTag, not a silent MetricsSnapshot.
-        assert!(matches!(
-            decode_request(&[WIRE_V1, 6]),
-            Err(ProtocolError::BadTag(6))
-        ));
-        assert!(matches!(
-            decode_response(&[WIRE_V1, 6]),
-            Err(ProtocolError::BadTag(6))
-        ));
+        // Every variant introduced after v1, framed at v1, is a BadTag
+        // exactly as a v1 peer would reject it, not a silent decode.
+        let mut seen = [false; 6];
+        for req in sample_requests() {
+            if request_slot(&req, &mut seen).1 > WIRE_V1 {
+                let mut payload = encode_request(&req);
+                payload[0] = WIRE_V1;
+                let err = decode_request(&payload);
+                assert!(
+                    matches!(err, Err(ProtocolError::BadTag(_))),
+                    "{req:?}: {err:?}"
+                );
+            }
+        }
+        for resp in sample_responses() {
+            if response_slot(&resp, &mut seen).1 > WIRE_V1 {
+                let mut payload = encode_response(&resp);
+                payload[0] = WIRE_V1;
+                let err = decode_response(&payload);
+                assert!(
+                    matches!(err, Err(ProtocolError::BadTag(_))),
+                    "{resp:?}: {err:?}"
+                );
+            }
+        }
 
         // v1 messages without version-gated fields round-trip through
         // a v1 version byte unchanged (encoders always emit v2; this

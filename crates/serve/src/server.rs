@@ -524,7 +524,7 @@ fn characterize(
     // arrived; otherwise open a server-local root so an untraced client
     // still yields a self-contained request tree. The sequence counter
     // only disambiguates roots within one process — it never feeds
-    // canonical output (ca-audit D3 covers model bytes, not trace ids).
+    // canonical output (rule D3 covers model bytes, not trace ids).
     let _adopt = wire_trace.map(trace::adopt);
     let _request_span = if wire_trace.is_some() {
         trace::span("request")

@@ -273,8 +273,7 @@ pub fn round_trips(cell: &Cell) -> bool {
     encode_cell(&mut doc, cell);
     doc.push_str("end\n");
     match decode_library(&doc) {
-        // PANIC-OK: the length check guards the index.
-        Ok(lib) => lib.cells.len() == 1 && lib.cells[0].cell == *cell,
+        Ok(lib) => matches!(lib.cells.as_slice(), [only] if only.cell == *cell),
         Err(_) => false,
     }
 }

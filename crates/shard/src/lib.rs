@@ -41,9 +41,24 @@
 //! deterministic journal append points, both asserting convergence to
 //! the single-process golden output.
 
-// Supervision code runs unattended for hours; a stray unwrap here
-// kills a campaign instead of retrying a shard.
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+// Workspace rules D5 and D6 (DESIGN.md §10): report through ca-obs, not
+// ad-hoc stdout/stderr, and document every `unsafe` block. Every lint
+// suppression states its reason.
+#![cfg_attr(
+    not(test),
+    deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)
+)]
+#![deny(
+    clippy::undocumented_unsafe_blocks,
+    clippy::allow_attributes_without_reason
+)]
+// Workspace rule D9: supervision code runs unattended for hours; a
+// stray unwrap or unchecked index here kills a campaign instead of
+// retrying a shard.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
+)]
 
 pub mod codec;
 pub mod heartbeat;

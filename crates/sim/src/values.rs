@@ -268,7 +268,7 @@ mod tests {
     #[test]
     fn all_stimuli_are_distinct() {
         let all = Stimulus::all(2);
-        let set: std::collections::HashSet<_> = all.iter().collect();
+        let set: std::collections::BTreeSet<_> = all.iter().collect();
         assert_eq!(set.len(), all.len());
     }
 }

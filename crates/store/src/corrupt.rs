@@ -8,7 +8,10 @@
 //! reproduce exactly.
 
 use ca_rng::SplitMix64;
-// ca-audit: allow(D4, importing the raw-write primitive the harness wraps)
+#[expect(
+    clippy::disallowed_types,
+    reason = "D4: importing the raw-write primitive the harness wraps"
+)]
 use std::fs::OpenOptions;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -19,7 +22,7 @@ use std::path::Path;
 ///
 /// I/O failures opening or truncating the file.
 pub fn truncate_at(path: impl AsRef<Path>, len: u64) -> io::Result<()> {
-    // ca-audit: allow(D4, deliberate corruption harness)
+    #[expect(clippy::disallowed_types, reason = "D4: deliberate corruption harness")]
     let file = OpenOptions::new().write(true).open(path)?;
     file.set_len(len)
 }
@@ -30,7 +33,7 @@ pub fn truncate_at(path: impl AsRef<Path>, len: u64) -> io::Result<()> {
 ///
 /// I/O failures, or an offset past the end of the file.
 pub fn bit_flip(path: impl AsRef<Path>, offset: u64, bit: u8) -> io::Result<()> {
-    // ca-audit: allow(D4, deliberate corruption harness)
+    #[expect(clippy::disallowed_types, reason = "D4: deliberate corruption harness")]
     let mut file = OpenOptions::new().read(true).write(true).open(path)?;
     file.seek(SeekFrom::Start(offset))?;
     let mut byte = [0u8; 1];
@@ -49,7 +52,7 @@ pub fn bit_flip(path: impl AsRef<Path>, offset: u64, bit: u8) -> io::Result<()> 
 pub fn garbage_append(path: impl AsRef<Path>, seed: u64, count: usize) -> io::Result<()> {
     let mut rng = SplitMix64::new(seed);
     let bytes: Vec<u8> = (0..count).map(|_| rng.next_u64() as u8).collect();
-    // ca-audit: allow(D4, deliberate corruption harness)
+    #[expect(clippy::disallowed_types, reason = "D4: deliberate corruption harness")]
     let mut file = OpenOptions::new().append(true).open(path)?;
     file.write_all(&bytes)
 }
@@ -63,7 +66,10 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ca-store-corrupt-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("victim");
-        // ca-audit: allow(D4, deliberate corruption harness)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "D4: deliberate corruption harness"
+        )]
         std::fs::write(&path, [0u8; 16]).unwrap();
         truncate_at(&path, 10).unwrap();
         assert_eq!(std::fs::metadata(&path).unwrap().len(), 10);

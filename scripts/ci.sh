@@ -94,8 +94,39 @@ CA_THREADS=4 cargo test -q -p ca-serve --test serve_robustness --offline
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
+# This gate also enforces the workspace rules D1-D6 and D9 (DESIGN.md
+# §10): clippy.toml's disallowed types and methods, the crate-root
+# print/dbg/unsafe/panic-path lints, and every #[expect] suppression
+# (unfulfilled_lint_expectations, allow_attributes_without_reason).
 echo "==> cargo clippy (all targets, warnings are errors)"
 cargo clippy --all-targets --workspace --offline -- -D warnings
+
+# Those rules are only as good as their configuration. lint-fixtures/
+# (a package outside the workspace) seeds one violation per rule: clippy
+# must fail on it, and every seeded entry must appear in its output.
+echo "==> cargo clippy (lint-fixtures: every seeded violation must fire)"
+if fixture_out=$(cargo clippy --offline --manifest-path lint-fixtures/Cargo.toml -- -D warnings 2>&1); then
+    echo "clippy passed lint-fixtures: the workspace lint rules no longer fire" >&2
+    exit 1
+fi
+for want in \
+    'disallowed type `std::collections::HashMap`' \
+    'disallowed type `std::collections::HashSet`' \
+    'disallowed type `std::hash::RandomState`' \
+    'disallowed type `std::fs::OpenOptions`' \
+    'disallowed method `std::time::Instant::now`' \
+    'disallowed method `std::time::SystemTime::now`' \
+    'disallowed method `std::fs::write`' \
+    'disallowed method `std::fs::File::create`' \
+    '#print_stdout' '#print_stderr' '#dbg_macro' '#undocumented_unsafe_blocks' \
+    '#unwrap_used' '#expect_used' '#indexing_slicing' \
+    '#allow_attributes_without_reason' 'this lint expectation is unfulfilled'; do
+    if ! grep -qF -- "$want" <<<"$fixture_out"; then
+        echo "$fixture_out" >&2
+        echo "lint fixture did not fire: $want" >&2
+        exit 1
+    fi
+done
 
 # The store is the durability layer: keep it at zero clippy debt even if
 # the workspace-wide gate is ever loosened.
@@ -119,17 +150,15 @@ cargo clippy -p ca-shard --all-targets --offline -- -D warnings
 echo "==> cargo clippy (ca-serve, standalone gate)"
 cargo clippy -p ca-serve --all-targets --offline -- -D warnings
 
-# The auditor is the machine-checked form of the determinism /
-# durability / observability conventions (DESIGN.md §10) plus the
-# cross-crate analysis rules D8–D12 (DESIGN.md §15); it must never
-# itself carry clippy debt, and the workspace must audit clean with
-# warnings denied — suppressions are allowed only at the documented
-# (crate, rule) sites, and no --baseline file is passed here: ratchet
-# files are for in-flight migrations, merged code audits clean as-is.
+# The auditor keeps the rules clippy cannot express: D7 (partial float
+# comparisons) and the cross-crate analyses D8, D11 and D12 (DESIGN.md
+# §10, §15). It must never itself carry clippy debt, and the workspace
+# must audit clean with warnings denied; its one pragma site is pinned
+# by crates/audit/tests/workspace_clean.rs.
 echo "==> cargo clippy (ca-audit, standalone gate)"
 cargo clippy -p ca-audit --all-targets --offline -- -D warnings
 
-echo "==> ca-audit --deny warn (workspace invariant audit, D1-D12)"
+echo "==> ca-audit --deny warn (workspace invariant audit, D7 D8 D11 D12)"
 cargo run -q --release --offline -p ca-audit -- --deny warn
 
 # Opt-in Miri smoke over the byte-level codecs: undefined behaviour in

@@ -369,6 +369,10 @@ fn corrupted_store_recovers_and_converges() {
 
     for (tag, damage) in cases {
         let store = dir.join(format!("{tag}.caj"));
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "D4: the corruption matrix plants a raw copy of the journal to damage"
+        )]
         std::fs::write(&store, &pristine).expect("plant pristine copy");
         let expect_report = match damage {
             Damage::Truncate(at) => {
