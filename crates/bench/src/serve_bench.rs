@@ -4,10 +4,13 @@
 //! Unix-domain socket (TCP loopback off Unix):
 //!
 //! 1. **Closed loop**: `threads` workers issue requests back-to-back
-//!    over the whole library, several rounds deep. Every served model
-//!    is compared byte-for-byte against a batch golden run — the bench
-//!    fails hard on divergence before reporting any number — and the
-//!    per-request latencies feed the p50/p95/p99 figures.
+//!    over the whole library, as many rounds as it takes to reach
+//!    [`MIN_CLOSED_REQUESTS`]. Every served model is compared
+//!    byte-for-byte against a batch golden run — the bench fails hard on
+//!    divergence before reporting any number — and the per-request
+//!    latencies feed the p50/p95/p99 figures. Only each cell's first
+//!    request may reach the journal: the bench also fails unless the
+//!    daemon's `session.journaled` equals the number of distinct cells.
 //! 2. **Open loop**: arrivals are fired on a fixed schedule regardless
 //!    of completions against a deliberately small queue, so admission
 //!    control is actually exercised: the report counts served vs shed
@@ -31,6 +34,10 @@ use ca_sim::SimBudget;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Closed-loop requests per run, at least: p99 then has at least 10
+/// samples beyond it, at any thread count.
+pub const MIN_CLOSED_REQUESTS: usize = 1000;
 
 /// Measured numbers of one serve-bench run.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,6 +68,9 @@ pub struct ServeBench {
     pub srv_service_us: u64,
     /// Mean server-side journal time per closed-loop request, µs.
     pub srv_journal_us: u64,
+    /// Journal appends of the closed-loop daemon (its `Stats` frame's
+    /// `session.journaled`): one per distinct cell.
+    pub journaled: usize,
     /// `ca_serve.*` counters present in the scraped
     /// `MetricsSnapshot` (proves the daemon is machine-scrapeable).
     pub metrics_counters: usize,
@@ -71,10 +81,11 @@ impl ServeBench {
     /// dependency-free).
     pub fn to_json(&self) -> String {
         format!(
-            "{{\n  \"schema\": \"ca-serve-bench/2\",\n  \"cells\": {},\n  \
+            "{{\n  \"schema\": \"ca-serve-bench/3\",\n  \"cells\": {},\n  \
              \"closed_requests\": {},\n  \"closed_rps\": {:.1},\n  \
              \"p50_us\": {},\n  \"p95_us\": {},\n  \"p99_us\": {},\n  \
              \"srv_queue_us\": {},\n  \"srv_service_us\": {},\n  \"srv_journal_us\": {},\n  \
+             \"journaled\": {},\n  \
              \"open_offered\": {},\n  \"open_served\": {},\n  \"open_shed\": {},\n  \
              \"metrics_counters\": {},\n  \
              \"identical\": {}\n}}\n",
@@ -87,6 +98,7 @@ impl ServeBench {
             self.srv_queue_us,
             self.srv_service_us,
             self.srv_journal_us,
+            self.journaled,
             self.open_offered,
             self.open_served,
             self.open_shed,
@@ -100,7 +112,7 @@ impl ServeBench {
         format!(
             "serve bench — {} cells\n  closed loop: {} requests, {:.0} req/s, \
              p50 {} µs, p95 {} µs, p99 {} µs\n  server side: queue {} µs, service {} µs, \
-             journal {} µs (means)\n  open loop:   {} offered, {} served, \
+             journal {} µs (means), {} journal appends\n  open loop:   {} offered, {} served, \
              {} shed (structured)\n  metrics snapshot: {} ca_serve counters scraped\n  \
              models byte-identical to batch golden: {}\n",
             self.cells,
@@ -112,6 +124,7 @@ impl ServeBench {
             self.srv_queue_us,
             self.srv_service_us,
             self.srv_journal_us,
+            self.journaled,
             self.open_offered,
             self.open_served,
             self.open_shed,
@@ -205,12 +218,12 @@ pub fn run(profile: Profile) -> ServeBench {
     config.admission.per_client = 1024;
     let server = Server::start(config, &[endpoint(&work_dir)])
         .unwrap_or_else(|e| panic!("closed-loop server failed to start: {e}"));
-    let rounds = 3;
     let names: Vec<String> = library
         .cells
         .iter()
         .map(|lc| lc.cell.name().to_string())
         .collect();
+    let rounds = MIN_CLOSED_REQUESTS.div_ceil(threads * names.len());
     let names = Arc::new(names);
     let start = Instant::now();
     let workers: Vec<_> = (0..threads)
@@ -264,10 +277,26 @@ pub fn run(profile: Profile) -> ServeBench {
         }
     }
     let closed_elapsed = start.elapsed().as_secs_f64();
-    // Scrape the live daemon before shutdown: the machine-readable
-    // registry snapshot must parse and carry the serving counters.
+    // Scrape the live daemon before shutdown: every repeat of a
+    // journaled cell must have left the journal alone, and the
+    // machine-readable registry snapshot must parse and carry the
+    // serving counters.
+    let mut probe = connect(&server);
+    let journaled = match probe.stats() {
+        Ok(Response::Stats { body }) => body
+            .lines()
+            .find_map(|line| line.strip_prefix("session.journaled "))
+            .and_then(|n| n.trim().parse::<usize>().ok())
+            .unwrap_or_else(|| panic!("stats frame has no session.journaled line:\n{body}")),
+        Ok(other) => panic!("stats got {other:?}"),
+        Err(e) => panic!("stats failed: {e}"),
+    };
+    assert_eq!(
+        journaled, cells,
+        "the closed loop journaled {journaled} records for {cells} distinct cells: \
+         repeats of a journaled cell must not append"
+    );
     let metrics_counters = {
-        let mut probe = connect(&server);
         let json = match probe.metrics_snapshot() {
             Ok(Response::MetricsSnapshot { json }) => json,
             Ok(other) => panic!("metrics snapshot got {other:?}"),
@@ -366,6 +395,7 @@ pub fn run(profile: Profile) -> ServeBench {
         srv_queue_us: timing_sum[0] / n,
         srv_service_us: timing_sum[1] / n,
         srv_journal_us: timing_sum[2] / n,
+        journaled,
         metrics_counters,
     };
     let _ = std::fs::remove_dir_all(&work_dir);
@@ -380,7 +410,7 @@ mod tests {
     fn json_document_and_render_are_well_formed() {
         let bench = ServeBench {
             cells: 8,
-            closed_requests: 48,
+            closed_requests: 1008,
             closed_rps: 120.0,
             p50_us: 900,
             p95_us: 2500,
@@ -392,17 +422,20 @@ mod tests {
             srv_queue_us: 30,
             srv_service_us: 700,
             srv_journal_us: 12,
+            journaled: 8,
             metrics_counters: 5,
         };
         let json = bench.to_json();
         assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        assert!(json.contains("\"schema\": \"ca-serve-bench/2\""), "{json}");
+        assert!(json.contains("\"schema\": \"ca-serve-bench/3\""), "{json}");
+        assert!(json.contains("\"journaled\": 8"), "{json}");
         assert!(json.contains("\"p99_us\": 4000"), "{json}");
         assert!(json.contains("\"srv_service_us\": 700"), "{json}");
         assert!(json.contains("\"metrics_counters\": 5"), "{json}");
         let render = bench.render();
         assert!(render.contains("p95 2500"), "{render}");
         assert!(render.contains("service 700"), "{render}");
+        assert!(render.contains("8 journal appends"), "{render}");
     }
 
     #[test]

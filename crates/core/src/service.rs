@@ -16,6 +16,11 @@
 //!   budget retries) and journals results under the *configured* budget,
 //!   so a killed server resumes — and a batch run over the same store
 //!   converges — byte-identically.
+//! - **Repeats** of a netlist whose complete model is the store's live
+//!   record under its name (journaled by this service, or verified at
+//!   open) skip lint, golden and the journal: they resolve through the
+//!   certified donor path alone, exactly as a restarted service answers
+//!   a store-verified cell.
 //! - **Deadlines** propagate into [`SimBudget::wall_clock`] as the
 //!   tighter of the request's remaining time and the configured budget.
 //!   A result is journaled only when the deadline was *not* the binding
@@ -96,8 +101,8 @@ enum Memo {
 
 /// Per-cell characterization service over one durable session; see the
 /// module docs. `Sync`: requests may run concurrently from any number of
-/// threads, serializing only on the journal append and the small plan/
-/// memo maps.
+/// threads, serializing only on the journal append and the small
+/// journaled/memo maps.
 pub struct CellService {
     session: Session,
     cache: CharCache,
@@ -108,6 +113,13 @@ pub struct CellService {
     /// Fingerprint of each library cell, guarding plan reuse and
     /// journaling against same-name lookalikes submitted inline.
     library_fp: BTreeMap<String, u64>,
+    /// Cell name → fingerprint of the netlist whose complete model is the
+    /// store's live record under that name, with its donor in `cache`.
+    /// A request that matches an entry takes the donor path alone. Every
+    /// append goes through [`CellService::journal_model`] or
+    /// [`CellService::journal_quarantine`], which hold this lock across
+    /// the append, so the map never disagrees with the store.
+    journaled: Mutex<BTreeMap<String, u64>>,
     memo: Mutex<BTreeMap<u64, Memo>>,
 }
 
@@ -140,10 +152,17 @@ impl CellService {
         let session = Session::open(store)?;
         let cache = CharCache::new();
         let plan = session.plan(library, options, &budget, &cache, true);
-        let library_fp = library
+        let library_fp: BTreeMap<String, u64> = library
             .cells
             .iter()
             .map(|lc| (lc.cell.name().to_string(), cell_fingerprint(&lc.cell)))
+            .collect();
+        // The plan verified these records against the library netlists
+        // and seeded their donors.
+        let journaled = library_fp
+            .iter()
+            .filter(|(name, _)| matches!(plan.reuse(name), Some(Reuse::Complete)))
+            .map(|(name, fp)| (name.clone(), *fp))
             .collect();
         Ok(CellService {
             session,
@@ -153,6 +172,7 @@ impl CellService {
             max_retries,
             plan,
             library_fp,
+            journaled: Mutex::new(journaled),
             memo: Mutex::new(BTreeMap::new()),
         })
     }
@@ -208,8 +228,18 @@ impl CellService {
         }
         let name = cell.name();
         let fp = cell_fingerprint(cell);
-        // 1. Store-verified reuse from the open-time plan — only when
-        // the request's netlist *is* the library cell the plan verified.
+        // 1. The store's live record under `name` is this netlist's
+        // complete model, and its donor is in the cache: resolve through
+        // the certified donor path without lint, golden or an append.
+        // The fingerprint covers every netlist field lint and golden
+        // read, and the remap re-certifies the answer.
+        if lock(&self.journaled).get(name) == Some(&fp) {
+            return self.donor_path(cell);
+        }
+        // 2. Store-verified degraded models and quarantine verdicts from
+        // the open-time plan — only when the request's netlist *is* the
+        // library cell the plan verified. (Its complete models seeded
+        // `journaled` at open.)
         if self.library_fp.get(name) == Some(&fp) {
             match self.plan.reuse(name) {
                 Some(Reuse::Degraded(p)) => return CellVerdict::Model(p.clone()),
@@ -224,24 +254,10 @@ impl CellService {
                         retries: *retries,
                     }
                 }
-                Some(Reuse::Complete) => {
-                    // The plan seeded the donor; resolve through the
-                    // certified donor path without lint/golden.
-                    return match isolated(name, || {
-                        self.cache.characterize(cell.clone(), self.options)
-                    }) {
-                        Ok(p) => CellVerdict::Model(Box::new(p)),
-                        Err(err) => CellVerdict::Quarantined {
-                            phase: FailurePhase::Prepare,
-                            reason: err.to_string(),
-                            retries: 0,
-                        },
-                    };
-                }
-                None => {}
+                Some(Reuse::Complete) | None => {}
             }
         }
-        // 2. Memoized fresh verdicts (exact-identity key).
+        // 3. Memoized fresh verdicts (exact-identity key).
         {
             let memo = lock(&self.memo);
             match memo.get(&fp) {
@@ -260,8 +276,9 @@ impl CellService {
                 None => {}
             }
         }
-        // 3. Fresh guarded pipeline. (Complete models need no memo: the
-        // donor cache serves structure-identical repeats.)
+        // 4. Fresh guarded pipeline. (Complete models need no memo:
+        // step 1 serves repeats of journaled ones, the donor cache the
+        // rest.)
         self.fresh(cell, fp, deadline)
     }
 
@@ -306,7 +323,7 @@ impl CellService {
                 // the final attempt, so the stored bytes are exactly
                 // what a configured-budget run would produce.
                 if !tightened && self.journal_allowed(name, fp) {
-                    self.session.journal_model(&p, self.options, &self.budget);
+                    self.journal_model(&p, fp);
                     if degraded {
                         // Mirror what a restart would plan from the
                         // store: degraded models replay to this exact
@@ -324,14 +341,7 @@ impl CellService {
                 }
                 let reason = err.to_string();
                 if !tightened && self.journal_allowed(name, fp) {
-                    self.session.journal_quarantine(
-                        cell,
-                        phase,
-                        &reason,
-                        retries,
-                        self.options,
-                        &self.budget,
-                    );
+                    self.journal_quarantine(cell, phase, &reason, retries);
                 }
                 lock(&self.memo).insert(
                     fp,
@@ -350,6 +360,50 @@ impl CellService {
         }
     }
 
+    /// Journals `p` (fingerprint `fp`) and updates `journaled` to match
+    /// the store: a complete model whose append landed enters the map,
+    /// after its donor is seeded as [`Session::plan`] seeds one on open
+    /// (so a repeat finds a donor even when the budget made the first run
+    /// bypass the cache); after a degraded model, a failed append or a
+    /// netlist-ordered canonical (no cache key) the name has no entry.
+    /// The `journaled` lock is held across the append, always before the
+    /// store lock, so concurrent appends cannot leave the map
+    /// disagreeing with the store's live record.
+    fn journal_model(&self, p: &PreparedCell, fp: u64) {
+        let name = p.cell.name();
+        let mut journaled = lock(&self.journaled);
+        // Out until the append lands, so a failure or a panic in between
+        // leaves no entry rather than a stale one.
+        journaled.remove(name);
+        if !self.session.journal_model(p, self.options, &self.budget) {
+            return;
+        }
+        let Some(model) = p.model.as_ref().filter(|m| !m.degraded) else {
+            return;
+        };
+        if p.canonical.is_netlist_ordered() {
+            return;
+        }
+        self.cache.seed_donor(
+            p.cell.clone(),
+            p.canonical.clone(),
+            model.clone(),
+            self.options,
+        );
+        journaled.insert(name.to_string(), fp);
+    }
+
+    /// Journals a quarantine verdict for `cell`: the store's live record
+    /// under its name is then no model, so the name has no entry (lock
+    /// held across the append, as in
+    /// [`journal_model`](CellService::journal_model)).
+    fn journal_quarantine(&self, cell: &Cell, phase: FailurePhase, reason: &str, retries: u32) {
+        let mut journaled = lock(&self.journaled);
+        journaled.remove(cell.name());
+        self.session
+            .journal_quarantine(cell, phase, reason, retries, self.options, &self.budget);
+    }
+
     /// Follower fast path for request coalescing: resolves `cell`
     /// through the certified donor cache without re-running lint or the
     /// golden simulation — the leader that just published the donor
@@ -357,6 +411,13 @@ impl CellService {
     /// remap re-certifies equivalence per cell. Journals nothing (the
     /// leader's journal entry is the durable copy).
     pub fn coalesced_characterize(&self, cell: &Cell) -> CellVerdict {
+        self.donor_path(cell)
+    }
+
+    /// The certified donor path shared by repeats, store-verified cells
+    /// and coalesced followers: prepare, iso-certify against the cached
+    /// donor, remap — no lint, no golden pass, no append.
+    fn donor_path(&self, cell: &Cell) -> CellVerdict {
         match isolated(cell.name(), || {
             self.cache.characterize(cell.clone(), self.options)
         }) {
@@ -571,6 +632,95 @@ mod tests {
             Some(StoredVerdict::Complete(_)) => {}
             other => panic!("library record clobbered: {other:?}"),
         }
+    }
+
+    fn cam_of(verdict: CellVerdict) -> String {
+        match verdict {
+            CellVerdict::Model(p) => ca_defects::to_cam(p.model.as_ref().unwrap()),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn repeat_under_a_truncating_budget_is_a_donor_hit() {
+        let lib = tiny_library();
+        // A defect cap above every cell's count: the model is complete,
+        // but `characterize_budgeted` bypasses the cache, so only the
+        // donor seeded after the append can serve the repeat.
+        let budget = SimBudget {
+            max_defects: Some(100_000),
+            ..SimBudget::unlimited()
+        };
+        let service = CellService::open(
+            tmp_store("truncating"),
+            &lib,
+            GenerateOptions::default(),
+            budget,
+            2,
+        )
+        .unwrap();
+        let cell = &lib.cells[0].cell;
+        let first = cam_of(service.characterize_cell(cell, Deadline::never()));
+        assert_eq!(service.cache_stats().bypassed, 1, "first run bypasses");
+        assert_eq!(service.report().journaled, 1);
+        let before = service.cache_stats();
+        let repeat = cam_of(service.characterize_cell(cell, Deadline::never()));
+        let after = service.cache_stats();
+        assert_eq!(repeat, first);
+        assert_eq!(after.hits, before.hits + 1, "{after:?}");
+        assert_eq!(after.misses, before.misses, "{after:?}");
+        assert_eq!(service.report().journaled, 1, "a repeat appends nothing");
+    }
+
+    #[test]
+    fn failed_append_leaves_the_repeat_on_the_full_path() {
+        let lib = tiny_library();
+        let service = open_service("failed-append", &lib);
+        // The store refuses a name longer than its u16 length field, so
+        // this cell's append fails every time.
+        let cell = lib.cells[0].cell.clone().with_name("X".repeat(70_000));
+        let first = cam_of(service.characterize_cell(&cell, Deadline::never()));
+        let report = service.report();
+        assert_eq!((report.journaled, report.journal_errors.len()), (0, 1));
+        assert!(lock(&service.journaled).is_empty());
+        // Not entered: the repeat runs lint, golden and the append again.
+        let repeat = cam_of(service.characterize_cell(&cell, Deadline::never()));
+        assert_eq!(repeat, first);
+        let report = service.report();
+        assert_eq!((report.journaled, report.journal_errors.len()), (0, 2));
+        assert!(lock(&service.journaled).is_empty());
+    }
+
+    #[test]
+    fn quarantine_under_a_journaled_name_clears_its_entry() {
+        let lib = tiny_library();
+        let service = open_service("requarantine", &lib);
+        let good = spice::parse_cell(
+            ".SUBCKT ADHOC A Z VDD VSS\nMP0 Z A VDD VDD pch\nMN0 Z A VSS VSS nch\n.ENDS",
+        )
+        .unwrap();
+        // Same name, floating gate: fails lint.
+        let broken = spice::parse_cell(
+            ".SUBCKT ADHOC A Z VDD VSS\nMP0 Z X VDD VDD pch\nMN0 Z X VSS VSS nch\n.ENDS",
+        )
+        .unwrap();
+        let cam = cam_of(service.characterize_cell(&good, Deadline::never()));
+        assert!(matches!(
+            service.characterize_cell(&broken, Deadline::never()),
+            CellVerdict::Quarantined { .. }
+        ));
+        assert!(matches!(
+            service.lookup("ADHOC"),
+            Some(StoredVerdict::Quarantined { .. })
+        ));
+        // The verdict is now the live record: the good netlist journals
+        // its model again rather than skipping on a stale entry.
+        assert_eq!(
+            cam_of(service.characterize_cell(&good, Deadline::never())),
+            cam
+        );
+        assert_eq!(service.report().journaled, 3);
+        assert_eq!(service.lookup("ADHOC"), Some(StoredVerdict::Complete(cam)));
     }
 
     #[test]

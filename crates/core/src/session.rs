@@ -80,6 +80,9 @@ pub struct Session {
     evicted_stale: AtomicUsize,
     evicted_invalid: AtomicUsize,
     evicted_this_run: AtomicUsize,
+    /// Appends that superseded a live record of the same cell since the
+    /// last compaction: each leaves a duplicate in the journal.
+    superseded_this_run: AtomicUsize,
     journaled: AtomicUsize,
     journal_errors: Mutex<Vec<String>>,
     halt_after: AtomicUsize,
@@ -204,6 +207,7 @@ impl Session {
             evicted_stale: AtomicUsize::new(0),
             evicted_invalid: AtomicUsize::new(0),
             evicted_this_run: AtomicUsize::new(0),
+            superseded_this_run: AtomicUsize::new(0),
             journaled: AtomicUsize::new(0),
             journal_errors: Mutex::new(Vec::new()),
             halt_after: AtomicUsize::new(0),
@@ -392,16 +396,17 @@ impl Session {
         plan
     }
 
-    /// Journals a characterized cell (complete or degraded). Errors are
-    /// reported, never raised: a dead disk must not kill the batch.
+    /// Journals a characterized cell (complete or degraded) and returns
+    /// whether the append landed. Errors are reported, never raised: a
+    /// dead disk must not kill the batch.
     pub(crate) fn journal_model(
         &self,
         prepared: &PreparedCell,
         options: GenerateOptions,
         budget: &SimBudget,
-    ) {
+    ) -> bool {
         let Some(model) = prepared.model.as_ref() else {
-            return;
+            return false;
         };
         let cam = to_cam(model);
         let record = Record {
@@ -418,7 +423,7 @@ impl Session {
                 Payload::Complete { cam }
             },
         };
-        self.append(&record);
+        self.append(&record)
     }
 
     /// Journals a quarantine verdict so a resumed run can replay it
@@ -449,13 +454,17 @@ impl Session {
         self.append(&record);
     }
 
-    /// Compacts the journal if this session saw duplicates, corruption or
-    /// evictions (otherwise the file is already a clean snapshot).
-    /// Called by the drivers at the end of a run.
+    /// Compacts the journal if it carries corruption, duplicates (found
+    /// at open or appended since the last compaction) or evictions
+    /// (otherwise the file is already a clean snapshot). Called by the
+    /// drivers at the end of a run and by the service on drain.
     pub(crate) fn maybe_compact(&self) {
+        let evicted = self.evicted_this_run.swap(0, Ordering::Relaxed);
+        let superseded = self.superseded_this_run.swap(0, Ordering::Relaxed);
         let needs = !self.recovery.is_clean()
             || self.recovery.duplicates > 0
-            || self.evicted_this_run.swap(0, Ordering::Relaxed) > 0;
+            || evicted > 0
+            || superseded > 0;
         if !needs {
             return;
         }
@@ -466,11 +475,15 @@ impl Session {
         self.lift_store_stats(&store);
     }
 
-    fn append(&self, record: &Record) {
+    /// Appends `record`, returning whether it landed.
+    fn append(&self, record: &Record) -> bool {
         let journal_time = ca_obs::Stopwatch::start();
         let mut store = self.lock_store();
-        match store.append(record) {
-            Ok(()) => {
+        let landed = match store.append(record) {
+            Ok(superseded) => {
+                if superseded {
+                    self.superseded_this_run.fetch_add(1, Ordering::Relaxed);
+                }
                 self.journaled.fetch_add(1, Ordering::Relaxed);
                 ca_obs::counter!("ca_core.session.journaled", Work).inc();
                 self.lift_store_stats(&store);
@@ -493,6 +506,7 @@ impl Session {
                         std::thread::sleep(std::time::Duration::from_secs(3600));
                     }
                 }
+                true
             }
             Err(e) => {
                 // I/O failures are environment accidents, not work done:
@@ -500,9 +514,11 @@ impl Session {
                 ca_obs::counter!("ca_core.session.journal_errors", Ops).inc();
                 self.lock_errors()
                     .push(format!("journal append for `{}` failed: {e}", record.cell));
+                false
             }
-        }
+        };
         JOURNAL_NS.with(|c| c.set(c.get().saturating_add(journal_time.elapsed_ns())));
+        landed
     }
 
     fn evict(&self, store: &mut MutexGuard<'_, Store>, cell: &str, counter: &AtomicUsize) {
@@ -818,6 +834,50 @@ MN1 net0 B VSS VSS nch
         let report = session.report();
         assert_eq!(report.journaled, 0);
         assert!(report.render().contains("session:"));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn duplicates_appended_this_session_are_compacted() {
+        let path = tmp_path("superseded");
+        let _ = std::fs::remove_file(&path);
+        let session = Session::open(&path).unwrap();
+        let cell = spice::parse_cell(NAND2).unwrap();
+        let journal = |reason: &str| {
+            session.journal_quarantine(
+                &cell,
+                FailurePhase::Golden,
+                reason,
+                0,
+                GenerateOptions::default(),
+                &SimBudget::unlimited(),
+            )
+        };
+        journal("first");
+        session.maybe_compact();
+        assert_eq!(
+            session.lock_store().stats().compactions,
+            0,
+            "one record per name: the journal is already a snapshot"
+        );
+        journal("second");
+        session.maybe_compact();
+        assert_eq!(session.len(), 1);
+        assert_eq!(session.lock_store().stats().compactions, 1);
+        session.maybe_compact();
+        assert_eq!(
+            session.lock_store().stats().compactions,
+            1,
+            "compaction drops the duplicate, so a second drain has none"
+        );
+        drop(session);
+        let store = Store::open(&path).unwrap();
+        assert_eq!(store.recovery().valid_records, 1);
+        assert_eq!(store.recovery().duplicates, 0);
+        match &store.get("NAND2").unwrap().payload {
+            Payload::Quarantined { reason, .. } => assert_eq!(reason, "second"),
+            other => panic!("{other:?}"),
+        }
         let _ = std::fs::remove_file(&path);
     }
 

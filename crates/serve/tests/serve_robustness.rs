@@ -107,6 +107,55 @@ fn request_response_lookup_and_stats_over_tcp() {
     server.shutdown();
 }
 
+/// The `session.journaled` line of the daemon's `Stats` frame.
+fn journaled(client: &mut ServeClient) -> usize {
+    match client.stats().expect("stats") {
+        Response::Stats { body } => body
+            .lines()
+            .find_map(|line| line.strip_prefix("session.journaled "))
+            .and_then(|n| n.trim().parse().ok())
+            .unwrap_or_else(|| panic!("no session.journaled line in {body}")),
+        other => panic!("{other:?}"),
+    }
+}
+
+#[test]
+fn repeated_rounds_journal_each_cell_once() {
+    let dir = scratch("repeats");
+    let cells = 3;
+    let server = Server::start(
+        config(&dir.join("s.caj"), cells),
+        &[Endpoint::Tcp("127.0.0.1:0".into())],
+    )
+    .expect("start");
+    let lib = tiny_library(cells);
+    let mut client = connect(&server);
+    let mut first: BTreeMap<String, String> = BTreeMap::new();
+    for round in 0..2 {
+        for lc in &lib.cells {
+            match client
+                .characterize("it-repeats", lc.cell.name(), 0)
+                .expect("characterize")
+            {
+                Response::Model { cell, cam, .. } => {
+                    assert_eq!(
+                        first.entry(cell.clone()).or_insert(cam.clone()),
+                        &cam,
+                        "{cell}"
+                    );
+                }
+                other => panic!("{}: {other:?}", lc.cell.name()),
+            }
+        }
+        assert_eq!(
+            journaled(&mut client),
+            cells,
+            "round {round}: a repeat of a journaled cell appended"
+        );
+    }
+    server.shutdown();
+}
+
 #[test]
 fn malformed_and_hostile_frames_get_structured_errors() {
     let dir = scratch("hostile");

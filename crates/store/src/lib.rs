@@ -561,12 +561,14 @@ impl Store {
 
     /// Appends `record` to the journal and fsyncs it. The write is
     /// framed, so a crash mid-append leaves at worst a torn tail that the
-    /// next [`open`](Store::open) truncates away.
+    /// next [`open`](Store::open) truncates away. Returns whether the
+    /// record superseded a live record of the same cell (the journal then
+    /// carries a duplicate that only [`compact`](Store::compact) drops).
     ///
     /// # Errors
     ///
     /// I/O failures, or a record with an over-long field.
-    pub fn append(&mut self, record: &Record) -> io::Result<()> {
+    pub fn append(&mut self, record: &Record) -> io::Result<bool> {
         let payload = record
             .encode()
             .map_err(|msg| io::Error::new(io::ErrorKind::InvalidInput, msg))?;
@@ -577,8 +579,10 @@ impl Store {
         self.stats.appends += 1;
         self.stats.append_bytes += frame.len() as u64;
         self.stats.fsyncs += 1;
-        self.live.insert(record.cell.clone(), record.clone());
-        Ok(())
+        Ok(self
+            .live
+            .insert(record.cell.clone(), record.clone())
+            .is_some())
     }
 
     /// Drops `cell`'s record from the live view (it stays in the journal
@@ -848,9 +852,12 @@ mod tests {
         let path = tmp.path("store.caj");
         {
             let mut store = Store::open(&path).unwrap();
-            store.append(&record("X", 1, "old")).unwrap();
-            store.append(&record("Y", 2, "y")).unwrap();
-            store.append(&record("X", 3, "new")).unwrap();
+            assert!(!store.append(&record("X", 1, "old")).unwrap());
+            assert!(!store.append(&record("Y", 2, "y")).unwrap());
+            assert!(
+                store.append(&record("X", 3, "new")).unwrap(),
+                "a second record of X supersedes the first"
+            );
         }
         let store = Store::open(&path).unwrap();
         assert_eq!(store.recovery().valid_records, 3);
