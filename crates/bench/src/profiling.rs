@@ -20,8 +20,8 @@
 
 use crate::corpus::Profile;
 use ca_core::{
-    characterize_library_robust_with_session, export_cam_with, CharCache, Executor, FaultPolicy,
-    MlFlow, RobustOutcome, Session,
+    characterize_library_robust, export_cam_with, CharCache, Executor, FaultPolicy, MlFlow,
+    RobustOutcome, Session,
 };
 use ca_defects::GenerateOptions;
 use ca_netlist::corrupt::{corrupt_cell, Corruption};
@@ -73,8 +73,8 @@ fn max_cells(profile: Profile) -> usize {
 }
 
 /// The profiled workload: the benchmark variant library truncated to
-/// [`max_cells`], with one cell's output floated so the quarantine
-/// path runs.
+/// the profile's cell cap (12 cells quick, 48 full), with one cell's
+/// output floated so the quarantine path runs.
 pub fn workload_library(profile: Profile) -> Library {
     let mut library = crate::perf::bench_library(profile);
     library.cells.truncate(max_cells(profile));
@@ -127,14 +127,14 @@ pub fn run_with(
     let outcome = fp.stage("characterize", || -> Result<RobustOutcome, String> {
         ca_obs::counter!("ca_bench.profile.stages", Work).inc();
         let session = Session::open(store).map_err(|e| e.to_string())?;
-        characterize_library_robust_with_session(
+        characterize_library_robust(
             &library,
             options,
             &budget,
             FaultPolicy::SkipAndReport,
             executor,
             &cache,
-            &session,
+            Some(&session),
         )
         .map_err(|e| e.to_string())
     })?;
@@ -144,14 +144,14 @@ pub fn run_with(
     let resumed = fp.stage("resume", || -> Result<RobustOutcome, String> {
         ca_obs::counter!("ca_bench.profile.stages", Work).inc();
         let session = Session::open(store).map_err(|e| e.to_string())?;
-        characterize_library_robust_with_session(
+        characterize_library_robust(
             &library,
             options,
             &budget,
             FaultPolicy::SkipAndReport,
             executor,
             &CharCache::new(),
-            &session,
+            Some(&session),
         )
         .map_err(|e| e.to_string())
     })?;

@@ -22,7 +22,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::corpus::Profile;
-use ca_core::{characterize_library_robust, export_cam_with, FaultPolicy};
+use ca_core::{characterize_library_robust, export_cam_with, CharCache, FaultPolicy};
 use ca_defects::GenerateOptions;
 use ca_exec::Executor;
 use ca_netlist::library::{generate_library, Library};
@@ -202,6 +202,9 @@ pub fn run(profile: Profile) -> ServeBench {
         GenerateOptions::default(),
         &SimBudget::unlimited(),
         FaultPolicy::SkipAndReport,
+        &Executor::from_env(),
+        &CharCache::new(),
+        None,
     )
     .unwrap_or_else(|e| panic!("golden run failed: {e}"));
     let golden: Arc<BTreeMap<String, String>> = Arc::new(

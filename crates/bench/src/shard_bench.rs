@@ -12,9 +12,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::corpus::Profile;
-use ca_core::{
-    characterize_library_robust_with_session, export_cam_with, CharCache, FaultPolicy, Session,
-};
+use ca_core::{characterize_library_robust, export_cam_with, CharCache, FaultPolicy, Session};
 use ca_defects::GenerateOptions;
 use ca_exec::Executor;
 use ca_netlist::library::generate_library;
@@ -99,14 +97,14 @@ pub fn run(profile: Profile, shards: usize) -> ShardBench {
     let single_start = Instant::now();
     let session = Session::open(work_dir.join("single.caj"))
         .unwrap_or_else(|e| panic!("cannot open golden session: {e}"));
-    let golden = characterize_library_robust_with_session(
+    let golden = characterize_library_robust(
         &library,
         options,
         &budget,
         FaultPolicy::SkipAndReport,
         &Executor::from_env(),
         &CharCache::new(),
-        &session,
+        Some(&session),
     )
     .unwrap_or_else(|e| panic!("unsharded run failed: {e}"));
     let single_s = single_start.elapsed().as_secs_f64();

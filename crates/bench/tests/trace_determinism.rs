@@ -12,9 +12,7 @@
 //! interleave its spans into our drained snapshots.
 
 use ca_bench::corpus::Profile;
-use ca_core::{
-    characterize_library_robust_with_session, CharCache, Executor, FaultPolicy, Session,
-};
+use ca_core::{characterize_library_robust, CharCache, Executor, FaultPolicy, Session};
 use ca_defects::GenerateOptions;
 use ca_netlist::library::generate_library;
 use ca_netlist::Technology;
@@ -32,14 +30,14 @@ fn traced_run(library: &ca_netlist::library::Library, store: &Path, threads: usi
     let _ = ca_obs::drain_events();
     {
         let _root = ca_obs::trace::root("campaign", trace_fp(library), "test");
-        characterize_library_robust_with_session(
+        characterize_library_robust(
             library,
             GenerateOptions::default(),
             &SimBudget::unlimited(),
             FaultPolicy::SkipAndReport,
             &Executor::with_threads(threads),
             &CharCache::new(),
-            &Session::open(store).expect("open session"),
+            Some(&Session::open(store).expect("open session")),
         )
         .expect("robust run succeeds");
     }

@@ -38,7 +38,7 @@
 
 use crate::canonical::CanonicalCell;
 use crate::error::CoreError;
-use crate::matrix::PreparedCell;
+use crate::matrix::{budgeted_model, PreparedCell};
 use ca_defects::{BitRow, CaModel, DefectClass, DefectId, DefectUniverse, GenerateOptions};
 use ca_netlist::{Cell, NetId, Terminal, TransistorId};
 use ca_sim::{DetectionPolicy, Injection, SimBudget};
@@ -321,11 +321,13 @@ impl CharCache {
         }
     }
 
-    /// Budget-aware variant used by the robust driver. The cache only
+    /// Budget-aware variant used by the guarded pipeline. The cache only
     /// participates when the budget cannot change the *result* of a
     /// successful run — i.e. no stimulus/defect truncation and no solver
     /// iteration cap. A pure wall-clock deadline is fine: a hit does
-    /// strictly less work than the simulation the deadline bounds.
+    /// strictly less work than the simulation the deadline bounds. Every
+    /// simulated model is generated for the cell prepared for the key
+    /// lookup, so a miss prepares once.
     ///
     /// # Errors
     ///
@@ -352,16 +354,16 @@ impl CharCache {
         };
         let Some(key) = CacheKey::for_canonical(&prepared.canonical, options) else {
             self.note_bypassed();
-            return PreparedCell::characterize_budgeted(cell, options, budget);
+            return budgeted_model(&prepared.cell, options, budget).map(|m| prepared.with_model(m));
         };
-        let mut prepared = prepared;
         match self.claim(key) {
             Claim::Leader(slot) => {
                 let mut guard = LeaderGuard {
                     slot: &slot,
                     armed: true,
                 };
-                let result = PreparedCell::characterize_budgeted(cell, options, budget);
+                let result =
+                    budgeted_model(&prepared.cell, options, budget).map(|m| prepared.with_model(m));
                 if let Ok(p) = &result {
                     if let Some(model) = p.model.as_ref().filter(|m| !m.degraded) {
                         guard.armed = false;
@@ -379,14 +381,12 @@ impl CharCache {
                 if let Some(donor) = slot.wait() {
                     if let Some(model) = remap_model(&donor, &prepared, options) {
                         self.note_hit();
-                        prepared.universe = model.universe.clone();
-                        prepared.model = Some(model);
-                        return Ok(prepared);
+                        return Ok(prepared.with_model(model));
                     }
                     self.note_rejected();
                 }
                 self.note_miss();
-                PreparedCell::characterize_budgeted(cell, options, budget)
+                budgeted_model(&prepared.cell, options, budget).map(|m| prepared.with_model(m))
             }
         }
     }

@@ -1,8 +1,13 @@
-//! Library-level characterization driver.
+//! Library-level characterization: the plain drivers, summaries and
+//! `.cam` export.
 //!
 //! Wraps the per-cell flows into the batch operation an EDA user actually
-//! runs: characterize (or predict) a whole standard-cell library, collect
-//! summary statistics, and export the models as `.cam` documents.
+//! runs: characterize a whole standard-cell library, collect summary
+//! statistics, and export the models as `.cam` documents. The plain
+//! drivers are the guarded pipeline of
+//! [`characterize_library_robust`] under [`FaultPolicy::FailFast`] and an
+//! unlimited budget, so every cell is linted and golden-checked exactly
+//! as in a robust run.
 
 // Library-batch code runs unattended for hours; a stray unwrap here
 // aborts a whole characterization run.
@@ -12,7 +17,8 @@ use crate::cache::CharCache;
 use crate::cost::CostModel;
 use crate::error::CoreError;
 use crate::matrix::PreparedCell;
-use crate::session::{Reuse, Session};
+use crate::robust::{characterize_library_robust, FaultPolicy};
+use crate::session::Session;
 use ca_defects::{to_cam, Behavior, GenerateOptions};
 use ca_exec::Executor;
 use ca_netlist::library::Library;
@@ -86,22 +92,9 @@ impl LibrarySummary {
     }
 }
 
-/// Characterizes every cell of `library` with the conventional flow,
-/// using the [`CA_THREADS`](Executor::from_env)-sized executor and a
-/// fresh structure-keyed [`CharCache`].
-///
-/// # Errors
-///
-/// Propagates the first (in library order) invalid-netlist error.
-pub fn characterize_library(
-    library: &Library,
-    options: GenerateOptions,
-) -> Result<(Vec<PreparedCell>, LibrarySummary), CoreError> {
-    characterize_library_with(library, options, &Executor::from_env(), &CharCache::new())
-}
-
-/// [`characterize_library`] with explicit executor and cache, for callers
-/// that pin the thread count or reuse a cache across batches.
+/// Characterizes every cell of `library` with the conventional flow on
+/// `executor`, through the structure-keyed `cache` (reuse one across
+/// batches to share donors), and summarizes the result.
 ///
 /// Results are in library order regardless of scheduling; on failure the
 /// error of the *first* failing cell in library order is returned, so the
@@ -109,14 +102,15 @@ pub fn characterize_library(
 ///
 /// # Errors
 ///
-/// Propagates the first (in library order) invalid-netlist error.
+/// The first (in library order) cell failure: a lint finding, a golden
+/// oscillation or an invalid netlist.
 pub fn characterize_library_with(
     library: &Library,
     options: GenerateOptions,
     executor: &Executor,
     cache: &CharCache,
 ) -> Result<(Vec<PreparedCell>, LibrarySummary), CoreError> {
-    charlib_driver(library, options, executor, cache, None)
+    fail_fast(library, options, executor, cache, None)
 }
 
 /// [`characterize_library_with`] bound to a durable [`Session`]: cells
@@ -128,7 +122,8 @@ pub fn characterize_library_with(
 ///
 /// # Errors
 ///
-/// Propagates the first (in library order) invalid-netlist error.
+/// The first (in library order) cell failure, as for
+/// [`characterize_library_with`].
 pub fn characterize_library_with_session(
     library: &Library,
     options: GenerateOptions,
@@ -136,48 +131,27 @@ pub fn characterize_library_with_session(
     cache: &CharCache,
     session: &Session,
 ) -> Result<(Vec<PreparedCell>, LibrarySummary), CoreError> {
-    charlib_driver(library, options, executor, cache, Some(session))
+    fail_fast(library, options, executor, cache, Some(session))
 }
 
-fn charlib_driver(
+fn fail_fast(
     library: &Library,
     options: GenerateOptions,
     executor: &Executor,
     cache: &CharCache,
     session: Option<&Session>,
 ) -> Result<(Vec<PreparedCell>, LibrarySummary), CoreError> {
-    // The plain flow always runs unbudgeted; quarantine verdicts are a
-    // robust-flow concept and are never replayed here.
-    let budget = SimBudget::unlimited();
-    let plan = session
-        .map(|s| s.plan(library, options, &budget, cache, false))
-        .unwrap_or_default();
-    let results = executor.map(&library.cells, |_, lc| {
-        match plan.reuse(lc.cell.name()) {
-            // Store-verified degraded model, served back to this exact
-            // cell only (never-a-donor rule).
-            Some(Reuse::Degraded(p)) => Ok(p.clone()),
-            // Store-verified complete model: the session pre-seeded the
-            // cache, so this is a certified donor hit, no simulation.
-            Some(Reuse::Complete) => cache.characterize(lc.cell.clone(), options).map(Box::new),
-            _ => {
-                let result = cache.characterize(lc.cell.clone(), options);
-                if let (Some(s), Ok(p)) = (session, &result) {
-                    s.journal_model(p, options, &budget);
-                }
-                result.map(Box::new)
-            }
-        }
-    });
-    let mut prepared = Vec::with_capacity(results.len());
-    for result in results {
-        prepared.push(*result?);
-    }
-    if let Some(s) = session {
-        s.maybe_compact();
-    }
-    let summary = summarize(library.technology.name(), &prepared);
-    Ok((prepared, summary))
+    let outcome = characterize_library_robust(
+        library,
+        options,
+        &SimBudget::unlimited(),
+        FaultPolicy::FailFast,
+        executor,
+        cache,
+        session,
+    )?;
+    let summary = summarize(library.technology.name(), &outcome.prepared);
+    Ok((outcome.prepared, summary))
 }
 
 /// Builds the summary over already-characterized cells.
@@ -300,10 +274,20 @@ mod tests {
         lib
     }
 
+    fn characterize(lib: &Library) -> (Vec<PreparedCell>, LibrarySummary) {
+        characterize_library_with(
+            lib,
+            GenerateOptions::default(),
+            &Executor::from_env(),
+            &CharCache::new(),
+        )
+        .unwrap()
+    }
+
     #[test]
     fn characterize_and_summarize() {
         let lib = tiny_library();
-        let (prepared, summary) = characterize_library(&lib, GenerateOptions::default()).unwrap();
+        let (prepared, summary) = characterize(&lib);
         assert_eq!(prepared.len(), 6);
         assert_eq!(summary.num_cells, 6);
         assert!(summary.total_defects > 0);
@@ -319,7 +303,7 @@ mod tests {
     #[test]
     fn mean_coverage_ignores_model_less_cells() {
         let lib = tiny_library();
-        let (mut prepared, full) = characterize_library(&lib, GenerateOptions::default()).unwrap();
+        let (mut prepared, full) = characterize(&lib);
         // Strip the models of half the cells: the mean over the rest
         // must not change (the old code divided by the total count).
         for p in prepared.iter_mut().skip(3) {
@@ -340,9 +324,8 @@ mod tests {
 
     #[test]
     fn export_skips_degraded_models_unless_opted_in() {
-        use ca_sim::SimBudget;
         let lib = tiny_library();
-        let (mut prepared, _) = characterize_library(&lib, GenerateOptions::default()).unwrap();
+        let (mut prepared, _) = characterize(&lib);
         // Re-characterize one cell under a truncating budget.
         let budget = SimBudget {
             max_defects: Some(4),
@@ -393,7 +376,7 @@ mod tests {
     #[test]
     fn cam_export_round_trips() {
         let lib = tiny_library();
-        let (prepared, _) = characterize_library(&lib, GenerateOptions::default()).unwrap();
+        let (prepared, _) = characterize(&lib);
         let exported = export_cam(&prepared);
         assert_eq!(exported.len(), 6);
         for (p, (name, text)) in prepared.iter().zip(&exported) {

@@ -5,6 +5,7 @@ use crate::canonical::CanonicalCell;
 use crate::cost::CostModel;
 use crate::error::CoreError;
 use crate::matrix::PreparedCell;
+use crate::robust::{isolated, lint_error, FailurePhase, Quarantine, QuarantineEntry};
 use ca_defects::{CaModel, GenerateOptions};
 use ca_ml::{Classifier, Dataset, ForestParams, RandomForest};
 use ca_netlist::Cell;
@@ -592,63 +593,37 @@ impl HybridFlow {
     }
 
     /// Like [`HybridFlow::run`], but a failing cell is quarantined
-    /// instead of aborting the batch: each cell is lint-gated first and
-    /// its generation is panic-isolated, so a quarantined cell never
+    /// instead of aborting the batch: each cell passes the library
+    /// driver's lint gate first, and its generation is panic-isolated and
+    /// its failure phased as in the driver, so a quarantined cell never
     /// reaches the structure index or the training set.
     pub fn run_robust(
         &mut self,
         cells: impl IntoIterator<Item = Cell>,
-    ) -> (Vec<CaModel>, HybridReport, crate::robust::Quarantine) {
-        use crate::robust::{FailurePhase, Quarantine, QuarantineEntry};
-        use std::panic::{catch_unwind, AssertUnwindSafe};
+    ) -> (Vec<CaModel>, HybridReport, Quarantine) {
         let mut models = Vec::new();
         let mut report = HybridReport::default();
         let mut quarantine = Quarantine::default();
         for cell in cells {
             let started = ca_obs::Stopwatch::start();
             let name = cell.name().to_string();
-            if let Some(finding) = ca_netlist::lint::lint(&cell)
-                .into_iter()
-                .find(|f| f.severity == ca_netlist::lint::Severity::Error)
-            {
-                quarantine.entries.push(QuarantineEntry {
-                    cell: name,
-                    phase: FailurePhase::Lint,
-                    reason: finding.to_string(),
-                    elapsed: started.elapsed(),
-                    retries: 0,
-                });
-                continue;
-            }
-            match catch_unwind(AssertUnwindSafe(|| self.generate(cell))) {
-                Ok(Ok((model, outcome))) => {
+            let generated = match lint_error(&cell) {
+                Some(finding) => Err((FailurePhase::Lint, finding.to_string())),
+                None => isolated(&name, || self.generate(cell))
+                    .map_err(|err| (FailurePhase::of(&err), err.to_string())),
+            };
+            match generated {
+                Ok((model, outcome)) => {
                     models.push(model);
                     report.outcomes.push(outcome);
                 }
-                Ok(Err(err)) => {
-                    let phase = match &err {
-                        CoreError::SolverDiverged { .. } | CoreError::BudgetExceeded { .. } => {
-                            FailurePhase::Characterize
-                        }
-                        _ => FailurePhase::Prepare,
-                    };
-                    quarantine.entries.push(QuarantineEntry {
-                        cell: name,
-                        phase,
-                        reason: err.to_string(),
-                        elapsed: started.elapsed(),
-                        retries: 0,
-                    });
-                }
-                Err(payload) => {
-                    quarantine.entries.push(QuarantineEntry {
-                        cell: name,
-                        phase: FailurePhase::Prepare,
-                        reason: format!("panic: {}", ca_exec::panic_message(&*payload)),
-                        elapsed: started.elapsed(),
-                        retries: 0,
-                    });
-                }
+                Err((phase, reason)) => quarantine.entries.push(QuarantineEntry {
+                    cell: name,
+                    phase,
+                    reason,
+                    elapsed: started.elapsed(),
+                    retries: 0,
+                }),
             }
         }
         (models, report, quarantine)
@@ -831,15 +806,9 @@ mod tests {
         assert_eq!(models.len(), 2);
         assert_eq!(report.outcomes.len(), 2);
         assert_eq!(quarantine.len(), 2);
-        assert_eq!(
-            quarantine.entries[0].phase,
-            crate::robust::FailurePhase::Lint
-        );
+        assert_eq!(quarantine.entries[0].phase, FailurePhase::Lint);
         assert!(quarantine.entries[0].reason.contains("floating-gate-net"));
-        assert_eq!(
-            quarantine.entries[1].phase,
-            crate::robust::FailurePhase::Prepare
-        );
+        assert_eq!(quarantine.entries[1].phase, FailurePhase::Prepare);
         assert!(quarantine.entries[1].reason.contains("single-output"));
         // The surviving flow still works after the failures.
         let more: Vec<Cell> = c28

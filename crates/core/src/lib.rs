@@ -69,8 +69,8 @@ pub use ca_exec::{panic_message, BadThreadsVar, Executor};
 pub use cache::{CacheStats, CharCache};
 pub use canonical::{Branch, CanonicalCell, SpTree};
 pub use charlib::{
-    characterize_library, characterize_library_with, characterize_library_with_session, export_cam,
-    export_cam_to_dir, export_cam_with, summarize, LibrarySummary,
+    characterize_library_with, characterize_library_with_session, export_cam, export_cam_to_dir,
+    export_cam_with, summarize, LibrarySummary,
 };
 pub use cost::{format_duration, CostModel};
 pub use error::CoreError;
@@ -80,9 +80,8 @@ pub use flow::{
 };
 pub use matrix::{MatrixLayout, PreparedCell};
 pub use robust::{
-    characterize_library_robust, characterize_library_robust_with,
-    characterize_library_robust_with_session, FailurePhase, FaultPolicy, Quarantine,
-    QuarantineEntry, RobustOutcome,
+    characterize_library_robust, FailurePhase, FaultPolicy, Quarantine, QuarantineEntry,
+    RobustOutcome,
 };
 pub use service::{CellService, CellVerdict, StoredVerdict};
 pub use session::{cell_fingerprint, take_journal_ns, Session, SessionReport};

@@ -148,21 +148,17 @@ impl PreparedCell {
         options: GenerateOptions,
         budget: &SimBudget,
     ) -> Result<PreparedCell, CoreError> {
-        let name = cell.name().to_string();
-        let model = CaModel::generate_budgeted(&cell, options, budget).map_err(|e| match e {
-            SimError::Oscillated { nets } => CoreError::SolverDiverged {
-                cell: name.clone(),
-                nets,
-            },
-            SimError::BudgetExceeded { resource } => CoreError::BudgetExceeded {
-                cell: name.clone(),
-                resource: resource.to_string(),
-            },
-        })?;
-        let mut prepared = PreparedCell::prepare(cell)?;
-        prepared.universe = model.universe.clone();
-        prepared.model = Some(model);
-        Ok(prepared)
+        // The model first: its errors (oscillation, an exhausted budget)
+        // take precedence over prepare's.
+        let model = budgeted_model(&cell, options, budget)?;
+        Ok(PreparedCell::prepare(cell)?.with_model(model))
+    }
+
+    /// Attaches `model`, aligning the universe with the one it covers.
+    pub(crate) fn with_model(mut self, model: CaModel) -> PreparedCell {
+        self.universe = model.universe.clone();
+        self.model = Some(model);
+        self
     }
 
     /// Prepares a *new* cell for inference (no labels). Only the
@@ -381,6 +377,25 @@ impl PreparedCell {
             .count();
         (opens, self.universe.len() - opens)
     }
+}
+
+/// [`CaModel::generate_budgeted`], with its simulation errors as
+/// [`CoreError`]s naming `cell`.
+pub(crate) fn budgeted_model(
+    cell: &Cell,
+    options: GenerateOptions,
+    budget: &SimBudget,
+) -> Result<CaModel, CoreError> {
+    CaModel::generate_budgeted(cell, options, budget).map_err(|e| match e {
+        SimError::Oscillated { nets } => CoreError::SolverDiverged {
+            cell: cell.name().to_string(),
+            nets,
+        },
+        SimError::BudgetExceeded { resource } => CoreError::BudgetExceeded {
+            cell: cell.name().to_string(),
+            resource: resource.to_string(),
+        },
+    })
 }
 
 #[cfg(test)]

@@ -1,27 +1,29 @@
 //! Fault-tolerant library characterization: per-cell isolation, solver
 //! budgets, and quarantine reports.
 //!
-//! [`characterize_library`](crate::charlib::characterize_library) aborts
-//! the whole batch on the first broken cell. Real libraries contain
-//! damage — hand-edited netlists, extraction artifacts, unintended
-//! feedback loops — and a nightly characterization run must degrade per
-//! cell, not per library. [`characterize_library_robust`] runs every
-//! cell through a guarded pipeline:
+//! Real libraries contain damage — hand-edited netlists, extraction
+//! artifacts, unintended feedback loops — and a nightly characterization
+//! run must degrade per cell, not per library. Every cell that
+//! [`characterize_library_robust`], the plain drivers built on it
+//! ([`characterize_library_with`](crate::characterize_library_with)) and
+//! the [`CellService`](crate::CellService) simulate runs through one
+//! guarded pipeline:
 //!
-//! 1. **Lint** — structural pre-flight ([`ca_netlist::lint`]); any
+//! 1. **Lint** — structural pre-flight ([`ca_netlist::lint()`]); any
 //!    error-level finding quarantines the cell before a single
 //!    simulation is spent.
-//! 2. **Golden** — the defect-free cell is simulated with oscillation
-//!    detection ([`Simulator::try_run`]); divergence becomes
+//! 2. **Prepare + characterize** — canonicalization and budgeted model
+//!    generation through the [`CharCache`], wrapped in
+//!    [`std::panic::catch_unwind`] so even a panicking cell only loses
+//!    itself. Generation checks the defect-free (golden) solve of every
+//!    stimulus it simulates: oscillation becomes
 //!    [`CoreError::SolverDiverged`] instead of silent X-forcing.
-//! 3. **Prepare + Characterize** — canonicalization and budgeted model
-//!    generation, wrapped in [`std::panic::catch_unwind`] so even a
-//!    panicking cell only loses itself.
 //!
-//! Failures are collected into a [`Quarantine`] report; the
-//! [`FaultPolicy`] decides whether to abort, skip, or retry with a
-//! reduced budget (halved defect universe, static-only stimuli) so a
-//! partially characterized — *degraded* — model still exports.
+//! A failure's [`FailurePhase`] is read off its error. Failures are
+//! collected into a [`Quarantine`] report; the [`FaultPolicy`] decides
+//! whether to abort, skip, or retry with a reduced budget (halved defect
+//! universe, static-only stimuli) so a partially characterized —
+//! *degraded* — model still exports.
 
 // This module exists to keep broken cells from taking down a batch;
 // it must not itself abort on a stray unwrap.
@@ -34,10 +36,11 @@ use crate::session::{Reuse, Session};
 use ca_defects::GenerateOptions;
 use ca_exec::Executor;
 use ca_netlist::library::Library;
-use ca_netlist::lint::{lint, Severity};
+use ca_netlist::lint::{lint, Finding, Severity};
 use ca_netlist::Cell;
+use ca_obs::clock::Deadline;
 use ca_obs::Stopwatch;
-use ca_sim::{Injection, SimBudget, SimError, Simulator, Stimulus};
+use ca_sim::SimBudget;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
@@ -45,7 +48,8 @@ use std::time::Duration;
 /// What to do when a cell fails characterization.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultPolicy {
-    /// Abort the batch on the first failure (legacy behaviour).
+    /// Abort the batch on the first failure (the plain drivers'
+    /// behaviour).
     FailFast,
     /// Quarantine the cell and continue with the rest of the library.
     SkipAndReport,
@@ -64,12 +68,33 @@ pub enum FaultPolicy {
 pub enum FailurePhase {
     /// Structural lint pre-flight (journal wire v1 tag 0).
     Lint,
-    /// Defect-free (golden) sanity simulation (journal wire v1 tag 1).
+    /// Defect-free (golden) simulation: it oscillated or exhausted the
+    /// solver-iteration cap (journal wire v1 tag 1).
     Golden,
-    /// Activation extraction / canonicalization (journal wire v1 tag 2).
+    /// Activation extraction / canonicalization, or any failure no
+    /// other phase names (journal wire v1 tag 2).
     Prepare,
-    /// Budgeted model generation (journal wire v1 tag 3).
+    /// Budgeted model generation ran out of wall clock (journal wire v1
+    /// tag 3).
     Characterize,
+}
+
+impl FailurePhase {
+    /// The phase of a prepare-and-characterize failure, read off its
+    /// error. Only golden solves are checked (faulty solves X-force), so
+    /// an exhausted iteration cap is golden, like an oscillation.
+    pub(crate) fn of(err: &CoreError) -> FailurePhase {
+        match err {
+            CoreError::SolverDiverged { .. } => FailurePhase::Golden,
+            CoreError::BudgetExceeded { resource, .. } if resource == "solver iterations" => {
+                FailurePhase::Golden
+            }
+            CoreError::BudgetExceeded { resource, .. } if resource == "wall clock" => {
+                FailurePhase::Characterize
+            }
+            _ => FailurePhase::Prepare,
+        }
+    }
 }
 
 impl fmt::Display for FailurePhase {
@@ -160,98 +185,31 @@ impl RobustOutcome {
     }
 }
 
-/// Characterizes every cell of `library` under `budget`, isolating
-/// per-cell failures according to `policy`.
+/// Characterizes every cell of `library` under `budget` on `executor`,
+/// through the structure-keyed `cache`, isolating per-cell failures
+/// according to `policy`.
 ///
 /// The invariant callers rely on: `prepared.len() + quarantine.len() ==
 /// library.len()` (under [`FaultPolicy::SkipAndReport`] and
-/// [`FaultPolicy::RetryWithReducedBudget`]).
+/// [`FaultPolicy::RetryWithReducedBudget`]). The outcome is
+/// deterministic in everything but per-entry `elapsed` times: `prepared`
+/// and `quarantine.entries` are in library order, and under
+/// [`FaultPolicy::FailFast`] the error of the *first* failing cell in
+/// library order is returned — identical at every thread count.
+///
+/// With a durable [`Session`], previously journaled cells (complete,
+/// degraded *and* — except under [`FaultPolicy::FailFast`] —
+/// quarantined) are verified against the incoming library and reused
+/// instead of re-simulated, and every fresh outcome is journaled as it
+/// lands. A run killed at any point can be re-invoked with the same
+/// arguments and converges to the uninterrupted run's models and
+/// quarantine verdicts (per-entry `elapsed` aside).
 ///
 /// # Errors
 ///
 /// Only [`FaultPolicy::FailFast`] returns an error — the first per-cell
-/// failure, like [`characterize_library`](crate::characterize_library).
+/// failure in library order.
 pub fn characterize_library_robust(
-    library: &Library,
-    options: GenerateOptions,
-    budget: &SimBudget,
-    policy: FaultPolicy,
-) -> Result<RobustOutcome, CoreError> {
-    characterize_library_robust_with(
-        library,
-        options,
-        budget,
-        policy,
-        &Executor::from_env(),
-        &CharCache::new(),
-    )
-}
-
-/// [`characterize_library_robust`] with explicit executor and cache.
-///
-/// The outcome is deterministic in everything but per-entry `elapsed`
-/// times: `prepared` and `quarantine.entries` are in library order, and
-/// under [`FaultPolicy::FailFast`] the error of the *first* failing cell
-/// in library order is returned — identical at every thread count.
-///
-/// # Errors
-///
-/// Only [`FaultPolicy::FailFast`] returns an error — the first per-cell
-/// failure, like [`characterize_library`](crate::characterize_library).
-pub fn characterize_library_robust_with(
-    library: &Library,
-    options: GenerateOptions,
-    budget: &SimBudget,
-    policy: FaultPolicy,
-    executor: &Executor,
-    cache: &CharCache,
-) -> Result<RobustOutcome, CoreError> {
-    robust_driver(library, options, budget, policy, executor, cache, None)
-}
-
-/// [`characterize_library_robust_with`] bound to a durable [`Session`]:
-/// previously journaled cells (complete, degraded *and* — except under
-/// [`FaultPolicy::FailFast`] — quarantined) are verified against the
-/// incoming library and reused instead of re-simulated, and every fresh
-/// outcome is journaled as it lands. A run killed at any point can be
-/// re-invoked with the same arguments and converges to the uninterrupted
-/// run's models and quarantine verdicts (per-entry `elapsed` aside).
-///
-/// # Errors
-///
-/// Only [`FaultPolicy::FailFast`] returns an error — the first per-cell
-/// failure, like [`characterize_library`](crate::characterize_library).
-pub fn characterize_library_robust_with_session(
-    library: &Library,
-    options: GenerateOptions,
-    budget: &SimBudget,
-    policy: FaultPolicy,
-    executor: &Executor,
-    cache: &CharCache,
-    session: &Session,
-) -> Result<RobustOutcome, CoreError> {
-    robust_driver(
-        library,
-        options,
-        budget,
-        policy,
-        executor,
-        cache,
-        Some(session),
-    )
-}
-
-/// Per-cell scheduling outcome of the robust driver.
-enum Item {
-    /// A model landed (fresh, cache-served or store-served).
-    Done(Box<PreparedCell>),
-    /// The guarded pipeline failed this run.
-    Fail(FailurePhase, CoreError, Duration, u32),
-    /// A journaled quarantine verdict replayed from the session store.
-    Replay(FailurePhase, String, u32),
-}
-
-fn robust_driver(
     library: &Library,
     options: GenerateOptions,
     budget: &SimBudget,
@@ -274,6 +232,10 @@ fn robust_driver(
             )
         })
         .unwrap_or_default();
+    let max_retries = match policy {
+        FaultPolicy::RetryWithReducedBudget(n) => n,
+        FaultPolicy::FailFast | FaultPolicy::SkipAndReport => 0,
+    };
     // Each item runs the full guarded pipeline, retries included; the
     // fold below never simulates, so the merge stays in library order.
     let results = executor.map(&library.cells, |_, lc| {
@@ -303,21 +265,17 @@ fn robust_driver(
                 reason,
             }) => Item::Replay(*phase, reason.clone(), *retries),
             None => {
-                let mut retries = 0u32;
-                let mut outcome = characterize_cell_guarded(&lc.cell, options, budget, cache);
-                if let FaultPolicy::RetryWithReducedBudget(max_retries) = policy {
-                    while retries < max_retries {
-                        match &outcome {
-                            Err((_, CoreError::BudgetExceeded { .. })) => {
-                                retries += 1;
-                                let reduced = reduced_budget(budget, &lc.cell, retries);
-                                outcome =
-                                    characterize_cell_guarded(&lc.cell, options, &reduced, cache);
-                            }
-                            _ => break,
-                        }
-                    }
-                }
+                // No deadline: the outcome always lands.
+                let Guarded {
+                    outcome, retries, ..
+                } = characterize_with_retries(
+                    &lc.cell,
+                    options,
+                    budget,
+                    max_retries,
+                    Deadline::never(),
+                    cache,
+                );
                 match outcome {
                     Ok(p) => {
                         // Journal under the *configured* budget (not the
@@ -399,10 +357,77 @@ fn robust_driver(
     })
 }
 
+/// Per-cell scheduling outcome of the library driver.
+enum Item {
+    /// A model landed (fresh, cache-served or store-served).
+    Done(Box<PreparedCell>),
+    /// The guarded pipeline failed this run.
+    Fail(FailurePhase, CoreError, Duration, u32),
+    /// A journaled quarantine verdict replayed from the session store.
+    Replay(FailurePhase, String, u32),
+}
+
+/// What [`characterize_with_retries`] made of one cell.
+pub(crate) struct Guarded {
+    /// The final attempt: a model, or the failure tagged with its phase.
+    pub(crate) outcome: Result<PreparedCell, (FailurePhase, CoreError)>,
+    /// Reduced-budget retries spent.
+    pub(crate) retries: u32,
+    /// The deadline, not the cell, ended the work: `outcome` is a budget
+    /// failure that a run under the configured budget would not share.
+    pub(crate) deadline_ended: bool,
+}
+
+/// Runs `cell` through the guarded pipeline under `budget`, retrying a
+/// [`CoreError::BudgetExceeded`] failure up to `max_retries` times under
+/// [`reduced_budget`]. Every attempt's wall clock is clamped to
+/// `deadline`, and [`Guarded::deadline_ended`] reports when the deadline
+/// rather than the cell ended the work. Any other outcome is what a run
+/// under `budget` alone produces: a wall clock only ever fails a run,
+/// it never truncates one.
+pub(crate) fn characterize_with_retries(
+    cell: &Cell,
+    options: GenerateOptions,
+    budget: &SimBudget,
+    max_retries: u32,
+    deadline: Deadline,
+    cache: &CharCache,
+) -> Guarded {
+    let mut retries = 0;
+    let mut attempt = *budget;
+    loop {
+        let (clamped, tightened) = clamp_to_deadline(&attempt, deadline);
+        let outcome = characterize_cell_guarded(cell, options, &clamped, cache);
+        let wall_clock = match &outcome {
+            Err((_, CoreError::BudgetExceeded { resource, .. })) => resource == "wall clock",
+            _ => {
+                return Guarded {
+                    outcome,
+                    retries,
+                    deadline_ended: false,
+                }
+            }
+        };
+        // The clock that fired was the deadline's, or a retry is due and
+        // no time is left for it.
+        let deadline_ended =
+            (tightened && wall_clock) || (retries < max_retries && deadline.expired());
+        if deadline_ended || retries == max_retries {
+            return Guarded {
+                outcome,
+                retries,
+                deadline_ended,
+            };
+        }
+        retries += 1;
+        attempt = reduced_budget(budget, cell, retries);
+    }
+}
+
 /// The budget of retry `attempt` (1-based): truncate the defect universe
 /// by half per attempt, keep only the static stimuli, and lift the
 /// wall-clock/iteration limits so the reduced work can finish.
-pub(crate) fn reduced_budget(budget: &SimBudget, cell: &Cell, attempt: u32) -> SimBudget {
+fn reduced_budget(budget: &SimBudget, cell: &Cell, attempt: u32) -> SimBudget {
     let full_universe = cell.num_transistors() * 6;
     let ceiling = budget
         .max_defects
@@ -415,72 +440,62 @@ pub(crate) fn reduced_budget(budget: &SimBudget, cell: &Cell, attempt: u32) -> S
     }
 }
 
-/// Runs one cell through lint → golden → prepare/characterize, tagging
-/// any failure with the phase it happened in.
-pub(crate) fn characterize_cell_guarded(
+/// `budget` with its wall clock clamped to the time `deadline` leaves,
+/// plus whether the deadline is the *binding* wall constraint (strictly
+/// tighter than the budget's own wall clock).
+fn clamp_to_deadline(budget: &SimBudget, deadline: Deadline) -> (SimBudget, bool) {
+    match deadline.remaining() {
+        None => (*budget, false),
+        Some(rem) => {
+            let wall = match budget.wall_clock {
+                Some(configured) if configured <= rem => Some(configured),
+                _ => Some(rem),
+            };
+            let tightened = wall != budget.wall_clock;
+            (
+                SimBudget {
+                    wall_clock: wall,
+                    ..*budget
+                },
+                tightened,
+            )
+        }
+    }
+}
+
+/// The guard: runs one cell through lint, then prepare/characterize
+/// through `cache`, tagging any failure with its phase.
+fn characterize_cell_guarded(
     cell: &Cell,
     options: GenerateOptions,
     budget: &SimBudget,
     cache: &CharCache,
 ) -> Result<PreparedCell, (FailurePhase, CoreError)> {
-    let name = cell.name().to_string();
-    // 1. Structural pre-flight: quarantine broken netlists before any
-    // simulation effort is spent on them.
-    if let Some(finding) = lint(cell)
-        .into_iter()
-        .find(|f| f.severity == Severity::Error)
-    {
+    // Quarantine broken netlists before any simulation effort is spent
+    // on them.
+    if let Some(finding) = lint_error(cell) {
         ca_obs::counter!("ca_core.flow.lint_rejects", Work).inc();
         return Err((
             FailurePhase::Lint,
             CoreError::PrepareFailed {
-                cell: name,
+                cell: cell.name().to_string(),
                 source: finding.to_string(),
             },
         ));
     }
-    // 2. Golden sanity: the defect-free cell must converge under every
-    // stimulus. `try_run` surfaces oscillation and iteration exhaustion
-    // that `run` would silently X-force.
-    let sim = Simulator::with_budget(cell, Injection::None, budget);
-    let clock = budget.start();
-    for stimulus in Stimulus::all(cell.num_inputs()) {
-        if clock.expired() {
-            return Err((
-                FailurePhase::Golden,
-                CoreError::BudgetExceeded {
-                    cell: name,
-                    resource: "wall clock".to_string(),
-                },
-            ));
-        }
-        if let Err(e) = sim.try_run(&stimulus) {
-            let err = match e {
-                SimError::Oscillated { nets } => CoreError::SolverDiverged { cell: name, nets },
-                SimError::BudgetExceeded { resource } => CoreError::BudgetExceeded {
-                    cell: name,
-                    resource: resource.to_string(),
-                },
-            };
-            return Err((FailurePhase::Golden, err));
-        }
-    }
-    // 3+4. Prepare and characterize, panic-isolated: a defective cell
-    // must only lose itself, never the batch.
-    match isolated(&name, || {
+    // Panic-isolated: a defective cell must only lose itself, never the
+    // batch.
+    isolated(cell.name(), || {
         cache.characterize_budgeted(cell.clone(), options, budget)
-    }) {
-        Ok(p) => Ok(p),
-        Err(err) => {
-            let phase = match &err {
-                CoreError::SolverDiverged { .. } | CoreError::BudgetExceeded { .. } => {
-                    FailurePhase::Characterize
-                }
-                _ => FailurePhase::Prepare,
-            };
-            Err((phase, err))
-        }
-    }
+    })
+    .map_err(|err| (FailurePhase::of(&err), err))
+}
+
+/// The guard's lint gate: the first error-level finding of `cell`.
+pub(crate) fn lint_error(cell: &Cell) -> Option<Finding> {
+    lint(cell)
+        .into_iter()
+        .find(|f| f.severity == Severity::Error)
 }
 
 /// Runs `f` under [`catch_unwind`], converting a panic into
@@ -520,16 +535,26 @@ MN1 net0 B VSS VSS nch
         lib
     }
 
+    fn run(
+        lib: &Library,
+        budget: &SimBudget,
+        policy: FaultPolicy,
+    ) -> Result<RobustOutcome, CoreError> {
+        characterize_library_robust(
+            lib,
+            GenerateOptions::default(),
+            budget,
+            policy,
+            &Executor::from_env(),
+            &CharCache::new(),
+            None,
+        )
+    }
+
     #[test]
     fn clean_library_has_empty_quarantine() {
         let lib = tiny_library();
-        let outcome = characterize_library_robust(
-            &lib,
-            GenerateOptions::default(),
-            &SimBudget::unlimited(),
-            FaultPolicy::SkipAndReport,
-        )
-        .unwrap();
+        let outcome = run(&lib, &SimBudget::unlimited(), FaultPolicy::SkipAndReport).unwrap();
         assert_eq!(outcome.prepared.len(), lib.len());
         assert!(outcome.quarantine.is_empty());
         assert_eq!(outcome.degraded_count(), 0);
@@ -540,13 +565,7 @@ MN1 net0 B VSS VSS nch
         let mut lib = tiny_library();
         lib.cells[1].cell =
             corrupt_cell(&lib.cells[1].cell, Corruption::FloatingOutput, 3).unwrap();
-        let outcome = characterize_library_robust(
-            &lib,
-            GenerateOptions::default(),
-            &SimBudget::unlimited(),
-            FaultPolicy::SkipAndReport,
-        )
-        .unwrap();
+        let outcome = run(&lib, &SimBudget::unlimited(), FaultPolicy::SkipAndReport).unwrap();
         assert_eq!(outcome.prepared.len(), lib.len() - 1);
         assert_eq!(outcome.quarantine.len(), 1);
         let entry = &outcome.quarantine.entries[0];
@@ -574,16 +593,27 @@ MN1 net0 B VSS VSS nch
     }
 
     #[test]
+    fn iteration_cap_failures_are_golden() {
+        let mut lib = generate_library(&LibraryConfig::quick(Technology::C40));
+        lib.cells.truncate(12);
+        let capped = SimBudget {
+            max_solver_iterations: Some(2),
+            ..SimBudget::unlimited()
+        };
+        let outcome = run(&lib, &capped, FaultPolicy::SkipAndReport).unwrap();
+        assert_eq!(outcome.prepared.len(), 9, "{}", outcome.quarantine.render());
+        assert_eq!(outcome.quarantine.len(), 3);
+        for e in &outcome.quarantine.entries {
+            assert_eq!(e.phase, FailurePhase::Golden, "{}", e.reason);
+            assert!(e.reason.contains("solver iterations"), "{}", e.reason);
+        }
+    }
+
+    #[test]
     fn fail_fast_propagates_the_first_error() {
         let mut lib = tiny_library();
         lib.cells[0].cell = corrupt_cell(&lib.cells[0].cell, Corruption::DanglingGate, 9).unwrap();
-        let err = characterize_library_robust(
-            &lib,
-            GenerateOptions::default(),
-            &SimBudget::unlimited(),
-            FaultPolicy::FailFast,
-        )
-        .unwrap_err();
+        let err = run(&lib, &SimBudget::unlimited(), FaultPolicy::FailFast).unwrap_err();
         assert!(matches!(err, CoreError::PrepareFailed { .. }), "{err:?}");
     }
 
@@ -597,26 +627,14 @@ MN1 net0 B VSS VSS nch
             wall_clock: Some(Duration::ZERO),
             ..SimBudget::unlimited()
         };
-        let skip = characterize_library_robust(
-            &lib,
-            GenerateOptions::default(),
-            &strangled,
-            FaultPolicy::SkipAndReport,
-        )
-        .unwrap();
+        let skip = run(&lib, &strangled, FaultPolicy::SkipAndReport).unwrap();
         assert_eq!(skip.quarantine.len(), lib.len());
         assert!(skip
             .quarantine
             .entries
             .iter()
-            .all(|e| e.phase == FailurePhase::Golden && e.reason.contains("wall clock")));
-        let retried = characterize_library_robust(
-            &lib,
-            GenerateOptions::default(),
-            &strangled,
-            FaultPolicy::RetryWithReducedBudget(1),
-        )
-        .unwrap();
+            .all(|e| e.phase == FailurePhase::Characterize && e.reason.contains("wall clock")));
+        let retried = run(&lib, &strangled, FaultPolicy::RetryWithReducedBudget(1)).unwrap();
         assert!(
             retried.quarantine.is_empty(),
             "{}",
@@ -640,9 +658,8 @@ MN1 net0 B VSS VSS nch
         let mut lib = tiny_library();
         lib.cells[2].cell =
             corrupt_cell(&lib.cells[2].cell, Corruption::ZeroTransistor, 11).unwrap();
-        let outcome = characterize_library_robust(
+        let outcome = run(
             &lib,
-            GenerateOptions::default(),
             &SimBudget::unlimited(),
             FaultPolicy::RetryWithReducedBudget(3),
         )
@@ -651,6 +668,44 @@ MN1 net0 B VSS VSS nch
         let entry = &outcome.quarantine.entries[0];
         assert_eq!(entry.retries, 0);
         assert!(entry.reason.contains("no-transistors"), "{}", entry.reason);
+    }
+
+    #[test]
+    fn a_clock_the_deadline_set_ends_the_work_without_retries() {
+        let guarded = characterize_with_retries(
+            &tiny_library().cells[0].cell,
+            GenerateOptions::default(),
+            &SimBudget::unlimited(),
+            2,
+            Deadline::after(Duration::ZERO),
+            &CharCache::new(),
+        );
+        assert!(guarded.deadline_ended);
+        assert_eq!(guarded.retries, 0);
+        let (phase, err) = guarded.outcome.unwrap_err();
+        assert_eq!(phase, FailurePhase::Characterize, "{err:?}");
+    }
+
+    #[test]
+    fn clamp_to_deadline_tracks_the_binding_constraint() {
+        let unlimited = SimBudget::unlimited();
+        let (eff, tightened) = clamp_to_deadline(&unlimited, Deadline::never());
+        assert_eq!(eff.wall_clock, None);
+        assert!(!tightened);
+        // Deadline binds an unlimited budget.
+        let (eff, tightened) =
+            clamp_to_deadline(&unlimited, Deadline::after(Duration::from_secs(5)));
+        assert!(tightened);
+        assert!(eff.wall_clock.unwrap() <= Duration::from_secs(5));
+        // A tighter configured wall clock keeps binding.
+        let capped = SimBudget {
+            wall_clock: Some(Duration::from_millis(1)),
+            ..SimBudget::unlimited()
+        };
+        let (eff, tightened) =
+            clamp_to_deadline(&capped, Deadline::after(Duration::from_secs(3600)));
+        assert_eq!(eff.wall_clock, Some(Duration::from_millis(1)));
+        assert!(!tightened);
     }
 
     #[test]

@@ -1,34 +1,31 @@
 //! Per-cell, deadline-aware characterization over a durable session —
 //! the engine behind the `ca-serve` daemon.
 //!
-//! The batch drivers ([`characterize_library_robust_with_session`]
-//! (crate::characterize_library_robust_with_session)) answer "run this
-//! whole library"; a long-running service instead answers one cell at a
-//! time, concurrently, with a per-request deadline. [`CellService`] is
-//! that entry point:
+//! The batch driver ([`characterize_library_robust`](crate::characterize_library_robust))
+//! answers "run this whole library"; a long-running service instead
+//! answers one cell at a time, concurrently, with a per-request deadline.
+//! [`CellService`] is that entry point:
 //!
 //! - **Open** binds a [`Session`] store to a [`Library`]: journaled
 //!   records are re-verified exactly as a batch resume would (stale/
 //!   invalid evicted, complete models seeded into the donor cache,
 //!   degraded models and quarantine verdicts scheduled for replay).
-//! - **Characterize** runs one cell through the same guarded pipeline as
-//!   the robust driver (lint → golden → prepare/characterize, reduced-
-//!   budget retries) and journals results under the *configured* budget,
-//!   so a killed server resumes — and a batch run over the same store
-//!   converges — byte-identically.
+//! - **Characterize** runs one cell through the batch driver's guarded
+//!   pipeline and retry loop (lint, then prepare/characterize with its
+//!   golden check; reduced-budget retries) and journals results under
+//!   the *configured* budget, so a killed server resumes — and a batch
+//!   run over the same store converges — byte-identically.
 //! - **Repeats** of a netlist whose complete model is the store's live
 //!   record under its name (journaled by this service, or verified at
 //!   open) skip lint, golden and the journal: they resolve through the
 //!   certified donor path alone, exactly as a restarted service answers
 //!   a store-verified cell.
-//! - **Deadlines** propagate into [`SimBudget::wall_clock`] as the
-//!   tighter of the request's remaining time and the configured budget.
-//!   A result is journaled only when the deadline was *not* the binding
-//!   wall constraint of the final attempt: anything the deadline may
-//!   have truncated is answered [`CellVerdict::DeadlineExceeded`] (or
-//!   served un-journaled when the configured caps make attribution
-//!   ambiguous), so the store never holds bytes a configured-budget run
-//!   would not reproduce.
+//! - **Deadlines** clamp every attempt's [`SimBudget::wall_clock`] to
+//!   the request's remaining time. When the deadline rather than the
+//!   cell ends the work, the answer is [`CellVerdict::DeadlineExceeded`]
+//!   and nothing is journaled. Any other outcome is what a run under the
+//!   configured budget produces — a wall clock only ever fails a run, it
+//!   never truncates one — so it is journaled like an undeadlined one.
 
 // Service code runs unattended for days; a stray unwrap kills the
 // daemon instead of failing one request.
@@ -37,7 +34,7 @@
 use crate::cache::CharCache;
 use crate::error::CoreError;
 use crate::matrix::PreparedCell;
-use crate::robust::{characterize_cell_guarded, isolated, reduced_budget, FailurePhase};
+use crate::robust::{characterize_with_retries, isolated, FailurePhase};
 use crate::session::{cell_fingerprint, Reuse, Session, SessionPlan, SessionReport};
 use ca_defects::GenerateOptions;
 use ca_netlist::library::Library;
@@ -64,8 +61,8 @@ pub enum CellVerdict {
         /// Reduced-budget retries spent before giving up.
         retries: u32,
     },
-    /// The request's deadline was the binding constraint: the work was
-    /// cut short (or never started) and nothing was journaled.
+    /// The request's deadline ended the work (or expired before it
+    /// started); nothing was journaled.
     DeadlineExceeded,
 }
 
@@ -283,48 +280,29 @@ impl CellService {
     }
 
     fn fresh(&self, cell: &Cell, fp: u64, deadline: Deadline) -> CellVerdict {
-        let name = cell.name();
-        let (eff, mut tightened) = clamp_to_deadline(&self.budget, deadline);
-        let mut retries = 0u32;
-        let mut outcome = characterize_cell_guarded(cell, self.options, &eff, &self.cache);
-        // Reduced-budget retries, mirroring FaultPolicy::
-        // RetryWithReducedBudget — but a wall-clock exhaustion whose
-        // binding constraint was the *request deadline* is not a cell
-        // problem and must not be diagnosed (or journaled) as one.
-        while retries < self.max_retries {
-            match &outcome {
-                Err((_, CoreError::BudgetExceeded { resource, .. })) => {
-                    if tightened && resource == "wall clock" {
-                        return CellVerdict::DeadlineExceeded;
-                    }
-                    if deadline.expired() {
-                        return CellVerdict::DeadlineExceeded;
-                    }
-                    retries += 1;
-                    let reduced = reduced_budget(&self.budget, cell, retries);
-                    let (eff, t) = clamp_to_deadline(&reduced, deadline);
-                    tightened = t;
-                    outcome = characterize_cell_guarded(cell, self.options, &eff, &self.cache);
-                }
-                _ => break,
-            }
+        let guarded = characterize_with_retries(
+            cell,
+            self.options,
+            &self.budget,
+            self.max_retries,
+            deadline,
+            &self.cache,
+        );
+        // A wall-clock exhaustion whose binding constraint was the
+        // request deadline is not a cell problem and must not be
+        // diagnosed (or journaled) as one.
+        if guarded.deadline_ended {
+            return CellVerdict::DeadlineExceeded;
         }
-        match outcome {
+        // Everything else is what the configured budget produces:
+        // journal it under that budget.
+        let journal = self.journal_allowed(cell.name(), fp);
+        let retries = guarded.retries;
+        match guarded.outcome {
             Ok(p) => {
-                let degraded = p.model.as_ref().is_some_and(|m| m.degraded);
-                if degraded && tightened && retries == 0 && !truncating(&self.budget) {
-                    // The deadline was the only cap that could have
-                    // fired: the truncated model is not the configured
-                    // answer. Withhold it; nothing journaled.
-                    return CellVerdict::DeadlineExceeded;
-                }
-                // Journal under the *configured* budget — but only when
-                // the deadline was not the binding wall constraint of
-                // the final attempt, so the stored bytes are exactly
-                // what a configured-budget run would produce.
-                if !tightened && self.journal_allowed(name, fp) {
+                if journal {
                     self.journal_model(&p, fp);
-                    if degraded {
+                    if p.model.as_ref().is_some_and(|m| m.degraded) {
                         // Mirror what a restart would plan from the
                         // store: degraded models replay to this exact
                         // cell (never as donors).
@@ -334,13 +312,8 @@ impl CellService {
                 CellVerdict::Model(Box::new(p))
             }
             Err((phase, err)) => {
-                if tightened
-                    && matches!(&err, CoreError::BudgetExceeded { resource, .. } if resource == "wall clock")
-                {
-                    return CellVerdict::DeadlineExceeded;
-                }
                 let reason = err.to_string();
-                if !tightened && self.journal_allowed(name, fp) {
+                if journal {
                     self.journal_quarantine(cell, phase, &reason, retries);
                 }
                 lock(&self.memo).insert(
@@ -438,37 +411,6 @@ impl CellService {
     fn journal_allowed(&self, name: &str, fp: u64) -> bool {
         self.library_fp.get(name).is_none_or(|lib| *lib == fp)
     }
-}
-
-/// Effective budget for one attempt under `deadline`, plus whether the
-/// deadline is the *binding* wall constraint (strictly tighter than the
-/// attempt budget's own wall clock).
-fn clamp_to_deadline(budget: &SimBudget, deadline: Deadline) -> (SimBudget, bool) {
-    match deadline.remaining() {
-        None => (*budget, false),
-        Some(rem) => {
-            let wall = match budget.wall_clock {
-                Some(configured) if configured <= rem => Some(configured),
-                _ => Some(rem),
-            };
-            let tightened = wall != budget.wall_clock;
-            (
-                SimBudget {
-                    wall_clock: wall,
-                    ..*budget
-                },
-                tightened,
-            )
-        }
-    }
-}
-
-/// Whether a budget carries result-truncating caps (anything but a pure
-/// wall clock).
-fn truncating(budget: &SimBudget) -> bool {
-    budget.max_stimuli.is_some()
-        || budget.max_defects.is_some()
-        || budget.max_solver_iterations.is_some()
 }
 
 fn lock<'a, T>(mutex: &'a Mutex<T>) -> MutexGuard<'a, T> {
@@ -724,24 +666,20 @@ mod tests {
     }
 
     #[test]
-    fn clamp_to_deadline_tracks_the_binding_constraint() {
-        let unlimited = SimBudget::unlimited();
-        let (eff, tightened) = clamp_to_deadline(&unlimited, Deadline::never());
-        assert_eq!(eff.wall_clock, None);
-        assert!(!tightened);
-        // Deadline binds an unlimited budget.
-        let (eff, tightened) =
-            clamp_to_deadline(&unlimited, Deadline::after(Duration::from_secs(5)));
-        assert!(tightened);
-        assert!(eff.wall_clock.unwrap() <= Duration::from_secs(5));
-        // A tighter configured wall clock keeps binding.
-        let capped = SimBudget {
-            wall_clock: Some(Duration::from_millis(1)),
-            ..SimBudget::unlimited()
-        };
-        let (eff, tightened) =
-            clamp_to_deadline(&capped, Deadline::after(Duration::from_secs(3600)));
-        assert_eq!(eff.wall_clock, Some(Duration::from_millis(1)));
-        assert!(!tightened);
+    fn a_generous_deadline_still_journals() {
+        let lib = tiny_library();
+        let service = open_service("generous-deadline", &lib);
+        let cell = &lib.cells[0].cell;
+        let deadline = || Deadline::after(Duration::from_secs(600));
+        let first = cam_of(service.characterize_cell(cell, deadline()));
+        assert_eq!(service.report().journaled, 1, "the first answer journals");
+        assert_eq!(
+            service.lookup(cell.name()),
+            Some(StoredVerdict::Complete(first.clone()))
+        );
+        let hits = service.cache_stats().hits;
+        assert_eq!(cam_of(service.characterize_cell(cell, deadline())), first);
+        assert_eq!(service.cache_stats().hits, hits + 1, "a repeat is a hit");
+        assert_eq!(service.report().journaled, 1, "a repeat appends nothing");
     }
 }

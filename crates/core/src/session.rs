@@ -2,9 +2,10 @@
 //! journaled on-disk store of `ca-store`.
 //!
 //! A [`Session`] wraps a [`ca_store::Store`] and gives the library
-//! drivers ([`characterize_library_with_session`](crate::charlib::characterize_library_with_session),
-//! [`characterize_library_robust_with_session`](crate::robust::characterize_library_robust_with_session))
-//! three behaviours:
+//! drivers ([`characterize_library_robust`](crate::characterize_library_robust)
+//! with `Some(session)`, and the plain
+//! [`characterize_library_with_session`](crate::characterize_library_with_session)
+//! built on it) three behaviours:
 //!
 //! 1. **On start** the store is loaded (recovering any torn tail) and
 //!    every record is *re-verified* against the incoming library: the
@@ -65,8 +66,8 @@ pub fn take_journal_ns() -> u64 {
 
 /// A durable characterization session bound to one on-disk store.
 ///
-/// Create with [`Session::open`], pass to the `*_with_session` drivers
-/// (reusing one session across restarts of the same campaign), and read
+/// Create with [`Session::open`], pass to a library driver (reusing one
+/// session across restarts of the same campaign), and read
 /// [`Session::report`] afterwards. The session is `Sync`: journal appends
 /// from executor workers serialize on an internal lock.
 #[derive(Debug)]

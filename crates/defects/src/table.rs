@@ -225,7 +225,9 @@ impl DetectionTable {
     ///
     /// On success, the table covers `universe.truncated(degraded
     /// defect count)` — callers align their universe with
-    /// [`BudgetedTable::defects_covered`].
+    /// [`BudgetedTable::defects_covered`]. Uses the packed engine under
+    /// the same conditions as [`DetectionTable::generate`]; results and
+    /// errors are identical either way.
     pub fn generate_budgeted(
         cell: &Cell,
         universe: &DefectUniverse,
@@ -233,37 +235,28 @@ impl DetectionTable {
         policy: DetectionPolicy,
         budget: &SimBudget,
     ) -> Result<BudgetedTable, SimError> {
-        let n_stimuli = budget.clamp_stimuli(stimuli.len());
-        let n_defects = budget.clamp_defects(universe.len());
-        let degraded = n_stimuli < stimuli.len() || n_defects < universe.len();
-        let stimuli = &stimuli[..n_stimuli];
-        let packed = if ca_sim::packed_enabled() {
-            DetectionTable::budgeted_packed(cell, universe, stimuli, n_defects, policy, budget)
-        } else {
-            None
-        };
-        let table = match packed {
-            Some(result) => result?,
-            None => {
-                DetectionTable::budgeted_scalar(cell, universe, stimuli, n_defects, policy, budget)?
+        if ca_sim::packed_enabled() {
+            if let Some(result) =
+                DetectionTable::generate_budgeted_packed(cell, universe, stimuli, policy, budget)
+            {
+                return result;
             }
-        };
-        Ok(BudgetedTable {
-            table,
-            degraded,
-            defects_covered: n_defects,
-        })
+        }
+        DetectionTable::generate_budgeted_scalar(cell, universe, stimuli, policy, budget)
     }
 
-    /// Post-clamp scalar body of [`DetectionTable::generate_budgeted`].
-    fn budgeted_scalar(
+    /// The interpreted per-stimulus path of
+    /// [`DetectionTable::generate_budgeted`] — always available, and the
+    /// reference the packed path is differentially tested against.
+    pub fn generate_budgeted_scalar(
         cell: &Cell,
         universe: &DefectUniverse,
         stimuli: &[Stimulus],
-        n_defects: usize,
         policy: DetectionPolicy,
         budget: &SimBudget,
-    ) -> Result<DetectionTable, SimError> {
+    ) -> Result<BudgetedTable, SimError> {
+        let work = BudgetedWork::of(universe, stimuli, budget);
+        let stimuli = work.stimuli;
         let clock = budget.start();
         let outputs = cell.outputs().to_vec();
         let golden_sim = Simulator::with_budget(cell, Injection::None, budget);
@@ -274,9 +267,9 @@ impl DetectionTable {
                 Ok(outputs.iter().map(|&o| result.final_value(o)).collect())
             })
             .collect::<Result<_, SimError>>()?;
-        let mut rows = Vec::with_capacity(n_defects);
+        let mut rows = Vec::with_capacity(work.defects);
         let mut defect_simulations = 0;
-        for defect in &universe.defects()[..n_defects] {
+        for defect in &universe.defects()[..work.defects] {
             let faulty_sim = Simulator::with_budget(cell, defect.injection, budget);
             let mut row = BitRow::zeros(stimuli.len());
             for (i, stimulus) in stimuli.iter().enumerate() {
@@ -295,44 +288,45 @@ impl DetectionTable {
             }
             rows.push(row);
         }
-        Ok(DetectionTable {
+        Ok(work.finish(DetectionTable {
             stimuli: stimuli.to_vec(),
             rows,
             policy,
             defect_simulations,
-        })
+        }))
     }
 
-    /// Post-clamp packed body of [`DetectionTable::generate_budgeted`]:
-    /// the same semantics lane-by-lane — golden lanes are checked in
+    /// The bit-parallel path of [`DetectionTable::generate_budgeted`]:
+    /// the same semantics lane by lane. Golden lanes are checked in
     /// stimulus order and the first non-convergent one raises the same
     /// [`SimError`] the scalar `try_run` would (phase-1 failures take
     /// precedence per lane), the wall-clock deadline is checked between
     /// defect blocks, and faulty lanes keep conservative X-forcing.
-    /// `None` means the kernel compiler declined the cell.
-    fn budgeted_packed(
+    /// Returns `None` when the kernel compiler declines the cell.
+    pub fn generate_budgeted_packed(
         cell: &Cell,
         universe: &DefectUniverse,
         stimuli: &[Stimulus],
-        n_defects: usize,
         policy: DetectionPolicy,
         budget: &SimBudget,
-    ) -> Option<Result<DetectionTable, SimError>> {
+    ) -> Option<Result<BudgetedTable, SimError>> {
         let kernel = CellKernel::compile(cell)?;
-        Some(DetectionTable::budgeted_packed_inner(
-            cell, &kernel, universe, stimuli, n_defects, policy, budget,
-        ))
+        let work = BudgetedWork::of(universe, stimuli, budget);
+        Some(
+            DetectionTable::budgeted_packed(cell, &kernel, universe, &work, policy, budget)
+                .map(|table| work.finish(table)),
+        )
     }
 
-    fn budgeted_packed_inner(
+    fn budgeted_packed(
         cell: &Cell,
         kernel: &CellKernel,
         universe: &DefectUniverse,
-        stimuli: &[Stimulus],
-        n_defects: usize,
+        work: &BudgetedWork<'_>,
         policy: DetectionPolicy,
         budget: &SimBudget,
     ) -> Result<DetectionTable, SimError> {
+        let stimuli = work.stimuli;
         let clock = budget.start();
         let packed = PackedStimulus::pack(cell.num_inputs(), stimuli);
         let outputs: Vec<usize> = cell.outputs().iter().map(|o| o.index()).collect();
@@ -360,8 +354,8 @@ impl DetectionTable {
             }
             golden.push(result);
         }
-        let mut rows = Vec::with_capacity(n_defects);
-        for defect in &universe.defects()[..n_defects] {
+        let mut rows = Vec::with_capacity(work.defects);
+        for defect in &universe.defects()[..work.defects] {
             let faulty = PackedSim::new(kernel, defect.injection, budget.max_solver_iterations);
             let open_t = match defect.injection {
                 Injection::Open { transistor, .. } => Some(transistor.index()),
@@ -392,7 +386,7 @@ impl DetectionTable {
             stimuli: stimuli.to_vec(),
             rows,
             policy,
-            defect_simulations: n_defects * stimuli.len(),
+            defect_simulations: work.defects * stimuli.len(),
         })
     }
 
@@ -463,6 +457,34 @@ pub struct BudgetedTable {
     pub degraded: bool,
     /// Number of leading universe defects the rows cover.
     pub defects_covered: usize,
+}
+
+/// The share of a request a [`SimBudget`] allows: the leading stimuli,
+/// the leading defect count, and whether either cap cut the request.
+struct BudgetedWork<'a> {
+    stimuli: &'a [Stimulus],
+    defects: usize,
+    degraded: bool,
+}
+
+impl<'a> BudgetedWork<'a> {
+    fn of(universe: &DefectUniverse, stimuli: &'a [Stimulus], budget: &SimBudget) -> Self {
+        let n_stimuli = budget.clamp_stimuli(stimuli.len());
+        let defects = budget.clamp_defects(universe.len());
+        BudgetedWork {
+            stimuli: &stimuli[..n_stimuli],
+            defects,
+            degraded: n_stimuli < stimuli.len() || defects < universe.len(),
+        }
+    }
+
+    fn finish(&self, table: DetectionTable) -> BudgetedTable {
+        BudgetedTable {
+            table,
+            degraded: self.degraded,
+            defects_covered: self.defects,
+        }
+    }
 }
 
 /// Builds the [`SimError`] a non-convergent golden lane raises, matching

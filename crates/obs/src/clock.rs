@@ -80,7 +80,7 @@ impl Deadline {
     /// Time left before expiry: `None` for [`Deadline::never`],
     /// [`Duration::ZERO`] once expired. This is the one sanctioned way
     /// to turn a deadline back into a duration (condvar waits, socket
-    /// timeouts, clamping a [`SimBudget`]-style wall-clock budget to the
+    /// timeouts, clamping a `SimBudget`-style wall-clock budget to the
     /// tighter of two limits) without reading the ambient clock.
     pub fn remaining(&self) -> Option<Duration> {
         self.at

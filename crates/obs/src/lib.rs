@@ -7,11 +7,11 @@
 //!   determinism contract (`outcome` / `work` / `ops`). The hot path is
 //!   a single relaxed atomic op via site-cached handles
 //!   ([`counter!`] / [`histogram!`]), cheap enough to stay always-on.
-//! - Span timers ([`span`] / [`timed`]): RAII wall-clock phases that
+//! - Span timers ([`span()`] / [`timed`]): RAII wall-clock phases that
 //!   nest via a thread-local stack into `parent/child` paths. Timings
 //!   are always reported apart from counts and never enter determinism
 //!   checks.
-//! - A structured JSONL event sink ([`event`], [`warn`],
+//! - A structured JSONL event sink ([`event()`], [`warn`],
 //!   [`info_status`], [`flush`]) controlled by `CA_OBS` /
 //!   `CA_OBS_PATH`, replacing ad-hoc `eprintln!`s; warn/error events
 //!   mirror to stderr so default behavior is unchanged, and flushes go

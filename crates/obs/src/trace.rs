@@ -3,7 +3,7 @@
 //! Every campaign gets a trace id and every unit of work — a serve
 //! request, a shard attempt, a session cell, a packed-sim batch — gets
 //! a span id with an explicit parent, recorded as structured JSONL
-//! events through the [`event`](crate::event) sink (target
+//! events through the [`event`](crate::event()) sink (target
 //! [`TARGET`]). Ids are *derived*, never drawn: FNV-1a over the trace
 //! id, the parent span id, the span name and a per-parent sequence
 //! counter (invariant D3 — no ambient randomness). Two runs of the

@@ -19,10 +19,11 @@
 //!   classified and retried under a deterministic [`ca_obs::Backoff`],
 //!   the in-process mirror of the `ca-shard` attempt loop.
 //! - [`server`]: thread-per-connection daemon with per-request
-//!   deadlines that propagate into the simulation budget. A result is
-//!   journaled only when the deadline was not the binding constraint,
-//!   so the store — and therefore a crash-resumed or batch-converged
-//!   export — stays byte-identical to a deadline-free run.
+//!   deadlines that propagate into the simulation budget. A request
+//!   whose deadline ends the work journals nothing; any other result is
+//!   what the configured budget produces and is journaled, so the store
+//!   — and therefore a crash-resumed or batch-converged export — stays
+//!   byte-identical to a deadline-free run.
 //! - Drain: `SIGTERM` (or a `Drain` request) stops admissions,
 //!   finishes and journals in-flight work, compacts, and exits;
 //!   `SIGKILL` at any instant leaves a journal the next start recovers

@@ -8,7 +8,9 @@
 //! restart cannot recover, and the served models stay byte-identical to
 //! a batch golden run throughout.
 
-use ca_core::{characterize_library_robust, export_cam_with, CellService, FaultPolicy};
+use ca_core::{
+    characterize_library_robust, export_cam_with, CellService, CharCache, Executor, FaultPolicy,
+};
 use ca_defects::GenerateOptions;
 use ca_netlist::library::{generate_library, Library, LibraryConfig};
 use ca_netlist::Technology;
@@ -421,6 +423,9 @@ fn golden_cams(cells: usize) -> BTreeMap<String, String> {
         GenerateOptions::default(),
         &SimBudget::unlimited(),
         FaultPolicy::SkipAndReport,
+        &Executor::from_env(),
+        &CharCache::new(),
+        None,
     )
     .expect("golden run");
     export_cam_with(&outcome.prepared, true)

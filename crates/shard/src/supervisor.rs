@@ -32,8 +32,7 @@ use crate::plan::ShardPlan;
 use crate::spec::WorkerSpec;
 use crate::worker;
 use ca_core::{
-    characterize_library_robust_with_session, CharCache, CoreError, FaultPolicy, RobustOutcome,
-    Session,
+    characterize_library_robust, CharCache, CoreError, FaultPolicy, RobustOutcome, Session,
 };
 use ca_exec::Executor;
 use ca_netlist::library::Library;
@@ -420,14 +419,14 @@ pub fn run_campaign(
         }
     }
     let session = Session::open(&merged_store)?;
-    let outcome = characterize_library_robust_with_session(
+    let outcome = characterize_library_robust(
         &final_lib,
         config.options,
         &config.budget,
         config.retry_policy,
         &Executor::from_env(),
         &CharCache::new(),
-        &session,
+        Some(&session),
     )
     .map_err(ShardError::Run)?;
 

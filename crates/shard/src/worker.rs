@@ -18,7 +18,7 @@
 //! Exit codes: `0` success, `2` bad spec/library, `3` run failure.
 
 use crate::spec::{TestHook, WorkerSpec, ENV_HALT, ENV_TEST_FAIL, ENV_TEST_HANG};
-use ca_core::{characterize_library_robust_with_session, CharCache, Session};
+use ca_core::{characterize_library_robust, CharCache, Session};
 use ca_exec::Executor;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -127,14 +127,14 @@ pub fn run(spec: &WorkerSpec) -> i32 {
         session.abort_after_journal(h.param as usize);
     }
 
-    let outcome = characterize_library_robust_with_session(
+    let outcome = characterize_library_robust(
         &library,
         spec.options,
         &spec.budget,
         spec.policy,
         &Executor::from_env(),
         &CharCache::new(),
-        &session,
+        Some(&session),
     );
     heartbeat.stop();
     match outcome {

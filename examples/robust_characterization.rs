@@ -9,7 +9,8 @@
 //! exportable-on-opt-in) models.
 
 use cell_aware::core::{
-    characterize_library_robust, export_cam, export_cam_with, summarize, FaultPolicy,
+    characterize_library_robust, export_cam, export_cam_with, summarize, CharCache, Executor,
+    FaultPolicy,
 };
 use cell_aware::defects::GenerateOptions;
 use cell_aware::netlist::corrupt::salt_library;
@@ -32,6 +33,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         GenerateOptions::default(),
         &SimBudget::unlimited(),
         FaultPolicy::SkipAndReport,
+        &Executor::from_env(),
+        &CharCache::new(),
+        None,
     )?;
     println!();
     print!("{}", outcome.quarantine.render());
@@ -57,6 +61,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         GenerateOptions::default(),
         &strangled,
         FaultPolicy::RetryWithReducedBudget(1),
+        &Executor::from_env(),
+        &CharCache::new(),
+        None,
     )?;
     println!(
         "\nretry-with-reduced-budget: {} models ({} degraded), \

@@ -11,8 +11,8 @@
 //! re-simulated.
 
 use cell_aware::core::{
-    characterize_library_robust_with_session, export_cam_with, summarize, CharCache, Executor,
-    FaultPolicy, Session,
+    characterize_library_robust, export_cam_with, summarize, CharCache, Executor, FaultPolicy,
+    Session,
 };
 use cell_aware::defects::GenerateOptions;
 use cell_aware::netlist::corrupt::{corrupt_cell, Corruption};
@@ -28,14 +28,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let store = dir.join("campaign.caj");
 
     let run = |lib: &_, session: &Session| {
-        characterize_library_robust_with_session(
+        characterize_library_robust(
             lib,
             GenerateOptions::default(),
             &SimBudget::unlimited(),
             FaultPolicy::SkipAndReport,
             &Executor::from_env(),
             &CharCache::new(),
-            session,
+            Some(session),
         )
     };
 

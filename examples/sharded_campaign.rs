@@ -8,8 +8,7 @@
 //! single-process session over the same library.
 
 use cell_aware::core::{
-    characterize_library_robust_with_session, export_cam_with, CharCache, Executor, FaultPolicy,
-    Session,
+    characterize_library_robust, export_cam_with, CharCache, Executor, FaultPolicy, Session,
 };
 use cell_aware::defects::GenerateOptions;
 use cell_aware::netlist::{generate_library, LibraryConfig, Technology};
@@ -37,14 +36,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     print!("{}", campaign.report.render());
 
     // Single-process golden over the same library.
-    let golden = characterize_library_robust_with_session(
+    let golden = characterize_library_robust(
         &lib,
         GenerateOptions::default(),
         &SimBudget::unlimited(),
         FaultPolicy::SkipAndReport,
         &Executor::from_env(),
         &CharCache::new(),
-        &Session::open(dir.join("golden.caj"))?,
+        Some(&Session::open(dir.join("golden.caj"))?),
     )?;
 
     let sharded = export_cam_with(&campaign.outcome.prepared, true);

@@ -150,6 +150,11 @@ cargo clippy -p ca-shard --all-targets --offline -- -D warnings
 echo "==> cargo clippy (ca-serve, standalone gate)"
 cargo clippy -p ca-serve --all-targets --offline -- -D warnings
 
+# Intra-doc links name API items; a link to a renamed or deleted item,
+# or an ambiguous one, fails here instead of rendering as dead text.
+echo "==> cargo doc (workspace, rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 # The auditor keeps the rules clippy cannot express: D7 (partial float
 # comparisons) and the cross-crate analyses D8, D11 and D12 (DESIGN.md
 # §10, §15). It must never itself carry clippy debt, and the workspace

@@ -14,8 +14,8 @@
 //! recovery path reports the damage, never serves it, and still converges.
 
 use ca_core::{
-    characterize_library_robust_with, characterize_library_robust_with_session, export_cam_with,
-    CharCache, Executor, FaultPolicy, Quarantine, RobustOutcome, Session,
+    characterize_library_robust, export_cam_with, CharCache, Executor, FaultPolicy, Quarantine,
+    RobustOutcome, Session,
 };
 use ca_defects::GenerateOptions;
 use ca_netlist::corrupt::{corrupt_cell, salt_library, Corruption};
@@ -53,14 +53,14 @@ fn scratch_dir(tag: &str) -> PathBuf {
 
 /// Runs the robust session flow with a fresh cache.
 fn run_session(lib: &Library, threads: usize, session: &Session) -> RobustOutcome {
-    characterize_library_robust_with_session(
+    characterize_library_robust(
         lib,
         GenerateOptions::default(),
         &SimBudget::unlimited(),
         FaultPolicy::SkipAndReport,
         &Executor::with_threads(threads),
         &CharCache::new(),
-        session,
+        Some(session),
     )
     .expect("SkipAndReport never errors")
 }
@@ -108,14 +108,14 @@ fn crash_child() {
     let session = Session::open(&store).expect("child opens store");
     session.halt_after_journal(halt);
     // Thread count comes from CA_THREADS via the executor's env path.
-    let outcome = characterize_library_robust_with_session(
+    let outcome = characterize_library_robust(
         &lib,
         GenerateOptions::default(),
         &SimBudget::unlimited(),
         FaultPolicy::SkipAndReport,
         &Executor::from_env(),
         &CharCache::new(),
-        &session,
+        Some(&session),
     );
     // Reaching here means the halt point exceeded the fresh work — the
     // harness only asks for halts below the library size, so this is a
@@ -236,13 +236,14 @@ fn crash_resume_converges(threads: usize) {
     // session-less driver to pin down that sessions never perturb output.
     let ref_store = dir.join("reference.caj");
     let reference = run_session(&lib, threads, &Session::open(&ref_store).expect("open"));
-    let plain = characterize_library_robust_with(
+    let plain = characterize_library_robust(
         &lib,
         GenerateOptions::default(),
         &SimBudget::unlimited(),
         FaultPolicy::SkipAndReport,
         &Executor::with_threads(threads),
         &CharCache::new(),
+        None,
     )
     .expect("SkipAndReport never errors");
     assert_eq!(projection(&reference), projection(&plain));
@@ -438,13 +439,14 @@ fn edited_library_evicts_stale_records_and_reconverges() {
 
     // The resumed run on the edited library must match a from-scratch
     // run on it — stale models must never leak through.
-    let scratch = characterize_library_robust_with(
+    let scratch = characterize_library_robust(
         &lib,
         GenerateOptions::default(),
         &SimBudget::unlimited(),
         FaultPolicy::SkipAndReport,
         &Executor::with_threads(2),
         &CharCache::new(),
+        None,
     )
     .expect("SkipAndReport never errors");
     assert_eq!(projection(&resumed), projection(&scratch));
@@ -473,14 +475,14 @@ fn degraded_models_resume_byte_identical() {
         ..SimBudget::unlimited()
     };
     let run = |session: &Session| {
-        characterize_library_robust_with_session(
+        characterize_library_robust(
             &lib,
             GenerateOptions::default(),
             &budget,
             FaultPolicy::SkipAndReport,
             &Executor::with_threads(2),
             &CharCache::new(),
-            session,
+            Some(session),
         )
         .expect("SkipAndReport never errors")
     };
@@ -508,14 +510,14 @@ fn degraded_models_resume_byte_identical() {
         ..SimBudget::unlimited()
     };
     let session = Session::open(&store).expect("reopen under new budget");
-    let outcome = characterize_library_robust_with_session(
+    let outcome = characterize_library_robust(
         &lib,
         GenerateOptions::default(),
         &other_budget,
         FaultPolicy::SkipAndReport,
         &Executor::with_threads(2),
         &CharCache::new(),
-        &session,
+        Some(&session),
     )
     .expect("SkipAndReport never errors");
     let report = session.report();

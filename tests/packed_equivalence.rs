@@ -17,8 +17,8 @@ use cell_aware::netlist::synth::{
 use cell_aware::netlist::{corrupt_cell, Cell, Corruption, NetId, Terminal, TransistorId};
 use cell_aware::sim::packed::{PackedSim, PackedStimulus};
 use cell_aware::sim::{
-    detection_row, detection_row_scalar, set_packed_override, CellKernel, DetectionPolicy,
-    Injection, SimBudget, Simulator, Stimulus, Value,
+    detection_row, detection_row_scalar, CellKernel, DetectionPolicy, Injection, SimBudget,
+    Simulator, Stimulus, Value,
 };
 
 /// Number of random plans each property is checked against.
@@ -223,8 +223,9 @@ fn detection_rows_match_per_injection() {
 }
 
 /// Budgeted generation — including `SolveOutcome` error classes under a
-/// reduced iteration cap and truncation-degraded runs — is identical
-/// with the packed engine forced on and forced off.
+/// reduced iteration cap and truncation-degraded runs — is identical on
+/// the packed and the scalar path. Both bodies are called directly, so
+/// the comparison never depends on the process-wide engine switch.
 #[test]
 fn budgeted_outcomes_match_scalar_classes() {
     let budgets = [
@@ -251,23 +252,21 @@ fn budgeted_outcomes_match_scalar_classes() {
             let universe = DefectUniverse::intra_transistor(cell);
             let stimuli = Stimulus::all(cell.num_inputs());
             for budget in &budgets {
-                set_packed_override(Some(false));
-                let scalar = DetectionTable::generate_budgeted(
+                let scalar = DetectionTable::generate_budgeted_scalar(
                     cell,
                     &universe,
                     &stimuli,
                     DetectionPolicy::default(),
                     budget,
                 );
-                set_packed_override(Some(true));
-                let packed = DetectionTable::generate_budgeted(
+                let packed = DetectionTable::generate_budgeted_packed(
                     cell,
                     &universe,
                     &stimuli,
                     DetectionPolicy::default(),
                     budget,
-                );
-                set_packed_override(None);
+                )
+                .expect("corpus cells are within kernel limits");
                 assert_eq!(packed, scalar, "cell {}", cell.name());
             }
         }

@@ -3,7 +3,7 @@
 //! exported `.cam` bytes — is identical at every thread count.
 
 use ca_core::{
-    characterize_library_robust_with, characterize_library_with, export_cam, CharCache, Executor,
+    characterize_library_robust, characterize_library_with, export_cam, CharCache, Executor,
     FaultPolicy, RobustOutcome,
 };
 use ca_defects::GenerateOptions;
@@ -20,13 +20,14 @@ fn salted_library() -> Library {
 }
 
 fn robust_run(lib: &Library, threads: usize) -> RobustOutcome {
-    characterize_library_robust_with(
+    characterize_library_robust(
         lib,
         GenerateOptions::default(),
         &SimBudget::unlimited(),
         FaultPolicy::SkipAndReport,
         &Executor::with_threads(threads),
         &CharCache::new(),
+        None,
     )
     .unwrap()
 }
@@ -77,13 +78,14 @@ fn retry_policy_is_identical_across_thread_counts() {
         ..SimBudget::unlimited()
     };
     let run = |threads| {
-        characterize_library_robust_with(
+        characterize_library_robust(
             &lib,
             GenerateOptions::default(),
             &budget,
             FaultPolicy::RetryWithReducedBudget(2),
             &Executor::with_threads(threads),
             &CharCache::new(),
+            None,
         )
         .unwrap()
     };
@@ -135,18 +137,29 @@ fn fail_fast_reports_the_first_failure_at_any_thread_count() {
         outcome.quarantine.entries[0].cell.clone()
     };
     for threads in [1, 8] {
-        let err = characterize_library_robust_with(
+        let robust = characterize_library_robust(
             &lib,
             GenerateOptions::default(),
             &SimBudget::unlimited(),
             FaultPolicy::FailFast,
             &Executor::with_threads(threads),
             &CharCache::new(),
+            None,
         )
         .unwrap_err();
-        assert!(
-            err.to_string().contains(&first_bad),
-            "threads={threads}: `{err}` should name `{first_bad}`"
-        );
+        // The plain driver is the same guarded pipeline under FailFast.
+        let plain = characterize_library_with(
+            &lib,
+            GenerateOptions::default(),
+            &Executor::with_threads(threads),
+            &CharCache::new(),
+        )
+        .unwrap_err();
+        for err in [robust, plain] {
+            assert!(
+                err.to_string().contains(&first_bad),
+                "threads={threads}: `{err}` should name `{first_bad}`"
+            );
+        }
     }
 }

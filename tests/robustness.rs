@@ -4,7 +4,8 @@
 //! rest still exports.
 
 use ca_core::{
-    characterize_library_robust, export_cam, export_cam_with, summarize, FailurePhase, FaultPolicy,
+    characterize_library_robust, export_cam, export_cam_with, summarize, CharCache, Executor,
+    FailurePhase, FaultPolicy,
 };
 use ca_defects::GenerateOptions;
 use ca_netlist::corrupt::{salt_library, Corruption};
@@ -35,6 +36,9 @@ fn salted_library_quarantines_exactly_the_corrupted_cells() {
         GenerateOptions::default(),
         &SimBudget::unlimited(),
         FaultPolicy::SkipAndReport,
+        &Executor::from_env(),
+        &CharCache::new(),
+        None,
     )
     .unwrap();
 
@@ -110,6 +114,9 @@ fn robust_characterization_is_deterministic() {
             GenerateOptions::default(),
             &SimBudget::unlimited(),
             FaultPolicy::SkipAndReport,
+            &Executor::from_env(),
+            &CharCache::new(),
+            None,
         )
         .unwrap()
     };
@@ -135,6 +142,9 @@ fn fail_fast_stops_on_the_first_corrupted_cell() {
         GenerateOptions::default(),
         &SimBudget::unlimited(),
         FaultPolicy::FailFast,
+        &Executor::from_env(),
+        &CharCache::new(),
+        None,
     )
     .unwrap_err();
     // Whatever the first corrupted cell is, the error must carry a
@@ -146,9 +156,10 @@ fn fail_fast_stops_on_the_first_corrupted_cell() {
 fn retry_produces_degraded_models_that_export_only_on_opt_in() {
     let mut lib = generate_library(&LibraryConfig::quick(Technology::C40));
     lib.cells.truncate(4);
-    // A zero wall clock exhausts every cell's budget at the golden
-    // pre-flight; one retry re-runs with the clock lifted and a reduced
-    // (static-only) budget, producing degraded but exportable models.
+    // A zero wall clock exhausts every cell's budget before its first
+    // defect simulation; one retry re-runs with the clock lifted and a
+    // reduced (static-only) budget, producing degraded but exportable
+    // models.
     let budget = SimBudget {
         wall_clock: Some(std::time::Duration::ZERO),
         ..SimBudget::unlimited()
@@ -158,6 +169,9 @@ fn retry_produces_degraded_models_that_export_only_on_opt_in() {
         GenerateOptions::default(),
         &budget,
         FaultPolicy::RetryWithReducedBudget(1),
+        &Executor::from_env(),
+        &CharCache::new(),
+        None,
     )
     .unwrap();
     assert!(

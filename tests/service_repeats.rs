@@ -8,6 +8,7 @@ use ca_netlist::{generate_library, spice, Cell, Library, LibraryConfig, Technolo
 use ca_obs::clock::Deadline;
 use ca_sim::SimBudget;
 use std::path::{Path, PathBuf};
+use std::time::Duration;
 
 const NAND2: &str = "\
 .SUBCKT ADHOC A B Z VDD VSS
@@ -126,5 +127,29 @@ fn alternating_netlists_under_one_name_keep_the_store_current() {
     // And now A is current: a further repeat appends nothing.
     assert_eq!(cam(&service, &a), cam_a);
     assert_eq!(service.report().journaled, 3);
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn a_deadline_does_not_stop_journaling() {
+    let lib = library();
+    let path = store("deadline");
+    let service = open(&path, &lib);
+    let cell = &lib.cells[0].cell;
+    let deadline = || Deadline::after(Duration::from_secs(600));
+    let answer = |service: &CellService| match service.characterize_cell(cell, deadline()) {
+        CellVerdict::Model(p) => ca_defects::to_cam(p.model.as_ref().expect("model")),
+        other => panic!("{}: {other:?}", cell.name()),
+    };
+    let first = answer(&service);
+    assert_eq!(service.report().journaled, 1, "the first request journals");
+    assert_eq!(
+        service.lookup(cell.name()),
+        Some(StoredVerdict::Complete(first.clone()))
+    );
+    let len = file_len(&path);
+    assert_eq!(answer(&service), first);
+    assert_eq!(service.report().journaled, 1, "a repeat appended");
+    assert_eq!(file_len(&path), len, "the journal grew on a repeat");
     let _ = std::fs::remove_file(&path);
 }

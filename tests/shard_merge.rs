@@ -7,8 +7,8 @@
 //! exports must be invariant throughout.
 
 use ca_core::{
-    characterize_library_robust_with_session, export_cam_with, CharCache, Executor, FaultPolicy,
-    Quarantine, RobustOutcome, Session,
+    characterize_library_robust, export_cam_with, CharCache, Executor, FaultPolicy, Quarantine,
+    RobustOutcome, Session,
 };
 use ca_defects::GenerateOptions;
 use ca_netlist::corrupt::{corrupt_cell, Corruption};
@@ -36,14 +36,14 @@ fn scratch_dir(tag: &str) -> PathBuf {
 }
 
 fn run_session(lib: &Library, session: &Session) -> RobustOutcome {
-    characterize_library_robust_with_session(
+    characterize_library_robust(
         lib,
         GenerateOptions::default(),
         &SimBudget::unlimited(),
         FaultPolicy::SkipAndReport,
         &Executor::with_threads(2),
         &CharCache::new(),
-        session,
+        Some(session),
     )
     .expect("SkipAndReport never errors")
 }

@@ -14,8 +14,8 @@
 //! spawned worker, so all campaign tests serialize on [`env_lock`].
 
 use ca_core::{
-    characterize_library_robust_with_session, export_cam_with, CharCache, Executor, FaultPolicy,
-    Quarantine, RobustOutcome, Session,
+    characterize_library_robust, export_cam_with, CharCache, Executor, FaultPolicy, Quarantine,
+    RobustOutcome, Session,
 };
 use ca_defects::GenerateOptions;
 use ca_netlist::corrupt::{corrupt_cell, Corruption};
@@ -104,14 +104,14 @@ fn worker_spawner() -> Spawner {
 }
 
 fn golden(lib: &Library, policy: FaultPolicy, dir: &Path) -> RobustOutcome {
-    characterize_library_robust_with_session(
+    characterize_library_robust(
         lib,
         GenerateOptions::default(),
         &SimBudget::unlimited(),
         policy,
         &Executor::from_env(),
         &CharCache::new(),
-        &Session::open(dir.join("golden.caj")).expect("open golden session"),
+        Some(&Session::open(dir.join("golden.caj")).expect("open golden session")),
     )
     .expect("quarantining policies never error")
 }
