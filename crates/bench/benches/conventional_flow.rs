@@ -2,8 +2,7 @@
 //! of paper Fig. 1 — this is the cost the ML flow amortizes away.
 
 use ca_bench::microbench::BenchGroup;
-use ca_core::conventional_flow;
-use ca_defects::GenerateOptions;
+use ca_defects::{CaModel, GenerateOptions};
 use ca_netlist::library::{generate_library, LibraryConfig};
 use ca_netlist::Technology;
 use ca_sim::{Simulator, Stimulus};
@@ -21,7 +20,7 @@ fn main() {
             continue; // per-technology catalog subsets may drop a template
         };
         group.bench(&format!("generate/{template}"), || {
-            conventional_flow(&cell, GenerateOptions::default())
+            CaModel::generate(&cell, GenerateOptions::default())
         });
         let sim = Simulator::new(&cell);
         let stimuli = Stimulus::all(cell.num_inputs());

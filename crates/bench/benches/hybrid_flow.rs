@@ -4,8 +4,8 @@
 
 use ca_bench::corpus::{build_corpus, Profile};
 use ca_bench::microbench::BenchGroup;
-use ca_core::{conventional_flow, MlFlow, PreparedCell};
-use ca_defects::GenerateOptions;
+use ca_core::{MlFlow, PreparedCell};
+use ca_defects::{CaModel, GenerateOptions};
 use ca_netlist::library::generate_library;
 use ca_netlist::Technology;
 
@@ -32,7 +32,7 @@ fn main() {
         flow.predict(&p).expect("covered")
     });
     group.bench("conventional_route", || {
-        conventional_flow(&cell, GenerateOptions::default())
+        CaModel::generate(&cell, GenerateOptions::default())
     });
     group.finish();
 }

@@ -3,28 +3,30 @@
 //!
 //! The workload is the profile's C40 catalog: for every cell the full
 //! intra-transistor defect universe is characterized against the
-//! exhaustive `4^n` stimulus set, once through
-//! [`DetectionTable::generate_scalar`] and once through
-//! [`DetectionTable::generate_packed`]. Both passes are *cold*: no
-//! structure cache is in play (detection-table generation has none) and
-//! the process is warmed up on one untimed cell first so neither pass
-//! pays the one-off page-in/allocator cost (the same discipline
+//! exhaustive `4^n` stimulus set under [`SimBudget::unlimited`], once
+//! through [`DetectionTable::generate_budgeted_scalar`] and once through
+//! [`DetectionTable::generate_budgeted`], which runs
+//! [`DetectionTable::generate_budgeted_packed`] for every cell whose
+//! kernel compiles. Both passes are *cold*:
+//! no structure cache is in play (detection-table generation has none)
+//! and the process is warmed up on one untimed cell first so neither
+//! pass pays the one-off page-in/allocator cost (the same discipline
 //! `ca-bench parallel` uses for its serial baseline).
 //!
 //! Before any number is reported the two table sets are compared bit
-//! for bit, and the `.cam` exports of a full characterization run with
-//! `CA_PACKED` forced off and forced on are asserted byte-identical.
+//! for bit, and the `.cam` exports of the models built from them are
+//! asserted byte-identical.
 
 // Benchmark results feed BENCH_packed.json; a stray unwrap would abort
 // the run instead of reporting the failure.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::corpus::Profile;
-use ca_core::{export_cam, PreparedCell};
-use ca_defects::{DefectUniverse, DetectionTable, GenerateOptions};
+use ca_defects::classes::equivalence_classes;
+use ca_defects::{to_cam, CaModel, DefectUniverse, DetectionTable};
 use ca_netlist::library::generate_library;
 use ca_netlist::{Cell, Technology};
-use ca_sim::{set_packed_override, DetectionPolicy, PackedStimulus, Stimulus};
+use ca_sim::{DetectionPolicy, PackedStimulus, SimBudget, Stimulus};
 use std::time::Instant;
 
 /// Measured numbers of one packed-vs-scalar run.
@@ -52,8 +54,8 @@ pub struct PackedBench {
     pub solver_lanes: u64,
     /// `ca_sim.packed.cone_skips` delta (faulty lanes proven golden).
     pub cone_skips: u64,
-    /// `.cam` documents compared between the forced-off and forced-on
-    /// characterization runs.
+    /// `.cam` documents compared between the models built from the
+    /// scalar and the packed tables.
     pub cam_files: usize,
     /// Whether every compared `.cam` document was byte-identical.
     pub cam_identical: bool,
@@ -146,12 +148,13 @@ struct Workload {
 ///
 /// # Panics
 ///
-/// Panics if any packed table differs from its scalar twin or any
-/// `.cam` export differs between the forced-off and forced-on runs — a
-/// wrong fast path must never report a speedup.
+/// Panics if a golden simulation fails, any packed table differs from
+/// its scalar twin or any `.cam` export differs between the models built
+/// from them — a wrong fast path must never report a speedup.
 pub fn run(profile: Profile) -> PackedBench {
     let library = generate_library(&profile.library_config(Technology::C40));
     let policy = DetectionPolicy::default();
+    let budget = SimBudget::unlimited();
     let workloads: Vec<Workload> = library
         .cells
         .iter()
@@ -162,36 +165,36 @@ pub fn run(profile: Profile) -> PackedBench {
         })
         .collect();
     assert!(!workloads.is_empty(), "benchmark library is empty");
+    // The packed pass runs the flow's dispatch: the packed body, or the
+    // scalar one for a cell the kernel compiler declines
+    // (`kernel_fallbacks` counts those).
+    let table = |w: &Workload, packed: bool| {
+        let (cell, universe, stimuli) = (&w.cell, &w.universe, &w.stimuli[..]);
+        let result = if packed {
+            DetectionTable::generate_budgeted(cell, universe, stimuli, policy, &budget)
+        } else {
+            DetectionTable::generate_budgeted_scalar(cell, universe, stimuli, policy, &budget)
+        };
+        let fail = |e| panic!("golden simulation failed for {}: {e}", cell.name());
+        result.unwrap_or_else(fail).table
+    };
 
     // Untimed warm-up: page in both code paths so the first timed pass
     // does not carry the process cold-start (satellite of the
     // `ca-bench parallel` serial-baseline fix).
     {
         let w = &workloads[0];
-        let _ = DetectionTable::generate_scalar(&w.cell, &w.universe, &w.stimuli, policy);
-        let _ = DetectionTable::generate_packed(&w.cell, &w.universe, &w.stimuli, policy);
+        let _ = table(w, false);
+        let _ = table(w, true);
     }
 
     let scalar_start = Instant::now();
-    let scalar: Vec<DetectionTable> = workloads
-        .iter()
-        .map(|w| DetectionTable::generate_scalar(&w.cell, &w.universe, &w.stimuli, policy))
-        .collect();
+    let scalar: Vec<DetectionTable> = workloads.iter().map(|w| table(w, false)).collect();
     let scalar_s = scalar_start.elapsed().as_secs_f64();
 
     let before = ca_obs::global().snapshot();
     let packed_start = Instant::now();
-    let packed: Vec<DetectionTable> = workloads
-        .iter()
-        .map(|w| {
-            DetectionTable::generate_packed(&w.cell, &w.universe, &w.stimuli, policy)
-                .unwrap_or_else(|| {
-                    // Kernel declined (oversized cell): the flow would
-                    // fall back to the scalar path, so the bench does too.
-                    DetectionTable::generate_scalar(&w.cell, &w.universe, &w.stimuli, policy)
-                })
-        })
-        .collect();
+    let packed: Vec<DetectionTable> = workloads.iter().map(|w| table(w, true)).collect();
     let packed_s = packed_start.elapsed().as_secs_f64();
     let delta = ca_obs::global().snapshot().delta(&before);
     let counter = |name: &str| delta.counters.get(name).map(|&(_, v)| v).unwrap_or(0);
@@ -212,7 +215,7 @@ pub fn run(profile: Profile) -> PackedBench {
         lanes_used += ps.blocks().iter().map(|b| b.occupancy()).sum::<usize>();
     }
 
-    let (cam_files, cam_identical) = cam_byte_identity(&library.cells);
+    let (cam_files, cam_identical) = cam_byte_identity(&workloads, &scalar, &packed);
 
     PackedBench {
         cells: workloads.len(),
@@ -231,39 +234,39 @@ pub fn run(profile: Profile) -> PackedBench {
     }
 }
 
-/// Characterizes the library twice — packed forced off, then forced on —
-/// and asserts the `.cam` exports are byte-identical.
+/// Builds each cell's model from its scalar and from its packed table,
+/// as [`CaModel::generate`] builds one, and asserts their `.cam`
+/// exports are byte-identical (a `.cam` depends only on the model).
 ///
 /// # Panics
 ///
-/// Panics on any characterization failure or any differing document.
-fn cam_byte_identity(cells: &[ca_netlist::library::LibraryCell]) -> (usize, bool) {
-    let characterize = |packed: bool| -> Vec<(String, String)> {
-        set_packed_override(Some(packed));
-        let prepared: Vec<PreparedCell> = cells
-            .iter()
-            .map(|lc| {
-                PreparedCell::characterize(lc.cell.clone(), GenerateOptions::default())
-                    .unwrap_or_else(|e| {
-                        panic!("characterization failed for {}: {e}", lc.cell.name())
-                    })
-            })
-            .collect();
-        export_cam(&prepared)
+/// Panics on any differing document.
+fn cam_byte_identity(
+    workloads: &[Workload],
+    scalar: &[DetectionTable],
+    packed: &[DetectionTable],
+) -> (usize, bool) {
+    let cam = |w: &Workload, table: &DetectionTable| {
+        to_cam(&CaModel {
+            cell_name: w.cell.name().to_string(),
+            num_inputs: w.cell.num_inputs(),
+            num_transistors: w.cell.num_transistors(),
+            universe: w.universe.clone(),
+            rows: table.rows().to_vec(),
+            classes: equivalence_classes(&w.universe, table),
+            defect_simulations: table.defect_simulations(),
+            degraded: false,
+        })
     };
-    let scalar_cam = characterize(false);
-    let packed_cam = characterize(true);
-    set_packed_override(None);
-
-    assert_eq!(scalar_cam.len(), packed_cam.len(), "export count differs");
-    for ((sn, sb), (pn, pb)) in scalar_cam.iter().zip(&packed_cam) {
-        assert_eq!(sn, pn, "export order differs");
+    for (w, (s, p)) in workloads.iter().zip(scalar.iter().zip(packed)) {
         assert_eq!(
-            sb, pb,
-            "cam export for {sn} differs between scalar and packed"
+            cam(w, s),
+            cam(w, p),
+            "cam export for {} differs between scalar and packed",
+            w.cell.name()
         );
     }
-    (scalar_cam.len(), true)
+    (workloads.len(), true)
 }
 
 #[cfg(test)]

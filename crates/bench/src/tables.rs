@@ -3,10 +3,10 @@
 use crate::corpus::{build_corpus, CorpusCell, Profile};
 use crate::report::{kv_table, Grid};
 use ca_core::{
-    conventional_flow, format_duration, train_group_forest, Activation, CanonicalCell, CostModel,
-    HybridFlow, HybridOptions, MlFlow, PreparedCell, StructuralMatch, StructureIndex,
+    format_duration, train_group_forest, Activation, CanonicalCell, CostModel, HybridFlow,
+    HybridOptions, MlFlow, PreparedCell, StructuralMatch, StructureIndex,
 };
-use ca_defects::{DefectKind, GenerateOptions};
+use ca_defects::{CaModel, DefectKind, GenerateOptions};
 use ca_ml::{Classifier, KNearest, LinearClassifier, RandomForest};
 use ca_netlist::synth::{synthesize, DriveStyle, NetlistStyle, Stage, StageExpr, StagePlan};
 use ca_netlist::{spice, Technology, Terminal};
@@ -719,7 +719,7 @@ pub fn fig6() -> String {
 /// Fig. 1 — conventional flow demonstration on the reference NAND2.
 pub fn fig1() -> String {
     let cell = spice::parse_cell(NAND2_SPICE).expect("reference netlist parses");
-    let model = conventional_flow(&cell, GenerateOptions::default());
+    let model = CaModel::generate(&cell, GenerateOptions::default());
     let (static_classes, dynamic_classes, undetectable) = model.behavior_counts();
     kv_table(
         "Fig. 1 — conventional CA model generation (NAND2)",

@@ -128,16 +128,10 @@ impl Activation {
     pub fn extract_with(cell: &Cell, stimuli: Vec<Stimulus>) -> Result<Activation, CoreError> {
         // The packed engine evaluates 64 stimuli per solver pass
         // (DESIGN.md §12) and produces bit-identical waves; the scalar
-        // path remains as the fallback and the differential reference.
-        let packed = if ca_sim::packed_enabled() {
-            Activation::golden_waves_packed(cell, &stimuli)
-        } else {
-            None
-        };
-        let (output_waves, transistor_waves) = match packed {
-            Some(waves) => waves?,
-            None => Activation::golden_waves_scalar(cell, &stimuli)?,
-        };
+        // path is the fallback for cells the kernel compiler declines
+        // and the differential reference.
+        let (output_waves, transistor_waves) = Activation::golden_waves_packed(cell, &stimuli)
+            .unwrap_or_else(|| Activation::golden_waves_scalar(cell, &stimuli))?;
         // Activity values from the leading static stimuli. The paper's
         // Table II orders rows with input A as the MSB of the pattern
         // (00, 01, 10, 11 over A,B); our static stimulus index uses input
@@ -300,7 +294,11 @@ fn activity_wave(kind: MosKind, gate: Wave) -> Wave {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ca_netlist::spice;
+    use ca_netlist::corrupt::{corrupt_cell, Corruption};
+    use ca_netlist::library::{generate_library, LibraryConfig};
+    use ca_netlist::synth::{synthesize, DriveStyle, NetlistStyle, Stage, StageExpr, StagePlan};
+    use ca_netlist::{spice, Technology};
+    use ca_rng::{Rng, SplitMix64};
 
     const NAND2: &str = "\
 .SUBCKT NAND2 A B Z VDD VSS
@@ -370,6 +368,64 @@ MN11 net0 B VSS VSS nch
         assert_eq!(a.to_string(), "12");
         assert_eq!(a.as_u128(), Some(12));
         assert_eq!(a.len(), 4);
+    }
+
+    /// A random stage expression over `n` pins, at most `depth` deep.
+    fn random_expr(rng: &mut SplitMix64, n: u8, depth: usize) -> StageExpr {
+        if depth == 0 || rng.gen_index(3) == 0 {
+            return StageExpr::pin(rng.gen_index(n as usize) as u8);
+        }
+        let children = (0..2 + rng.gen_index(2))
+            .map(|_| random_expr(rng, n, depth - 1))
+            .collect();
+        if rng.gen_bool() {
+            StageExpr::And(children)
+        } else {
+            StageExpr::Or(children)
+        }
+    }
+
+    /// The packed golden pass reproduces the scalar one — every wave,
+    /// and the stimulus index of a `GoldenNotBinary` error — over random
+    /// synthesized cells, every corrupted variant of them and the quick
+    /// C40 catalog. `extract_with` only runs the scalar pass for cells
+    /// the kernel compiler declines, so this keeps it covered.
+    #[test]
+    fn packed_golden_waves_match_scalar() {
+        let mut rng = SplitMix64::new(51);
+        let mut cells = Vec::new();
+        for _ in 0..12 {
+            // One inverting stage over 2–3 inputs (≤ 18 transistors),
+            // buffered or not.
+            let n = 2 + rng.gen_index(2) as u8;
+            let mut stages = vec![Stage::new(random_expr(&mut rng, n, 2))];
+            if rng.gen_bool() {
+                stages.push(Stage::new(StageExpr::stage(0)));
+            }
+            let plan = StagePlan::new(n, stages).unwrap();
+            let style = NetlistStyle::default();
+            let cell = synthesize("P", &plan, 1, DriveStyle::SharedNets, &style)
+                .unwrap()
+                .cell;
+            for corruption in Corruption::ALL {
+                if let Ok(bad) = corrupt_cell(&cell, corruption, rng.next_u64()) {
+                    cells.push(bad);
+                }
+            }
+            cells.push(cell);
+        }
+        let c40 = generate_library(&LibraryConfig::quick(Technology::C40));
+        cells.extend(c40.cells.into_iter().map(|lc| lc.cell));
+        let mut not_binary = 0;
+        for cell in &cells {
+            let stimuli = Stimulus::all(cell.num_inputs());
+            let packed = Activation::golden_waves_packed(cell, &stimuli)
+                .expect("test cells are within kernel limits");
+            let scalar = Activation::golden_waves_scalar(cell, &stimuli);
+            assert_eq!(packed, scalar, "{}", cell.name());
+            not_binary += usize::from(scalar.is_err());
+        }
+        assert!(not_binary > 0, "no cell exercised the error path");
     }
 
     #[test]

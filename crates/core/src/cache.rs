@@ -270,7 +270,9 @@ impl CharCache {
     }
 
     /// Drop-in replacement for [`PreparedCell::characterize`] that serves
-    /// structurally identical cells from the cache.
+    /// structurally identical cells from the cache:
+    /// [`CharCache::characterize_budgeted`] under
+    /// [`SimBudget::unlimited`].
     ///
     /// # Errors
     ///
@@ -280,48 +282,10 @@ impl CharCache {
         cell: Cell,
         options: GenerateOptions,
     ) -> Result<PreparedCell, CoreError> {
-        let mut prepared = PreparedCell::prepare(cell)?;
-        let Some(key) = CacheKey::for_canonical(&prepared.canonical, options) else {
-            self.note_bypassed();
-            prepared.model = Some(CaModel::generate(&prepared.cell, options));
-            return Ok(prepared);
-        };
-        match self.claim(key) {
-            Claim::Leader(slot) => {
-                let mut guard = LeaderGuard {
-                    slot: &slot,
-                    armed: true,
-                };
-                let model = CaModel::generate(&prepared.cell, options);
-                if !model.degraded {
-                    guard.armed = false;
-                    slot.publish(Some(Arc::new(Donor {
-                        cell: prepared.cell.clone(),
-                        canonical: prepared.canonical.clone(),
-                        model: model.clone(),
-                    })));
-                }
-                self.note_miss();
-                prepared.model = Some(model);
-                Ok(prepared)
-            }
-            Claim::Follower(slot) => {
-                if let Some(donor) = slot.wait() {
-                    if let Some(model) = remap_model(&donor, &prepared, options) {
-                        self.note_hit();
-                        prepared.model = Some(model);
-                        return Ok(prepared);
-                    }
-                    self.note_rejected();
-                }
-                self.note_miss();
-                prepared.model = Some(CaModel::generate(&prepared.cell, options));
-                Ok(prepared)
-            }
-        }
+        self.characterize_budgeted(cell, options, &SimBudget::unlimited())
     }
 
-    /// Budget-aware variant used by the guarded pipeline. The cache only
+    /// Characterizes `cell` under `budget` through the cache. The cache only
     /// participates when the budget cannot change the *result* of a
     /// successful run — i.e. no stimulus/defect truncation and no solver
     /// iteration cap. A pure wall-clock deadline is fine: a hit does

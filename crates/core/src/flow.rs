@@ -4,11 +4,12 @@
 use crate::canonical::CanonicalCell;
 use crate::cost::CostModel;
 use crate::error::CoreError;
-use crate::matrix::PreparedCell;
+use crate::matrix::{budgeted_model, PreparedCell};
 use crate::robust::{isolated, lint_error, FailurePhase, Quarantine, QuarantineEntry};
 use ca_defects::{CaModel, GenerateOptions};
 use ca_ml::{Classifier, Dataset, ForestParams, RandomForest};
 use ca_netlist::Cell;
+use ca_sim::SimBudget;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Parameters of the ML flow.
@@ -44,11 +45,6 @@ impl MlFlowParams {
             retain_training_data: true,
         }
     }
-}
-
-/// Runs the conventional, simulation-based flow (Fig. 1).
-pub fn conventional_flow(cell: &Cell, options: GenerateOptions) -> CaModel {
-    CaModel::generate(cell, options)
 }
 
 /// Builds the labelled dataset of a cell group and trains a forest on it.
@@ -525,16 +521,21 @@ impl HybridFlow {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::GoldenNotBinary`] for invalid netlists.
+    /// Returns the errors of [`PreparedCell::prepare`] (e.g.
+    /// [`CoreError::GoldenNotBinary`] for invalid netlists), then
+    /// [`CoreError::SolverDiverged`] when the cell's golden simulation
+    /// does not converge on a route that simulates it, and the errors of
+    /// [`MlFlow::predict`] and [`MlFlow::reinforce`].
     pub fn generate(&mut self, cell: Cell) -> Result<(CaModel, CellOutcome), CoreError> {
         let prepared = PreparedCell::prepare(cell)?;
         let simulation_time_s = self.cost.simulation_time_s(&prepared.cell);
         let matched = self.index.classify(&prepared.canonical);
         let use_ml = matched != StructuralMatch::New && self.ml.covers(&prepared);
+        let options = self.options.generate;
         if use_ml {
             let predicted = self.ml.predict(&prepared)?;
             let accuracy = if self.options.evaluate_ml_accuracy {
-                let truth = conventional_flow(&prepared.cell, self.options.generate);
+                let truth = budgeted_model(&prepared.cell, options, &SimBudget::unlimited())?;
                 Some(truth.agreement(&predicted))
             } else {
                 None
@@ -553,13 +554,11 @@ impl HybridFlow {
         // registering the structure first would make a later failure
         // poison the index, routing future look-alike cells to an ML
         // group that was never trained on this structure.
-        let model = conventional_flow(&prepared.cell, self.options.generate);
+        let model = budgeted_model(&prepared.cell, options, &SimBudget::unlimited())?;
         if self.options.reinforce {
-            let canonical = prepared.canonical.clone();
-            let mut characterized = prepared;
-            characterized.model = Some(model.clone());
+            let characterized = prepared.with_model(model.clone());
             self.ml.reinforce(&characterized)?;
-            self.index.insert(&canonical);
+            self.index.insert(&characterized.canonical);
         } else {
             self.index.insert(&prepared.canonical);
         }

@@ -75,8 +75,8 @@ pub use charlib::{
 pub use cost::{format_duration, CostModel};
 pub use error::CoreError;
 pub use flow::{
-    conventional_flow, train_group_forest, CellOutcome, HybridFlow, HybridOptions, HybridReport,
-    MlFlow, MlFlowParams, Route, StructuralMatch, StructureIndex,
+    train_group_forest, CellOutcome, HybridFlow, HybridOptions, HybridReport, MlFlow, MlFlowParams,
+    Route, StructuralMatch, StructureIndex,
 };
 pub use matrix::{MatrixLayout, PreparedCell};
 pub use robust::{

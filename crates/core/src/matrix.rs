@@ -117,20 +117,21 @@ pub struct PreparedCell {
 
 impl PreparedCell {
     /// Prepares a *training* cell: runs the conventional flow to obtain
-    /// ground-truth labels.
+    /// ground-truth labels. This is
+    /// [`PreparedCell::characterize_budgeted`] under
+    /// [`SimBudget::unlimited`].
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::GoldenNotBinary`] for invalid netlists.
+    /// Those of [`PreparedCell::characterize_budgeted`]: a golden
+    /// simulation that does not converge, then the prepare errors.
     pub fn characterize(cell: Cell, options: GenerateOptions) -> Result<PreparedCell, CoreError> {
-        let mut prepared = PreparedCell::prepare(cell)?;
-        prepared.model = Some(CaModel::generate(&prepared.cell, options));
-        Ok(prepared)
+        PreparedCell::characterize_budgeted(cell, options, &SimBudget::unlimited())
     }
 
     /// Like [`PreparedCell::characterize`], but runs the conventional
-    /// flow under a [`SimBudget`]: oscillation and exhausted budgets
-    /// become errors instead of silently X-forced values.
+    /// flow under a [`SimBudget`]: an exhausted budget is an error just
+    /// like an oscillating golden simulation.
     ///
     /// Truncating budgets (`max_stimuli` / `max_defects`) produce a
     /// [degraded](CaModel::degraded) model; the prepared cell's universe

@@ -708,6 +708,50 @@ MN1 net0 B VSS VSS nch
         assert!(!tightened);
     }
 
+    /// A store-verified cell resumes with the universe and training rows
+    /// of a fresh one, also when the model covers inter-transistor
+    /// shorts that the prepared cell's own universe lacks.
+    #[test]
+    fn resumed_cells_keep_the_models_universe() {
+        let mut lib = generate_library(&LibraryConfig::quick(Technology::C40));
+        lib.cells.truncate(4);
+        let options = GenerateOptions {
+            inter_transistor: true,
+            ..GenerateOptions::default()
+        };
+        let dir = std::env::temp_dir().join(format!("ca-robust-unit-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("resume-universe.caj");
+        let _ = std::fs::remove_file(&path);
+        let run = || {
+            let session = Session::open(&path).unwrap();
+            let (prepared, _) = crate::characterize_library_with_session(
+                &lib,
+                options,
+                &Executor::from_env(),
+                &CharCache::new(),
+                &session,
+            )
+            .unwrap();
+            let report = session.report();
+            let shape: Vec<(String, usize, usize)> = prepared
+                .iter()
+                .map(|p| {
+                    let mut rows = ca_ml::Dataset::new(p.layout().num_features());
+                    p.training_rows(&mut rows);
+                    (p.cell.name().to_string(), p.universe.len(), rows.len())
+                })
+                .collect();
+            (shape, report)
+        };
+        let (fresh, first) = run();
+        let (resumed, second) = run();
+        assert_eq!(first.journaled, lib.len());
+        assert_eq!(second.reused_complete, lib.len(), "the rerun resumes");
+        assert_eq!(resumed, fresh);
+        let _ = std::fs::remove_file(&path);
+    }
+
     #[test]
     fn panics_are_converted_to_prepare_failed() {
         let err = isolated::<()>("X", || panic!("boom")).unwrap_err();

@@ -16,10 +16,11 @@
 //!   the *configured* budget, so a killed server resumes — and a batch
 //!   run over the same store converges — byte-identically.
 //! - **Repeats** of a netlist whose complete model is the store's live
-//!   record under its name (journaled by this service, or verified at
-//!   open) skip lint, golden and the journal: they resolve through the
-//!   certified donor path alone, exactly as a restarted service answers
-//!   a store-verified cell.
+//!   record under its name (journaled by this service, verified at open,
+//!   or, for a netlist the library does not hold, verified on its first
+//!   request) skip lint, golden and the journal: they resolve through
+//!   the certified donor path alone, exactly as a restarted service
+//!   answers a store-verified cell.
 //! - **Deadlines** clamp every attempt's [`SimBudget::wall_clock`] to
 //!   the request's remaining time. When the deadline rather than the
 //!   cell ends the work, the answer is [`CellVerdict::DeadlineExceeded`]
@@ -273,10 +274,32 @@ impl CellService {
                 None => {}
             }
         }
-        // 4. Fresh guarded pipeline. (Complete models need no memo:
+        // 4. A netlist the library does not hold, journaled before the
+        // service opened: verify its record as the plan verifies a
+        // library cell's, then take the donor path.
+        if !self.library_fp.contains_key(name) && self.verify_journaled(cell, fp) {
+            return self.donor_path(cell);
+        }
+        // 5. Fresh guarded pipeline. (Complete models need no memo:
         // step 1 serves repeats of journaled ones, the donor cache the
         // rest.)
         self.fresh(cell, fp, deadline)
+    }
+
+    /// Whether the store's live record under `cell`'s name verifies as
+    /// a complete model of this netlist (fingerprint `fp`); if so its
+    /// donor is seeded and the name enters `journaled`. The `journaled`
+    /// lock is taken before the store lock, as in
+    /// [`journal_model`](CellService::journal_model).
+    fn verify_journaled(&self, cell: &Cell, fp: u64) -> bool {
+        let mut journaled = lock(&self.journaled);
+        let verified = self
+            .session
+            .verify_complete(cell, self.options, &self.budget, &self.cache);
+        if verified {
+            journaled.insert(cell.name().to_string(), fp);
+        }
+        verified
     }
 
     fn fresh(&self, cell: &Cell, fp: u64, deadline: Deadline) -> CellVerdict {

@@ -304,97 +304,131 @@ impl Session {
         replay_quarantine: bool,
     ) -> SessionPlan {
         let mut plan = SessionPlan::default();
-        let opts_tag = options_tag(options);
-        let bud_tag = budget_tag(budget);
         let mut store = self.lock_store();
         for lc in &library.cells {
-            let name = lc.cell.name();
-            let Some(record) = store.get(name).cloned() else {
-                continue;
-            };
-            if record.options_tag != opts_tag || record.budget_tag != bud_tag {
-                self.evict(&mut store, name, &self.evicted_stale);
-                continue;
-            }
-            match record.payload.clone() {
-                Payload::Quarantined {
-                    phase,
-                    retries,
-                    reason,
-                } => {
-                    if !replay_quarantine {
-                        continue;
-                    }
-                    if record.fingerprint != fingerprint(&lc.cell) {
-                        self.evict(&mut store, name, &self.evicted_stale);
-                        continue;
-                    }
-                    let Some(phase) = decode_phase(phase) else {
-                        self.evict(&mut store, name, &self.evicted_invalid);
-                        continue;
-                    };
-                    self.planned_quarantined.fetch_add(1, Ordering::Relaxed);
-                    ca_obs::counter!("ca_core.session.reused_quarantined", Work).inc();
-                    plan.reuse.insert(
-                        name.to_string(),
-                        Reuse::Quarantined {
-                            phase,
-                            retries,
-                            reason,
-                        },
-                    );
-                }
-                Payload::Complete { cam } | Payload::Degraded { cam } => {
-                    let degraded_record = matches!(record.payload, Payload::Degraded { .. });
-                    // Panic-isolated: a library edit can make `prepare`
-                    // not just fail but panic, and re-verification must
-                    // only cost the record, never the run.
-                    let prepared =
-                        crate::robust::isolated(name, || PreparedCell::prepare(lc.cell.clone()));
-                    let Ok(mut prepared) = prepared else {
-                        // The record promises a model but the live cell no
-                        // longer even prepares: the library was edited.
-                        self.evict(&mut store, name, &self.evicted_stale);
-                        continue;
-                    };
-                    if prepared.canonical.is_netlist_ordered()
-                        || record.structure != prepared.canonical.structure_hash()
-                        || record.wiring != prepared.canonical.wiring_hash()
-                        || record.reduced != prepared.canonical.reduced_hash()
-                    {
-                        self.evict(&mut store, name, &self.evicted_stale);
-                        continue;
-                    }
-                    let Ok(model) = from_cam(&cam, &prepared.cell) else {
-                        self.evict(&mut store, name, &self.evicted_invalid);
-                        continue;
-                    };
-                    if model.degraded != degraded_record {
-                        self.evict(&mut store, name, &self.evicted_invalid);
-                        continue;
-                    }
-                    if degraded_record {
-                        self.planned_degraded.fetch_add(1, Ordering::Relaxed);
-                        ca_obs::counter!("ca_core.session.reused_degraded", Work).inc();
-                        prepared.universe = model.universe.clone();
-                        prepared.model = Some(model);
-                        plan.reuse
-                            .insert(name.to_string(), Reuse::Degraded(Box::new(prepared)));
-                    } else {
-                        cache.seed_donor(
-                            prepared.cell.clone(),
-                            prepared.canonical.clone(),
-                            model,
-                            options,
-                        );
-                        self.planned_complete.fetch_add(1, Ordering::Relaxed);
-                        ca_obs::counter!("ca_core.session.reused_complete", Work).inc();
-                        plan.reuse.insert(name.to_string(), Reuse::Complete);
-                    }
-                }
+            let (cell, replay) = (&lc.cell, replay_quarantine);
+            if let Some(reuse) = self.verify(&mut store, cell, options, budget, cache, replay) {
+                plan.reuse.insert(cell.name().to_string(), reuse);
             }
         }
         plan
+    }
+
+    /// Verifies the live record under `cell`'s name exactly as
+    /// [`Session::plan`] verifies a library cell's, for a netlist no
+    /// library holds: whether it is a complete model of this very
+    /// netlist (same fingerprint), now seeded into `cache` as a donor. A
+    /// stale or invalid record is evicted; a record of another netlist
+    /// under the name is left alone.
+    pub(crate) fn verify_complete(
+        &self,
+        cell: &Cell,
+        options: GenerateOptions,
+        budget: &SimBudget,
+        cache: &CharCache,
+    ) -> bool {
+        let mut store = self.lock_store();
+        let this_netlist = store.get(cell.name()).is_some_and(|r| {
+            r.fingerprint == fingerprint(cell) && matches!(r.payload, Payload::Complete { .. })
+        });
+        this_netlist
+            && matches!(
+                self.verify(&mut store, cell, options, budget, cache, false),
+                Some(Reuse::Complete)
+            )
+    }
+
+    /// Re-verifies the live record under `cell`'s name against `cell`
+    /// under the run configuration: the reuse it allows, or `None` when
+    /// there is no record, the record is a quarantine verdict and
+    /// `replay_quarantine` is off, or the record was stale or invalid
+    /// and has been evicted.
+    fn verify(
+        &self,
+        store: &mut MutexGuard<'_, Store>,
+        cell: &Cell,
+        options: GenerateOptions,
+        budget: &SimBudget,
+        cache: &CharCache,
+        replay_quarantine: bool,
+    ) -> Option<Reuse> {
+        let name = cell.name();
+        let record = store.get(name).cloned()?;
+        if record.options_tag != options_tag(options) || record.budget_tag != budget_tag(budget) {
+            self.evict(store, name, &self.evicted_stale);
+            return None;
+        }
+        match record.payload {
+            Payload::Quarantined {
+                phase,
+                retries,
+                reason,
+            } => {
+                if !replay_quarantine {
+                    return None;
+                }
+                if record.fingerprint != fingerprint(cell) {
+                    self.evict(store, name, &self.evicted_stale);
+                    return None;
+                }
+                let Some(phase) = decode_phase(phase) else {
+                    self.evict(store, name, &self.evicted_invalid);
+                    return None;
+                };
+                self.planned_quarantined.fetch_add(1, Ordering::Relaxed);
+                ca_obs::counter!("ca_core.session.reused_quarantined", Work).inc();
+                Some(Reuse::Quarantined {
+                    phase,
+                    retries,
+                    reason,
+                })
+            }
+            Payload::Complete { ref cam } | Payload::Degraded { ref cam } => {
+                let degraded_record = matches!(record.payload, Payload::Degraded { .. });
+                // Panic-isolated: a library edit can make `prepare` not
+                // just fail but panic, and re-verification must only
+                // cost the record, never the run.
+                let prepared =
+                    crate::robust::isolated(name, || PreparedCell::prepare(cell.clone()));
+                let Ok(prepared) = prepared else {
+                    // The record promises a model but the live cell no
+                    // longer even prepares: the library was edited.
+                    self.evict(store, name, &self.evicted_stale);
+                    return None;
+                };
+                if prepared.canonical.is_netlist_ordered()
+                    || record.structure != prepared.canonical.structure_hash()
+                    || record.wiring != prepared.canonical.wiring_hash()
+                    || record.reduced != prepared.canonical.reduced_hash()
+                {
+                    self.evict(store, name, &self.evicted_stale);
+                    return None;
+                }
+                let Ok(model) = from_cam(cam, &prepared.cell) else {
+                    self.evict(store, name, &self.evicted_invalid);
+                    return None;
+                };
+                if model.degraded != degraded_record {
+                    self.evict(store, name, &self.evicted_invalid);
+                    return None;
+                }
+                if degraded_record {
+                    self.planned_degraded.fetch_add(1, Ordering::Relaxed);
+                    ca_obs::counter!("ca_core.session.reused_degraded", Work).inc();
+                    Some(Reuse::Degraded(Box::new(prepared.with_model(model))))
+                } else {
+                    cache.seed_donor(
+                        prepared.cell.clone(),
+                        prepared.canonical.clone(),
+                        model,
+                        options,
+                    );
+                    self.planned_complete.fetch_add(1, Ordering::Relaxed);
+                    ca_obs::counter!("ca_core.session.reused_complete", Work).inc();
+                    Some(Reuse::Complete)
+                }
+            }
+        }
     }
 
     /// Journals a characterized cell (complete or degraded) and returns

@@ -50,25 +50,18 @@ pub struct CaModel {
 }
 
 impl CaModel {
-    /// Runs the conventional (simulation-based) generation flow.
+    /// Runs the conventional (simulation-based) generation flow without
+    /// limits: [`CaModel::generate_budgeted`] under
+    /// [`SimBudget::unlimited`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the defect-free (golden) simulation of `cell` does not
+    /// converge; [`CaModel::generate_budgeted`] reports that as an error
+    /// instead.
     pub fn generate(cell: &Cell, options: GenerateOptions) -> CaModel {
-        let universe = if options.inter_transistor {
-            DefectUniverse::with_inter_transistor(cell)
-        } else {
-            DefectUniverse::intra_transistor(cell)
-        };
-        let table = DetectionTable::generate_exhaustive(cell, &universe, options.policy);
-        let classes = equivalence_classes(&universe, &table);
-        CaModel {
-            cell_name: cell.name().to_string(),
-            num_inputs: cell.num_inputs(),
-            num_transistors: cell.num_transistors(),
-            rows: table.rows().to_vec(),
-            defect_simulations: table.defect_simulations(),
-            universe,
-            classes,
-            degraded: false,
-        }
+        CaModel::generate_budgeted(cell, options, &SimBudget::unlimited())
+            .unwrap_or_else(|e| panic!("golden simulation of `{}` failed: {e}", cell.name()))
     }
 
     /// Runs the conventional flow under a [`SimBudget`].
@@ -276,14 +269,15 @@ MN1 net0 B VSS VSS nch
     }
 
     #[test]
-    fn budgeted_generation_unlimited_matches_plain() {
-        let cell = spice::parse_cell(NAND2).unwrap();
-        let plain = CaModel::generate(&cell, GenerateOptions::default());
-        let budgeted =
-            CaModel::generate_budgeted(&cell, GenerateOptions::default(), &SimBudget::unlimited())
-                .expect("NAND2 characterizes");
-        assert_eq!(plain, budgeted);
-        assert!(!budgeted.degraded);
+    #[should_panic(expected = "golden simulation of `OSC` failed")]
+    fn generate_panics_on_an_oscillating_golden() {
+        // MN0's gate is its own drain: the output never settles for A=1.
+        let cell = spice::parse_cell(
+            ".SUBCKT OSC A Z VDD VSS\nMP0 Z A VDD VDD pch\n\
+             MN0 Z Z net0 VSS nch\nMN1 net0 A VSS VSS nch\n.ENDS",
+        )
+        .unwrap();
+        CaModel::generate(&cell, GenerateOptions::default());
     }
 
     #[test]

@@ -92,124 +92,11 @@ pub struct DetectionTable {
 }
 
 impl DetectionTable {
-    /// Simulates every defect of `universe` against `stimuli`.
+    /// Simulates every defect of `universe` against `stimuli` under a
+    /// [`SimBudget`].
     ///
-    /// The golden responses are simulated once and shared across defects.
-    /// Uses the bit-parallel packed engine (64 stimuli per solver pass,
-    /// DESIGN.md §12) when the `CA_PACKED` switch allows it and the cell
-    /// compiles to a [`CellKernel`]; results are bit-identical either way.
-    pub fn generate(
-        cell: &Cell,
-        universe: &DefectUniverse,
-        stimuli: &[Stimulus],
-        policy: DetectionPolicy,
-    ) -> DetectionTable {
-        if ca_sim::packed_enabled() {
-            if let Some(table) = DetectionTable::generate_packed(cell, universe, stimuli, policy) {
-                return table;
-            }
-        }
-        DetectionTable::generate_scalar(cell, universe, stimuli, policy)
-    }
-
-    /// The interpreted per-stimulus path of [`DetectionTable::generate`]
-    /// — always available, and the reference the packed path is
-    /// differentially tested against.
-    pub fn generate_scalar(
-        cell: &Cell,
-        universe: &DefectUniverse,
-        stimuli: &[Stimulus],
-        policy: DetectionPolicy,
-    ) -> DetectionTable {
-        let outputs = cell.outputs().to_vec();
-        let golden_sim = Simulator::new(cell);
-        // Golden response of every output, per stimulus.
-        let golden: Vec<Vec<Value>> = stimuli
-            .iter()
-            .map(|s| {
-                let result = golden_sim.run(s);
-                outputs.iter().map(|&o| result.final_value(o)).collect()
-            })
-            .collect();
-        let mut rows = Vec::with_capacity(universe.len());
-        let mut defect_simulations = 0;
-        for defect in universe.defects() {
-            let faulty_sim = Simulator::with_injection(cell, defect.injection);
-            let mut row = BitRow::zeros(stimuli.len());
-            for (i, stimulus) in stimuli.iter().enumerate() {
-                let result = faulty_sim.run(stimulus);
-                defect_simulations += 1;
-                let detected = outputs
-                    .iter()
-                    .enumerate()
-                    .any(|(oi, &o)| policy.detects(golden[i][oi], result.final_value(o)));
-                row.set(i, detected);
-            }
-            rows.push(row);
-        }
-        DetectionTable {
-            stimuli: stimuli.to_vec(),
-            rows,
-            policy,
-            defect_simulations,
-        }
-    }
-
-    /// The bit-parallel path of [`DetectionTable::generate`]: stimuli are
-    /// transposed into 64-lane blocks, the golden blocks solved once, and
-    /// every defect evaluated word-parallel with cone restriction for
-    /// stuck-opens. Returns `None` when the kernel compiler declines the
-    /// cell (the caller falls back to the scalar path).
-    ///
-    /// `defect_simulations` reports the *logical* simulation count
-    /// (defects × stimuli), so the table compares equal to the scalar
-    /// one.
-    pub fn generate_packed(
-        cell: &Cell,
-        universe: &DefectUniverse,
-        stimuli: &[Stimulus],
-        policy: DetectionPolicy,
-    ) -> Option<DetectionTable> {
-        let kernel = CellKernel::compile(cell)?;
-        let packed = PackedStimulus::pack(cell.num_inputs(), stimuli);
-        let outputs: Vec<usize> = cell.outputs().iter().map(|o| o.index()).collect();
-        let golden_sim = PackedSim::new(&kernel, Injection::None, None);
-        let golden: Vec<_> = packed
-            .blocks()
-            .iter()
-            .map(|b| golden_sim.run_block(b))
-            .collect();
-        let mut rows = Vec::with_capacity(universe.len());
-        for defect in universe.defects() {
-            let faulty = PackedSim::new(&kernel, defect.injection, None);
-            let open_t = match defect.injection {
-                Injection::Open { transistor, .. } => Some(transistor.index()),
-                _ => None,
-            };
-            let mut row = BitRow::zeros(stimuli.len());
-            let mut base = 0;
-            for (block, g) in packed.blocks().iter().zip(&golden) {
-                let f = faulty.run_block_against(block, g, open_t);
-                let mut mask = detect_mask(g, &f, &outputs, policy);
-                while mask != 0 {
-                    row.set(base + mask.trailing_zeros() as usize, true);
-                    mask &= mask - 1;
-                }
-                base += block.occupancy();
-            }
-            rows.push(row);
-        }
-        Some(DetectionTable {
-            stimuli: stimuli.to_vec(),
-            rows,
-            policy,
-            defect_simulations: universe.len() * stimuli.len(),
-        })
-    }
-
-    /// Like [`DetectionTable::generate`], but under a [`SimBudget`].
-    ///
-    /// Semantics:
+    /// The golden responses are simulated once and shared across
+    /// defects. Semantics:
     ///
     /// - golden simulation must converge: an oscillating defect-free
     ///   cell is an error ([`SimError::Oscillated`]), because its truth
@@ -225,9 +112,11 @@ impl DetectionTable {
     ///
     /// On success, the table covers `universe.truncated(degraded
     /// defect count)` — callers align their universe with
-    /// [`BudgetedTable::defects_covered`]. Uses the packed engine under
-    /// the same conditions as [`DetectionTable::generate`]; results and
-    /// errors are identical either way.
+    /// [`BudgetedTable::defects_covered`]. Uses the bit-parallel packed
+    /// engine (64 stimuli per solver pass, DESIGN.md §12) when the cell
+    /// compiles to a [`CellKernel`], and the scalar solver when the
+    /// kernel compiler declines it; results and errors are identical
+    /// either way.
     pub fn generate_budgeted(
         cell: &Cell,
         universe: &DefectUniverse,
@@ -235,19 +124,16 @@ impl DetectionTable {
         policy: DetectionPolicy,
         budget: &SimBudget,
     ) -> Result<BudgetedTable, SimError> {
-        if ca_sim::packed_enabled() {
-            if let Some(result) =
-                DetectionTable::generate_budgeted_packed(cell, universe, stimuli, policy, budget)
-            {
-                return result;
-            }
-        }
-        DetectionTable::generate_budgeted_scalar(cell, universe, stimuli, policy, budget)
+        DetectionTable::generate_budgeted_packed(cell, universe, stimuli, policy, budget)
+            .unwrap_or_else(|| {
+                DetectionTable::generate_budgeted_scalar(cell, universe, stimuli, policy, budget)
+            })
     }
 
     /// The interpreted per-stimulus path of
-    /// [`DetectionTable::generate_budgeted`] — always available, and the
-    /// reference the packed path is differentially tested against.
+    /// [`DetectionTable::generate_budgeted`]: the reference the packed
+    /// path is differentially tested against, and the fallback for cells
+    /// the kernel compiler declines.
     pub fn generate_budgeted_scalar(
         cell: &Cell,
         universe: &DefectUniverse,
@@ -302,7 +188,9 @@ impl DetectionTable {
     /// [`SimError`] the scalar `try_run` would (phase-1 failures take
     /// precedence per lane), the wall-clock deadline is checked between
     /// defect blocks, and faulty lanes keep conservative X-forcing.
-    /// Returns `None` when the kernel compiler declines the cell.
+    /// `defect_simulations` reports the *logical* count (defects ×
+    /// stimuli), so the table compares equal to the scalar one. Returns
+    /// `None` when the kernel compiler declines the cell.
     pub fn generate_budgeted_packed(
         cell: &Cell,
         universe: &DefectUniverse,
@@ -311,21 +199,20 @@ impl DetectionTable {
         budget: &SimBudget,
     ) -> Option<Result<BudgetedTable, SimError>> {
         let kernel = CellKernel::compile(cell)?;
-        let work = BudgetedWork::of(universe, stimuli, budget);
-        Some(
-            DetectionTable::budgeted_packed(cell, &kernel, universe, &work, policy, budget)
-                .map(|table| work.finish(table)),
-        )
+        Some(DetectionTable::budgeted_packed(
+            cell, &kernel, universe, stimuli, policy, budget,
+        ))
     }
 
     fn budgeted_packed(
         cell: &Cell,
         kernel: &CellKernel,
         universe: &DefectUniverse,
-        work: &BudgetedWork<'_>,
+        stimuli: &[Stimulus],
         policy: DetectionPolicy,
         budget: &SimBudget,
-    ) -> Result<DetectionTable, SimError> {
+    ) -> Result<BudgetedTable, SimError> {
+        let work = BudgetedWork::of(universe, stimuli, budget);
         let stimuli = work.stimuli;
         let clock = budget.start();
         let packed = PackedStimulus::pack(cell.num_inputs(), stimuli);
@@ -382,23 +269,38 @@ impl DetectionTable {
             }
             rows.push(row);
         }
-        Ok(DetectionTable {
+        Ok(work.finish(DetectionTable {
             stimuli: stimuli.to_vec(),
             rows,
             policy,
             defect_simulations: work.defects * stimuli.len(),
-        })
+        }))
     }
 
-    /// Generates with the canonical full stimulus set
-    /// ([`Stimulus::all`]`(n)`).
+    /// Simulates every defect of `universe` against the canonical full
+    /// stimulus set ([`Stimulus::all`]`(n)`), without limits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the defect-free (golden) simulation of `cell` does not
+    /// converge; [`DetectionTable::generate_budgeted`] reports that as
+    /// an error instead.
     pub fn generate_exhaustive(
         cell: &Cell,
         universe: &DefectUniverse,
         policy: DetectionPolicy,
     ) -> DetectionTable {
         let stimuli = Stimulus::all(cell.num_inputs());
-        DetectionTable::generate(cell, universe, &stimuli, policy)
+        match DetectionTable::generate_budgeted(
+            cell,
+            universe,
+            &stimuli,
+            policy,
+            &SimBudget::unlimited(),
+        ) {
+            Ok(budgeted) => budgeted.table,
+            Err(e) => panic!("golden simulation of `{}` failed: {e}", cell.name()),
+        }
     }
 
     /// The stimuli the table was generated against.
@@ -584,12 +486,11 @@ MN1 net0 B VSS VSS nch
     }
 
     #[test]
-    fn unlimited_budget_matches_unbudgeted_generation() {
+    fn unlimited_budget_matches_per_defect_rows() {
         let cell = spice::parse_cell(NAND2).unwrap();
         let universe = DefectUniverse::intra_transistor(&cell);
         let policy = DetectionPolicy::default();
         let stimuli = Stimulus::all(2);
-        let plain = DetectionTable::generate(&cell, &universe, &stimuli, policy);
         let budgeted = DetectionTable::generate_budgeted(
             &cell,
             &universe,
@@ -600,7 +501,23 @@ MN1 net0 B VSS VSS nch
         .expect("NAND2 characterizes");
         assert!(!budgeted.degraded);
         assert_eq!(budgeted.defects_covered, universe.len());
-        assert_eq!(budgeted.table, plain);
+        for d in universe.defects() {
+            let row = single_defect_row(&cell, d.injection, &stimuli, policy);
+            assert_eq!(&row, budgeted.table.row(d.id), "{}", d.injection);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "golden simulation of `OSC` failed")]
+    fn exhaustive_generation_panics_on_an_oscillating_golden() {
+        // MN0's gate is its own drain: the output never settles for A=1.
+        let cell = spice::parse_cell(
+            ".SUBCKT OSC A Z VDD VSS\nMP0 Z A VDD VDD pch\n\
+             MN0 Z Z net0 VSS nch\nMN1 net0 A VSS VSS nch\n.ENDS",
+        )
+        .unwrap();
+        let universe = DefectUniverse::intra_transistor(&cell);
+        DetectionTable::generate_exhaustive(&cell, &universe, DetectionPolicy::default());
     }
 
     #[test]

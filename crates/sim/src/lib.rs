@@ -63,10 +63,7 @@ pub mod values;
 pub use budget::{BudgetClock, SimBudget, SimError};
 pub use injection::Injection;
 pub use kernel::CellKernel;
-pub use packed::{
-    packed_enabled, set_packed_override, BlockResult, LaneOutcome, PackedSim, PackedStimulus,
-    PackedValue, StimulusBlock,
-};
+pub use packed::{BlockResult, LaneOutcome, PackedSim, PackedStimulus, PackedValue, StimulusBlock};
 pub use simulator::{detection_row, detection_row_scalar, DetectionPolicy, SimResult, Simulator};
 pub use solver::SolveOutcome;
 pub use values::{Stimulus, Value, Wave};

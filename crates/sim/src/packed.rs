@@ -27,10 +27,9 @@
 //! skips them and reuses the cached golden bitplanes
 //! (`ca_sim.packed.cone_skips`).
 //!
-//! The packed path is selected by the `CA_PACKED` environment switch
-//! (default **on**; `0`/`off`/`false` disable) read by
-//! [`packed_enabled`], with a process-local programmatic override for
-//! benches and tests ([`set_packed_override`]).
+//! Every caller takes the packed path whenever [`CellKernel::compile`]
+//! accepts the cell and falls back to the scalar solver when it
+//! declines; no switch chooses between them.
 
 use crate::injection::Injection;
 use crate::kernel::CellKernel;
@@ -38,7 +37,6 @@ use crate::simulator::DetectionPolicy;
 use crate::solver::CellGraph;
 use crate::values::{Stimulus, Value};
 use ca_netlist::Cell;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Number of stimulus lanes per packed word.
 pub const LANES: usize = 64;
@@ -775,44 +773,6 @@ pub fn detect_mask(
     detected & golden.lanes
 }
 
-// --- CA_PACKED switch ----------------------------------------------------
-
-/// Process-local override of the `CA_PACKED` switch:
-/// 0 = none (read the environment), 1 = force on, 2 = force off.
-static PACKED_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Programmatically forces the packed engine on/off (`Some`) or restores
-/// the `CA_PACKED` environment switch (`None`). Meant for benches and
-/// differential tests that must pin one path regardless of environment.
-pub fn set_packed_override(mode: Option<bool>) {
-    let v = match mode {
-        None => 0,
-        Some(true) => 1,
-        Some(false) => 2,
-    };
-    PACKED_OVERRIDE.store(v, Ordering::Relaxed);
-}
-
-/// Whether the packed engine is selected. Defaults to **on**; the
-/// `CA_PACKED` environment variable set to `0`, `off` or `false`
-/// disables it (any other value enables). A programmatic override
-/// ([`set_packed_override`]) wins over the environment. Read fresh on
-/// every call so tests can toggle it.
-pub fn packed_enabled() -> bool {
-    match PACKED_OVERRIDE.load(Ordering::Relaxed) {
-        1 => return true,
-        2 => return false,
-        _ => {}
-    }
-    match std::env::var("CA_PACKED") {
-        Ok(v) => {
-            let v = v.trim().to_ascii_lowercase();
-            !(v == "0" || v == "off" || v == "false")
-        }
-        Err(_) => true,
-    }
-}
-
 /// Packed implementation of [`detection_row`](crate::detection_row):
 /// golden blocks solved once, every lane of every block compared under
 /// `policy`, with cone restriction for `Open` injections. Returns
@@ -1142,14 +1102,5 @@ MN1 net0 A VSS VSS nch
                 );
             }
         }
-    }
-
-    #[test]
-    fn override_wins_over_environment() {
-        set_packed_override(Some(false));
-        assert!(!packed_enabled());
-        set_packed_override(Some(true));
-        assert!(packed_enabled());
-        set_packed_override(None);
     }
 }

@@ -279,21 +279,17 @@ impl<'c> Simulator<'c> {
 /// observed).
 ///
 /// Returns one flag per stimulus, in order. Uses the bit-parallel packed
-/// engine (64 stimuli per solver pass) when the `CA_PACKED` switch allows
-/// it and the cell compiles to a kernel; the flags are bit-identical
-/// either way.
+/// engine (64 stimuli per solver pass) when the cell compiles to a
+/// kernel and the scalar path when it does not; the flags are
+/// bit-identical either way.
 pub fn detection_row(
     cell: &Cell,
     injection: Injection,
     stimuli: &[Stimulus],
     policy: DetectionPolicy,
 ) -> Vec<bool> {
-    if crate::packed::packed_enabled() {
-        if let Some(flags) = crate::packed::detection_flags(cell, injection, stimuli, policy) {
-            return flags;
-        }
-    }
-    detection_row_scalar(cell, injection, stimuli, policy)
+    crate::packed::detection_flags(cell, injection, stimuli, policy)
+        .unwrap_or_else(|| detection_row_scalar(cell, injection, stimuli, policy))
 }
 
 /// The interpreted per-stimulus path of [`detection_row`] — always

@@ -1,8 +1,7 @@
 //! End-to-end integration: synthesis -> simulation -> conventional CA
 //! model generation, across the whole function catalog.
 
-use cell_aware::core::conventional_flow;
-use cell_aware::defects::{Behavior, GenerateOptions};
+use cell_aware::defects::{Behavior, CaModel, GenerateOptions};
 use cell_aware::netlist::library::{base_catalog, generate_library, LibraryConfig};
 use cell_aware::netlist::synth::{synthesize, DriveStyle, NetlistStyle};
 use cell_aware::netlist::{spice, writer, Technology};
@@ -77,7 +76,7 @@ fn conventional_flow_on_full_quick_library() {
     assert!(!lib.is_empty());
     let mut dynamic_seen = false;
     for lc in &lib.cells {
-        let model = conventional_flow(&lc.cell, GenerateOptions::default());
+        let model = CaModel::generate(&lc.cell, GenerateOptions::default());
         assert_eq!(model.universe.len(), lc.cell.num_transistors() * 6);
         // Drive-1 cells are fully observable at switch level. Higher
         // drives have logically-redundant parallel fingers whose opens
@@ -122,7 +121,7 @@ fn library_round_trips_through_spice() {
 fn conventional_flow_is_deterministic() {
     let lib = generate_library(&LibraryConfig::quick(Technology::C28));
     let cell = &lib.cells[0].cell;
-    let a = conventional_flow(cell, GenerateOptions::default());
-    let b = conventional_flow(cell, GenerateOptions::default());
+    let a = CaModel::generate(cell, GenerateOptions::default());
+    let b = CaModel::generate(cell, GenerateOptions::default());
     assert_eq!(a, b);
 }

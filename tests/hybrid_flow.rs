@@ -3,7 +3,7 @@
 use cell_aware::core::{
     CostModel, HybridFlow, HybridOptions, MlFlowParams, PreparedCell, Route, StructuralMatch,
 };
-use cell_aware::defects::GenerateOptions;
+use cell_aware::defects::{CaModel, GenerateOptions};
 use cell_aware::netlist::library::{generate_library, LibraryConfig};
 use cell_aware::netlist::Technology;
 
@@ -33,7 +33,7 @@ fn hybrid_models_match_conventional_for_simulated_routes() {
         .map(|lc| lc.cell)
         .collect();
     for cell in eval {
-        let reference = cell_aware::core::conventional_flow(&cell, GenerateOptions::default());
+        let reference = CaModel::generate(&cell, GenerateOptions::default());
         let (model, outcome) = hybrid.generate(cell).expect("valid");
         match outcome.route {
             Route::Simulated => {

@@ -6,11 +6,12 @@
 //! synthesized corpus, `ca_netlist::corrupt` salted variants of it, and
 //! random defect injections, asserting identical `SimResult` values per
 //! lane, identical `SolveOutcome` classes, and identical detection
-//! rows. Generation is seeded through `ca-rng`, so every run exercises
-//! the same inputs (no flakiness).
+//! rows and tables. Each test calls the packed and the scalar body
+//! directly; no switch picks between them. Generation is seeded through
+//! `ca-rng`, so every run exercises the same inputs (no flakiness).
 
 use ca_rng::{Rng, SplitMix64};
-use cell_aware::defects::{DefectUniverse, DetectionTable};
+use cell_aware::defects::{BudgetedTable, DefectUniverse, DetectionTable};
 use cell_aware::netlist::synth::{
     synthesize, DriveStyle, NetlistStyle, Stage, StageExpr, StagePlan,
 };
@@ -18,7 +19,7 @@ use cell_aware::netlist::{corrupt_cell, Cell, Corruption, NetId, Terminal, Trans
 use cell_aware::sim::packed::{PackedSim, PackedStimulus};
 use cell_aware::sim::{
     detection_row, detection_row_scalar, CellKernel, DetectionPolicy, Injection, SimBudget,
-    Simulator, Stimulus, Value,
+    SimError, Simulator, Stimulus, Value,
 };
 
 /// Number of random plans each property is checked against.
@@ -141,26 +142,42 @@ fn assert_lanes_match(cell: &Cell, injection: Injection, stimuli: &[Stimulus]) {
     }
 }
 
+/// The two budgeted detection-table bodies under an unlimited budget:
+/// the packed one (the kernel must compile) and the scalar reference.
+fn unlimited_tables(
+    cell: &Cell,
+) -> (
+    Result<BudgetedTable, SimError>,
+    Result<BudgetedTable, SimError>,
+) {
+    let universe = DefectUniverse::intra_transistor(cell);
+    let stimuli = Stimulus::all(cell.num_inputs());
+    let (policy, budget) = (DetectionPolicy::default(), SimBudget::unlimited());
+    let packed =
+        DetectionTable::generate_budgeted_packed(cell, &universe, &stimuli, policy, &budget)
+            .expect("corpus cells are within kernel limits");
+    let scalar =
+        DetectionTable::generate_budgeted_scalar(cell, &universe, &stimuli, policy, &budget);
+    (packed, scalar)
+}
+
 /// Packed detection tables equal scalar ones over the synthesized
 /// corpus (full intra-transistor universe, exhaustive stimuli).
 #[test]
 fn tables_match_on_synth_corpus() {
     for_random_cells(41, |cell| {
-        let universe = DefectUniverse::intra_transistor(&cell);
-        let stimuli = Stimulus::all(cell.num_inputs());
-        let scalar =
-            DetectionTable::generate_scalar(&cell, &universe, &stimuli, DetectionPolicy::default());
-        let packed =
-            DetectionTable::generate_packed(&cell, &universe, &stimuli, DetectionPolicy::default())
-                .expect("corpus cells are within kernel limits");
+        let (packed, scalar) = unlimited_tables(&cell);
+        assert!(scalar.is_ok(), "cell {}: {scalar:?}", cell.name());
         assert_eq!(packed, scalar, "cell {}", cell.name());
     });
 }
 
-/// Packed detection tables equal scalar ones on every corrupted
-/// (structurally pathological) variant the corruptor can produce —
-/// including oscillator loops, where both engines must force the same
-/// `Xd` values at the iteration cap.
+/// Packed detection tables (or golden errors) equal scalar ones on
+/// every corrupted (structurally pathological) variant the corruptor
+/// can produce. Oscillator loops fail the golden check before any
+/// faulty solve, so the raw engines are also compared lane by lane on
+/// every variant: both must force the same `Xd` values at the
+/// iteration cap.
 #[test]
 fn tables_match_on_corrupted_variants() {
     let mut salt = SplitMix64::new(43);
@@ -169,22 +186,9 @@ fn tables_match_on_corrupted_variants() {
             let Ok(bad) = corrupt_cell(&cell, corruption, salt.next_u64()) else {
                 continue;
             };
-            let universe = DefectUniverse::intra_transistor(&bad);
-            let stimuli = Stimulus::all(bad.num_inputs());
-            let scalar = DetectionTable::generate_scalar(
-                &bad,
-                &universe,
-                &stimuli,
-                DetectionPolicy::default(),
-            );
-            let packed = DetectionTable::generate_packed(
-                &bad,
-                &universe,
-                &stimuli,
-                DetectionPolicy::default(),
-            )
-            .expect("corrupted corpus cells are within kernel limits");
+            let (packed, scalar) = unlimited_tables(&bad);
             assert_eq!(packed, scalar, "{} on {}", corruption.name(), bad.name());
+            assert_lanes_match(&bad, Injection::None, &Stimulus::all(bad.num_inputs()));
         }
     });
 }
@@ -203,8 +207,8 @@ fn lane_values_match_under_random_injections() {
     });
 }
 
-/// The public `detection_row` dispatcher (packed when allowed) agrees
-/// with the scalar reference row for random injections.
+/// The public `detection_row` dispatcher (packed whenever the kernel
+/// compiles) agrees with the scalar reference row for random injections.
 #[test]
 fn detection_rows_match_per_injection() {
     let mut inj_rng = SplitMix64::new(47);
@@ -224,8 +228,7 @@ fn detection_rows_match_per_injection() {
 
 /// Budgeted generation — including `SolveOutcome` error classes under a
 /// reduced iteration cap and truncation-degraded runs — is identical on
-/// the packed and the scalar path. Both bodies are called directly, so
-/// the comparison never depends on the process-wide engine switch.
+/// the packed and the scalar path.
 #[test]
 fn budgeted_outcomes_match_scalar_classes() {
     let budgets = [

@@ -153,3 +153,28 @@ fn a_deadline_does_not_stop_journaling() {
     assert_eq!(file_len(&path), len, "the journal grew on a repeat");
     let _ = std::fs::remove_file(&path);
 }
+
+#[test]
+fn inline_netlists_journaled_before_a_restart_are_not_journaled_again() {
+    let lib = library();
+    let path = store("inline-restart");
+    let inline = spice::parse_cell(NAND2).expect("inline netlist");
+    let service = open(&path, &lib);
+    let first = cam(&service, &inline);
+    assert_eq!(service.report().journaled, 1, "the first request journals");
+    drop(service);
+
+    let service = open(&path, &lib);
+    let len = file_len(&path);
+    for _ in 0..2 {
+        assert_eq!(cam(&service, &inline), first, "the answer after reopen");
+        assert_eq!(
+            service.report().journaled,
+            0,
+            "a repeat after reopen appended"
+        );
+        assert_eq!(file_len(&path), len, "the journal grew after reopen");
+    }
+    assert_eq!(service.cache_stats().hits, 2, "{:?}", service.cache_stats());
+    let _ = std::fs::remove_file(&path);
+}
