@@ -107,10 +107,10 @@ pub fn run_with(
     };
     let mut fp = FlowProfile::new(label, executor.threads());
     fp.set_meta("cells", library.len() as u64);
-    // Root span for the whole profiled flow (inert unless CA_TRACE is
-    // set): stage spans and everything the stages call parent here.
+    // Root span for the whole profiled flow (traced only when CA_TRACE
+    // is set): stage spans and everything the stages call parent here.
     // The fingerprint is the workload size — deterministic per profile.
-    let _profile_span = ca_obs::trace::root("profile", library.len() as u64, "bench");
+    let _profile_span = ca_obs::root!("profile", library.len() as u64, "bench");
 
     let lint_rejects = fp.stage("lint", || {
         ca_obs::counter!("ca_bench.profile.stages", Work).inc();

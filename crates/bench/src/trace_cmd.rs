@@ -31,6 +31,7 @@ use crate::corpus::Profile;
 use ca_netlist::library::generate_library;
 use ca_netlist::Technology;
 use ca_obs::json::{escape_json, parse, JsonValue};
+use ca_obs::trace::SPAN_EVENT_KEYS;
 use ca_shard::supervisor::{run_campaign, CampaignConfig, Spawner};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -55,6 +56,9 @@ pub struct SpanRec {
     pub dur_us: u64,
     /// Emitting process id (from that process's anchor event).
     pub pid: u64,
+    /// The span's own fields (a per-cell span's `cell`), carried into
+    /// the Chrome event's `args`.
+    pub fields: Vec<(String, String)>,
 }
 
 /// What a stitch run found and wrote.
@@ -141,6 +145,12 @@ fn parse_file(path: &Path, text: &str) -> Result<(Vec<SpanRec>, Option<u64>), St
                         .ok_or_else(|| format!("{name}:{}: span without t0_us", lineno + 1))?,
                     num_field(&doc, "dur_us")
                         .ok_or_else(|| format!("{name}:{}: span without dur_us", lineno + 1))?,
+                    doc.as_object()
+                        .into_iter()
+                        .flatten()
+                        .filter(|(key, _)| !SPAN_EVENT_KEYS.contains(&key.as_str()))
+                        .filter_map(|(key, value)| Some((key.clone(), value.as_str()?.to_string())))
+                        .collect(),
                 ));
             }
             _ => {}
@@ -154,15 +164,18 @@ fn parse_file(path: &Path, text: &str) -> Result<(Vec<SpanRec>, Option<u64>), St
     };
     let spans = raw_spans
         .into_iter()
-        .map(|(trace, span, parent, name, t0_us, dur_us)| SpanRec {
-            trace,
-            span,
-            parent,
-            name,
-            ts_us: (t0_us as i64 + shift).max(0) as u64,
-            dur_us,
-            pid,
-        })
+        .map(
+            |(trace, span, parent, name, t0_us, dur_us, fields)| SpanRec {
+                trace,
+                span,
+                parent,
+                name,
+                ts_us: (t0_us as i64 + shift).max(0) as u64,
+                dur_us,
+                pid,
+                fields,
+            },
+        )
         .collect();
     Ok((spans, Some(pid)))
 }
@@ -259,7 +272,7 @@ pub fn chrome_json(spans: &[SpanRec]) -> String {
         let _ = write!(
             out,
             "{{\"name\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{},\"tid\":{},\
-             \"args\":{{\"trace\":\"{}\",\"span\":\"{}\",\"parent\":\"{}\"}}}}",
+             \"args\":{{\"trace\":\"{}\",\"span\":\"{}\",\"parent\":\"{}\"",
             escape_json(&span.name),
             span.ts_us,
             span.dur_us,
@@ -269,6 +282,10 @@ pub fn chrome_json(spans: &[SpanRec]) -> String {
             escape_json(&span.span),
             escape_json(&span.parent),
         );
+        for (key, value) in &span.fields {
+            let _ = write!(out, ",\"{}\":\"{}\"", escape_json(key), escape_json(value));
+        }
+        out.push_str("}}");
     }
     out.push_str("]}\n");
     out
@@ -371,7 +388,7 @@ fn serve_once(library: &ca_netlist::library::Library, work_dir: &Path) -> Result
     let uds = work_dir.join("serve.sock");
     let server = ca_serve::Server::start(config, &[ca_serve::Endpoint::Uds(uds.clone())])
         .map_err(|e| format!("serve demo daemon failed to start: {e}"))?;
-    let root = ca_obs::trace::root("serve_demo", library.len() as u64, "client");
+    let root = ca_obs::root!("serve_demo", library.len() as u64, "client");
     let mut client = ca_serve::ServeClient::connect_uds(&uds)
         .map_err(|e| format!("serve demo connect failed: {e}"))?;
     let name = library
@@ -405,6 +422,7 @@ mod tests {
             ts_us: ts,
             dur_us: 10,
             pid,
+            fields: Vec::new(),
         }
     }
 
@@ -433,9 +451,12 @@ mod tests {
 
     #[test]
     fn chrome_json_is_parseable_and_carries_span_args() {
+        let mut cell = span("0000000000000003", "0000000000000001", "cell", 7, 2);
+        cell.fields = vec![("cell".into(), "INV \"q\"".into())];
         let spans = vec![
             span("0000000000000001", ZERO_ID, "campaign", 5, 1),
             span("0000000000000002", "0000000000000001", "shard \"q\"", 6, 2),
+            cell,
         ];
         let json = chrome_json(&spans);
         let doc = parse(&json).expect("chrome trace parses");
@@ -443,19 +464,26 @@ mod tests {
             .get("traceEvents")
             .and_then(|v| v.as_array())
             .expect("traceEvents array");
-        // 2 process_name metadata records + 2 span events.
-        assert_eq!(events.len(), 4);
+        // 2 process_name metadata records + 3 span events.
+        assert_eq!(events.len(), 5);
         let x: Vec<_> = events
             .iter()
             .filter(|e| e.get("ph").and_then(|v| v.as_str()) == Some("X"))
             .collect();
-        assert_eq!(x.len(), 2);
+        assert_eq!(x.len(), 3);
+        let arg = |at: usize, key: &str| {
+            x[at]
+                .get("args")
+                .and_then(|a| a.get(key))
+                .and_then(|v| v.as_str())
+        };
         assert_eq!(
-            x[1].get("args")
-                .and_then(|a| a.get("parent"))
-                .and_then(|v| v.as_str()),
-            Some("0000000000000001")
+            x[1].get("name").and_then(|v| v.as_str()),
+            Some("shard \"q\"")
         );
+        assert_eq!(arg(1, "parent"), Some("0000000000000001"));
+        assert_eq!(arg(2, "parent"), Some("0000000000000001"));
+        assert_eq!(arg(2, "cell"), Some("INV \"q\""));
     }
 
     #[test]
@@ -468,7 +496,7 @@ mod tests {
             "{\"seq\":1,\"ts_us\":1060,\"level\":\"info\",\"target\":\"ca_trace\",",
             "\"msg\":\"span\",\"trace\":\"00000000000000aa\",\"span\":\"0000000000000001\",",
             "\"parent\":\"0000000000000000\",\"name\":\"campaign\",\"t0_us\":\"150\",",
-            "\"dur_us\":\"40\"}\n",
+            "\"dur_us\":\"40\",\"cell\":\"INV\"}\n",
         );
         let (spans, pid) = parse_file(Path::new("x.jsonl"), text).expect("parses");
         assert_eq!(pid, Some(7));
@@ -476,6 +504,10 @@ mod tests {
         assert_eq!(spans[0].ts_us, 1050, "150 + (1000 - 100)");
         assert_eq!(spans[0].dur_us, 40);
         assert_eq!(spans[0].pid, 7);
+        assert_eq!(
+            spans[0].fields,
+            vec![("cell".to_string(), "INV".to_string())]
+        );
 
         // Spans without an anchor cannot be placed on the timeline.
         let torn = text.lines().nth(1).map(|l| format!("{l}\n")).expect("line");

@@ -2,10 +2,10 @@
 //!
 //! Span ids are *derived* — campaign fingerprint, role, and per-frame
 //! child counters, with the executor forking contexts per item index —
-//! so the same campaign must produce the same `(span, parent, name)`
-//! tree at every `CA_THREADS` setting, and a crash-resumed run must
-//! rebuild the same structural tree it had before the crash (replayed
-//! cells still traverse their spans; only durations differ).
+//! so the same campaign must produce the same `(span, parent, name,
+//! cell)` tree at every `CA_THREADS` setting, and a crash-resumed run
+//! must rebuild the same structural tree it had before the crash
+//! (replayed cells still traverse their spans; only durations differ).
 //!
 //! ONE test function only: the span events land in the global event
 //! sink, so a sibling test running concurrently in this binary would
@@ -20,16 +20,17 @@ use ca_sim::SimBudget;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
-/// `(span, parent, name)` triples — the structural tree, durations and
-/// timestamps excluded.
-type SpanTree = BTreeSet<(String, String, String)>;
+/// `(span, parent, name, cell)` tuples — the structural tree, durations
+/// and timestamps excluded. `cell` is the per-cell span's cell-name
+/// field, empty for every other span.
+type SpanTree = BTreeSet<(String, String, String, String)>;
 
 fn traced_run(library: &ca_netlist::library::Library, store: &Path, threads: usize) -> SpanTree {
     // Discard whatever earlier phases buffered, then capture only this
     // run's events.
     let _ = ca_obs::drain_events();
     {
-        let _root = ca_obs::trace::root("campaign", trace_fp(library), "test");
+        let _root = ca_obs::root!("campaign", trace_fp(library), "test");
         characterize_library_robust(
             library,
             GenerateOptions::default(),
@@ -51,7 +52,7 @@ fn traced_run(library: &ca_netlist::library::Library, store: &Path, threads: usi
                 .unwrap_or_default()
         };
         if field("target") == ca_obs::trace::TARGET && field("msg") == "span" {
-            tree.insert((field("span"), field("parent"), field("name")));
+            tree.insert((field("span"), field("parent"), field("name"), field("cell")));
         }
     }
     tree
@@ -81,19 +82,19 @@ fn span_tree_is_identical_across_thread_counts_and_resume() {
     // The tree must actually witness the campaign: one root plus one
     // per-cell span parented under it.
     assert!(
-        serial.iter().any(|(_, _, name)| name == "campaign"),
+        serial.iter().any(|(_, _, name, _)| name == "campaign"),
         "root span missing: {serial:?}"
     );
     let root_id = serial
         .iter()
-        .find(|(_, parent, _)| parent == "0000000000000000")
-        .map(|(span, _, _)| span.clone())
+        .find(|(_, parent, _, _)| parent == "0000000000000000")
+        .map(|(span, _, _, _)| span.clone())
         .expect("exactly one root");
     for lc in &library.cells {
         assert!(
-            serial
-                .iter()
-                .any(|(_, parent, name)| name == lc.cell.name() && *parent == root_id),
+            serial.iter().any(|(_, parent, name, cell)| name == "cell"
+                && cell == lc.cell.name()
+                && *parent == root_id),
             "cell {} has no span under the campaign root",
             lc.cell.name()
         );

@@ -38,7 +38,7 @@
 
 use crate::canonical::CanonicalCell;
 use crate::error::CoreError;
-use crate::matrix::{budgeted_model, PreparedCell};
+use crate::matrix::{budgeted_model, rank_prepare_error, PreparedCell};
 use ca_defects::{BitRow, CaModel, DefectClass, DefectId, DefectUniverse, GenerateOptions};
 use ca_netlist::{Cell, NetId, Terminal, TransistorId};
 use ca_sim::{DetectionPolicy, Injection, SimBudget};
@@ -311,10 +311,7 @@ impl CharCache {
         }
         let prepared = match PreparedCell::prepare(cell.clone()) {
             Ok(p) => p,
-            // Preserve the budgeted path's error precedence (it generates
-            // before preparing): re-run it cold so e.g. a wall-clock
-            // expiry surfaces ahead of a multi-output rejection.
-            Err(_) => return PreparedCell::characterize_budgeted(cell, options, budget),
+            Err(err) => return Err(rank_prepare_error(&cell, err, options, budget)),
         };
         let Some(key) = CacheKey::for_canonical(&prepared.canonical, options) else {
             self.note_bypassed();

@@ -144,7 +144,7 @@ impl MlFlow {
         if by_key.is_empty() {
             return Err(CoreError::EmptyTrainingSet);
         }
-        let _span = ca_obs::span_root("ca_core.ml_flow.train");
+        let _span = ca_obs::span!("ca_core.ml_flow.train");
         ca_obs::counter!("ca_core.ml_flow.groups_trained", Work).add(by_key.len() as u64);
         let mut groups = BTreeMap::new();
         for (key, cells) in by_key {
@@ -206,7 +206,7 @@ impl MlFlow {
         prepared: &[PreparedCell],
         executor: &ca_exec::Executor,
     ) -> Result<Vec<CaModel>, CoreError> {
-        let _span = ca_obs::span_root("ca_core.ml_flow.predict_batch");
+        let _span = ca_obs::span!("ca_core.ml_flow.predict_batch");
         ca_obs::counter!("ca_core.ml_flow.cells_predicted", Work).add(prepared.len() as u64);
         executor
             .map(prepared, |_, p| self.predict(p))

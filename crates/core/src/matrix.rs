@@ -18,10 +18,10 @@
 use crate::activation::Activation;
 use crate::canonical::CanonicalCell;
 use crate::error::CoreError;
-use ca_defects::{BitRow, CaModel, DefectKind, DefectUniverse, GenerateOptions};
+use ca_defects::{BitRow, CaModel, DefectKind, DefectUniverse, DetectionTable, GenerateOptions};
 use ca_ml::{Classifier, Dataset};
 use ca_netlist::{Cell, Terminal};
-use ca_sim::{Injection, SimBudget, SimError};
+use ca_sim::{Injection, SimBudget, SimError, Stimulus};
 
 /// Fixed column layout of a cell group's CA-matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,16 +143,22 @@ impl PreparedCell {
     ///
     /// Returns [`CoreError::SolverDiverged`] when the golden cell
     /// oscillates, [`CoreError::BudgetExceeded`] when the wall clock or
-    /// iteration budget runs out, and the usual prepare errors.
+    /// iteration budget runs out, and the usual prepare errors. A golden
+    /// failure outranks a prepare error, which outranks the defect
+    /// simulation's: a cell that cannot be prepared runs only its golden
+    /// pass, never the defect simulation.
     pub fn characterize_budgeted(
         cell: Cell,
         options: GenerateOptions,
         budget: &SimBudget,
     ) -> Result<PreparedCell, CoreError> {
-        // The model first: its errors (oscillation, an exhausted budget)
-        // take precedence over prepare's.
-        let model = budgeted_model(&cell, options, budget)?;
-        Ok(PreparedCell::prepare(cell)?.with_model(model))
+        match PreparedCell::prepare(cell.clone()) {
+            Ok(prepared) => {
+                let model = budgeted_model(&prepared.cell, options, budget)?;
+                Ok(prepared.with_model(model))
+            }
+            Err(err) => Err(rank_prepare_error(&cell, err, options, budget)),
+        }
     }
 
     /// Attaches `model`, aligning the universe with the one it covers.
@@ -387,7 +393,29 @@ pub(crate) fn budgeted_model(
     options: GenerateOptions,
     budget: &SimBudget,
 ) -> Result<CaModel, CoreError> {
-    CaModel::generate_budgeted(cell, options, budget).map_err(|e| match e {
+    CaModel::generate_budgeted(cell, options, budget).map_err(|e| sim_error(cell, e))
+}
+
+/// The error a cell that failed prepare with `err` reports: a failure
+/// of the golden part of [`budgeted_model`] outranks `err`, so only
+/// that part runs — the same budgeted table over no defects, which
+/// fails exactly where the model's golden pass would.
+pub(crate) fn rank_prepare_error(
+    cell: &Cell,
+    err: CoreError,
+    options: GenerateOptions,
+    budget: &SimBudget,
+) -> CoreError {
+    let no_defects = DefectUniverse::intra_transistor(cell).truncated(0);
+    let stimuli = Stimulus::all(cell.num_inputs());
+    match DetectionTable::generate_budgeted(cell, &no_defects, &stimuli, options.policy, budget) {
+        Ok(_) => err,
+        Err(golden) => sim_error(cell, golden),
+    }
+}
+
+fn sim_error(cell: &Cell, e: SimError) -> CoreError {
+    match e {
         SimError::Oscillated { nets } => CoreError::SolverDiverged {
             cell: cell.name().to_string(),
             nets,
@@ -396,7 +424,7 @@ pub(crate) fn budgeted_model(
             cell: cell.name().to_string(),
             resource: resource.to_string(),
         },
-    })
+    }
 }
 
 #[cfg(test)]

@@ -39,7 +39,6 @@ use ca_netlist::library::Library;
 use ca_netlist::lint::{lint, Finding, Severity};
 use ca_netlist::Cell;
 use ca_obs::clock::Deadline;
-use ca_obs::Stopwatch;
 use ca_sim::SimBudget;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -239,13 +238,13 @@ pub fn characterize_library_robust(
     // Each item runs the full guarded pipeline, retries included; the
     // fold below never simulates, so the merge stays in library order.
     let results = executor.map(&library.cells, |_, lc| {
-        // One trace span per session cell, named after the cell. The
+        // One span per session cell, carrying the cell's name. The
         // executor adopted a per-item fork of the caller's context, so
-        // the id is a pure function of campaign + item — identical at
-        // any CA_THREADS and across a crash-resume (DESIGN.md §14).
-        let _cell_span = ca_obs::trace::span(lc.cell.name());
-        let started = Stopwatch::start();
-        match plan.reuse(lc.cell.name()) {
+        // the trace id is a pure function of campaign + item — identical
+        // at any CA_THREADS and across a crash-resume (DESIGN.md §14).
+        let mut cell_span = ca_obs::span!("cell");
+        cell_span.field("cell", lc.cell.name());
+        let item = match plan.reuse(lc.cell.name()) {
             // Store-verified degraded model: served back to this exact
             // cell (never through the cache — never-a-donor rule).
             Some(Reuse::Degraded(p)) => Item::Done(p.clone()),
@@ -256,7 +255,7 @@ pub fn characterize_library_robust(
                 let name = lc.cell.name().to_string();
                 match isolated(&name, || cache.characterize(lc.cell.clone(), options)) {
                     Ok(p) => Item::Done(Box::new(p)),
-                    Err(err) => Item::Fail(FailurePhase::Prepare, err, started.elapsed(), 0),
+                    Err(err) => Item::Fail(FailurePhase::Prepare, err, 0),
                 }
             }
             Some(Reuse::Quarantined {
@@ -299,11 +298,12 @@ pub fn characterize_library_robust(
                                 );
                             }
                         }
-                        Item::Fail(phase, err, started.elapsed(), retries)
+                        Item::Fail(phase, err, retries)
                     }
                 }
             }
-        }
+        };
+        (item, cell_span.finish())
     });
     let mut prepared = Vec::with_capacity(library.len());
     let mut quarantine = Quarantine::default();
@@ -312,7 +312,7 @@ pub fn characterize_library_robust(
     // hold across thread counts *and* crash-resume (a replayed verdict
     // counts exactly like the fresh diagnosis it replaces).
     ca_obs::counter!("ca_core.flow.cells", Outcome).add(library.len() as u64);
-    for (lc, item) in library.cells.iter().zip(results) {
+    for (lc, (item, elapsed)) in library.cells.iter().zip(results) {
         match item {
             Item::Done(p) => {
                 if p.model.as_ref().is_some_and(|m| m.degraded) {
@@ -322,7 +322,7 @@ pub fn characterize_library_robust(
                 }
                 prepared.push(*p);
             }
-            Item::Fail(phase, err, elapsed, retries) => {
+            Item::Fail(phase, err, retries) => {
                 if policy == FaultPolicy::FailFast {
                     return Err(err);
                 }
@@ -362,7 +362,7 @@ enum Item {
     /// A model landed (fresh, cache-served or store-served).
     Done(Box<PreparedCell>),
     /// The guarded pipeline failed this run.
-    Fail(FailurePhase, CoreError, Duration, u32),
+    Fail(FailurePhase, CoreError, u32),
     /// A journaled quarantine verdict replayed from the session store.
     Replay(FailurePhase, String, u32),
 }

@@ -492,6 +492,32 @@ mod tests {
         assert!(count("ca_exec.workers_spawned") >= 4);
     }
 
+    /// A span opened inside a mapped item records under its own name
+    /// whether the item runs inline under the caller's span (one thread)
+    /// or on a worker thread: span timers never nest into paths.
+    #[test]
+    fn item_spans_record_the_same_timer_at_any_thread_count() {
+        let items: Vec<usize> = (0..32).collect();
+        let counts: Vec<u64> = [1, 4]
+            .into_iter()
+            .map(|threads| {
+                let before = ca_obs::global().snapshot();
+                let _outer = ca_obs::span!("ca_exec.test.outer");
+                Executor::with_threads(threads).map(&items, |_, _| {
+                    drop(ca_obs::span!("ca_exec.test.item"));
+                });
+                let delta = ca_obs::global().snapshot().delta(&before);
+                assert!(
+                    delta.timers.keys().all(|name| !name.contains('/')),
+                    "{:?}",
+                    delta.timers
+                );
+                delta.timers["ca_exec.test.item"].count
+            })
+            .collect();
+        assert_eq!(counts, vec![32, 32]);
+    }
+
     /// The executor forks the caller's trace context per item, keyed by
     /// item index: the span ids an item derives must be identical at
     /// every thread count and distinct across items.
@@ -500,9 +526,9 @@ mod tests {
         ca_obs::trace::set_enabled(Some(true));
         let ids_at = |threads: usize| {
             let exec = Executor::with_threads(threads);
-            let _root = ca_obs::trace::root("exec-trace-test", 42, "test");
+            let _root = ca_obs::root!("exec-trace-test", 42, "test");
             let items: Vec<usize> = (0..32).collect();
-            exec.map(&items, |_, _| ca_obs::trace::span("item").id())
+            exec.map(&items, |_, _| ca_obs::span!("item").id())
         };
         let serial = ids_at(1);
         let parallel = ids_at(4);

@@ -137,7 +137,7 @@ impl RandomForest {
     /// Panics when `data` is empty or holds a NaN or infinite feature.
     pub fn fit_with(&mut self, data: &Dataset, executor: &ca_exec::Executor) {
         assert!(!data.is_empty(), "cannot fit on an empty dataset");
-        let _span = ca_obs::span_root("ca_ml.forest.fit");
+        let _span = ca_obs::span!("ca_ml.forest.fit");
         self.num_classes = data.num_classes().max(1);
         self.trees.clear();
         let view = TrainView::new(data);
@@ -181,7 +181,7 @@ impl RandomForest {
         self.trees = executor.map(&bootstraps, |t, counts| {
             // Per-tree fit time is a wall-clock observation (excluded
             // from determinism checks); the tree count is `work`.
-            let _tree_span = ca_obs::span_root("ca_ml.forest.fit_tree");
+            let _tree_span = ca_obs::span!("ca_ml.forest.fit_tree");
             ca_obs::counter!("ca_ml.forest.trees_fitted", Work).inc();
             let mut sample: Vec<Sample> = counts
                 .iter()

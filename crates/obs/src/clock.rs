@@ -4,9 +4,10 @@
 //! never appear outside `ca-obs`, so every time read in the flow is
 //! visible here and auditable. Two shapes cover every legitimate use:
 //!
-//! - [`Stopwatch`]: elapsed-time measurement for telemetry (span
-//!   timers, quarantine reports, queue-wait latency). Readings are
-//!   `ops`-class data and must never feed canonical outputs.
+//! - [`Stopwatch`]: elapsed-time measurement for telemetry that is not
+//!   a span (executor queue wait, journal time); spans
+//!   ([`Span`](crate::Span)) time themselves. Readings are `ops`-class
+//!   data and must never feed canonical outputs.
 //! - [`Deadline`]: a wall-clock budget checked *between* deterministic
 //!   units of work (stimuli, cells), so expiry changes *whether* a run
 //!   finishes, never *what* a finished run contains.

@@ -1,16 +1,22 @@
 //! `ca-obs` — dependency-light observability for the cell-aware stack.
 //!
-//! One crate, five pieces (DESIGN.md §9, §14):
+//! One crate, four pieces (DESIGN.md §9, §14):
 //!
-//! - [`MetricRegistry`]: thread-safe counters, gauges and fixed-bucket
-//!   histograms, each counter tagged with a [`MetricClass`] stating its
-//!   determinism contract (`outcome` / `work` / `ops`). The hot path is
-//!   a single relaxed atomic op via site-cached handles
-//!   ([`counter!`] / [`histogram!`]), cheap enough to stay always-on.
-//! - Span timers ([`span()`] / [`timed`]): RAII wall-clock phases that
-//!   nest via a thread-local stack into `parent/child` paths. Timings
-//!   are always reported apart from counts and never enter determinism
-//!   checks.
+//! - [`MetricRegistry`]: thread-safe counters, gauges, fixed-bucket
+//!   histograms and timers, each counter tagged with a [`MetricClass`]
+//!   stating its determinism contract (`outcome` / `work` / `ops`). The
+//!   hot path is a single relaxed atomic op via site-cached handles
+//!   ([`counter!`] / [`histogram!`] / [`timer!`]), cheap enough to stay
+//!   always-on. Timings are always reported apart from counts and never
+//!   enter determinism checks.
+//! - [`Span`], opened by [`span!`], [`span_keyed!`] or [`root!`]: the
+//!   one RAII span guard. It always records the registry timer named
+//!   after it and, when tracing is on, also emits its [`trace`] event —
+//!   deterministic distributed tracing with campaign trace ids,
+//!   parent-linked spans with FNV-derived ids, and context propagation
+//!   across threads (`ca-exec`), processes (`CA_SHARD_TRACE*`) and
+//!   sockets (ca-serve wire v2), stitched by `ca-bench trace` into a
+//!   Chrome/Perfetto `trace_event` timeline.
 //! - A structured JSONL event sink ([`event()`], [`warn`],
 //!   [`info_status`], [`flush`]) controlled by `CA_OBS` /
 //!   `CA_OBS_PATH`, replacing ad-hoc `eprintln!`s; warn/error events
@@ -19,12 +25,6 @@
 //! - [`FlowProfile`]: per-stage registry snapshots + wall/CPU clocks,
 //!   rendered as `BENCH_profile.json` (schema `ca-obs-profile/1`, see
 //!   [`validate_profile_json`]) and a human-readable table.
-//! - [`trace`]: deterministic distributed tracing — campaign trace
-//!   ids, parent-linked spans with FNV-derived ids, context
-//!   propagation across threads (`ca-exec`), processes (`CA_SHARD_TRACE*`)
-//!   and sockets (ca-serve wire v2), recorded as JSONL trace events
-//!   through the sink and stitched by `ca-bench trace` into a
-//!   Chrome/Perfetto `trace_event` timeline (DESIGN.md §14).
 //!
 //! Plus two cross-cutting helpers: [`clock`] is the workspace's only
 //! door to wall time (and hosts the pure [`Backoff`] retry schedule),
@@ -50,7 +50,6 @@ pub mod json;
 pub mod profile;
 pub mod recovery;
 pub mod registry;
-pub mod span;
 pub mod trace;
 
 pub use clock::{Backoff, Deadline, Stopwatch};
@@ -68,4 +67,4 @@ pub use registry::{
     global, Counter, Gauge, Histogram, HistogramSnapshot, MetricClass, MetricRegistry, Snapshot,
     Timer, TimerSnapshot,
 };
-pub use span::{span, span_root, timed, Span};
+pub use trace::Span;

@@ -15,9 +15,9 @@
 
 use crate::json::{escape_json, JsonValue};
 use crate::registry::{global, HistogramSnapshot, MetricClass, Snapshot};
+use crate::trace::{Placement, Span};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::time::Instant;
 
 /// Schema tag embedded in (and required from) `BENCH_profile.json`.
 pub const PROFILE_SCHEMA: &str = "ca-obs-profile/1";
@@ -70,19 +70,19 @@ impl FlowProfile {
     }
 
     /// Runs `f` as a named stage: snapshots the global registry and
-    /// both clocks around it and records the delta. Also opens a span
-    /// (`profile/<name>`) so nested span timings land under the stage.
-    pub fn stage<R>(&mut self, name: &str, f: impl FnOnce() -> R) -> R {
+    /// both clocks around it and records the delta. The stage is a span
+    /// like any other (recorded as the timer `name`, and traced when
+    /// tracing is on), and its wall time is that span's duration.
+    pub fn stage<R>(&mut self, name: &'static str, f: impl FnOnce() -> R) -> R {
         let before = global().snapshot();
         let cpu_before = cpu_time_s();
-        let wall = Instant::now();
-        // When tracing is on, each stage is also a trace span: inert
-        // otherwise, and sequential on the calling thread either way,
-        // so stage span ids are deterministic (DESIGN.md §14).
-        let trace_span = crate::trace::span(name);
-        let result = crate::span::timed(name, f);
-        drop(trace_span);
-        let wall_s = wall.elapsed().as_secs_f64();
+        // Sequential on the calling thread, so stage span ids are
+        // deterministic (DESIGN.md §14). The name varies at this one
+        // site, so the timer is looked up per stage rather than cached;
+        // the snapshots take the same lock anyway.
+        let span = Span::open(&global().timer(name), name, Placement::Next);
+        let result = f();
+        let wall_s = span.finish().as_secs_f64();
         let cpu_s = match (cpu_before, cpu_time_s()) {
             (Some(a), Some(b)) => Some((b - a).max(0.0)),
             _ => None,
@@ -515,7 +515,7 @@ mod tests {
                     .counter(&format!("{prefix}validator_probe"), MetricClass::Work)
                     .inc();
             }
-            crate::span::timed("probe", || ());
+            drop(crate::span!("probe"));
         });
         let json = profile.to_json();
         validate_profile_json(&json).expect("emitted profile validates");

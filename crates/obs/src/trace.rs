@@ -1,8 +1,19 @@
-//! Deterministic distributed tracing (DESIGN.md §14).
+//! Spans and deterministic distributed tracing (DESIGN.md §9, §14).
 //!
-//! Every campaign gets a trace id and every unit of work — a serve
-//! request, a shard attempt, a session cell, a packed-sim batch — gets
-//! a span id with an explicit parent, recorded as structured JSONL
+//! [`Span`] is the workspace's one span guard, opened by
+//! [`span!`](crate::span!), [`span_keyed!`](crate::span_keyed!) or
+//! [`root!`](crate::root!). It reads the clock when opened and again
+//! when closed, and every span feeds two planes:
+//!
+//! - the metric registry: the elapsed time always lands in the timer
+//!   named after the span, through a handle cached at the opening site
+//!   (names are string literals, so the set of timers is bounded);
+//! - the trace: when tracing is on and the span has a parent context
+//!   (or is a root), it also emits one `span` event.
+//!
+//! Every campaign gets a trace id and every traced unit of work — a
+//! serve request, a shard attempt, a session cell, a packed-sim batch —
+//! gets a span id with an explicit parent, recorded as structured JSONL
 //! events through the [`event`](crate::event()) sink (target
 //! [`TARGET`]). Ids are *derived*, never drawn: FNV-1a over the trace
 //! id, the parent span id, the span name and a per-parent sequence
@@ -33,19 +44,28 @@
 //! subtracts the pair to place every process on one global timeline.
 //!
 //! Tracing is off unless `CA_TRACE` is set truthy (or a harness forces
-//! it with [`set_enabled`]); disabled spans are inert and cost one
-//! atomic load.
+//! it with [`set_enabled`]); with it off a span costs its two clock
+//! reads and the timer update, and touches no thread-local state.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use crate::clock::Stopwatch;
 use crate::event::{event, Level, Mirror};
+use crate::registry::Timer;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Once, OnceLock};
+use std::time::{Duration, Instant};
 
 /// Event-sink target of every trace event (spans and anchors).
 pub const TARGET: &str = "ca_trace";
+
+/// The keys a `span` event line carries of its own: the sink's (`seq`,
+/// `ts_us`, `level`, `target`, `msg`), then the span's. Every other
+/// member of the line is a field added with [`Span::field`], which
+/// refuses these keys.
+pub const SPAN_EVENT_KEYS: [&str; 11] = [
+    "seq", "ts_us", "level", "target", "msg", "trace", "span", "parent", "name", "t0_us", "dur_us",
+];
 
 /// Env var carrying a propagated trace id (16 lowercase hex digits).
 pub const ENV_TRACE_ID: &str = "CA_SHARD_TRACE_ID";
@@ -195,8 +215,9 @@ fn push_frame(ctx: TraceContext) -> u64 {
 }
 
 /// Removes the frame with `token` wherever it sits — by identity, not
-/// position, so a guard dropped out of LIFO order can never pop a
-/// sibling's frame (the same hazard fixed in [`crate::span`]).
+/// position, so a guard dropped out of LIFO order (a span stored in a
+/// struct, or held across an early return past a younger sibling) can
+/// never pop a sibling's frame.
 fn pop_frame(token: u64) {
     FRAMES.with(|frames| {
         let mut frames = frames.borrow_mut();
@@ -216,14 +237,18 @@ pub fn current() -> Option<TraceContext> {
 
 // --- clock + anchor --------------------------------------------------
 
-fn process_epoch() -> &'static Stopwatch {
-    static EPOCH: OnceLock<Stopwatch> = OnceLock::new();
-    EPOCH.get_or_init(Stopwatch::start)
+fn process_epoch() -> Instant {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    *EPOCH.get_or_init(Instant::now)
 }
 
 /// Microseconds on the process-local monotonic trace clock.
 pub fn mono_us() -> u64 {
-    process_epoch().elapsed_ns() / 1_000
+    micros(process_epoch().elapsed())
+}
+
+fn micros(d: Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
 /// Emits this process's clock-anchor event (once; later calls no-op).
@@ -247,136 +272,231 @@ pub fn emit_anchor() {
 
 // --- spans -----------------------------------------------------------
 
-/// A live trace span; emits one event and unwinds its frame on drop.
-/// Inert (no event, no frame) when tracing is disabled or — for
-/// [`span`] — when no context is active on the thread.
+/// A live span: records its registry timer when closed and, when
+/// traced, emits its `span` event and unwinds its frame. Open one with
+/// [`span!`](crate::span!), [`span_keyed!`](crate::span_keyed!) or
+/// [`root!`](crate::root!); close it by dropping it, or with
+/// [`Span::finish`] when the caller needs the duration it recorded.
 #[derive(Debug)]
-pub struct TraceSpan {
-    live: Option<LiveSpan>,
+#[must_use = "a span measures until it is dropped"]
+pub struct Span {
+    /// `None` once the span has closed, so a finished span's drop
+    /// records nothing a second time.
+    timer: Option<Timer>,
+    start: Instant,
+    /// The trace side; `None` when tracing is off or the span found no
+    /// parent context.
+    traced: Option<Traced>,
 }
 
 #[derive(Debug)]
-struct LiveSpan {
-    trace_id: u64,
-    span_id: u64,
+struct Traced {
+    /// The context this span's children derive from.
+    ctx: TraceContext,
     parent_id: u64,
-    name: String,
-    t0_us: u64,
+    name: &'static str,
     token: u64,
+    fields: Vec<(&'static str, String)>,
 }
 
-impl TraceSpan {
-    const DEAD: TraceSpan = TraceSpan { live: None };
+/// Where an opened span attaches in the trace. Chosen by the opener
+/// macros; not meant to be named elsewhere.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy)]
+pub enum Placement {
+    /// The next sequential child of the innermost context.
+    Next,
+    /// A child keyed explicitly, see [`span_keyed!`](crate::span_keyed!).
+    Keyed(u64),
+    /// A campaign root, see [`root!`](crate::root!).
+    Root {
+        fingerprint: u64,
+        role: &'static str,
+    },
+}
 
-    /// The context children of this span derive from, if live.
+impl Span {
+    /// Opens a span recording into `timer`. The opener macros call this
+    /// with a handle cached at their site; use them instead.
+    #[doc(hidden)]
+    pub fn open(timer: &Timer, name: &'static str, placement: Placement) -> Span {
+        let traced = enabled().then(|| Traced::place(name, placement)).flatten();
+        Span {
+            timer: Some(timer.clone()),
+            start: Instant::now(),
+            traced,
+        }
+    }
+
+    /// The context children of this span derive from, if traced.
     pub fn context(&self) -> Option<TraceContext> {
-        self.live.as_ref().map(|s| TraceContext {
-            trace_id: s.trace_id,
-            span_id: s.span_id,
-            child_seed: 0,
-        })
+        self.traced.as_ref().map(|t| t.ctx)
     }
 
-    /// This span's id, if live (diagnostics/tests).
+    /// This span's trace id, if traced (diagnostics/tests).
     pub fn id(&self) -> Option<u64> {
-        self.live.as_ref().map(|s| s.span_id)
+        self.traced.as_ref().map(|t| t.ctx.span_id)
     }
 
-    fn open(trace_id: u64, span_id: u64, parent_id: u64, name: &str) -> TraceSpan {
-        let token = push_frame(TraceContext {
+    /// Adds a field to this span's trace event; a no-op when the span
+    /// is not traced. `key` must not be one of [`SPAN_EVENT_KEYS`].
+    pub fn field(&mut self, key: &'static str, value: &str) {
+        debug_assert!(
+            !SPAN_EVENT_KEYS.contains(&key),
+            "span field `{key}` collides with a span event key"
+        );
+        if let Some(traced) = &mut self.traced {
+            traced.fields.push((key, value.to_string()));
+        }
+    }
+
+    /// Closes the span and returns the duration it recorded.
+    pub fn finish(mut self) -> Duration {
+        self.close()
+    }
+
+    fn close(&mut self) -> Duration {
+        let Some(timer) = self.timer.take() else {
+            return Duration::ZERO;
+        };
+        let elapsed = self.start.elapsed();
+        timer.record_ns(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
+        if let Some(traced) = self.traced.take() {
+            traced.emit(self.start, elapsed);
+        }
+        elapsed
+    }
+}
+
+impl Drop for Span {
+    fn drop(&mut self) {
+        self.close();
+    }
+}
+
+impl Traced {
+    /// Derives the span's ids from `placement` and pushes its frame;
+    /// `None` for a child span opened with no context on this thread.
+    fn place(name: &'static str, placement: Placement) -> Option<Traced> {
+        let (trace_id, span_id, parent_id) = match placement {
+            Placement::Root { fingerprint, role } => {
+                let trace_id = derive_trace_id(fingerprint, role);
+                (trace_id, derive_root_span_id(trace_id, name), 0)
+            }
+            Placement::Next => {
+                let (ctx, key) = FRAMES.with(|frames| {
+                    let mut frames = frames.borrow_mut();
+                    frames.last_mut().map(|top| {
+                        let key = top.next_child;
+                        top.next_child += 1;
+                        (top.ctx, key)
+                    })
+                })?;
+                (ctx.trace_id, ctx.child_id(name, key), ctx.span_id)
+            }
+            Placement::Keyed(key) => {
+                let ctx = FRAMES.with(|frames| frames.borrow().last().map(|f| f.ctx))?;
+                // Keyed ids live in a disjoint counter domain from
+                // sequential ones: the key is offset into the top bit so
+                // the two cannot collide for small counters (and the
+                // tagged hash separates them regardless).
+                let id = ctx.child_id(name, key | 1 << 63);
+                (ctx.trace_id, id, ctx.span_id)
+            }
+        };
+        // Start the trace clock no later than the span, so `t0_us` is
+        // never clamped.
+        process_epoch();
+        let ctx = TraceContext {
             trace_id,
             span_id,
             child_seed: 0,
-        });
-        TraceSpan {
-            live: Some(LiveSpan {
-                trace_id,
-                span_id,
-                parent_id,
-                name: name.to_string(),
-                t0_us: mono_us(),
-                token,
-            }),
-        }
-    }
-}
-
-impl Drop for TraceSpan {
-    fn drop(&mut self) {
-        let Some(live) = self.live.take() else { return };
-        emit_anchor();
-        let dur = mono_us().saturating_sub(live.t0_us).to_string();
-        let t0 = live.t0_us.to_string();
-        let trace = format!("{:016x}", live.trace_id);
-        let span = format!("{:016x}", live.span_id);
-        let parent = format!("{:016x}", live.parent_id);
-        event(
-            Level::Info,
-            TARGET,
-            "span",
-            &[
-                ("trace", trace.as_str()),
-                ("span", span.as_str()),
-                ("parent", parent.as_str()),
-                ("name", live.name.as_str()),
-                ("t0_us", t0.as_str()),
-                ("dur_us", dur.as_str()),
-            ],
-            Mirror::Never,
-        );
-        pop_frame(live.token);
-    }
-}
-
-/// Opens a campaign root span: trace id from `fingerprint` + `role`
-/// ([`derive_trace_id`]), span id from the trace id + `name`, parent
-/// `0`. Inert when tracing is off.
-pub fn root(name: &str, fingerprint: u64, role: &str) -> TraceSpan {
-    if !enabled() {
-        return TraceSpan::DEAD;
-    }
-    let trace_id = derive_trace_id(fingerprint, role);
-    let span_id = derive_root_span_id(trace_id, name);
-    TraceSpan::open(trace_id, span_id, 0, name)
-}
-
-/// Opens the next sequential child span of the innermost context on
-/// this thread. Inert when tracing is off or no context is active —
-/// instrumentation sites need no enablement checks of their own.
-pub fn span(name: &str) -> TraceSpan {
-    if !enabled() {
-        return TraceSpan::DEAD;
-    }
-    let Some((ctx, key)) = FRAMES.with(|frames| {
-        let mut frames = frames.borrow_mut();
-        frames.last_mut().map(|top| {
-            let key = top.next_child;
-            top.next_child += 1;
-            (top.ctx, key)
+        };
+        Some(Traced {
+            ctx,
+            parent_id,
+            name,
+            token: push_frame(ctx),
+            fields: Vec::new(),
         })
-    }) else {
-        return TraceSpan::DEAD;
-    };
-    let span_id = ctx.child_id(name, key);
-    TraceSpan::open(ctx.trace_id, span_id, ctx.span_id, name)
+    }
+
+    fn emit(self, start: Instant, elapsed: Duration) {
+        emit_anchor();
+        let since_epoch = start.saturating_duration_since(process_epoch());
+        let t0_us = micros(since_epoch);
+        let dur = (micros(since_epoch + elapsed) - t0_us).to_string();
+        let t0 = t0_us.to_string();
+        let trace = format!("{:016x}", self.ctx.trace_id);
+        let span = format!("{:016x}", self.ctx.span_id);
+        let parent = format!("{:016x}", self.parent_id);
+        let mut fields = vec![
+            ("trace", trace.as_str()),
+            ("span", span.as_str()),
+            ("parent", parent.as_str()),
+            ("name", self.name),
+            ("t0_us", t0.as_str()),
+            ("dur_us", dur.as_str()),
+        ];
+        fields.extend(self.fields.iter().map(|(k, v)| (*k, v.as_str())));
+        event(Level::Info, TARGET, "span", &fields, Mirror::Never);
+        pop_frame(self.token);
+    }
 }
 
-/// Opens a child span keyed explicitly (a shard index, an attempt
-/// number) instead of by arrival order, so its id is stable however
-/// siblings are scheduled. The key joins the name in the derivation;
-/// reusing a (`name`, `key`) pair under one parent collides.
-pub fn span_keyed(name: &str, key: u64) -> TraceSpan {
-    if !enabled() {
-        return TraceSpan::DEAD;
-    }
-    let Some(ctx) = FRAMES.with(|frames| frames.borrow().last().map(|f| f.ctx)) else {
-        return TraceSpan::DEAD;
+/// Opens a span named by the string literal `$name`, as the next
+/// sequential child of this thread's innermost trace context. Always
+/// records the registry timer `$name`; traced only when tracing is on
+/// and a context is active, so instrumentation sites need no
+/// enablement checks of their own.
+#[macro_export]
+macro_rules! span {
+    ($name:literal) => {
+        $crate::__open_span!($name, $crate::trace::Placement::Next)
     };
-    // Keyed ids live in a disjoint counter domain from sequential ones:
-    // the key is offset into the top bit so the two cannot collide for
-    // small counters (and the tagged hash separates them regardless).
-    let span_id = ctx.child_id(name, key | 1 << 63);
-    TraceSpan::open(ctx.trace_id, span_id, ctx.span_id, name)
+}
+
+/// Like [`span!`](crate::span!), but the child is keyed explicitly (a
+/// shard index, an attempt number) instead of by arrival order, so its
+/// id is stable however siblings are scheduled. The key joins the name
+/// in the derivation; reusing a (`$name`, `$key`) pair under one parent
+/// collides.
+#[macro_export]
+macro_rules! span_keyed {
+    ($name:literal, $key:expr) => {
+        $crate::__open_span!($name, $crate::trace::Placement::Keyed($key))
+    };
+}
+
+/// Opens a campaign root span: trace id from `$fingerprint` + `$role`
+/// ([`derive_trace_id`](crate::trace::derive_trace_id)), span id from
+/// the trace id + `$name`, parent `0`. Traced whenever tracing is on.
+#[macro_export]
+macro_rules! root {
+    ($name:literal, $fingerprint:expr, $role:literal) => {
+        $crate::__open_span!(
+            $name,
+            $crate::trace::Placement::Root {
+                fingerprint: $fingerprint,
+                role: $role,
+            }
+        )
+    };
+}
+
+/// Shared body of the opener macros: caches the timer handle at the
+/// call site, like [`counter!`](crate::counter!).
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __open_span {
+    ($name:literal, $placement:expr) => {{
+        static SITE: std::sync::OnceLock<$crate::Timer> = std::sync::OnceLock::new();
+        $crate::trace::Span::open(
+            SITE.get_or_init(|| $crate::global().timer($name)),
+            $name,
+            $placement,
+        )
+    }};
 }
 
 // --- adoption (threads and processes) --------------------------------
@@ -516,6 +636,14 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "collides with a span event key")]
+    fn span_fields_cannot_shadow_event_keys() {
+        let mut span = crate::span!("obs_test.reserved_field");
+        span.field("name", "INV");
+    }
+
+    #[test]
     fn env_round_trip_preserves_the_context() {
         let c = ctx(u64::MAX, 0x0123_4567_89ab_cdef, 1);
         let pairs = context_to_env(&c);
@@ -527,43 +655,5 @@ mod tests {
         );
         assert_eq!(decoded, c);
         assert_eq!(parse_id("zz"), None);
-    }
-
-    #[test]
-    fn stack_adopt_and_fork_compose_without_enablement_leaks() {
-        // Forced off: everything is inert.
-        set_enabled(Some(false));
-        assert!(current().is_none());
-        assert!(span("dead").id().is_none());
-
-        set_enabled(Some(true));
-        let c = ctx(9, 10, 0);
-        {
-            let _g = adopt(c);
-            assert_eq!(current(), Some(c));
-            let fork = fork().expect("context is live");
-            {
-                let _item = fork.adopt(2);
-                let inner = current().expect("forked context is live");
-                assert_eq!(inner.span_id, c.span_id);
-                assert_ne!(inner.child_seed, 0);
-            }
-            assert_eq!(current(), Some(c));
-        }
-        assert!(current().is_none());
-        set_enabled(None);
-    }
-
-    #[test]
-    fn guards_dropped_out_of_order_pop_by_identity() {
-        set_enabled(Some(true));
-        let outer = adopt(ctx(1, 100, 0));
-        let inner = adopt(ctx(1, 200, 0));
-        // Dropping the *outer* guard first must not evict the inner frame.
-        drop(outer);
-        assert_eq!(current().map(|c| c.span_id), Some(200));
-        drop(inner);
-        assert!(current().is_none());
-        set_enabled(None);
     }
 }

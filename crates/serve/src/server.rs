@@ -28,7 +28,7 @@ use ca_core::{CellService, CellVerdict, CoreError, StoredVerdict};
 use ca_defects::GenerateOptions;
 use ca_netlist::library::Library;
 use ca_netlist::{spice, Cell};
-use ca_obs::clock::{Backoff, Deadline, Stopwatch};
+use ca_obs::clock::{Backoff, Deadline};
 use ca_obs::trace::{self, TraceContext};
 use ca_sim::SimBudget;
 use std::collections::BTreeMap;
@@ -527,10 +527,10 @@ fn characterize(
     // canonical output (rule D3 covers model bytes, not trace ids).
     let _adopt = wire_trace.map(trace::adopt);
     let _request_span = if wire_trace.is_some() {
-        trace::span("request")
+        ca_obs::span!("request")
     } else {
         static REQ_SEQ: AtomicU64 = AtomicU64::new(0);
-        trace::root("request", REQ_SEQ.fetch_add(1, Ordering::Relaxed), "serve")
+        ca_obs::root!("request", REQ_SEQ.fetch_add(1, Ordering::Relaxed), "serve")
     };
     if client.is_empty() {
         return Response::Error {
@@ -565,8 +565,7 @@ fn characterize(
             .default_deadline
             .map_or(Deadline::never(), Deadline::after)
     };
-    let queued = Stopwatch::start();
-    let queue_span = trace::span("queue");
+    let queue_span = ca_obs::span!("queue");
     let mut ticket = match shared.admission.try_admit(client) {
         Ok(ticket) => ticket,
         Err(denial) => {
@@ -587,19 +586,16 @@ fn characterize(
             detail: "deadline expired waiting for an execution slot".into(),
         };
     }
-    drop(queue_span);
-    let queue_us = queued.elapsed_ns() / 1_000;
+    let queue_us = micros(queue_span.finish());
     ca_obs::histogram!("ca_serve.latency.queue_us", Ops, LATENCY_BOUNDS_US).observe(queue_us);
     // Journal time is attributed per request via a thread-local the
     // session bumps on append; the leader journals on its own
     // connection thread, so draining before the call isolates this
     // request's share (followers report zero).
     let _ = ca_core::take_journal_ns();
-    let in_service = Stopwatch::start();
-    let service_span = trace::span("service");
+    let service_span = ca_obs::span!("service");
     let (verdict, source) = shared.engine.characterize(&cell, deadline);
-    drop(service_span);
-    let service_us = in_service.elapsed_ns() / 1_000;
+    let service_us = micros(service_span.finish());
     let timing = Timing {
         queue_us,
         service_us,
@@ -607,7 +603,7 @@ fn characterize(
     };
     ca_obs::histogram!("ca_serve.latency.service_us", Ops, LATENCY_BOUNDS_US).observe(service_us);
     ca_obs::histogram!("ca_serve.latency.total_us", Ops, LATENCY_BOUNDS_US)
-        .observe(queued.elapsed_ns() / 1_000);
+        .observe(queue_us + service_us);
     drop(ticket);
     match verdict {
         CellVerdict::Model(p) => {
@@ -641,6 +637,11 @@ fn characterize(
             }
         }
     }
+}
+
+/// Whole microseconds of `d`, saturating.
+fn micros(d: Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
 fn render_stats(shared: &Shared) -> String {

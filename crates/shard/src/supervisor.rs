@@ -313,7 +313,7 @@ pub fn run_campaign(
         .fold(0xcbf2_9ce4_8422_2325u64, |acc, lc| {
             acc.wrapping_mul(0x100_0000_01b3) ^ ca_core::cell_fingerprint(&lc.cell)
         });
-    let _campaign_span = ca_obs::trace::root("campaign", campaign_fp, "supervisor");
+    let _campaign_span = ca_obs::root!("campaign", campaign_fp, "supervisor");
 
     // Cells that cannot cross the process boundary losslessly are held
     // back for the final in-process pass: correctness over parallelism.
@@ -481,7 +481,7 @@ fn supervise_shard(
     // The executor adopted this closure into the campaign span's fork
     // (keyed by shard position), so this parents under the campaign
     // root at any concurrency level.
-    let _shard_span = ca_obs::trace::span_keyed("shard", index as u64);
+    let _shard_span = ca_obs::span_keyed!("shard", index as u64);
     let mut attempts = Vec::new();
     for attempt in 1..=config.max_attempts {
         let pause = config.backoff.delay(attempt - 1);
@@ -498,7 +498,7 @@ fn supervise_shard(
             (true, Some(n)) => FaultPolicy::RetryWithReducedBudget(n),
             _ => config.retry_policy,
         };
-        let attempt_span = ca_obs::trace::span_keyed("shard_attempt", u64::from(attempt));
+        let attempt_span = ca_obs::span_keyed!("shard_attempt", u64::from(attempt));
         let spec = WorkerSpec {
             library_path: shard_path(work_dir, index, "lib"),
             store_path: shard_path(work_dir, index, "caj"),

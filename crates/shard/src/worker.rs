@@ -60,12 +60,12 @@ pub fn run(spec: &WorkerSpec) -> i32 {
     // including per-cell spans inside the robust driver — parents into
     // the campaign trace. Inert when the campaign is untraced.
     let _trace_adopt = spec.trace.map(ca_obs::trace::adopt);
-    let worker_span = ca_obs::trace::span("worker");
+    let worker_span = ca_obs::span!("worker");
 
     // The spawned-process path exits immediately after this function
     // returns, so the worker flushes its own buffered events (the
     // supervisor points CA_OBS_PATH at a per-attempt JSONL file).
-    let finish = |code: i32, span: ca_obs::trace::TraceSpan| {
+    let finish = |code: i32, span: ca_obs::Span| {
         drop(span);
         let _ = ca_obs::flush();
         code

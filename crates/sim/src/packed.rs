@@ -787,7 +787,7 @@ pub fn detection_flags(
     // One trace span per packed batch (a whole golden+faulty sweep for
     // one injection), not per 64-lane block: coarse enough to stay
     // within the event cap and the <3% tracing-overhead budget.
-    let _span = ca_obs::trace::span("packed_batch");
+    let _span = ca_obs::span!("packed_batch");
     let packed = PackedStimulus::pack(cell.num_inputs(), stimuli);
     let outputs: Vec<usize> = cell.outputs().iter().map(|o| o.index()).collect();
     let golden = PackedSim::new(&kernel, Injection::None, None);
