@@ -21,8 +21,8 @@ pub struct Rule {
     pub hint: &'static str,
 }
 
-/// The rules `ca-audit` enforces, in id order. D1–D6 and D9 are clippy
-/// lints and D10 is a round-trip test (DESIGN.md §10).
+/// The rules `ca-audit` enforces, in id order. D1–D6, D9 and D13 are
+/// clippy lints and D10 is a round-trip test (DESIGN.md §10).
 pub const RULES: [Rule; 4] = [
     Rule {
         id: "D7",

@@ -5,8 +5,8 @@
 //! — rest on conventions: no hash-ordered iteration feeding canonical
 //! output, no ambient clocks or randomness, no raw durable writes, no
 //! ad-hoc stdout/stderr in library crates. Clippy enforces the rules it
-//! can express (D1–D6 and D9, through `clippy.toml` and crate-root lint
-//! attributes), and a round-trip test replaces D10. This crate keeps
+//! can express (D1–D6, D9 and D13, through `clippy.toml` and crate-root
+//! lint attributes), and a round-trip test replaces D10. This crate keeps
 //! the four rules clippy cannot express ([`checks::RULES`]): partial
 //! float comparisons (D7), lock order (D8), the metric inventory (D11)
 //! and the env-var table (D12).

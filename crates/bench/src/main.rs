@@ -37,8 +37,8 @@
 //! ```
 //!
 //! The binary doubles as the campaign's worker executable: spawned with
-//! the `CA_SHARD_*` environment set (`ca-bench shard-worker`), it runs
-//! one shard and exits before any command parsing.
+//! `CA_SHARD_SPEC` naming a worker spec (`ca-bench shard-worker`), it
+//! runs one shard and exits before any command parsing.
 //!
 //! `parallel`, `profile` and `shard` honour `CA_THREADS` for the worker
 //! count.
@@ -68,7 +68,7 @@ fn parse_tech(s: &str) -> Option<Technology> {
 
 fn main() {
     // Worker dispatch first: when the supervisor spawned this process
-    // with a `CA_SHARD_*` spec, it is a shard worker and nothing else.
+    // with `CA_SHARD_SPEC` set, it is a shard worker and nothing else.
     // Inert (None) in every normal invocation.
     if let Some(code) = ca_shard::worker::run_from_env() {
         std::process::exit(code);

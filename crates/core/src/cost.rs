@@ -12,7 +12,6 @@ use ca_netlist::Cell;
 
 /// Seconds-per-unit constants of the generation-time model.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CostModel {
     /// Fixed SPICE setup time per cell (netlist extraction, licensing).
     pub spice_setup_s: f64,

@@ -13,7 +13,6 @@ use std::fmt;
 
 /// Detection behaviour of a defect class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Behavior {
     /// Detected by at least one static (single-pattern) stimulus.
     Static,
@@ -35,7 +34,6 @@ impl fmt::Display for Behavior {
 
 /// A group of boundary-equivalent defects.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DefectClass {
     /// Representative defect (lowest id in the class).
     pub representative: DefectId,

@@ -14,7 +14,6 @@ use ca_sim::{
 
 /// A packed bit row (one bit per stimulus).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BitRow {
     bits: Vec<u64>,
     len: usize,
@@ -82,7 +81,6 @@ impl BitRow {
 
 /// Detection results of a full defect universe under a full stimulus set.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DetectionTable {
     stimuli: Vec<Stimulus>,
     rows: Vec<BitRow>,

@@ -12,7 +12,6 @@ use std::fmt;
 
 /// Index of a defect within its [`DefectUniverse`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DefectId(pub u32);
 
 impl DefectId {
@@ -30,7 +29,6 @@ impl fmt::Display for DefectId {
 
 /// Coarse defect category (the paper's "defect type" column).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DefectKind {
     /// Resistive/full open.
     Open,
@@ -49,7 +47,6 @@ impl fmt::Display for DefectKind {
 
 /// One potential defect of a cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Defect {
     /// Position in the universe.
     pub id: DefectId,
@@ -80,7 +77,6 @@ impl Defect {
 
 /// The complete list of defects considered for one cell.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DefectUniverse {
     defects: Vec<Defect>,
 }

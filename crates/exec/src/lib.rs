@@ -83,17 +83,7 @@ impl Executor {
     /// Batch entry points that would rather refuse to start should use
     /// [`Executor::try_from_env`].
     pub fn from_env() -> Executor {
-        match Executor::try_from_env() {
-            Ok(exec) => exec,
-            Err(err) => {
-                ca_obs::warn(
-                    "ca_exec",
-                    &format!("warning: {err}; falling back to auto-detected parallelism"),
-                    &[("raw", &err.value)],
-                );
-                Executor::auto()
-            }
-        }
+        Executor::or_auto(Executor::try_from_env())
     }
 
     /// Like [`Executor::from_env`], but a set-yet-invalid `CA_THREADS`
@@ -107,13 +97,33 @@ impl Executor {
     ///
     /// [`BadThreadsVar`] echoing the rejected value.
     pub fn try_from_env() -> Result<Executor, BadThreadsVar> {
-        match std::env::var("CA_THREADS") {
-            Err(_) => Ok(Executor::auto()),
-            Ok(raw) => match raw.trim().parse::<usize>() {
-                Ok(n) if n >= 1 => Ok(Executor::with_threads(n)),
-                _ => Err(BadThreadsVar { value: raw }),
-            },
+        Executor::parse_threads(std::env::var("CA_THREADS").ok())
+    }
+
+    /// The `CA_THREADS` rule over a value already read: `None` (unset)
+    /// auto-detects, a positive integer (surrounding whitespace
+    /// allowed) sets the width, anything else is rejected.
+    fn parse_threads(raw: Option<String>) -> Result<Executor, BadThreadsVar> {
+        let Some(raw) = raw else {
+            return Ok(Executor::auto());
+        };
+        match raw.trim().parse::<usize>() {
+            Ok(n) if n >= 1 => Ok(Executor::with_threads(n)),
+            _ => Err(BadThreadsVar { value: raw }),
         }
+    }
+
+    /// [`Executor::from_env`]'s fallback: a rejected value is warned
+    /// about and replaced by auto-detected parallelism.
+    fn or_auto(parsed: Result<Executor, BadThreadsVar>) -> Executor {
+        parsed.unwrap_or_else(|err| {
+            ca_obs::warn(
+                "ca_exec",
+                &format!("warning: {err}; falling back to auto-detected parallelism"),
+                &[("raw", &err.value)],
+            );
+            Executor::auto()
+        })
     }
 
     /// The machine's available parallelism, capped at
@@ -406,65 +416,42 @@ mod tests {
         assert_eq!(sum, 999 * 1000 / 2);
     }
 
-    /// Serializes the `CA_THREADS` tests: the environment is process
-    /// state and the test harness runs on several threads.
-    fn with_env_var(value: Option<&str>, check: impl FnOnce()) {
-        static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        let _guard = ENV_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-        let saved = std::env::var("CA_THREADS").ok();
-        match value {
-            Some(v) => std::env::set_var("CA_THREADS", v),
-            None => std::env::remove_var("CA_THREADS"),
-        }
-        let outcome = catch_unwind(AssertUnwindSafe(check));
-        match saved {
-            Some(v) => std::env::set_var("CA_THREADS", v),
-            None => std::env::remove_var("CA_THREADS"),
-        }
-        if let Err(payload) = outcome {
-            resume_unwind(payload);
-        }
+    fn parse(raw: Option<&str>) -> Result<Executor, BadThreadsVar> {
+        Executor::parse_threads(raw.map(str::to_string))
     }
 
     #[test]
-    fn try_from_env_accepts_valid_overrides() {
-        with_env_var(Some("3"), || {
-            assert_eq!(Executor::try_from_env().unwrap().threads(), 3);
-            assert_eq!(Executor::from_env().threads(), 3);
-        });
+    fn threads_var_accepts_valid_overrides() {
+        assert_eq!(parse(Some("3")).unwrap().threads(), 3);
+        assert_eq!(Executor::or_auto(parse(Some("3"))).threads(), 3);
         // Whitespace is operator noise, not an error.
-        with_env_var(Some(" 2 "), || {
-            assert_eq!(Executor::try_from_env().unwrap().threads(), 2);
-        });
-        with_env_var(None, || {
-            let auto = Executor::auto().threads();
-            assert_eq!(Executor::try_from_env().unwrap().threads(), auto);
-            assert_eq!(Executor::from_env().threads(), auto);
-        });
+        assert_eq!(parse(Some(" 2 ")).unwrap().threads(), 2);
+        let auto = Executor::auto().threads();
+        assert_eq!(parse(None).unwrap().threads(), auto);
+        assert_eq!(Executor::or_auto(parse(None)).threads(), auto);
     }
 
     #[test]
-    fn try_from_env_rejects_zero_and_garbage() {
-        for bad in ["0", "", "eight", "-2", "1.5"] {
-            with_env_var(Some(bad), || {
-                let err = Executor::try_from_env().unwrap_err();
-                assert_eq!(err.value, bad);
-                assert_eq!(
-                    err.to_string(),
-                    format!("CA_THREADS must be a positive integer, got `{bad}`")
-                );
-            });
+    fn threads_var_rejects_zero_and_garbage() {
+        for bad in ["0", "-1", "abc", "", "1.5"] {
+            let err = parse(Some(bad)).unwrap_err();
+            assert_eq!(err.value, bad);
+            assert_eq!(
+                err.to_string(),
+                format!("CA_THREADS must be a positive integer, got `{bad}`")
+            );
         }
     }
 
     #[test]
-    fn from_env_falls_back_loudly_on_bad_values() {
-        // The warning itself goes to stderr; what must hold for the
-        // batch is that the executor still comes up at auto width.
+    fn rejected_values_fall_back_loudly_to_auto() {
+        // The warning itself goes to the event sink; what must hold for
+        // the batch is that the executor still comes up at auto width.
         for bad in ["0", "not-a-number"] {
-            with_env_var(Some(bad), || {
-                assert_eq!(Executor::from_env().threads(), Executor::auto().threads());
-            });
+            assert_eq!(
+                Executor::or_auto(parse(Some(bad))).threads(),
+                Executor::auto().threads()
+            );
         }
     }
 

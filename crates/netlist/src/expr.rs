@@ -9,7 +9,6 @@ use std::fmt;
 
 /// A Boolean expression over input pins `0..n`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Expr {
     /// The value of input pin `i`.
     Var(u8),

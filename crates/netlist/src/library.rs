@@ -17,7 +17,6 @@ use std::fmt;
 
 /// The three synthetic technologies mirroring the paper's dataset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Technology {
     /// 40 nm bulk technology (paper: 446 cells).
     C40,
@@ -58,7 +57,6 @@ impl fmt::Display for Technology {
 
 /// Netlist conventions of one technology.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TechStyle {
     /// The technology this style renders.
     pub tech: Technology,
@@ -121,7 +119,6 @@ impl TechStyle {
 
 /// A catalog entry: a named function with its gate plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CellTemplate {
     /// Function name (e.g. `AOI21`).
     pub name: String,
@@ -403,7 +400,6 @@ pub fn exclusive_catalog(tech: Technology) -> Vec<CellTemplate> {
 
 /// A generated library cell with provenance metadata.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LibraryCell {
     /// The transistor netlist.
     pub cell: Cell,
@@ -419,7 +415,6 @@ pub struct LibraryCell {
 
 /// A generated standard-cell library.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Library {
     /// The technology the library belongs to.
     pub technology: Technology,
@@ -446,7 +441,6 @@ impl Library {
 
 /// Parameters of library generation.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LibraryConfig {
     /// Technology to render.
     pub tech: Technology,

@@ -11,7 +11,6 @@ use std::fmt;
 
 /// Index of a net within its owning [`Cell`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NetId(pub u32);
 
 impl NetId {
@@ -29,7 +28,6 @@ impl fmt::Display for NetId {
 
 /// Index of a transistor within its owning [`Cell`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TransistorId(pub u32);
 
 impl TransistorId {
@@ -47,7 +45,6 @@ impl fmt::Display for TransistorId {
 
 /// Channel polarity of a MOS transistor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum MosKind {
     /// N-channel device: conducts when its gate is at logic 1.
     Nmos,
@@ -84,7 +81,6 @@ impl fmt::Display for MosKind {
 
 /// One of the four terminals of a MOS transistor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Terminal {
     /// Drain terminal.
     Drain,
@@ -119,7 +115,6 @@ impl fmt::Display for Terminal {
 
 /// Role of a net inside a cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum NetKind {
     /// Primary input pin.
     Input,
@@ -142,7 +137,6 @@ impl NetKind {
 
 /// A named electrical node of a cell.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Net {
     name: String,
     kind: NetKind,
@@ -170,7 +164,6 @@ impl Net {
 
 /// A MOS transistor instance.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Transistor {
     name: String,
     kind: MosKind,
@@ -281,7 +274,6 @@ impl Transistor {
 /// Construct with [`CellBuilder`] or parse one with
 /// [`spice::parse_cell`](crate::spice::parse_cell).
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Cell {
     name: String,
     nets: Vec<Net>,

@@ -23,7 +23,6 @@ use crate::model::{Cell, CellBuilder, MosKind, NetId, NetKind};
 
 /// A signal referenced by a stage expression.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Sig {
     /// Primary input pin `i`.
     Pin(u8),
@@ -33,7 +32,6 @@ pub enum Sig {
 
 /// AND/OR tree over signals; the leaf level of a CMOS stage.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum StageExpr {
     /// A single transistor gated by the signal.
     Lit(Sig),
@@ -76,7 +74,6 @@ impl StageExpr {
 
 /// One inverting CMOS stage: `out = NOT(expr)`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Stage {
     /// The pull-down expression of the stage.
     pub expr: StageExpr,
@@ -91,7 +88,6 @@ impl Stage {
 
 /// A complete multi-stage gate plan. The last stage drives the cell output.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StagePlan {
     /// Number of primary inputs.
     pub n_inputs: u8,
@@ -166,7 +162,6 @@ fn expr_of(e: &StageExpr, outs: &[Expr]) -> Expr {
 
 /// How drive strength > 1 replicates devices (paper Fig. 6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DriveStyle {
     /// Each transistor is duplicated in parallel sharing both channel nets
     /// (Fig. 6 configuration with the "red net" present).
@@ -179,7 +174,6 @@ pub enum DriveStyle {
 
 /// Device/net naming and sizing conventions, varied per technology.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NetlistStyle {
     /// Prefix for NMOS instance names (a running index is appended).
     pub nmos_prefix: String,
@@ -229,7 +223,6 @@ impl Default for NetlistStyle {
 
 /// A synthesized cell bundled with its functional reference.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SynthesizedCell {
     /// The transistor netlist.
     pub cell: Cell,

@@ -14,7 +14,7 @@
 //!   after it and, when tracing is on, also emits its [`trace`] event —
 //!   deterministic distributed tracing with campaign trace ids,
 //!   parent-linked spans with FNV-derived ids, and context propagation
-//!   across threads (`ca-exec`), processes (`CA_SHARD_TRACE*`) and
+//!   across threads (`ca-exec`), processes (the ca-shard worker spec) and
 //!   sockets (ca-serve wire v2), stitched by `ca-bench trace` into a
 //!   Chrome/Perfetto `trace_event` timeline.
 //! - A structured JSONL event sink ([`event()`], [`warn`],

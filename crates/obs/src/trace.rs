@@ -29,11 +29,11 @@
 //!   by the item index so sibling items derive disjoint — but
 //!   schedule-independent — child ids (`ca-exec` does this for every
 //!   mapped item).
-//! - **Processes**: a [`TraceContext`] serializes to the
-//!   `CA_SHARD_TRACE_ID` / `CA_SHARD_TRACE_SPAN` / `CA_SHARD_TRACE_SEED`
-//!   env vars ([`ENV_TRACE_ID`] &c.); shard workers [`adopt`] it at
-//!   startup so their spans parent under the supervisor's shard-attempt
-//!   span.
+//! - **Processes**: a [`TraceContext`] is three plain integers, so a
+//!   process boundary carries it in whatever document already crosses
+//!   it (`ca-shard` writes it into each worker's spec); the worker
+//!   [`adopt`]s it at startup so its spans parent under the
+//!   supervisor's shard-attempt span.
 //! - **Sockets**: the `ca-serve` wire protocol v2 carries the context
 //!   in `Characterize` frames; the server adopts it per request.
 //!
@@ -66,13 +66,6 @@ pub const TARGET: &str = "ca_trace";
 pub const SPAN_EVENT_KEYS: [&str; 11] = [
     "seq", "ts_us", "level", "target", "msg", "trace", "span", "parent", "name", "t0_us", "dur_us",
 ];
-
-/// Env var carrying a propagated trace id (16 lowercase hex digits).
-pub const ENV_TRACE_ID: &str = "CA_SHARD_TRACE_ID";
-/// Env var carrying the parent span id.
-pub const ENV_TRACE_SPAN: &str = "CA_SHARD_TRACE_SPAN";
-/// Env var carrying the fork seed of the parent context.
-pub const ENV_TRACE_SEED: &str = "CA_SHARD_TRACE_SEED";
 
 // --- deterministic id derivation (FNV-1a 64) -------------------------
 
@@ -517,7 +510,7 @@ impl Drop for AdoptGuard {
 
 /// Re-establishes `ctx` as the innermost context on this thread —
 /// the receiving end of every propagation edge (worker process from
-/// env, serve request from the wire). Spans opened under the guard
+/// its spec, serve request from the wire). Spans opened under the guard
 /// parent to `ctx.span_id`.
 pub fn adopt(ctx: TraceContext) -> AdoptGuard {
     if !enabled() {
@@ -552,36 +545,6 @@ impl ForkPoint {
 /// worker threads; `None` when tracing is off or no context is active.
 pub fn fork() -> Option<ForkPoint> {
     current().map(|ctx| ForkPoint { ctx })
-}
-
-// --- env propagation -------------------------------------------------
-
-/// Serializes a context to the `CA_SHARD_TRACE*` env pairs.
-pub fn context_to_env(ctx: &TraceContext) -> Vec<(String, String)> {
-    vec![
-        (ENV_TRACE_ID.to_string(), format!("{:016x}", ctx.trace_id)),
-        (ENV_TRACE_SPAN.to_string(), format!("{:016x}", ctx.span_id)),
-        (
-            ENV_TRACE_SEED.to_string(),
-            format!("{:016x}", ctx.child_seed),
-        ),
-    ]
-}
-
-/// Parses one `CA_SHARD_TRACE*` value (16 hex digits, case-blind).
-pub fn parse_id(raw: &str) -> Option<u64> {
-    u64::from_str_radix(raw.trim(), 16).ok()
-}
-
-/// Reads a propagated context from the process environment; `None`
-/// unless all three vars are present and parse.
-pub fn context_from_env() -> Option<TraceContext> {
-    let read = |var: &str| std::env::var(var).ok().and_then(|v| parse_id(&v));
-    Some(TraceContext {
-        trace_id: read(ENV_TRACE_ID)?,
-        span_id: read(ENV_TRACE_SPAN)?,
-        child_seed: read(ENV_TRACE_SEED)?,
-    })
 }
 
 #[cfg(test)]
@@ -641,19 +604,5 @@ mod tests {
     fn span_fields_cannot_shadow_event_keys() {
         let mut span = crate::span!("obs_test.reserved_field");
         span.field("name", "INV");
-    }
-
-    #[test]
-    fn env_round_trip_preserves_the_context() {
-        let c = ctx(u64::MAX, 0x0123_4567_89ab_cdef, 1);
-        let pairs = context_to_env(&c);
-        assert_eq!(pairs.len(), 3);
-        let decoded = ctx(
-            parse_id(&pairs[0].1).unwrap(),
-            parse_id(&pairs[1].1).unwrap(),
-            parse_id(&pairs[2].1).unwrap(),
-        );
-        assert_eq!(decoded, c);
-        assert_eq!(parse_id("zz"), None);
     }
 }

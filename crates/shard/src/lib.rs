@@ -10,12 +10,15 @@
 //!    stable FNV-1a hash of the canonical cell key (the cell name), so
 //!    a cell's shard assignment never depends on library order, retry
 //!    history or shard launch order.
-//! 2. **Ship** ([`codec`]): each shard's cells cross the process
-//!    boundary in a lossless text encoding that round-trips the exact
-//!    netlist model — explicit net kinds, exact net/transistor order —
-//!    so even deliberately broken cells (the robustness pipeline's
-//!    whole point) arrive at the worker bit-for-bit. Cells that cannot
-//!    round-trip are held back and characterized in-process.
+//! 2. **Ship** ([`spec`]): before each attempt the supervisor writes
+//!    one text document — journal and heartbeat paths, options,
+//!    budget, policy, trace context, test hooks and the shard's cells —
+//!    and names it in the worker's only variable, `CA_SHARD_SPEC`. The
+//!    cells round-trip the exact netlist model (explicit net kinds,
+//!    exact net/transistor order), so even deliberately broken cells
+//!    (the robustness pipeline's whole point) arrive at the worker
+//!    bit-for-bit. Cells that cannot round-trip are held back and
+//!    characterized in-process.
 //! 3. **Work** ([`worker`]): each worker process runs the crash-safe
 //!    robust session driver against a *private* `.caj` journal and
 //!    proves liveness by atomically rewriting a heartbeat file.
@@ -60,7 +63,6 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
 )]
 
-pub mod codec;
 pub mod heartbeat;
 pub mod merge;
 pub mod plan;
@@ -68,10 +70,9 @@ pub mod spec;
 pub mod supervisor;
 pub mod worker;
 
-pub use codec::{decode_library, encode_library, round_trips, CodecError};
 pub use merge::{merge_shard_stores, MergeReport};
 pub use plan::{shard_of, ShardPlan};
-pub use spec::{TestHook, WorkerSpec};
+pub use spec::{round_trips, HookAction, TestHook, WorkerSpec};
 pub use supervisor::{
     run_campaign, AttemptOutcome, CampaignConfig, CampaignOutcome, CampaignReport, ShardError,
     ShardReport, ShardStatus, Spawner,

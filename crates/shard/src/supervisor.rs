@@ -29,13 +29,14 @@
 use crate::heartbeat::{HeartbeatMonitor, HeartbeatStatus};
 use crate::merge::{merge_shard_stores, MergeReport};
 use crate::plan::ShardPlan;
-use crate::spec::WorkerSpec;
+use crate::spec::{round_trips, TestHook, WorkerSpec, ENV_SPEC};
 use crate::worker;
 use ca_core::{
     characterize_library_robust, CharCache, CoreError, FaultPolicy, RobustOutcome, Session,
 };
 use ca_exec::Executor;
 use ca_netlist::library::Library;
+use ca_netlist::Cell;
 use ca_obs::{Backoff, MetricClass, Stopwatch};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -47,12 +48,13 @@ use std::time::Duration;
 /// How worker processes are launched.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Spawner {
-    /// Spawn `program args...` with the worker spec in its environment;
-    /// the program must call [`crate::worker::run_from_env`].
+    /// Spawn `program args...` with [`ENV_SPEC`] naming the attempt's
+    /// spec document; the program must call
+    /// [`crate::worker::run_from_env`].
     Process {
         /// Worker executable.
         program: PathBuf,
-        /// Arguments before the spec environment is applied.
+        /// Arguments of the worker executable.
         args: Vec<String>,
     },
     /// Run every worker inside the supervisor process (no isolation —
@@ -106,6 +108,10 @@ pub struct CampaignConfig {
     pub heartbeat_timeout: Duration,
     /// How many shards are supervised concurrently.
     pub concurrency: usize,
+    /// Faults injected into workers, for supervision tests; each is
+    /// written into the spec of every attempt it
+    /// [applies](TestHook::applies) to. Empty by default.
+    pub test_hooks: Vec<TestHook>,
 }
 
 impl CampaignConfig {
@@ -122,6 +128,7 @@ impl CampaignConfig {
             heartbeat_interval: Duration::from_millis(100),
             heartbeat_timeout: Duration::from_secs(5),
             concurrency: 4,
+            test_hooks: Vec::new(),
         }
     }
 }
@@ -193,7 +200,7 @@ pub struct CampaignReport {
     pub spawn_failures: usize,
     /// Shards that exhausted every attempt.
     pub quarantined_shards: usize,
-    /// Cells that could not round-trip the shard codec and were
+    /// Cells that could not round-trip the worker spec and were
     /// characterized in-process instead.
     pub held_back_cells: usize,
 }
@@ -277,16 +284,17 @@ impl From<CoreError> for ShardError {
     }
 }
 
-/// Runs a sharded campaign over `library`, using `work_dir` for shard
-/// libraries, journals and heartbeat files. See the module docs for
+/// Runs a sharded campaign over `library`, using `work_dir` for worker
+/// specs, journals and heartbeat files. See the module docs for
 /// the failure model.
 ///
 /// # Errors
 ///
 /// [`ShardError::Config`] for unrunnable configurations (zero
 /// attempts, `FailFast` policy), [`ShardError::Io`] for supervisor
-/// filesystem failures, [`ShardError::Run`] if the final in-process
-/// pass fails. Worker failures are handled, not returned.
+/// filesystem failures (the work directory, a spec document, the
+/// merge), [`ShardError::Run`] if the final in-process pass fails.
+/// Worker failures are handled, not returned.
 pub fn run_campaign(
     library: &Library,
     config: &CampaignConfig,
@@ -323,13 +331,13 @@ pub fn run_campaign(
     };
     let mut held_back = 0usize;
     for lc in &library.cells {
-        if crate::codec::round_trips(&lc.cell) {
+        if round_trips(&lc.cell) {
             shardable.cells.push(lc.clone());
         } else {
             held_back += 1;
             ca_obs::warn(
                 "ca_shard.supervisor",
-                "cell cannot round-trip the shard codec; held back for in-process characterization",
+                "cell cannot round-trip the worker spec; held back for in-process characterization",
                 &[("cell", lc.cell.name())],
             );
         }
@@ -347,25 +355,20 @@ pub fn run_campaign(
         .counter("ca_shard.campaign.shards", MetricClass::Work)
         .add(indices.len() as u64);
 
-    // Ship each populated shard's library.
-    for &i in &indices {
-        let doc = crate::codec::encode_library(&plan.shard_library(&shardable, i));
-        ca_store::write_atomic(shard_path(work_dir, i, "lib"), doc)?;
-    }
-
     // Supervise shards concurrently.
     let pool = Executor::with_threads(config.concurrency.max(1));
-    let shard_reports: Vec<ShardReport> = pool.map(&indices, |_, &i| {
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "D9: `i` is a plan shard index, and plan entries index the `shardable` library it split"
-        )]
-        let cells: Vec<String> = plan.shards[i]
-            .iter()
-            .map(|&c| shardable.cells[c].cell.name().to_string())
-            .collect();
-        supervise_shard(i, cells, config, spawner, work_dir)
-    });
+    let shard_reports = pool
+        .map(&indices, |_, &i| {
+            supervise_shard(
+                i,
+                plan.shard_library(&shardable, i),
+                config,
+                spawner,
+                work_dir,
+            )
+        })
+        .into_iter()
+        .collect::<io::Result<Vec<ShardReport>>>()?;
 
     let quarantined: BTreeSet<usize> = shard_reports
         .iter()
@@ -410,7 +413,7 @@ pub fn run_campaign(
     };
     let mut skipped_cells = Vec::new();
     for lc in &library.cells {
-        let in_quarantined_shard = crate::codec::round_trips(&lc.cell)
+        let in_quarantined_shard = round_trips(&lc.cell)
             && quarantined.contains(&crate::plan::shard_of(lc.cell.name(), config.shards.max(1)));
         if in_quarantined_shard {
             skipped_cells.push(lc.cell.name().to_string());
@@ -471,17 +474,24 @@ fn shard_path(work_dir: &Path, index: usize, ext: &str) -> PathBuf {
 }
 
 /// Supervises one shard to its terminal state.
+///
+/// # Errors
+///
+/// When an attempt's spec document cannot be written.
 fn supervise_shard(
     index: usize,
-    cells: Vec<String>,
+    shard: Library,
     config: &CampaignConfig,
     spawner: &Spawner,
     work_dir: &Path,
-) -> ShardReport {
+) -> io::Result<ShardReport> {
     // The executor adopted this closure into the campaign span's fork
     // (keyed by shard position), so this parents under the campaign
     // root at any concurrency level.
     let _shard_span = ca_obs::span_keyed!("shard", index as u64);
+    let shard_cells: Vec<Cell> = shard.cells.into_iter().map(|lc| lc.cell).collect();
+    let cells: Vec<String> = shard_cells.iter().map(|c| c.name().to_string()).collect();
+    let spec_path = shard_path(work_dir, index, "spec");
     let mut attempts = Vec::new();
     for attempt in 1..=config.max_attempts {
         let pause = config.backoff.delay(attempt - 1);
@@ -500,18 +510,25 @@ fn supervise_shard(
         };
         let attempt_span = ca_obs::span_keyed!("shard_attempt", u64::from(attempt));
         let spec = WorkerSpec {
-            library_path: shard_path(work_dir, index, "lib"),
             store_path: shard_path(work_dir, index, "caj"),
             heartbeat_path: shard_path(work_dir, index, "hb"),
+            heartbeat_interval: config.heartbeat_interval,
             options: config.options,
             budget: config.budget,
             policy,
             shard_index: index,
             attempt,
-            heartbeat_interval: config.heartbeat_interval,
             trace: attempt_span.context(),
+            hooks: config
+                .test_hooks
+                .iter()
+                .filter(|h| h.applies(index, attempt))
+                .map(|h| h.action)
+                .collect(),
+            technology: shard.technology,
+            cells: shard_cells.clone(),
         };
-        let outcome = run_attempt(&spec, config, spawner);
+        let outcome = run_attempt(&spec, &spec_path, config, spawner)?;
         drop(attempt_span);
         let completed = matches!(
             outcome,
@@ -519,12 +536,12 @@ fn supervise_shard(
         );
         attempts.push(outcome);
         if completed {
-            return ShardReport {
+            return Ok(ShardReport {
                 index,
                 cells,
                 attempts,
                 status: ShardStatus::Completed,
-            };
+            });
         }
         #[expect(
             clippy::indexing_slicing,
@@ -540,27 +557,40 @@ fn supervise_shard(
             ],
         );
     }
-    ShardReport {
+    Ok(ShardReport {
         index,
         cells,
         attempts,
         status: ShardStatus::Quarantined,
-    }
+    })
 }
 
 /// Runs one worker attempt through the spawner and supervises it.
-fn run_attempt(spec: &WorkerSpec, config: &CampaignConfig, spawner: &Spawner) -> AttemptOutcome {
+/// `spec` is first written to `spec_path`, rewritten for every attempt
+/// whichever way it runs: a spawned worker reads it from there, and it
+/// is the record of what the attempt was told.
+///
+/// # Errors
+///
+/// When the spec document cannot be written.
+fn run_attempt(
+    spec: &WorkerSpec,
+    spec_path: &Path,
+    config: &CampaignConfig,
+    spawner: &Spawner,
+) -> io::Result<AttemptOutcome> {
     // A stale heartbeat from the previous attempt must not count as
     // liveness for this one.
     let _ = std::fs::remove_file(&spec.heartbeat_path);
+    ca_store::write_atomic(spec_path, spec.render())?;
     let (program, args) = match spawner {
-        Spawner::InProcess => return in_process_attempt(spec, None),
+        Spawner::InProcess => return Ok(in_process_attempt(spec, None)),
         Spawner::Process { program, args } => (program, args),
     };
     let mut command = Command::new(program);
     command
         .args(args)
-        .envs(spec.to_env())
+        .env(ENV_SPEC, spec_path)
         .stdin(Stdio::null())
         .stdout(Stdio::null())
         .stderr(Stdio::null());
@@ -574,11 +604,10 @@ fn run_attempt(spec: &WorkerSpec, config: &CampaignConfig, spawner: &Spawner) ->
                 .with_extension(format!("a{}.trace.jsonl", spec.attempt)),
         );
     }
-    let spawned = command.spawn();
-    let mut child = match spawned {
+    let mut child = match command.spawn() {
         Ok(child) => child,
         Err(e) => {
-            // The environment cannot spawn processes at all: degrade to
+            // The environment cannot start worker processes: degrade to
             // in-process execution, loudly.
             ca_obs::global()
                 .counter("ca_shard.campaign.spawn_failures", MetricClass::Ops)
@@ -591,7 +620,7 @@ fn run_attempt(spec: &WorkerSpec, config: &CampaignConfig, spawner: &Spawner) ->
                     ("error", &e.to_string()),
                 ],
             );
-            return in_process_attempt(spec, Some(e.to_string()));
+            return Ok(in_process_attempt(spec, Some(e.to_string())));
         }
     };
     // Watch exit status and heartbeat progress. The monitor classifies
@@ -604,16 +633,16 @@ fn run_attempt(spec: &WorkerSpec, config: &CampaignConfig, spawner: &Spawner) ->
     loop {
         match child.try_wait() {
             Ok(Some(status)) => {
-                return match status.code() {
+                return Ok(match status.code() {
                     Some(0) => AttemptOutcome::Completed,
                     Some(code) => AttemptOutcome::ExitCode(code),
                     // No code: the worker died to a signal (abort,
                     // SIGKILL, OOM-killer...).
                     None => AttemptOutcome::Killed,
-                };
+                });
             }
             Ok(None) => {}
-            Err(_) => return AttemptOutcome::Killed,
+            Err(_) => return Ok(AttemptOutcome::Killed),
         }
         match monitor.poll() {
             HeartbeatStatus::Fresh => was_unreadable = false,
@@ -649,7 +678,7 @@ fn run_attempt(spec: &WorkerSpec, config: &CampaignConfig, spawner: &Spawner) ->
                 );
                 let _ = child.kill();
                 let _ = child.wait();
-                return AttemptOutcome::HeartbeatTimeout;
+                return Ok(AttemptOutcome::HeartbeatTimeout);
             }
         }
         std::thread::sleep(Duration::from_millis(10));
@@ -688,6 +717,20 @@ mod tests {
         config.max_attempts = 0;
         let err = run_campaign(&lib, &config, &Spawner::InProcess, &dir).unwrap_err();
         assert!(matches!(err, ShardError::Config(_)), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unwritable_spec_fails_the_campaign_with_io() {
+        let mut lib = generate_library(&LibraryConfig::quick(Technology::C40));
+        lib.cells.truncate(2);
+        let dir = std::env::temp_dir().join(format!("ca-shard-spec-io-{}", std::process::id()));
+        // A directory where shard 0's spec document belongs.
+        std::fs::create_dir_all(shard_path(&dir, 0, "spec")).expect("blocker dir");
+        let err =
+            run_campaign(&lib, &CampaignConfig::new(1), &Spawner::InProcess, &dir).unwrap_err();
+        assert!(matches!(err, ShardError::Io(_)), "{err}");
+        assert!(!shard_path(&dir, 0, "caj").exists(), "no attempt ran");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

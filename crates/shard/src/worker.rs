@@ -2,54 +2,63 @@
 //!
 //! A worker is any process whose entry point calls [`run_from_env`]:
 //! the `ca-bench shard-worker` command, a test binary, a future
-//! `ca-serve` executor. With no `CA_SHARD_LIBRARY` in the environment
-//! the call is inert (`None`), so host binaries can call it
-//! unconditionally. With a spec present, the worker:
+//! `ca-serve` executor. With no [`ENV_SPEC`] in the environment the
+//! call is inert (`None`), so host binaries can call it
+//! unconditionally. With it set, the worker:
 //!
-//! 1. decodes its shard library ([`crate::codec`]),
-//! 2. starts a heartbeat thread that atomically rewrites the heartbeat
+//! 1. reads and parses the spec document it names ([`crate::spec`]),
+//! 2. obeys the spec's test hooks, if the supervisor wrote any,
+//! 3. starts a heartbeat thread that atomically rewrites the heartbeat
 //!    file every interval (liveness proof for the supervisor),
-//! 3. opens a [`ca_core::Session`] on its private journal and runs the
+//! 4. opens a [`ca_core::Session`] on its private journal and runs the
 //!    crash-safe robust driver — so a retried worker resumes from the
 //!    records its predecessor got durable before dying,
-//! 4. exits 0 on success, or a nonzero code the supervisor treats as a
+//! 5. exits 0 on success, or a nonzero code the supervisor treats as a
 //!    retryable shard failure.
 //!
-//! Exit codes: `0` success, `2` bad spec/library, `3` run failure.
+//! Exit codes: `0` success, `2` bad spec, `3` run failure.
 
-use crate::spec::{TestHook, WorkerSpec, ENV_HALT, ENV_TEST_FAIL, ENV_TEST_HANG};
+use crate::spec::{HookAction, WorkerSpec, ENV_SPEC};
 use ca_core::{characterize_library_robust, CharCache, Session};
 use ca_exec::Executor;
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 /// Worker success.
 pub const EXIT_OK: i32 = 0;
-/// The spec or the shard library failed to decode.
+/// The spec document could not be read or parsed.
 pub const EXIT_BAD_SPEC: i32 = 2;
 /// The session or the robust driver failed.
 pub const EXIT_RUN_FAILED: i32 = 3;
 
-/// Runs as a shard worker if the `CA_SHARD_*` environment says so.
+/// Runs as a shard worker if [`ENV_SPEC`] names a spec document.
 ///
 /// Returns `None` when the process is not a worker (caller proceeds
 /// normally) and `Some(exit_code)` when it is — the caller should
 /// `std::process::exit` with that code.
 pub fn run_from_env() -> Option<i32> {
-    let spec = match WorkerSpec::from_env() {
-        Ok(None) => return None,
-        Ok(Some(spec)) => spec,
-        Err(e) => {
-            ca_obs::warn("ca_shard.worker", &format!("bad worker spec: {e}"), &[]);
-            return Some(EXIT_BAD_SPEC);
-        }
-    };
-    Some(run(&spec))
+    let path = std::env::var_os(ENV_SPEC)?;
+    Some(run_file(Path::new(&path)))
 }
 
-/// Runs one worker to completion. Factored out of [`run_from_env`] so
-/// the supervisor's in-process degraded path can reuse it verbatim.
+/// Reads, parses and runs the spec document at `path`.
+fn run_file(path: &Path) -> i32 {
+    let spec = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read worker spec {}: {e}", path.display()))
+        .and_then(|text| WorkerSpec::parse(&text).map_err(|e| e.to_string()));
+    match spec {
+        Ok(spec) => run(&spec),
+        Err(e) => {
+            ca_obs::warn("ca_shard.worker", &e, &[]);
+            EXIT_BAD_SPEC
+        }
+    }
+}
+
+/// Runs one worker to completion. The supervisor's in-process path
+/// calls it directly with the spec it would have written.
 pub fn run(spec: &WorkerSpec) -> i32 {
     let shard = spec.shard_index.to_string();
     let attempt = spec.attempt.to_string();
@@ -71,44 +80,25 @@ pub fn run(spec: &WorkerSpec) -> i32 {
         code
     };
 
-    // Crash-injection hooks, scoped by shard and attempt ceiling.
-    let hook = |name: &str| {
-        std::env::var(name)
-            .ok()
-            .and_then(|v| TestHook::parse(&v))
-            .filter(|h| h.applies(spec.shard_index, spec.attempt))
-    };
-    if let Some(h) = hook(ENV_TEST_FAIL) {
-        ca_obs::warn("ca_shard.worker", "test hook: failing", fields);
-        return finish(h.param as i32, worker_span);
+    // Of the spec's test hooks only the least in `HookAction`'s order
+    // acts, whatever the list order: fail, then hang, then halt.
+    let mut halt_after = None;
+    match spec.hooks.iter().min() {
+        Some(&HookAction::Fail(code)) => {
+            ca_obs::warn("ca_shard.worker", "test hook: failing", fields);
+            return finish(code, worker_span);
+        }
+        Some(HookAction::Hang) => {
+            // One heartbeat, then silence: the supervisor must diagnose
+            // this as a hang (heartbeat timeout) and SIGKILL us.
+            let _ = ca_store::write_atomic(&spec.heartbeat_path, b"0\n");
+            loop {
+                std::thread::sleep(Duration::from_secs(3600));
+            }
+        }
+        Some(&HookAction::Halt(appends)) => halt_after = Some(appends),
+        None => {}
     }
-    if hook(ENV_TEST_HANG).is_some() {
-        // One heartbeat, then silence: the supervisor must diagnose
-        // this as a hang (heartbeat timeout) and SIGKILL us.
-        let _ = ca_store::write_atomic(&spec.heartbeat_path, b"0\n");
-        loop {
-            std::thread::sleep(Duration::from_secs(3600));
-        }
-    }
-
-    let text = match std::fs::read_to_string(&spec.library_path) {
-        Ok(text) => text,
-        Err(e) => {
-            ca_obs::warn(
-                "ca_shard.worker",
-                &format!("cannot read shard library: {e}"),
-                fields,
-            );
-            return finish(EXIT_BAD_SPEC, worker_span);
-        }
-    };
-    let library = match crate::codec::decode_library(&text) {
-        Ok(lib) => lib,
-        Err(e) => {
-            ca_obs::warn("ca_shard.worker", &format!("{e}"), fields);
-            return finish(EXIT_BAD_SPEC, worker_span);
-        }
-    };
 
     let heartbeat = Heartbeat::start(spec);
     let session = match Session::open(&spec.store_path) {
@@ -123,12 +113,12 @@ pub fn run(spec: &WorkerSpec) -> i32 {
             return finish(EXIT_RUN_FAILED, worker_span);
         }
     };
-    if let Some(h) = hook(ENV_HALT) {
-        session.abort_after_journal(h.param as usize);
+    if let Some(appends) = halt_after {
+        session.abort_after_journal(appends);
     }
 
     let outcome = characterize_library_robust(
-        &library,
+        &spec.library(),
         spec.options,
         &spec.budget,
         spec.policy,
@@ -197,7 +187,7 @@ mod tests {
     use ca_netlist::library::{generate_library, LibraryConfig};
     use ca_netlist::Technology;
     use ca_sim::SimBudget;
-    use std::path::{Path, PathBuf};
+    use std::path::PathBuf;
 
     fn scratch(tag: &str) -> PathBuf {
         let dir =
@@ -207,51 +197,71 @@ mod tests {
     }
 
     fn spec_for(dir: &Path) -> WorkerSpec {
+        let mut lib = generate_library(&LibraryConfig::quick(Technology::C40));
+        lib.cells.truncate(3);
         WorkerSpec {
-            library_path: dir.join("shard.lib"),
             store_path: dir.join("shard.caj"),
             heartbeat_path: dir.join("shard.hb"),
+            heartbeat_interval: Duration::from_millis(5),
             options: GenerateOptions::default(),
             budget: SimBudget::unlimited(),
             policy: FaultPolicy::SkipAndReport,
             shard_index: 0,
             attempt: 1,
-            heartbeat_interval: Duration::from_millis(5),
             trace: None,
+            hooks: Vec::new(),
+            technology: lib.technology,
+            cells: lib.cells.into_iter().map(|lc| lc.cell).collect(),
         }
     }
 
     #[test]
-    fn worker_runs_a_shard_in_process_and_journals() {
+    fn worker_runs_a_spec_document_and_journals() {
         let dir = scratch("run");
-        let mut lib = generate_library(&LibraryConfig::quick(Technology::C40));
-        lib.cells.truncate(3);
         let spec = spec_for(&dir);
-        ca_store::write_atomic(&spec.library_path, crate::codec::encode_library(&lib))
-            .expect("write shard library");
-        assert_eq!(run(&spec), EXIT_OK);
+        let path = dir.join("shard.spec");
+        ca_store::write_atomic(&path, spec.render()).expect("write spec");
+        assert_eq!(run_file(&path), EXIT_OK);
         // Every cell journaled; heartbeat file exists and counts up.
         let session = Session::open(&spec.store_path).expect("reopen");
-        assert_eq!(session.len(), lib.cells.len());
+        assert_eq!(session.len(), spec.cells.len());
         let beat = std::fs::read_to_string(&spec.heartbeat_path).expect("heartbeat");
         assert!(beat.trim().parse::<u64>().expect("counter") >= 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn missing_library_file_is_a_bad_spec() {
-        let dir = scratch("missing");
-        let spec = spec_for(&dir);
-        assert_eq!(run(&spec), EXIT_BAD_SPEC);
+    fn fail_hook_exits_with_its_code_before_any_work() {
+        let dir = scratch("fail");
+        // A `Fail` wins wherever it sits in the list: listed after a
+        // `Hang`, it still exits instead of hanging.
+        for hooks in [
+            vec![HookAction::Fail(7)],
+            vec![HookAction::Hang, HookAction::Halt(0), HookAction::Fail(7)],
+        ] {
+            let spec = WorkerSpec {
+                hooks,
+                ..spec_for(&dir)
+            };
+            assert_eq!(run(&spec), 7);
+            assert!(!spec.store_path.exists());
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn undecodable_library_is_a_bad_spec() {
+    fn missing_spec_file_is_a_bad_spec() {
+        let dir = scratch("missing");
+        assert_eq!(run_file(&dir.join("absent.spec")), EXIT_BAD_SPEC);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unparsable_spec_file_is_a_bad_spec() {
         let dir = scratch("garbled");
-        let spec = spec_for(&dir);
-        ca_store::write_atomic(&spec.library_path, "not a shard library").expect("write");
-        assert_eq!(run(&spec), EXIT_BAD_SPEC);
+        let path = dir.join("shard.spec");
+        ca_store::write_atomic(&path, "not a worker spec").expect("write");
+        assert_eq!(run_file(&path), EXIT_BAD_SPEC);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -16,7 +16,6 @@ use std::time::Duration;
 
 /// Resource limits for simulating and characterizing one cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SimBudget {
     /// Cap on solver fixpoint iterations per phase. `None` uses the
     /// natural bound (`2 * nets + 8`), which is large enough that

@@ -11,7 +11,6 @@ use std::fmt;
 
 /// A single cell-internal defect to inject, or nothing (golden).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Injection {
     /// Defect-free simulation.
     None,

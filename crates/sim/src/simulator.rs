@@ -12,7 +12,6 @@ use ca_netlist::{Cell, NetId};
 /// fight) is observable and counts as detected, a *floating* node cannot be
 /// relied upon by the tester and does not.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DetectionPolicy {
     /// Whether a faulty [`Value::Xd`] (fight) counts as detected.
     pub driven_x_detects: bool,

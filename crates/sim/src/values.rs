@@ -13,7 +13,6 @@ use std::fmt;
 
 /// Steady-state value of a net at the end of a phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Value {
     /// Driven to ground.
     Zero,
@@ -71,7 +70,6 @@ impl fmt::Display for Value {
 
 /// Per-pin waveform of a (possibly two-phase) stimulus.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Wave {
     /// Constant 0.
     Zero,
@@ -135,7 +133,6 @@ impl fmt::Display for Wave {
 
 /// A complete input stimulus: one [`Wave`] per primary input pin.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Stimulus {
     waves: Vec<Wave>,
 }

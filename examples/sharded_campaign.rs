@@ -3,7 +3,8 @@
 //!
 //! Partitions a library into shards, spawns one supervised worker
 //! process per shard (this example binary doubles as the worker
-//! executable), merges the shard journals deterministically, then
+//! executable, handed its shard as one spec document named by
+//! `CA_SHARD_SPEC`), merges the shard journals deterministically, then
 //! proves the campaign's `.cam` exports are byte-identical to a plain
 //! single-process session over the same library.
 
@@ -16,8 +17,8 @@ use cell_aware::shard::{run_campaign, CampaignConfig, Spawner};
 use cell_aware::sim::SimBudget;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // Worker mode: the supervisor re-invokes this same binary with a
-    // CA_SHARD_* environment describing one shard of the campaign.
+    // Worker mode: the supervisor re-invokes this same binary with
+    // CA_SHARD_SPEC naming the spec document of one shard attempt.
     if let Some(code) = cell_aware::shard::worker::run_from_env() {
         std::process::exit(code);
     }

@@ -60,6 +60,11 @@ pub fn d4_create() -> std::io::Result<std::fs::File> {
     std::fs::File::create("lint-fixture.out")
 }
 
+/// D13: mutating the process environment.
+pub fn d13_set_var() {
+    std::env::set_var("LINT_FIXTURE", "1");
+}
+
 /// D5: stdout.
 pub fn d5_println() {
     println!("seeded");

@@ -95,7 +95,7 @@ CA_THREADS=4 cargo test -q -p ca-serve --test serve_robustness --offline
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
-# This gate also enforces the workspace rules D1-D6 and D9 (DESIGN.md
+# This gate also enforces the workspace rules D1-D6, D9 and D13 (DESIGN.md
 # §10): clippy.toml's disallowed types and methods, the crate-root
 # print/dbg/unsafe/panic-path lints, and every #[expect] suppression
 # (unfulfilled_lint_expectations, allow_attributes_without_reason).
@@ -119,6 +119,7 @@ for want in \
     'disallowed method `std::time::SystemTime::now`' \
     'disallowed method `std::fs::write`' \
     'disallowed method `std::fs::File::create`' \
+    'disallowed method `std::env::set_var`' \
     '#print_stdout' '#print_stderr' '#dbg_macro' '#undocumented_unsafe_blocks' \
     '#unwrap_used' '#expect_used' '#indexing_slicing' \
     '#allow_attributes_without_reason' 'this lint expectation is unfulfilled'; do
@@ -210,17 +211,24 @@ if [[ "${CA_CI_TSAN:-0}" == "1" ]]; then
     fi
 fi
 
+# The remaining gates run the release ca-bench binary built above from
+# a scratch directory: the BENCH_*.json and TRACE_*.json files they
+# write land there, so a CI run leaves the committed copies untouched,
+# and timing the binary (not `cargo run`) keeps cargo start-up out of
+# the trace-overhead ratio.
+bench="$PWD/target/release/ca-bench"
+gate_dir=$(mktemp -d)
+trap 'rm -rf "$gate_dir"' EXIT
+in_gate_dir() { (cd "$gate_dir" && "$@"); }
+
 # Trace overhead gate: tracing is opt-in but must stay cheap enough to
 # leave on for a whole campaign. Compare the quick flow profile's
 # wall-clock with tracing off vs on; fail if tracing costs >3%. One
 # untraced warm-up first so both measured runs hit a warm store path.
-# Each run rewrites BENCH_profile.json, the last one traced, so this
-# gate runs before the profile gate below: the file CI validates and
-# leaves behind comes from an untraced run.
 echo "==> trace overhead (profile --quick, CA_TRACE on vs off, <3%)"
-cargo run -q --release --offline -p ca-bench -- profile --quick >/dev/null
-base_s=$( { time -p cargo run -q --release --offline -p ca-bench -- profile --quick >/dev/null; } 2>&1 | awk '/^real/{print $2}')
-traced_s=$( { time -p env CA_TRACE=1 cargo run -q --release --offline -p ca-bench -- profile --quick >/dev/null; } 2>&1 | awk '/^real/{print $2}')
+in_gate_dir "$bench" profile --quick >/dev/null
+base_s=$( { time -p in_gate_dir "$bench" profile --quick >/dev/null; } 2>&1 | awk '/^real/{print $2}')
+traced_s=$( { time -p in_gate_dir env CA_TRACE=1 "$bench" profile --quick >/dev/null; } 2>&1 | awk '/^real/{print $2}')
 echo "    untraced ${base_s}s, traced ${traced_s}s"
 awk -v base="$base_s" -v traced="$traced_s" 'BEGIN {
     # Sub-second quick runs jitter by scheduling noise; gate on the
@@ -234,17 +242,19 @@ awk -v base="$base_s" -v traced="$traced_s" 'BEGIN {
 # End-to-end profile gate: the instrumented flow must run, emit
 # BENCH_profile.json, and that artifact must validate against schema
 # ca-obs-profile/1 with counters from all seven instrumented crates
-# (DESIGN.md §9).
+# (DESIGN.md §9). profile-check runs from the repository root so its
+# required prefixes come from the sources' metric inventory, which
+# fails the gate if they drift from the baked-in list.
 echo "==> ca-bench profile --quick (flow profile + schema check)"
-cargo run -q --release --offline -p ca-bench -- profile --quick
-cargo run -q --release --offline -p ca-bench -- profile-check BENCH_profile.json
+in_gate_dir "$bench" profile --quick
+"$bench" profile-check "$gate_dir/BENCH_profile.json"
 
 # Serve load gate: daemon load-gen over a Unix socket, closed loop for
 # latency percentiles and an open loop that must shed with structured
 # frames; fails hard unless every served model is byte-identical to the
 # batch golden (DESIGN.md §13).
 echo "==> ca-bench serve --quick (daemon load-gen + byte-identity)"
-cargo run -q --release --offline -p ca-bench -- serve --quick
+in_gate_dir "$bench" serve --quick
 
 # Trace round-trip gate: a traced 2-shard campaign (real worker
 # processes) plus one served request must stitch into a single Chrome
@@ -252,6 +262,6 @@ cargo run -q --release --offline -p ca-bench -- serve --quick
 # edges present — worker under shard_attempt, queue/service under the
 # serve request (DESIGN.md §14). The command dies on any violation.
 echo "==> ca-bench trace --quick (cross-process trace round-trip)"
-cargo run -q --release --offline -p ca-bench -- trace --quick --out TRACE_campaign.json
+in_gate_dir "$bench" trace --quick --out "$gate_dir/TRACE_campaign.json"
 
 echo "==> OK"

@@ -1,17 +1,15 @@
 //! Supervision harness: real worker processes, real crashes.
 //!
 //! The campaign re-spawns this test binary as its worker executable
-//! (`shard_worker_entry`, inert without the `CA_SHARD_*` environment).
-//! Crash-injection hooks make a worker abort mid-journal (a real
-//! SIGABRT, no destructors), hang (heartbeat silence → supervisor
+//! (`shard_worker_entry`, inert without `CA_SHARD_SPEC`). Test hooks in
+//! each campaign's `CampaignConfig` make a worker abort mid-journal (a
+//! real SIGABRT, no destructors), hang (heartbeat silence → supervisor
 //! SIGKILL) or fail with an exit code, scoped to one shard and an
-//! attempt ceiling so retries then succeed. Every scenario must
-//! converge to the unsharded single-process golden projection; a shard
-//! that keeps failing must quarantine its cells without failing the
-//! campaign.
-//!
-//! The hook environment is process-global and inherited by every
-//! spawned worker, so all campaign tests serialize on [`env_lock`].
+//! attempt ceiling so retries then succeed; the supervisor writes them
+//! into the spec of each attempt they apply to, so campaigns share no
+//! process state and run concurrently. Every scenario must converge to
+//! the unsharded single-process golden projection; a shard that keeps
+//! failing must quarantine its cells without failing the campaign.
 
 use ca_core::{
     characterize_library_robust, export_cam_with, CharCache, Executor, FaultPolicy, Quarantine,
@@ -21,47 +19,22 @@ use ca_defects::GenerateOptions;
 use ca_netlist::corrupt::{corrupt_cell, Corruption};
 use ca_netlist::library::{generate_library, Library, LibraryConfig};
 use ca_netlist::Technology;
-use ca_shard::spec::{ENV_HALT, ENV_TEST_FAIL, ENV_TEST_HANG};
 use ca_shard::supervisor::{
     run_campaign, AttemptOutcome, CampaignConfig, CampaignOutcome, ShardStatus, Spawner,
 };
-use ca_shard::{shard_of, ShardPlan};
+use ca_shard::{shard_of, HookAction, ShardPlan, TestHook};
 use ca_sim::SimBudget;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 const SHARDS: usize = 3;
 
-/// WORKER ENTRY POINT — inert unless spawned by a supervisor with the
-/// `CA_SHARD_*` environment set.
+/// WORKER ENTRY POINT — inert unless spawned by a supervisor with
+/// `CA_SHARD_SPEC` set.
 #[test]
 fn shard_worker_entry() {
     if let Some(code) = ca_shard::worker::run_from_env() {
         std::process::exit(code);
-    }
-}
-
-/// Serializes campaign tests: hook env vars leak into every spawned
-/// worker, so only one campaign may run at a time in this binary.
-fn env_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// RAII hook setter: removes the variable again even on panic.
-struct Hook(&'static str);
-impl Hook {
-    fn set(name: &'static str, value: String) -> Hook {
-        std::env::set_var(name, value);
-        Hook(name)
-    }
-}
-impl Drop for Hook {
-    fn drop(&mut self) {
-        std::env::remove_var(self.0);
     }
 }
 
@@ -91,7 +64,8 @@ fn config() -> CampaignConfig {
 }
 
 /// The worker spawner: this test binary, re-invoked so that only
-/// `shard_worker_entry` runs (and only acts when the spec env is set).
+/// `shard_worker_entry` runs (and only acts when `CA_SHARD_SPEC` is
+/// set).
 fn worker_spawner() -> Spawner {
     Spawner::Process {
         program: std::env::current_exe().expect("own test binary"),
@@ -167,7 +141,6 @@ fn run(lib: &Library, config: &CampaignConfig, spawner: &Spawner, tag: &str) -> 
 
 #[test]
 fn healthy_campaign_converges_to_unsharded_golden() {
-    let _guard = env_lock();
     let lib = campaign_library();
     let dir = scratch_dir("healthy");
     let golden = golden(&lib, FaultPolicy::SkipAndReport, &dir);
@@ -185,7 +158,6 @@ fn healthy_campaign_converges_to_unsharded_golden() {
 
 #[test]
 fn worker_crashed_mid_journal_is_retried_and_converges() {
-    let _guard = env_lock();
     let lib = campaign_library();
     let dir = scratch_dir("crash");
     let golden = golden(&lib, FaultPolicy::SkipAndReport, &dir);
@@ -195,8 +167,13 @@ fn worker_crashed_mid_journal_is_retried_and_converges() {
         // The victim's worker aborts after `halt` journal appends on
         // attempt 1 (a real SIGABRT — fsynced records survive, nothing
         // else does); the hook expires and attempt 2 resumes.
-        let _hook = Hook::set(ENV_HALT, format!("{victim}:{halt}@1"));
-        let campaign = run(&lib, &config(), &worker_spawner(), &format!("crash-{halt}"));
+        let mut config = config();
+        config.test_hooks = vec![TestHook {
+            shard: victim,
+            max_attempt: 1,
+            action: HookAction::Halt(halt),
+        }];
+        let campaign = run(&lib, &config, &worker_spawner(), &format!("crash-{halt}"));
         assert_eq!(
             projection(&campaign.outcome),
             projection(&golden),
@@ -219,7 +196,6 @@ fn worker_crashed_mid_journal_is_retried_and_converges() {
 
 #[test]
 fn hung_worker_is_killed_on_heartbeat_timeout_and_retried() {
-    let _guard = env_lock();
     let lib = campaign_library();
     let dir = scratch_dir("hang");
     let golden = golden(&lib, FaultPolicy::SkipAndReport, &dir);
@@ -227,7 +203,11 @@ fn hung_worker_is_killed_on_heartbeat_timeout_and_retried() {
 
     let mut config = config();
     config.heartbeat_timeout = Duration::from_millis(400);
-    let _hook = Hook::set(ENV_TEST_HANG, format!("{victim}:0@1"));
+    config.test_hooks = vec![TestHook {
+        shard: victim,
+        max_attempt: 1,
+        action: HookAction::Hang,
+    }];
     let campaign = run(&lib, &config, &worker_spawner(), "hang");
     assert_eq!(projection(&campaign.outcome), projection(&golden));
     assert!(
@@ -244,14 +224,17 @@ fn hung_worker_is_killed_on_heartbeat_timeout_and_retried() {
 
 #[test]
 fn persistently_failing_shard_quarantines_without_failing_the_campaign() {
-    let _guard = env_lock();
     let lib = campaign_library();
     let victim = victim_shard(&lib);
 
     let mut config = config();
     config.max_attempts = 2;
     // The hook never expires: the shard fails every attempt.
-    let _hook = Hook::set(ENV_TEST_FAIL, format!("{victim}:7@99"));
+    config.test_hooks = vec![TestHook {
+        shard: victim,
+        max_attempt: 99,
+        action: HookAction::Fail(7),
+    }];
     let campaign = run(&lib, &config, &worker_spawner(), "quarantine");
 
     let victim_report = shard_report(&campaign, victim);
@@ -284,7 +267,6 @@ fn persistently_failing_shard_quarantines_without_failing_the_campaign() {
 
 #[test]
 fn spawn_failure_degrades_to_in_process_and_converges() {
-    let _guard = env_lock();
     let lib = campaign_library();
     let dir = scratch_dir("nospawn");
     let golden = golden(&lib, FaultPolicy::SkipAndReport, &dir);
@@ -307,7 +289,6 @@ fn spawn_failure_degrades_to_in_process_and_converges() {
 
 #[test]
 fn explicit_in_process_spawner_converges() {
-    let _guard = env_lock();
     let lib = campaign_library();
     let dir = scratch_dir("inproc");
     let golden = golden(&lib, FaultPolicy::SkipAndReport, &dir);
@@ -324,7 +305,6 @@ fn explicit_in_process_spawner_converges() {
 /// under that policy (quarantine verdicts carry the retry count).
 #[test]
 fn final_attempt_budget_degradation_matches_reduced_budget_golden() {
-    let _guard = env_lock();
     let lib = campaign_library();
     let dir = scratch_dir("reduced");
     let golden = golden(&lib, FaultPolicy::RetryWithReducedBudget(1), &dir);
