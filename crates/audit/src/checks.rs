@@ -746,6 +746,7 @@ fn check_metric_inventory(ctx: &mut Ctx<'_>) {
     // (name, kind, class, fi, line, col) for every live literal site.
     let mut named: Vec<(String, MetricKind, String, usize, usize, usize)> = Vec::new();
     let mut pending: Vec<(usize, usize, usize, Severity, String)> = Vec::new();
+    let mut unlisted: Vec<(usize, usize, usize, String)> = Vec::new();
     for (fi, file) in ctx.files.iter().enumerate() {
         for s in &file.metric_sites {
             if s.is_test {
@@ -774,11 +775,10 @@ fn check_metric_inventory(ctx: &mut Ctx<'_>) {
             let prefix = prefix_of(name);
             if let Some((_, _, values)) = &prefixes {
                 if !values.contains(&prefix) {
-                    pending.push((
+                    unlisted.push((
                         fi,
                         s.line,
                         s.col,
-                        Severity::Warning,
                         format!(
                             "metric `{name}`: prefix `{prefix}` is not in INSTRUMENTED_PREFIXES"
                         ),
@@ -804,6 +804,13 @@ fn check_metric_inventory(ctx: &mut Ctx<'_>) {
     }
     for (fi, line, col, sev, msg) in pending {
         ctx.emit(fi, line, col, "D11", sev, msg);
+    }
+    // A pragma may say why a site records under another crate's prefix,
+    // but never hides a prefix missing from the list: `profile-check`
+    // requires exactly the listed prefixes.
+    for (fi, line, col, msg) in unlisted {
+        let label = ctx.files[fi].label.clone();
+        ctx.emit_raw(&label, line, col, "D11", Severity::Warning, msg);
     }
     // Signature collisions: the registry fixes (kind, class) at first
     // registration, so a second signature is silent data corruption.
@@ -865,7 +872,7 @@ fn taxonomy_ok(name: &str) -> bool {
 }
 
 /// The taxonomy prefix: everything up to and including the first dot.
-pub fn prefix_of(name: &str) -> String {
+fn prefix_of(name: &str) -> String {
     match name.find('.') {
         Some(i) => name[..=i].to_string(),
         None => name.to_string(),

@@ -332,20 +332,14 @@ pub fn metric_inventory(root: &Path) -> std::io::Result<Vec<MetricRecord>> {
     Ok(metric_inventory_of(&load_workspace(root)?))
 }
 
-/// Renders the inventory one `name kind class` per line — the byte
-/// format `ca-bench profile-check` consumes.
+/// Renders the inventory one `name kind class` per line
+/// (`ca-audit --metrics`).
 pub fn render_metric_inventory(records: &[MetricRecord]) -> String {
     let mut out = String::new();
     for r in records {
         out.push_str(&format!("{} {} {}\n", r.name, r.kind, r.class));
     }
     out
-}
-
-/// Distinct taxonomy prefixes (`ca_x.`) of an inventory, sorted.
-pub fn inventory_prefixes(records: &[MetricRecord]) -> Vec<String> {
-    let set: BTreeSet<String> = records.iter().map(|r| checks::prefix_of(&r.name)).collect();
-    set.into_iter().collect()
 }
 
 /// Renders findings as a JSON report (`{"schema":"ca-audit/2",...}`).
@@ -446,7 +440,7 @@ mod tests {
     }
 
     #[test]
-    fn inventory_renders_and_prefixes() {
+    fn inventory_renders() {
         let set = SourceSet {
             files: vec![SourceFile {
                 crate_name: "ca-sim".into(),
@@ -461,6 +455,5 @@ mod tests {
             render_metric_inventory(&inv),
             "ca_sim.patterns counter Work\nca_sim.wall timer -\n"
         );
-        assert_eq!(inventory_prefixes(&inv), vec!["ca_sim.".to_string()]);
     }
 }

@@ -25,6 +25,20 @@ fn workspace_audits_clean() {
     );
 }
 
+/// D11's input, the metric inventory, renders byte-identically on every
+/// read and is not implausibly small (a scanner that stopped seeing
+/// macro sites would otherwise pass D11 vacuously).
+#[test]
+fn metric_inventory_is_deterministic_and_complete() {
+    let inv = ca_audit::metric_inventory(workspace_root()).expect("inventory I/O");
+    let a = ca_audit::render_metric_inventory(&inv);
+    let b = ca_audit::render_metric_inventory(
+        &ca_audit::metric_inventory(workspace_root()).expect("re-read"),
+    );
+    assert_eq!(a, b);
+    assert!(a.lines().count() >= 50, "inventory implausibly small:\n{a}");
+}
+
 #[test]
 fn audit_covers_every_workspace_crate() {
     let files = workspace_files(workspace_root()).expect("walk");

@@ -243,13 +243,7 @@ fn main() {
         matched = true;
         let bench = ca_bench::perf::run(profile);
         print!("{}", bench.render());
-        let path = "BENCH_parallel.json";
-        // Atomic (tmp + fsync + rename): a crash mid-bench must never
-        // leave a torn JSON for the trend tooling to choke on.
-        match ca_store::write_atomic(path, bench.to_json()) {
-            Ok(()) => ca_obs::info_status("ca_bench", &format!("wrote {path}"), &[]),
-            Err(e) => die(&format!("cannot write {path}: {e}")),
-        }
+        write_document("BENCH_parallel.json", &bench.to_json());
     }
     // `packed`, `profile` and `profile-check` are deliberately not part
     // of `all`: they measure the flow (or gate on its artifact) rather
@@ -258,22 +252,14 @@ fn main() {
         matched = true;
         let bench = ca_bench::packed_bench::run(profile);
         print!("{}", bench.render());
-        let path = "BENCH_packed.json";
-        match ca_store::write_atomic(path, bench.to_json()) {
-            Ok(()) => ca_obs::info_status("ca_bench", &format!("wrote {path}"), &[]),
-            Err(e) => die(&format!("cannot write {path}: {e}")),
-        }
+        write_document("BENCH_packed.json", &bench.to_json());
     }
     if command == "profile" {
         matched = true;
         match ca_bench::profiling::run(profile) {
             Ok(fp) => {
                 print!("{}", fp.render());
-                let path = "BENCH_profile.json";
-                match ca_store::write_atomic(path, fp.to_json()) {
-                    Ok(()) => ca_obs::info_status("ca_bench", &format!("wrote {path}"), &[]),
-                    Err(e) => die(&format!("cannot write {path}: {e}")),
-                }
+                write_document("BENCH_profile.json", &fp.to_json());
             }
             Err(e) => die(&format!("profile run failed: {e}")),
         }
@@ -282,21 +268,13 @@ fn main() {
         matched = true;
         let bench = ca_bench::shard_bench::run(profile, shards);
         print!("{}", bench.render());
-        let path = "BENCH_shard.json";
-        match ca_store::write_atomic(path, bench.to_json()) {
-            Ok(()) => ca_obs::info_status("ca_bench", &format!("wrote {path}"), &[]),
-            Err(e) => die(&format!("cannot write {path}: {e}")),
-        }
+        write_document("BENCH_shard.json", &bench.to_json());
     }
     if command == "serve" {
         matched = true;
         let bench = ca_bench::serve_bench::run(profile);
         print!("{}", bench.render());
-        let path = "BENCH_serve.json";
-        match ca_store::write_atomic(path, bench.to_json()) {
-            Ok(()) => ca_obs::info_status("ca_bench", &format!("wrote {path}"), &[]),
-            Err(e) => die(&format!("cannot write {path}: {e}")),
-        }
+        write_document("BENCH_serve.json", &bench.to_json());
     }
     if command == "trace" {
         matched = true;
@@ -312,21 +290,13 @@ fn main() {
     }
     if command == "profile-check" {
         matched = true;
-        // Required coverage comes from the ca-audit metric inventory
-        // (falling back to the baked-in prefixes outside the repo);
-        // inventory drift fails the gate before the profile is read.
-        let prefixes = match ca_bench::profiling::required_prefixes(std::path::Path::new(".")) {
-            Ok(p) => p,
-            Err(e) => die(&e),
-        };
-        let prefix_refs: Vec<&str> = prefixes.iter().map(String::as_str).collect();
         match std::fs::read_to_string(&check_path) {
-            Ok(text) => match ca_obs::validate_profile_json_with(&text, &prefix_refs) {
+            Ok(text) => match ca_obs::validate_profile_json(&text) {
                 Ok(()) => ca_obs::info_status(
                     "ca_bench",
                     &format!(
                         "{check_path} is valid ({} required prefixes)",
-                        prefixes.len()
+                        ca_obs::INSTRUMENTED_PREFIXES.len()
                     ),
                     &[],
                 ),
@@ -346,6 +316,15 @@ fn main() {
         &[],
     );
     flush_events();
+}
+
+/// Writes a bench document atomically (tmp + fsync + rename): a crash
+/// mid-bench must never leave a torn JSON for the trend tooling.
+fn write_document(path: &str, contents: &str) {
+    match ca_store::write_atomic(path, contents) {
+        Ok(()) => ca_obs::info_status("ca_bench", &format!("wrote {path}"), &[]),
+        Err(e) => die(&format!("cannot write {path}: {e}")),
+    }
 }
 
 /// Flushes buffered observability events to `CA_OBS_PATH` (if set).

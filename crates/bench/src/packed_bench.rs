@@ -26,6 +26,7 @@ use ca_defects::classes::equivalence_classes;
 use ca_defects::{to_cam, CaModel, DefectUniverse, DetectionTable};
 use ca_netlist::library::generate_library;
 use ca_netlist::{Cell, Technology};
+use ca_obs::JsonWriter;
 use ca_sim::{DetectionPolicy, PackedStimulus, SimBudget, Stimulus};
 use std::time::Instant;
 
@@ -80,32 +81,27 @@ impl PackedBench {
         }
     }
 
-    /// The `BENCH_packed.json` document (hand-rendered: the workspace
-    /// is dependency-free).
+    /// The `BENCH_packed.json` document.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"cells\": {},\n  \"defects\": {},\n  \"stimuli\": {},\n  \
-             \"scalar_s\": {:.3},\n  \"packed_s\": {:.3},\n  \"speedup\": {:.2},\n  \
-             \"blocks\": {},\n  \"lanes_used\": {},\n  \"lane_occupancy\": {:.4},\n  \
-             \"kernels_compiled\": {},\n  \"kernel_fallbacks\": {},\n  \
-             \"solver_lanes\": {},\n  \"cone_skips\": {},\n  \"cam_files\": {},\n  \
-             \"cam_identical\": {}\n}}\n",
-            self.cells,
-            self.defects,
-            self.stimuli,
-            self.scalar_s,
-            self.packed_s,
-            self.speedup(),
-            self.blocks,
-            self.lanes_used,
-            self.lane_occupancy(),
-            self.kernels_compiled,
-            self.kernel_fallbacks,
-            self.solver_lanes,
-            self.cone_skips,
-            self.cam_files,
-            self.cam_identical
-        )
+        JsonWriter::pretty()
+            .object(|w| {
+                w.key("cells").u64(self.cells as u64);
+                w.key("defects").u64(self.defects as u64);
+                w.key("stimuli").u64(self.stimuli as u64);
+                w.key("scalar_s").f64(self.scalar_s, 3);
+                w.key("packed_s").f64(self.packed_s, 3);
+                w.key("speedup").f64(self.speedup(), 2);
+                w.key("blocks").u64(self.blocks as u64);
+                w.key("lanes_used").u64(self.lanes_used as u64);
+                w.key("lane_occupancy").f64(self.lane_occupancy(), 4);
+                w.key("kernels_compiled").u64(self.kernels_compiled);
+                w.key("kernel_fallbacks").u64(self.kernel_fallbacks);
+                w.key("solver_lanes").u64(self.solver_lanes);
+                w.key("cone_skips").u64(self.cone_skips);
+                w.key("cam_files").u64(self.cam_files as u64);
+                w.key("cam_identical").bool(self.cam_identical);
+            })
+            .finish()
     }
 
     /// Human-readable summary.
@@ -272,6 +268,7 @@ fn cam_byte_identity(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ca_obs::parse_json;
 
     #[test]
     fn json_document_is_well_formed_enough() {
@@ -290,10 +287,16 @@ mod tests {
             cam_files: 12,
             cam_identical: true,
         };
+        // The document as the hand-rendered writer before `JsonWriter`
+        // produced it for this input.
+        let before = "{\n  \"cells\": 12,\n  \"defects\": 300,\n  \"stimuli\": 500,\n  \
+                      \"scalar_s\": 10.000,\n  \"packed_s\": 0.500,\n  \"speedup\": 20.00,\n  \
+                      \"blocks\": 12,\n  \"lanes_used\": 500,\n  \"lane_occupancy\": 0.6510,\n  \
+                      \"kernels_compiled\": 12,\n  \"kernel_fallbacks\": 0,\n  \
+                      \"solver_lanes\": 9000,\n  \"cone_skips\": 4000,\n  \"cam_files\": 12,\n  \
+                      \"cam_identical\": true\n}\n";
         let json = bench.to_json();
-        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        assert!(json.contains("\"speedup\": 20.00"), "{json}");
-        assert!(json.contains("\"cam_identical\": true"), "{json}");
+        assert_eq!(parse_json(&json), parse_json(before), "{json}");
         assert!((bench.lane_occupancy() - 500.0 / 768.0).abs() < 1e-9);
         assert!(bench.render().contains("20.0x"));
     }

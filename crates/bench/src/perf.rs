@@ -19,6 +19,7 @@ use ca_core::{characterize_library_with, CacheStats, CharCache, Executor, Prepar
 use ca_defects::GenerateOptions;
 use ca_netlist::library::{generate_library, Library, LibraryConfig};
 use ca_netlist::Technology;
+use ca_obs::JsonWriter;
 use std::time::Instant;
 
 /// Measured numbers of one benchmark run.
@@ -55,26 +56,23 @@ impl ParallelBench {
         }
     }
 
-    /// The `BENCH_parallel.json` document (hand-rendered: the workspace
-    /// is dependency-free).
+    /// The `BENCH_parallel.json` document.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"threads\": {},\n  \"cells\": {},\n  \"serial_s\": {:.3},\n  \
-             \"parallel_s\": {:.3},\n  \"cells_per_sec\": {:.2},\n  \"speedup\": {:.2},\n  \
-             \"cache_hits\": {},\n  \"cache_misses\": {},\n  \"cache_rejected\": {},\n  \
-             \"cache_bypassed\": {},\n  \"cache_hit_rate\": {:.4}\n}}\n",
-            self.threads,
-            self.cells,
-            self.serial_s,
-            self.parallel_s,
-            self.cells_per_sec(),
-            self.speedup(),
-            self.cache.hits,
-            self.cache.misses,
-            self.cache.rejected,
-            self.cache.bypassed,
-            self.cache.hit_rate()
-        )
+        JsonWriter::pretty()
+            .object(|w| {
+                w.key("threads").u64(self.threads as u64);
+                w.key("cells").u64(self.cells as u64);
+                w.key("serial_s").f64(self.serial_s, 3);
+                w.key("parallel_s").f64(self.parallel_s, 3);
+                w.key("cells_per_sec").f64(self.cells_per_sec(), 2);
+                w.key("speedup").f64(self.speedup(), 2);
+                w.key("cache_hits").u64(self.cache.hits as u64);
+                w.key("cache_misses").u64(self.cache.misses as u64);
+                w.key("cache_rejected").u64(self.cache.rejected as u64);
+                w.key("cache_bypassed").u64(self.cache.bypassed as u64);
+                w.key("cache_hit_rate").f64(self.cache.hit_rate(), 4);
+            })
+            .finish()
     }
 
     /// Human-readable summary.
@@ -178,6 +176,7 @@ pub fn run(profile: Profile) -> ParallelBench {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ca_obs::parse_json;
 
     #[test]
     fn bench_library_contains_flavor_families() {
@@ -203,10 +202,14 @@ mod tests {
                 bypassed: 0,
             },
         };
+        // The document as the hand-rendered writer before `JsonWriter`
+        // produced it for this input.
+        let before = "{\n  \"threads\": 4,\n  \"cells\": 100,\n  \"serial_s\": 10.000,\n  \
+                      \"parallel_s\": 2.500,\n  \"cells_per_sec\": 40.00,\n  \"speedup\": 4.00,\n  \
+                      \"cache_hits\": 80,\n  \"cache_misses\": 20,\n  \"cache_rejected\": 0,\n  \
+                      \"cache_bypassed\": 0,\n  \"cache_hit_rate\": 0.8000\n}\n";
         let json = bench.to_json();
-        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        assert!(json.contains("\"speedup\": 4.00"), "{json}");
-        assert!(json.contains("\"cache_hit_rate\": 0.8000"), "{json}");
+        assert_eq!(parse_json(&json), parse_json(before), "{json}");
         assert!((bench.cells_per_sec() - 40.0).abs() < 1e-9);
         assert!(bench.render().contains("4.00x"));
     }

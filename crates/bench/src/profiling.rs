@@ -31,38 +31,6 @@ use ca_obs::FlowProfile;
 use ca_sim::SimBudget;
 use std::path::Path;
 
-/// The metric prefixes `profile-check` requires a profile to cover:
-/// the taxonomy prefixes of the metric inventory `ca-audit` extracts
-/// from the workspace sources under `root`. When the sources are not
-/// present (an installed binary run outside the repo), falls back to
-/// the prefixes baked into [`ca_obs::INSTRUMENTED_PREFIXES`]. When
-/// both are available they must agree byte-for-byte — drift between
-/// the sources and the baked-in list is an error, not a fallback.
-pub fn required_prefixes(root: &Path) -> Result<Vec<String>, String> {
-    let mut baked: Vec<String> = ca_obs::INSTRUMENTED_PREFIXES
-        .iter()
-        .map(|s| (*s).to_string())
-        .collect();
-    baked.sort();
-    if !root.join("crates").is_dir() {
-        return Ok(baked);
-    }
-    let inv = ca_audit::metric_inventory(root).map_err(|e| {
-        format!(
-            "cannot extract metric inventory from {}: {e}",
-            root.display()
-        )
-    })?;
-    let extracted = ca_audit::inventory_prefixes(&inv);
-    if extracted != baked {
-        return Err(format!(
-            "metric inventory drift: sources record prefixes {extracted:?} \
-             but INSTRUMENTED_PREFIXES bakes {baked:?}"
-        ));
-    }
-    Ok(extracted)
-}
-
 /// Library size cap per profile: the flow profile measures stage
 /// *shape*, not throughput, so it stays deliberately small.
 fn max_cells(profile: Profile) -> usize {

@@ -27,6 +27,7 @@ use ca_defects::GenerateOptions;
 use ca_exec::Executor;
 use ca_netlist::library::{generate_library, Library};
 use ca_netlist::Technology;
+use ca_obs::JsonWriter;
 use ca_serve::protocol::{ErrorKind, Response};
 use ca_serve::server::{Endpoint, ServeConfig, Server};
 use ca_serve::ServeClient;
@@ -77,34 +78,28 @@ pub struct ServeBench {
 }
 
 impl ServeBench {
-    /// The `BENCH_serve.json` document (hand-rendered: the workspace is
-    /// dependency-free).
+    /// The `BENCH_serve.json` document.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"schema\": \"ca-serve-bench/3\",\n  \"cells\": {},\n  \
-             \"closed_requests\": {},\n  \"closed_rps\": {:.1},\n  \
-             \"p50_us\": {},\n  \"p95_us\": {},\n  \"p99_us\": {},\n  \
-             \"srv_queue_us\": {},\n  \"srv_service_us\": {},\n  \"srv_journal_us\": {},\n  \
-             \"journaled\": {},\n  \
-             \"open_offered\": {},\n  \"open_served\": {},\n  \"open_shed\": {},\n  \
-             \"metrics_counters\": {},\n  \
-             \"identical\": {}\n}}\n",
-            self.cells,
-            self.closed_requests,
-            self.closed_rps,
-            self.p50_us,
-            self.p95_us,
-            self.p99_us,
-            self.srv_queue_us,
-            self.srv_service_us,
-            self.srv_journal_us,
-            self.journaled,
-            self.open_offered,
-            self.open_served,
-            self.open_shed,
-            self.metrics_counters,
-            self.identical
-        )
+        JsonWriter::pretty()
+            .object(|w| {
+                w.key("schema").string("ca-serve-bench/3");
+                w.key("cells").u64(self.cells as u64);
+                w.key("closed_requests").u64(self.closed_requests as u64);
+                w.key("closed_rps").f64(self.closed_rps, 1);
+                w.key("p50_us").u64(self.p50_us);
+                w.key("p95_us").u64(self.p95_us);
+                w.key("p99_us").u64(self.p99_us);
+                w.key("srv_queue_us").u64(self.srv_queue_us);
+                w.key("srv_service_us").u64(self.srv_service_us);
+                w.key("srv_journal_us").u64(self.srv_journal_us);
+                w.key("journaled").u64(self.journaled as u64);
+                w.key("open_offered").u64(self.open_offered as u64);
+                w.key("open_served").u64(self.open_served as u64);
+                w.key("open_shed").u64(self.open_shed as u64);
+                w.key("metrics_counters").u64(self.metrics_counters as u64);
+                w.key("identical").bool(self.identical);
+            })
+            .finish()
     }
 
     /// Human-readable summary.
@@ -408,6 +403,7 @@ pub fn run(profile: Profile) -> ServeBench {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ca_obs::parse_json;
 
     #[test]
     fn json_document_and_render_are_well_formed() {
@@ -428,13 +424,18 @@ mod tests {
             journaled: 8,
             metrics_counters: 5,
         };
+        // The document as the hand-rendered writer before `JsonWriter`
+        // produced it for this input.
+        let before = "{\n  \"schema\": \"ca-serve-bench/3\",\n  \"cells\": 8,\n  \
+                      \"closed_requests\": 1008,\n  \"closed_rps\": 120.0,\n  \
+                      \"p50_us\": 900,\n  \"p95_us\": 2500,\n  \"p99_us\": 4000,\n  \
+                      \"srv_queue_us\": 30,\n  \"srv_service_us\": 700,\n  \"srv_journal_us\": 12,\n  \
+                      \"journaled\": 8,\n  \
+                      \"open_offered\": 60,\n  \"open_served\": 40,\n  \"open_shed\": 20,\n  \
+                      \"metrics_counters\": 5,\n  \
+                      \"identical\": true\n}\n";
         let json = bench.to_json();
-        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        assert!(json.contains("\"schema\": \"ca-serve-bench/3\""), "{json}");
-        assert!(json.contains("\"journaled\": 8"), "{json}");
-        assert!(json.contains("\"p99_us\": 4000"), "{json}");
-        assert!(json.contains("\"srv_service_us\": 700"), "{json}");
-        assert!(json.contains("\"metrics_counters\": 5"), "{json}");
+        assert_eq!(parse_json(&json), parse_json(before), "{json}");
         let render = bench.render();
         assert!(render.contains("p95 2500"), "{render}");
         assert!(render.contains("service 700"), "{render}");

@@ -17,6 +17,7 @@ use ca_defects::GenerateOptions;
 use ca_exec::Executor;
 use ca_netlist::library::generate_library;
 use ca_netlist::Technology;
+use ca_obs::JsonWriter;
 use ca_shard::supervisor::{run_campaign, CampaignConfig, Spawner};
 use ca_sim::SimBudget;
 use std::time::{Duration, Instant};
@@ -42,21 +43,19 @@ pub struct ShardBench {
 }
 
 impl ShardBench {
-    /// The `BENCH_shard.json` document (hand-rendered: the workspace is
-    /// dependency-free).
+    /// The `BENCH_shard.json` document.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"shards\": {},\n  \"cells\": {},\n  \"single_s\": {:.3},\n  \
-             \"sharded_s\": {:.3},\n  \"merged_records\": {},\n  \"retries\": {},\n  \
-             \"identical\": {}\n}}\n",
-            self.shards,
-            self.cells,
-            self.single_s,
-            self.sharded_s,
-            self.merged_records,
-            self.retries,
-            self.identical
-        )
+        JsonWriter::pretty()
+            .object(|w| {
+                w.key("shards").u64(self.shards as u64);
+                w.key("cells").u64(self.cells as u64);
+                w.key("single_s").f64(self.single_s, 3);
+                w.key("sharded_s").f64(self.sharded_s, 3);
+                w.key("merged_records").u64(self.merged_records as u64);
+                w.key("retries").u64(self.retries as u64);
+                w.key("identical").bool(self.identical);
+            })
+            .finish()
     }
 
     /// Human-readable summary.
@@ -156,6 +155,7 @@ pub fn run(profile: Profile, shards: usize) -> ShardBench {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ca_obs::parse_json;
 
     #[test]
     fn json_document_is_well_formed_enough() {
@@ -168,10 +168,13 @@ mod tests {
             retries: 0,
             identical: true,
         };
+        // The document as the hand-rendered writer before `JsonWriter`
+        // produced it for this input.
+        let before = "{\n  \"shards\": 4,\n  \"cells\": 120,\n  \"single_s\": 8.000,\n  \
+                      \"sharded_s\": 3.000,\n  \"merged_records\": 120,\n  \"retries\": 0,\n  \
+                      \"identical\": true\n}\n";
         let json = bench.to_json();
-        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        assert!(json.contains("\"shards\": 4"), "{json}");
-        assert!(json.contains("\"identical\": true"), "{json}");
+        assert_eq!(parse_json(&json), parse_json(before), "{json}");
         assert!(bench.render().contains("4 shard(s)"));
     }
 }

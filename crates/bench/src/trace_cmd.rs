@@ -30,11 +30,10 @@
 use crate::corpus::Profile;
 use ca_netlist::library::generate_library;
 use ca_netlist::Technology;
-use ca_obs::json::{escape_json, parse, JsonValue};
+use ca_obs::json::{parse, JsonValue, JsonWriter};
 use ca_obs::trace::SPAN_EVENT_KEYS;
 use ca_shard::supervisor::{run_campaign, CampaignConfig, Spawner};
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -250,45 +249,37 @@ fn require_edge(spans: &[SpanRec], child: &str, parent: &str) -> Result<(), Stri
 /// Renders the Chrome `trace_event` JSON (object form, `X` complete
 /// events plus one `process_name` metadata record per process).
 pub fn chrome_json(spans: &[SpanRec]) -> String {
-    let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
     let pids: BTreeSet<u64> = spans.iter().map(|s| s.pid).collect();
-    for pid in pids {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(
-            out,
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{pid},\
-             \"args\":{{\"name\":\"pid {pid}\"}}}}"
-        );
-    }
-    for span in spans {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{},\"tid\":{},\
-             \"args\":{{\"trace\":\"{}\",\"span\":\"{}\",\"parent\":\"{}\"",
-            escape_json(&span.name),
-            span.ts_us,
-            span.dur_us,
-            span.pid,
-            span.pid,
-            escape_json(&span.trace),
-            escape_json(&span.span),
-            escape_json(&span.parent),
-        );
-        for (key, value) in &span.fields {
-            let _ = write!(out, ",\"{}\":\"{}\"", escape_json(key), escape_json(value));
-        }
-        out.push_str("}}");
-    }
-    out.push_str("]}\n");
-    out
+    JsonWriter::compact()
+        .object(|w| {
+            w.key("traceEvents").array(|w| {
+                for pid in pids {
+                    w.object(|w| {
+                        w.key("name").string("process_name").key("ph").string("M");
+                        w.key("pid").u64(pid).key("tid").u64(pid);
+                        w.key("args").object(|w| {
+                            w.key("name").string(&format!("pid {pid}"));
+                        });
+                    });
+                }
+                for span in spans {
+                    w.object(|w| {
+                        w.key("name").string(&span.name).key("ph").string("X");
+                        w.key("ts").u64(span.ts_us).key("dur").u64(span.dur_us);
+                        w.key("pid").u64(span.pid).key("tid").u64(span.pid);
+                        w.key("args").object(|w| {
+                            w.key("trace").string(&span.trace);
+                            w.key("span").string(&span.span);
+                            w.key("parent").string(&span.parent);
+                            for (key, value) in &span.fields {
+                                w.key(key).string(value);
+                            }
+                        });
+                    });
+                }
+            });
+        })
+        .finish()
 }
 
 /// Stitches `dir`'s JSONL trace files into a Chrome trace at `out`.
@@ -460,6 +451,19 @@ mod tests {
         ];
         let json = chrome_json(&spans);
         let doc = parse(&json).expect("chrome trace parses");
+        // The trace as the hand-rendered stitcher before `JsonWriter`
+        // wrote it for these spans.
+        let before = concat!(
+            r#"{"traceEvents":[{"name":"process_name","ph":"M","pid":1,"tid":1,"args":{"name":"pid 1"}},"#,
+            r#"{"name":"process_name","ph":"M","pid":2,"tid":2,"args":{"name":"pid 2"}},"#,
+            r#"{"name":"campaign","ph":"X","ts":5,"dur":10,"pid":1,"tid":1,"args":{"trace":"00000000000000aa","#,
+            r#""span":"0000000000000001","parent":"0000000000000000"}},"#,
+            r#"{"name":"shard \"q\"","ph":"X","ts":6,"dur":10,"pid":2,"tid":2,"args":{"trace":"00000000000000aa","#,
+            r#""span":"0000000000000002","parent":"0000000000000001"}},"#,
+            r#"{"name":"cell","ph":"X","ts":7,"dur":10,"pid":2,"tid":2,"args":{"trace":"00000000000000aa","#,
+            r#""span":"0000000000000003","parent":"0000000000000001","cell":"INV \"q\""}}]}"#
+        );
+        assert_eq!(Ok(doc.clone()), parse(before), "{json}");
         let events = doc
             .get("traceEvents")
             .and_then(|v| v.as_array())

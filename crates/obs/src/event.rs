@@ -18,7 +18,7 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use crate::json::escape_json;
+use crate::json::JsonWriter;
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{SystemTime, UNIX_EPOCH};
@@ -115,26 +115,14 @@ impl Sink {
         }
         let ts_us = SystemTime::now()
             .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_micros())
-            .unwrap_or(0);
+            .map_or(0, |d| u64::try_from(d.as_micros()).unwrap_or(u64::MAX));
         let mut state = lock_recover(&self.state);
         if state.lines.len() >= EVENT_CAP {
             state.dropped += 1;
             return;
         }
         state.seq += 1;
-        let mut line = format!(
-            "{{\"seq\":{},\"ts_us\":{},\"level\":\"{}\",\"target\":\"{}\",\"msg\":\"{}\"",
-            state.seq,
-            ts_us,
-            level.as_str(),
-            escape_json(target),
-            escape_json(msg),
-        );
-        for (k, v) in fields {
-            line.push_str(&format!(",\"{}\":\"{}\"", escape_json(k), escape_json(v)));
-        }
-        line.push('}');
+        let line = event_line(state.seq, Some(ts_us), level, target, msg, fields);
         state.lines.push(line);
     }
 
@@ -148,11 +136,18 @@ impl Sink {
             out.push('\n');
         }
         if state.dropped > 0 {
-            out.push_str(&format!(
-                "{{\"seq\":{},\"level\":\"warn\",\"target\":\"ca_obs\",\"msg\":\"event buffer overflow\",\"dropped\":\"{}\"}}\n",
+            let dropped = state.dropped.to_string();
+            let fields = [("dropped", dropped.as_str())];
+            let msg = "event buffer overflow";
+            out.push_str(&event_line(
                 state.seq + 1,
-                state.dropped
+                None,
+                Level::Warn,
+                "ca_obs",
+                msg,
+                &fields,
             ));
+            out.push('\n');
         }
         out
     }
@@ -168,6 +163,32 @@ impl Sink {
         state.dropped = 0;
         std::mem::take(&mut state.lines)
     }
+}
+
+/// One JSONL event: `seq`, `ts_us` (absent from the overflow marker),
+/// `level`, `target`, `msg`, then the fields as string members.
+fn event_line(
+    seq: u64,
+    ts_us: Option<u64>,
+    level: Level,
+    target: &str,
+    msg: &str,
+    fields: &[(&str, &str)],
+) -> String {
+    JsonWriter::compact()
+        .object(|w| {
+            w.key("seq").u64(seq);
+            if let Some(ts_us) = ts_us {
+                w.key("ts_us").u64(ts_us);
+            }
+            w.key("level").string(level.as_str());
+            w.key("target").string(target);
+            w.key("msg").string(msg);
+            for (k, v) in fields {
+                w.key(k).string(v);
+            }
+        })
+        .finish()
 }
 
 fn global_sink() -> &'static Sink {
@@ -314,6 +335,23 @@ mod tests {
             Some("quote \" and \\ back\nnewline")
         );
         assert_eq!(parsed.get("k\"ey").and_then(|v| v.as_str()), Some("v\tal"));
+        // The line as the hand-rendered sink before `JsonWriter` wrote
+        // it for this event.
+        let before = r#"{"seq":1,"ts_us":1792411436473831,"level":"info","target":"t","msg":"quote \" and \\ back\nnewline","k\"ey":"v\tal"}"#;
+        let line = event_line(
+            1,
+            Some(1_792_411_436_473_831),
+            Level::Info,
+            "t",
+            "quote \" and \\ back\nnewline",
+            &[("k\"ey", "v\tal")],
+        );
+        assert_eq!(
+            crate::json::parse(&line),
+            crate::json::parse(before),
+            "{line}"
+        );
+        assert!(!line.contains('\n'), "{line}");
     }
 
     #[test]
@@ -324,7 +362,12 @@ mod tests {
         }
         assert_eq!(sink.len(), EVENT_CAP);
         let out = sink.render();
-        assert!(out.contains("event buffer overflow"));
-        assert!(out.contains("\"dropped\":\"5\""));
+        let before = r#"{"seq":65537,"level":"warn","target":"ca_obs","msg":"event buffer overflow","dropped":"5"}"#;
+        let marker = out.lines().last().expect("overflow marker");
+        assert_eq!(
+            crate::json::parse(marker),
+            crate::json::parse(before),
+            "{marker}"
+        );
     }
 }

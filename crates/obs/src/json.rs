@@ -1,18 +1,26 @@
-//! Minimal JSON support: string escaping for the hand-rendered
-//! emitters and a small recursive-descent parser used to validate
-//! `BENCH_profile.json` and event lines in tests and the CI gate.
+//! The workspace's JSON: [`JsonWriter`], the one renderer every
+//! document and event line goes through, and a small recursive-descent
+//! parser that reads them back (`ca-bench profile-check`, the trace
+//! stitcher, and the tests that check what was written).
 //!
-//! The workspace is hermetic (no serde), so emitters render JSON by
-//! hand; this parser closes the loop by letting the same process check
-//! that what it wrote is well-formed and schema-complete.
+//! The workspace is hermetic (no serde). The writer alone places
+//! quotes, separators and nesting, escapes strings and formats numbers:
+//! integers as their exact digits, floats to a caller-chosen number of
+//! decimals, and non-finite floats as `null`.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 /// Escapes a string for embedding in a JSON string literal.
 pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    escape_into(&mut out, s);
+    out
+}
+
+fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -20,15 +28,140 @@ pub fn escape_json(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
-    out
 }
 
-/// Parsed JSON value. Numbers keep their f64 reading plus an exact u64
-/// when the text was a plain non-negative integer (count metrics).
+/// Streaming JSON writer. Values are written in call order; inside an
+/// object, [`key`](JsonWriter::key) comes before each value. A compact
+/// document is one line (event lines, wire payloads); a pretty one puts
+/// each member and element on its own indented line and ends with a
+/// newline (the files people read).
+#[derive(Debug, Default)]
+pub struct JsonWriter {
+    out: String,
+    pretty: bool,
+    depth: usize,
+    /// The innermost open container already holds a value.
+    filled: bool,
+    /// A key was just written: the next value completes its member.
+    after_key: bool,
+}
+
+impl JsonWriter {
+    /// A writer of one-line documents.
+    pub fn compact() -> JsonWriter {
+        JsonWriter::default()
+    }
+
+    /// A writer of indented, newline-terminated documents.
+    pub fn pretty() -> JsonWriter {
+        JsonWriter {
+            pretty: true,
+            ..JsonWriter::default()
+        }
+    }
+
+    /// Takes the rendered document out of the writer.
+    pub fn finish(&mut self) -> String {
+        if self.pretty {
+            self.out.push('\n');
+        }
+        std::mem::take(&mut self.out)
+    }
+
+    /// Writes an object member's key; the next call writes its value.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.string(key);
+        self.out.push_str(if self.pretty { ": " } else { ":" });
+        self.after_key = true;
+        self
+    }
+
+    pub fn string(&mut self, value: &str) -> &mut Self {
+        let out = self.next();
+        out.push('"');
+        escape_into(out, value);
+        out.push('"');
+        self
+    }
+
+    pub fn u64(&mut self, value: u64) -> &mut Self {
+        let _ = write!(self.next(), "{value}");
+        self
+    }
+
+    /// A float to `decimals` places; `None`, NaN and the infinities,
+    /// which JSON cannot carry, as `null`.
+    pub fn f64(&mut self, value: impl Into<Option<f64>>, decimals: usize) -> &mut Self {
+        let out = self.next();
+        match value.into() {
+            Some(v) if v.is_finite() => {
+                let _ = write!(out, "{v:.decimals$}");
+            }
+            _ => out.push_str("null"),
+        }
+        self
+    }
+
+    pub fn bool(&mut self, value: bool) -> &mut Self {
+        self.next().push_str(if value { "true" } else { "false" });
+        self
+    }
+
+    /// Writes an object whose members `body` writes.
+    pub fn object(&mut self, body: impl FnOnce(&mut Self)) -> &mut Self {
+        self.container('{', '}', body)
+    }
+
+    /// Writes an array whose elements `body` writes.
+    pub fn array(&mut self, body: impl FnOnce(&mut Self)) -> &mut Self {
+        self.container('[', ']', body)
+    }
+
+    fn container(&mut self, open: char, close: char, body: impl FnOnce(&mut Self)) -> &mut Self {
+        self.next().push(open);
+        self.depth += 1;
+        self.filled = false;
+        body(self);
+        self.depth -= 1;
+        if self.filled {
+            self.newline();
+        }
+        self.out.push(close);
+        self.filled = true;
+        self
+    }
+
+    /// Starts the next value: unless it completes a member or is the
+    /// document itself, a separator after a sibling, then (pretty) a
+    /// fresh line.
+    fn next(&mut self) -> &mut String {
+        if !std::mem::take(&mut self.after_key) && self.depth > 0 {
+            if std::mem::replace(&mut self.filled, true) {
+                self.out.push(',');
+            }
+            self.newline();
+        }
+        &mut self.out
+    }
+
+    fn newline(&mut self) {
+        if self.pretty {
+            self.out.push('\n');
+            for _ in 0..self.depth {
+                self.out.push_str("  ");
+            }
+        }
+    }
+}
+
+/// Parsed JSON value. Numbers are read as `f64`, exact for integers up
+/// to 2^53.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
     Null,
@@ -256,11 +389,56 @@ mod tests {
     use super::*;
 
     #[test]
-    fn roundtrips_escapes() {
-        let raw = "a\"b\\c\nd\te\u{1}f";
-        let doc = format!("{{\"k\":\"{}\"}}", escape_json(raw));
-        let parsed = parse(&doc).expect("escaped doc parses");
-        assert_eq!(parsed.get("k").and_then(|v| v.as_str()), Some(raw));
+    fn writer_round_trips_through_the_parser() {
+        let raw = "a\"b\\c\nd\te\u{1}f\u{1f}";
+        let expected = JsonValue::Object(BTreeMap::from([
+            (raw.to_string(), JsonValue::String(raw.to_string())),
+            ("empty_object".into(), JsonValue::Object(BTreeMap::new())),
+            ("empty_array".into(), JsonValue::Array(Vec::new())),
+            (
+                "nested".into(),
+                JsonValue::Array(vec![
+                    JsonValue::Object(BTreeMap::from([
+                        ("t".into(), JsonValue::Bool(true)),
+                        ("f".into(), JsonValue::Bool(false)),
+                    ])),
+                    JsonValue::Null,
+                    JsonValue::Array(vec![JsonValue::Number(7.0)]),
+                ]),
+            ),
+            ("max".into(), JsonValue::Number(u64::MAX as f64)),
+            ("float".into(), JsonValue::Number(2.5)),
+            ("nan".into(), JsonValue::Null),
+            ("none".into(), JsonValue::Null),
+        ]));
+        for mut w in [JsonWriter::compact(), JsonWriter::pretty()] {
+            let pretty = w.pretty;
+            let text = w
+                .object(|w| {
+                    w.key(raw).string(raw);
+                    w.key("empty_object").object(|_| {});
+                    w.key("empty_array").array(|_| {});
+                    w.key("nested").array(|w| {
+                        w.object(|w| {
+                            w.key("t").bool(true).key("f").bool(false);
+                        })
+                        .f64(None, 0)
+                        .array(|w| {
+                            w.u64(7);
+                        });
+                    });
+                    w.key("max").u64(u64::MAX);
+                    w.key("float").f64(2.5, 2);
+                    w.key("nan").f64(f64::NAN, 3);
+                    w.key("none").f64(None, 3);
+                })
+                .finish();
+            assert!(text.contains("\"max\":") && text.contains("18446744073709551615"));
+            assert!(text.contains("2.50"), "{text}");
+            assert_eq!(text.lines().count() == 1, !pretty, "{text}");
+            assert!(text.ends_with(if pretty { "\n}\n" } else { "}" }), "{text}");
+            assert_eq!(parse(&text), Ok(expected.clone()), "{text}");
+        }
     }
 
     #[test]
@@ -294,8 +472,7 @@ mod tests {
 
     #[test]
     fn parses_existing_bench_artifacts() {
-        // The parallel bench artifact checked into the repo root is the
-        // style every hand-rendered emitter follows.
+        // The parallel bench artifact checked into the repo root.
         let text = std::fs::read_to_string(concat!(
             env!("CARGO_MANIFEST_DIR"),
             "/../../BENCH_parallel.json"

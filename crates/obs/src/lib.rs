@@ -57,10 +57,10 @@ pub use event::{
     buffered_events, drain_events, event, flush, flush_to, info, info_status, protocol_marker,
     warn, Level, Mirror,
 };
-pub use json::{escape_json, parse as parse_json, JsonValue};
+pub use json::{escape_json, parse as parse_json, JsonValue, JsonWriter};
 pub use profile::{
-    cpu_time_s, validate_profile_json, validate_profile_json_with, FlowProfile, StageProfile,
-    INSTRUMENTED_PREFIXES, PROFILE_SCHEMA,
+    cpu_time_s, validate_profile_json, FlowProfile, StageProfile, INSTRUMENTED_PREFIXES,
+    PROFILE_SCHEMA,
 };
 pub use recovery::emit_recovery;
 pub use registry::{

@@ -13,7 +13,7 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use crate::json::{escape_json, JsonValue};
+use crate::json::{JsonValue, JsonWriter};
 use crate::registry::{global, HistogramSnapshot, MetricClass, Snapshot};
 use crate::trace::{Placement, Span};
 use std::collections::BTreeMap;
@@ -148,41 +148,28 @@ impl FlowProfile {
 
     /// Renders the `BENCH_profile.json` document.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"schema\": \"{PROFILE_SCHEMA}\",");
-        let _ = writeln!(out, "  \"profile\": \"{}\",", escape_json(&self.label));
-        let _ = writeln!(out, "  \"threads\": {},", self.threads);
-        for (k, v) in &self.meta {
-            let _ = writeln!(out, "  \"{}\": {},", escape_json(k), v);
-        }
-        let _ = writeln!(out, "  \"wall_s\": {:.6},", self.total_wall_s());
-        match self.total_cpu_s() {
-            Some(cpu) => {
-                let _ = writeln!(out, "  \"cpu_s\": {cpu:.6},");
-            }
-            None => {
-                let _ = writeln!(out, "  \"cpu_s\": null,");
-            }
-        }
-        out.push_str("  \"rates\": {");
-        let rates: Vec<String> = self
-            .rates
-            .iter()
-            .map(|(k, v)| format!("\"{}\": {:.6}", escape_json(k), v))
-            .collect();
-        out.push_str(&rates.join(", "));
-        out.push_str("},\n");
-        out.push_str("  \"stages\": [\n");
-        for (i, stage) in self.stages.iter().enumerate() {
-            out.push_str(&stage.to_json("    "));
-            out.push_str(if i + 1 < self.stages.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ]\n}\n");
-        out
+        JsonWriter::pretty()
+            .object(|w| {
+                w.key("schema").string(PROFILE_SCHEMA);
+                w.key("profile").string(&self.label);
+                w.key("threads").u64(self.threads as u64);
+                for (k, v) in &self.meta {
+                    w.key(k).u64(*v);
+                }
+                w.key("wall_s").f64(self.total_wall_s(), 6);
+                w.key("cpu_s").f64(self.total_cpu_s(), 6);
+                w.key("rates").object(|w| {
+                    for (k, v) in &self.rates {
+                        w.key(k).f64(*v, 6);
+                    }
+                });
+                w.key("stages").array(|w| {
+                    for stage in &self.stages {
+                        w.object(|w| stage.write_json(w));
+                    }
+                });
+            })
+            .finish()
     }
 
     pub fn total_wall_s(&self) -> f64 {
@@ -293,67 +280,35 @@ impl FlowProfile {
 }
 
 impl StageProfile {
-    fn to_json(&self, indent: &str) -> String {
-        let mut out = format!("{indent}{{\n");
-        let _ = writeln!(out, "{indent}  \"name\": \"{}\",", escape_json(&self.name));
-        let _ = writeln!(out, "{indent}  \"wall_s\": {:.6},", self.wall_s);
-        match self.cpu_s {
-            Some(cpu) => {
-                let _ = writeln!(out, "{indent}  \"cpu_s\": {cpu:.6},");
-            }
-            None => {
-                let _ = writeln!(out, "{indent}  \"cpu_s\": null,");
-            }
-        }
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.key("name").string(&self.name);
+        w.key("wall_s").f64(self.wall_s, 6);
+        w.key("cpu_s").f64(self.cpu_s, 6);
         for (key, class) in [
             ("counts", MetricClass::Outcome),
             ("work", MetricClass::Work),
             ("ops", MetricClass::Ops),
         ] {
-            let counts = self.delta.counts_of(class);
-            let members: Vec<String> = counts
-                .iter()
-                .map(|(k, v)| format!("\"{}\": {}", escape_json(k), v))
-                .collect();
-            let _ = writeln!(out, "{indent}  \"{key}\": {{{}}},", members.join(", "));
+            w.key(key).object(|w| {
+                for (k, v) in self.delta.counts_of(class) {
+                    w.key(&k).u64(v);
+                }
+            });
         }
-        let hists: Vec<String> = self
-            .delta
-            .histograms
-            .iter()
-            .filter(|(_, h)| h.count > 0)
-            .map(|(k, h)| {
-                let bounds: Vec<String> = h.bounds.iter().map(u64::to_string).collect();
-                let buckets: Vec<String> = h.buckets.iter().map(u64::to_string).collect();
-                format!(
-                    "\"{}\": {{\"bounds\": [{}], \"buckets\": [{}], \"count\": {}, \"sum\": {}}}",
-                    escape_json(k),
-                    bounds.join(", "),
-                    buckets.join(", "),
-                    h.count,
-                    h.sum
-                )
-            })
-            .collect();
-        let _ = writeln!(out, "{indent}  \"hist\": {{{}}},", hists.join(", "));
-        let timers: Vec<String> = self
-            .delta
-            .timers
-            .iter()
-            .filter(|(_, t)| t.count > 0)
-            .map(|(k, t)| {
-                format!(
-                    "\"{}\": {{\"count\": {}, \"total_ms\": {:.3}, \"max_ms\": {:.3}}}",
-                    escape_json(k),
-                    t.count,
-                    t.total_ns as f64 / 1e6,
-                    t.max_ns as f64 / 1e6
-                )
-            })
-            .collect();
-        let _ = writeln!(out, "{indent}  \"timers\": {{{}}}", timers.join(", "));
-        let _ = write!(out, "{indent}}}");
-        out
+        w.key("hist").object(|w| {
+            for (k, h) in self.delta.histograms.iter().filter(|(_, h)| h.count > 0) {
+                w.key(k).object(|w| h.write_json(w));
+            }
+        });
+        w.key("timers").object(|w| {
+            for (k, t) in self.delta.timers.iter().filter(|(_, t)| t.count > 0) {
+                w.key(k).object(|w| {
+                    w.key("count").u64(t.count);
+                    w.key("total_ms").f64(t.total_ns as f64 / 1e6, 3);
+                    w.key("max_ms").f64(t.max_ns as f64 / 1e6, 3);
+                });
+            }
+        });
     }
 }
 
@@ -370,16 +325,10 @@ pub const INSTRUMENTED_PREFIXES: [&str; 7] = [
 
 /// Validates a `BENCH_profile.json` document against schema
 /// `ca-obs-profile/1`, including coverage of all seven instrumented
-/// crates. Used by the `ca-bench profile-check` CI gate.
+/// crates. Used by the `ca-bench profile-check` CI gate; audit rule D11
+/// keeps [`INSTRUMENTED_PREFIXES`] equal to the prefixes of the
+/// workspace's metric macro sites.
 pub fn validate_profile_json(text: &str) -> Result<(), String> {
-    validate_profile_json_with(text, &INSTRUMENTED_PREFIXES)
-}
-
-/// Validates like [`validate_profile_json`] but against an explicit
-/// prefix list — `ca-bench profile-check` passes the prefixes of the
-/// statically-extracted metric inventory so the gate and the sources
-/// can never drift apart.
-pub fn validate_profile_json_with(text: &str, required_prefixes: &[&str]) -> Result<(), String> {
     let doc = crate::json::parse(text)?;
     let obj = doc.as_object().ok_or("top level must be an object")?;
     match obj.get("schema").and_then(JsonValue::as_str) {
@@ -461,7 +410,7 @@ pub fn validate_profile_json_with(text: &str, required_prefixes: &[&str]) -> Res
             }
         }
     }
-    for prefix in required_prefixes {
+    for prefix in INSTRUMENTED_PREFIXES {
         if !seen_counters.iter().any(|c| c.starts_with(prefix)) {
             return Err(format!("no counters from instrumented crate {prefix:?}"));
         }
@@ -522,6 +471,68 @@ mod tests {
         let parsed = crate::json::parse(&json).expect("parses");
         assert_eq!(parsed.get("threads").and_then(JsonValue::as_u64), Some(4));
         assert_eq!(parsed.get("cells").and_then(JsonValue::as_u64), Some(8));
+
+        // A fixed profile renders as the hand-rendered writer before
+        // `JsonWriter` rendered it.
+        let reg = crate::registry::MetricRegistry::new();
+        reg.counter("ca_core.fixed", MetricClass::Outcome).add(2);
+        reg.counter("ca_sim.fixed", MetricClass::Work).add(3);
+        reg.counter("ca_exec.fixed", MetricClass::Ops).add(5);
+        reg.histogram("ca_sim.hist", MetricClass::Work, &[1, 10])
+            .observe(4);
+        reg.timer("probe").record_ns(1_234_567);
+        let mut fixed = FlowProfile::new("fixed \"q\"", 3);
+        fixed.set_meta("cells", 8);
+        fixed.set_rate("cache_hit_rate", 0.25);
+        for (name, wall_s, cpu_s, delta) in [
+            ("all", 0.125, None, reg.snapshot()),
+            ("empty", 1.5, Some(0.75), Snapshot::default()),
+        ] {
+            fixed.stages.push(StageProfile {
+                name: name.into(),
+                wall_s,
+                cpu_s,
+                delta,
+            });
+        }
+        let before = r#"{
+  "schema": "ca-obs-profile/1",
+  "profile": "fixed \"q\"",
+  "threads": 3,
+  "cells": 8,
+  "wall_s": 1.625000,
+  "cpu_s": null,
+  "rates": {"cache_hit_rate": 0.250000},
+  "stages": [
+    {
+      "name": "all",
+      "wall_s": 0.125000,
+      "cpu_s": null,
+      "counts": {"ca_core.fixed": 2},
+      "work": {"ca_sim.fixed": 3},
+      "ops": {"ca_exec.fixed": 5},
+      "hist": {"ca_sim.hist": {"bounds": [1, 10], "buckets": [0, 1, 0], "count": 1, "sum": 4}},
+      "timers": {"probe": {"count": 1, "total_ms": 1.235, "max_ms": 1.235}}
+    },
+    {
+      "name": "empty",
+      "wall_s": 1.500000,
+      "cpu_s": 0.750000,
+      "counts": {},
+      "work": {},
+      "ops": {},
+      "hist": {},
+      "timers": {}
+    }
+  ]
+}
+"#;
+        let json = fixed.to_json();
+        assert_eq!(
+            crate::json::parse(&json),
+            crate::json::parse(before),
+            "{json}"
+        );
     }
 
     #[test]

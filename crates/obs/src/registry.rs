@@ -9,6 +9,7 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+use crate::json::JsonWriter;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -267,6 +268,24 @@ pub struct HistogramSnapshot {
     pub sum: u64,
 }
 
+impl HistogramSnapshot {
+    /// Writes the members both JSON documents give a histogram.
+    pub(crate) fn write_json(&self, w: &mut JsonWriter) {
+        w.key("bounds").array(|w| {
+            for b in self.bounds {
+                w.u64(*b);
+            }
+        });
+        w.key("buckets").array(|w| {
+            for b in &self.buckets {
+                w.u64(*b);
+            }
+        });
+        w.key("count").u64(self.count);
+        w.key("sum").u64(self.sum);
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TimerSnapshot {
     pub count: u64,
@@ -379,57 +398,41 @@ impl Snapshot {
     /// parsing the human-oriented `Stats` text. BTreeMap ordering makes
     /// the rendering canonical for a given snapshot.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("{\"schema\":\"ca-obs-metrics/1\",\"counters\":{");
-        for (i, (name, (class, value))) in self.counters.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}\"{}\":{{\"class\":\"{}\",\"value\":{value}}}",
-                if i == 0 { "" } else { "," },
-                crate::json::escape_json(name),
-                class.as_str(),
-            );
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (name, value)) in self.gauges.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}\"{}\":{value}",
-                if i == 0 { "" } else { "," },
-                crate::json::escape_json(name),
-            );
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            let bounds: Vec<String> = h.bounds.iter().map(u64::to_string).collect();
-            let buckets: Vec<String> = h.buckets.iter().map(u64::to_string).collect();
-            let _ = write!(
-                out,
-                "{}\"{}\":{{\"class\":\"{}\",\"bounds\":[{}],\"buckets\":[{}],\
-                 \"count\":{},\"sum\":{}}}",
-                if i == 0 { "" } else { "," },
-                crate::json::escape_json(name),
-                h.class.as_str(),
-                bounds.join(","),
-                buckets.join(","),
-                h.count,
-                h.sum,
-            );
-        }
-        out.push_str("},\"timers\":{");
-        for (i, (name, t)) in self.timers.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}\"{}\":{{\"count\":{},\"total_ns\":{},\"max_ns\":{}}}",
-                if i == 0 { "" } else { "," },
-                crate::json::escape_json(name),
-                t.count,
-                t.total_ns,
-                t.max_ns,
-            );
-        }
-        out.push_str("}}");
-        out
+        JsonWriter::compact()
+            .object(|w| {
+                w.key("schema").string("ca-obs-metrics/1");
+                w.key("counters").object(|w| {
+                    for (name, (class, value)) in &self.counters {
+                        w.key(name).object(|w| {
+                            w.key("class").string(class.as_str());
+                            w.key("value").u64(*value);
+                        });
+                    }
+                });
+                w.key("gauges").object(|w| {
+                    for (name, value) in &self.gauges {
+                        w.key(name).u64(*value);
+                    }
+                });
+                w.key("histograms").object(|w| {
+                    for (name, h) in &self.histograms {
+                        w.key(name).object(|w| {
+                            w.key("class").string(h.class.as_str());
+                            h.write_json(w);
+                        });
+                    }
+                });
+                w.key("timers").object(|w| {
+                    for (name, t) in &self.timers {
+                        w.key(name).object(|w| {
+                            w.key("count").u64(t.count);
+                            w.key("total_ns").u64(t.total_ns);
+                            w.key("max_ns").u64(t.max_ns);
+                        });
+                    }
+                });
+            })
+            .finish()
     }
 }
 
@@ -575,6 +578,15 @@ mod tests {
         reg.timer("alpha.span").record_ns(1_500);
         let json = reg.snapshot().to_json();
         let parsed = crate::json::parse(&json).expect("snapshot JSON parses");
+        // The document as the hand-rendered writer before `JsonWriter`
+        // produced it for this snapshot.
+        let before = concat!(
+            r#"{"schema":"ca-obs-metrics/1","counters":{"alpha.count":{"class":"outcome","value":3}},"#,
+            r#""gauges":{"alpha.depth":7},"histograms":{"alpha.lat":{"class":"ops","bounds":[10,100],"#,
+            r#""buckets":[0,1,0],"count":1,"sum":42}},"timers":{"alpha.span":{"count":1,"total_ns":1500,"#,
+            r#""max_ns":1500}}}"#
+        );
+        assert_eq!(Ok(parsed.clone()), crate::json::parse(before), "{json}");
         assert_eq!(
             parsed.get("schema").and_then(|v| v.as_str()),
             Some("ca-obs-metrics/1")

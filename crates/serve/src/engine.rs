@@ -1,5 +1,5 @@
 //! The serving engine: one [`CellService`] behind request coalescing
-//! and supervised retry.
+//! and a panic catch.
 //!
 //! **Coalescing** (DESIGN.md §13): concurrent requests for the same
 //! netlist (keyed by the session's whole-netlist fingerprint) elect one
@@ -9,18 +9,17 @@
 //! lint, one golden simulation and one characterization plus N−1 donor
 //! remaps.
 //!
-//! **Supervised retry**: each request's characterization runs under the
-//! same attempt discipline as a `ca-shard` worker — the failure is
-//! caught (here `catch_unwind`, there exit-status), classified, and
-//! transient classes are retried under a deterministic capped
-//! [`Backoff`] before the failure is surfaced as a structured error.
-//! A panic escaping the guarded pipeline is the in-process analog of a
-//! crashed worker process.
+//! **Panic catch**: the service's guarded pipeline already isolates
+//! panics in characterization and retries a budget-starved cell under a
+//! reduced budget. A panic that still escapes it is caught once per
+//! request and answered as a structured `Quarantined` verdict, so a
+//! connection is never dropped. Running the same call again would see
+//! the same cell, deadline and store, so there is no retry loop.
 
 use crate::protocol::ModelSource;
 use ca_core::{panic_message, CellService, CellVerdict};
 use ca_netlist::Cell;
-use ca_obs::clock::{Backoff, Deadline};
+use ca_obs::clock::Deadline;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
@@ -106,40 +105,22 @@ impl Drop for LeaderGuard<'_> {
     }
 }
 
-/// The coalescing, retrying front of one [`CellService`].
+/// The coalescing front of one [`CellService`].
+#[derive(Debug)]
 pub struct Engine {
     service: CellService,
     inflight: Mutex<BTreeMap<u64, Arc<Flight>>>,
-    /// Supervision attempts per request (1 = no retry).
-    attempts: u32,
-    backoff: Backoff,
     /// Test hook: artificial service time injected before each leader
     /// simulation, so overload/coalescing tests get deterministic
     /// contention without depending on cell complexity.
     service_delay: Duration,
 }
 
-impl std::fmt::Debug for Engine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Engine")
-            .field("service", &self.service)
-            .field("attempts", &self.attempts)
-            .finish()
-    }
-}
-
 impl Engine {
-    pub fn new(
-        service: CellService,
-        attempts: u32,
-        backoff: Backoff,
-        service_delay: Duration,
-    ) -> Engine {
+    pub fn new(service: CellService, service_delay: Duration) -> Engine {
         Engine {
             service,
             inflight: Mutex::new(BTreeMap::new()),
-            attempts: attempts.max(1),
-            backoff,
             service_delay,
         }
     }
@@ -183,7 +164,7 @@ impl Engine {
             flight,
             published: false,
         };
-        let verdict = self.attempt_supervised(cell, deadline);
+        let verdict = self.characterize_caught(cell, deadline);
         let share = match &verdict {
             CellVerdict::Model(_) => Share::Model,
             CellVerdict::Quarantined {
@@ -232,50 +213,29 @@ impl Engine {
         }
     }
 
-    /// One request's supervised attempt loop: run the guarded pipeline,
-    /// catch an escaping panic like the shard supervisor catches a
-    /// worker crash, and retry under the backoff schedule while the
-    /// deadline allows.
-    fn attempt_supervised(&self, cell: &Cell, deadline: Deadline) -> CellVerdict {
-        for attempt in 1..=self.attempts {
-            if !self.service_delay.is_zero() {
-                std::thread::sleep(self.service_delay);
-            }
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.service.characterize_cell(cell, deadline)
-            }));
-            match outcome {
-                Ok(verdict) => return verdict,
-                Err(panic) => {
-                    ca_obs::counter!("ca_serve.retry.worker_failures", Ops).inc();
-                    let reason = panic_message(&panic);
-                    ca_obs::warn(
-                        "ca_serve.engine",
-                        "request worker failed; retrying under backoff",
-                        &[
-                            ("cell", cell.name()),
-                            ("attempt", &attempt.to_string()),
-                            ("reason", &reason),
-                        ],
-                    );
-                    if attempt == self.attempts || deadline.expired() {
-                        return CellVerdict::Quarantined {
-                            phase: ca_core::FailurePhase::Characterize,
-                            reason: format!("worker failed after {attempt} attempts: {reason}"),
-                            retries: attempt - 1,
-                        };
-                    }
-                    ca_obs::counter!("ca_serve.retry.attempts", Ops).inc();
-                    let pause = self.backoff.delay(attempt);
-                    let pause = deadline.remaining().map_or(pause, |r| pause.min(r));
-                    if !pause.is_zero() {
-                        std::thread::sleep(pause);
-                    }
-                }
-            }
+    /// Runs the guarded pipeline once, turning an escaping panic into a
+    /// `Quarantined` verdict (see the module docs).
+    fn characterize_caught(&self, cell: &Cell, deadline: Deadline) -> CellVerdict {
+        if !self.service_delay.is_zero() {
+            std::thread::sleep(self.service_delay);
         }
-        // Unreachable: the loop always returns by `attempt == attempts`.
-        CellVerdict::DeadlineExceeded
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            self.service.characterize_cell(cell, deadline)
+        }))
+        .unwrap_or_else(|panic| {
+            ca_obs::counter!("ca_serve.retry.worker_failures", Ops).inc();
+            let reason = panic_message(&panic);
+            ca_obs::warn(
+                "ca_serve.engine",
+                "request worker failed",
+                &[("cell", cell.name()), ("reason", &reason)],
+            );
+            CellVerdict::Quarantined {
+                phase: ca_core::FailurePhase::Characterize,
+                reason: format!("worker failed: {reason}"),
+                retries: 0,
+            }
+        })
     }
 }
 
@@ -317,7 +277,7 @@ mod tests {
             2,
         )
         .unwrap();
-        Engine::new(service, 2, Backoff::none(), delay)
+        Engine::new(service, delay)
     }
 
     #[test]

@@ -15,9 +15,8 @@
 //!   without bound or dropping connections silently.
 //! - [`engine`]: request coalescing (concurrent identical netlists
 //!   elect one leader; followers ride the certified donor cache) and
-//!   supervised retry — a panicking request worker is caught,
-//!   classified and retried under a deterministic [`ca_obs::Backoff`],
-//!   the in-process mirror of the `ca-shard` attempt loop.
+//!   one panic catch per request — a panic that escapes the guarded
+//!   pipeline is answered as a structured `Quarantined` verdict.
 //! - [`server`]: thread-per-connection daemon with per-request
 //!   deadlines that propagate into the simulation budget. A request
 //!   whose deadline ends the work journals nothing; any other result is

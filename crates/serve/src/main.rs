@@ -4,7 +4,7 @@
 //! ca-serve --uds /tmp/ca.sock --store /data/lib.caj [--tech c40] \
 //!          [--profile quick|full] [--cells N] [--tcp 127.0.0.1:7543] \
 //!          [--slots N] [--queue N] [--per-client N] [--client-budget N] \
-//!          [--attempts N] [--default-deadline-ms N] [--service-delay-ms N]
+//!          [--default-deadline-ms N] [--service-delay-ms N]
 //! ```
 //!
 //! Prints `CA-SERVE-READY <endpoints>` once listening and
@@ -60,7 +60,6 @@ fn main() {
     let mut queue = None;
     let mut per_client = None;
     let mut client_budget = None;
-    let mut attempts = None;
     let mut default_deadline_ms = None;
     let mut service_delay_ms = 0u64;
     while let Some(arg) = args.next() {
@@ -88,7 +87,6 @@ fn main() {
             "--queue" => queue = Some(parse::<usize>("--queue", args.next())),
             "--per-client" => per_client = Some(parse::<usize>("--per-client", args.next())),
             "--client-budget" => client_budget = Some(parse::<u64>("--client-budget", args.next())),
-            "--attempts" => attempts = Some(parse::<u32>("--attempts", args.next())),
             "--default-deadline-ms" => {
                 default_deadline_ms = Some(parse::<u64>("--default-deadline-ms", args.next()))
             }
@@ -126,9 +124,6 @@ fn main() {
         config.admission.per_client = per_client.max(1);
     }
     config.admission.client_budget = client_budget;
-    if let Some(attempts) = attempts {
-        config.attempts = attempts.max(1);
-    }
     config.default_deadline = default_deadline_ms.map(Duration::from_millis);
     config.service_delay = Duration::from_millis(service_delay_ms);
 

@@ -28,7 +28,7 @@ use ca_core::{CellService, CellVerdict, CoreError, StoredVerdict};
 use ca_defects::GenerateOptions;
 use ca_netlist::library::Library;
 use ca_netlist::{spice, Cell};
-use ca_obs::clock::{Backoff, Deadline};
+use ca_obs::clock::Deadline;
 use ca_obs::trace::{self, TraceContext};
 use ca_sim::SimBudget;
 use std::collections::BTreeMap;
@@ -50,6 +50,12 @@ const LATENCY_BOUNDS_US: &[u64] = &[
 /// reads re-check the drain flag.
 const POLL: Duration = Duration::from_millis(25);
 
+/// Reduced-budget retries inside the guarded pipeline.
+const REDUCED_RETRIES: u32 = 2;
+
+/// Concurrent connections before accepts shed with `Overloaded`.
+const MAX_CONNECTIONS: usize = 64;
+
 /// Everything a server needs to start; every knob has a serving-safe
 /// default from [`ServeConfig::new`].
 #[derive(Debug, Clone)]
@@ -63,18 +69,10 @@ pub struct ServeConfig {
     /// Configured simulation budget — the budget results are journaled
     /// under; request deadlines only ever tighten a *copy* of it.
     pub budget: SimBudget,
-    /// Reduced-budget retries inside the guarded pipeline.
-    pub reduced_retries: u32,
-    /// Supervision attempts per request (panic-caught worker retries).
-    pub attempts: u32,
-    /// Pause schedule between supervision attempts.
-    pub backoff: Backoff,
     /// Queue/slot/quota sizing.
     pub admission: AdmissionConfig,
     /// Deadline applied to requests that carry none; `None` = no limit.
     pub default_deadline: Option<Duration>,
-    /// Concurrent connections before accepts shed with `Overloaded`.
-    pub max_connections: usize,
     /// Test hook: artificial per-request service time in the engine.
     pub service_delay: Duration,
 }
@@ -86,12 +84,8 @@ impl ServeConfig {
             library,
             options: GenerateOptions::default(),
             budget: SimBudget::unlimited(),
-            reduced_retries: 2,
-            attempts: 2,
-            backoff: Backoff::new(Duration::from_millis(10), Duration::from_millis(200)),
             admission: AdmissionConfig::default(),
             default_deadline: None,
-            max_connections: 64,
             service_delay: Duration::ZERO,
         }
     }
@@ -148,7 +142,6 @@ struct Shared {
     /// Library netlists, resolved for `Target::Name`.
     cells: BTreeMap<String, Cell>,
     default_deadline: Option<Duration>,
-    max_connections: usize,
     connections: AtomicUsize,
 }
 
@@ -176,7 +169,7 @@ impl Server {
             &config.library,
             config.options,
             config.budget,
-            config.reduced_retries,
+            REDUCED_RETRIES,
         )?;
         let cells = config
             .library
@@ -185,16 +178,10 @@ impl Server {
             .map(|lc| (lc.cell.name().to_string(), lc.cell.clone()))
             .collect();
         let shared = Arc::new(Shared {
-            engine: Engine::new(
-                service,
-                config.attempts,
-                config.backoff,
-                config.service_delay,
-            ),
+            engine: Engine::new(service, config.service_delay),
             admission: Admission::new(config.admission.clone()),
             cells,
             default_deadline: config.default_deadline,
-            max_connections: config.max_connections.max(1),
             connections: AtomicUsize::new(0),
         });
         let mut accepters = Vec::new();
@@ -314,7 +301,7 @@ fn accept_loop<S: Conn + 'static>(shared: &Arc<Shared>, mut accept: impl FnMut()
         }
         match accept() {
             Ok(mut stream) => {
-                if shared.connections.load(Ordering::SeqCst) >= shared.max_connections {
+                if shared.connections.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
                     ca_obs::counter!("ca_serve.shed.connections", Ops).inc();
                     let _ = protocol::write_response(
                         &mut stream,

@@ -8,11 +8,15 @@
 //!
 //! - [`HeartbeatStatus::Fresh`]: the counter progressed, or the liveness
 //!   window since the last progress is still open. The worker is alive.
-//! - [`HeartbeatStatus::Unreadable`]: the file is missing, unreadable,
-//!   or holds something that is not a counter (a partially-written or
-//!   garbage file). This is an *observation* problem, not proof of a
-//!   hang — the worker may be alive and beating into a file we briefly
-//!   cannot see — so it must not reset or shortcut the liveness window.
+//!   Before the first beat the file does not exist yet; while the
+//!   window is open that is Fresh too, the expected state of every new
+//!   attempt.
+//! - [`HeartbeatStatus::Unreadable`]: the file went missing after a
+//!   beat, cannot be read, or holds something that is not a counter (a
+//!   partially-written or garbage file). This is an *observation*
+//!   problem, not proof of a hang — the worker may be alive and beating
+//!   into a file we briefly cannot see — so it must not reset or
+//!   shortcut the liveness window.
 //! - [`HeartbeatStatus::Stale`]: no progress has been observed for the
 //!   whole timeout, whatever the reads said in between. Only this
 //!   status justifies killing the worker.
@@ -75,30 +79,30 @@ impl HeartbeatMonitor {
                         self.window = Deadline::after(self.timeout);
                         return HeartbeatStatus::Fresh;
                     }
-                    if self.window.expired() {
-                        HeartbeatStatus::Stale
-                    } else {
-                        HeartbeatStatus::Fresh
-                    }
+                    self.within_window(HeartbeatStatus::Fresh)
                 }
                 // UTF-8 but not a counter: a partially-written or
                 // foreign file. Classified, window untouched.
-                Err(_) => self.unreadable(),
+                Err(_) => self.within_window(HeartbeatStatus::Unreadable),
             },
-            // Missing (worker not started beating yet) or genuinely
-            // unreadable (permissions, non-UTF-8 garbage).
-            Err(_) => self.unreadable(),
+            // Not written yet: the worker has yet to beat.
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound && self.last.is_none() => {
+                self.within_window(HeartbeatStatus::Fresh)
+            }
+            // Gone after a beat, or genuinely unreadable (permissions,
+            // non-UTF-8 garbage).
+            Err(_) => self.within_window(HeartbeatStatus::Unreadable),
         }
     }
 
-    fn unreadable(&self) -> HeartbeatStatus {
-        // An unreadable file never shortcuts the window — but it cannot
-        // hold it open forever either: with no observed progress for
-        // the whole timeout, the verdict is a hang.
+    /// `status` while the liveness window is open. No read shortcuts
+    /// the window, and none holds it open forever either: with no
+    /// observed progress for the whole timeout, the verdict is a hang.
+    fn within_window(&self, status: HeartbeatStatus) -> HeartbeatStatus {
         if self.window.expired() {
             HeartbeatStatus::Stale
         } else {
-            HeartbeatStatus::Unreadable
+            status
         }
     }
 }
@@ -148,8 +152,9 @@ mod tests {
     fn unreadable_file_is_classified_not_treated_as_a_hang() {
         let path = tmp("unreadable");
         let mut monitor = HeartbeatMonitor::new(path.clone(), Duration::from_secs(3600));
-        // Missing file: unreadable, and the worker keeps its window.
-        assert_eq!(monitor.poll(), HeartbeatStatus::Unreadable);
+        // Missing before the first beat: not written yet, which is
+        // every new attempt's state, and the worker keeps its window.
+        assert_eq!(monitor.poll(), HeartbeatStatus::Fresh);
         // Garbage text (a partial write torn mid-number-plus-junk).
         ca_store::write_atomic(&path, "12 garbage\n").unwrap();
         assert_eq!(monitor.poll(), HeartbeatStatus::Unreadable);
@@ -159,7 +164,9 @@ mod tests {
         // Recovery: a valid beat after the noise is fresh again.
         ca_store::write_atomic(&path, "13\n").unwrap();
         assert_eq!(monitor.poll(), HeartbeatStatus::Fresh);
-        let _ = std::fs::remove_file(&path);
+        // Missing after a beat: the file went away under a live worker.
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(monitor.poll(), HeartbeatStatus::Unreadable);
     }
 
     #[test]
@@ -170,6 +177,8 @@ mod tests {
         // The window opened expired and no progress was ever observed:
         // even an unreadable file must eventually resolve to a hang.
         assert_eq!(monitor.poll(), HeartbeatStatus::Stale);
+        // So must a first beat that never comes.
         let _ = std::fs::remove_file(&path);
+        assert_eq!(monitor.poll(), HeartbeatStatus::Stale);
     }
 }

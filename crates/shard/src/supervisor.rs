@@ -10,9 +10,7 @@
 //!   supervisor SIGKILLs the worker and retries the shard.
 //! * **Failure** (nonzero exit): retried like a crash.
 //! * **Retries** are paced by a deterministic capped [`Backoff`] — no
-//!   ambient randomness, identical pacing on every run — and the final
-//!   attempt can run under `FaultPolicy::RetryWithReducedBudget` so a
-//!   budget-starved cell degrades instead of sinking its whole shard.
+//!   ambient randomness, identical pacing on every run.
 //! * **Exhausted retries** quarantine the shard with a structured
 //!   [`ShardReport`]; the campaign completes without it.
 //! * **No spawn at all** (container without process permissions): the
@@ -77,6 +75,9 @@ impl Spawner {
     }
 }
 
+/// How many shards are supervised concurrently.
+const CONCURRENCY: usize = 4;
+
 /// Campaign-level knobs. Everything is explicit and deterministic;
 /// the only wall-clock inputs are the heartbeat pacing values.
 #[derive(Debug, Clone, PartialEq)]
@@ -91,14 +92,9 @@ pub struct CampaignConfig {
     pub max_attempts: u32,
     /// Per-cell fault policy for workers and the final pass. Must not
     /// be [`FaultPolicy::FailFast`] — one broken cell must not sink a
-    /// campaign.
+    /// campaign. `RetryWithReducedBudget` lets a budget-starved cell
+    /// degrade instead of quarantining.
     pub retry_policy: FaultPolicy,
-    /// When set, a shard's *final* attempt runs its not-yet-journaled
-    /// cells under `FaultPolicy::RetryWithReducedBudget(n)` so a
-    /// budget-starved cell degrades rather than quarantining its shard.
-    /// `None` (the default) keeps every attempt under `retry_policy`,
-    /// preserving byte-identity with the unsharded run.
-    pub final_attempt_retries: Option<u32>,
     /// Deterministic pacing between a shard's attempts.
     pub backoff: Backoff,
     /// How often workers rewrite their heartbeat file.
@@ -106,8 +102,6 @@ pub struct CampaignConfig {
     /// Heartbeat silence after which a worker is declared hung and
     /// killed. Must comfortably exceed `heartbeat_interval`.
     pub heartbeat_timeout: Duration,
-    /// How many shards are supervised concurrently.
-    pub concurrency: usize,
     /// Faults injected into workers, for supervision tests; each is
     /// written into the spec of every attempt it
     /// [applies](TestHook::applies) to. Empty by default.
@@ -123,11 +117,9 @@ impl CampaignConfig {
             budget: ca_sim::SimBudget::unlimited(),
             max_attempts: 3,
             retry_policy: FaultPolicy::SkipAndReport,
-            final_attempt_retries: None,
             backoff: Backoff::new(Duration::from_millis(50), Duration::from_secs(2)),
             heartbeat_interval: Duration::from_millis(100),
             heartbeat_timeout: Duration::from_secs(5),
-            concurrency: 4,
             test_hooks: Vec::new(),
         }
     }
@@ -356,7 +348,7 @@ pub fn run_campaign(
         .add(indices.len() as u64);
 
     // Supervise shards concurrently.
-    let pool = Executor::with_threads(config.concurrency.max(1));
+    let pool = Executor::with_threads(CONCURRENCY);
     let shard_reports = pool
         .map(&indices, |_, &i| {
             supervise_shard(
@@ -503,11 +495,6 @@ fn supervise_shard(
                 .counter("ca_shard.campaign.retries", MetricClass::Ops)
                 .inc();
         }
-        // The final attempt may trade fidelity for completion.
-        let policy = match (attempt == config.max_attempts, config.final_attempt_retries) {
-            (true, Some(n)) => FaultPolicy::RetryWithReducedBudget(n),
-            _ => config.retry_policy,
-        };
         let attempt_span = ca_obs::span_keyed!("shard_attempt", u64::from(attempt));
         let spec = WorkerSpec {
             store_path: shard_path(work_dir, index, "caj"),
@@ -515,7 +502,7 @@ fn supervise_shard(
             heartbeat_interval: config.heartbeat_interval,
             options: config.options,
             budget: config.budget,
-            policy,
+            policy: config.retry_policy,
             shard_index: index,
             attempt,
             trace: attempt_span.context(),

@@ -134,8 +134,9 @@ fn shard_report(campaign: &CampaignOutcome, index: usize) -> &ca_shard::supervis
         .expect("victim shard is populated")
 }
 
-fn run(lib: &Library, config: &CampaignConfig, spawner: &Spawner, tag: &str) -> CampaignOutcome {
-    let dir = scratch_dir(tag);
+/// Runs a campaign in `dir`'s `campaign` subdirectory; each test
+/// removes its `dir` once it has made its assertions.
+fn run(lib: &Library, config: &CampaignConfig, spawner: &Spawner, dir: &Path) -> CampaignOutcome {
     run_campaign(lib, config, spawner, &dir.join("campaign")).expect("campaign runs")
 }
 
@@ -145,7 +146,7 @@ fn healthy_campaign_converges_to_unsharded_golden() {
     let dir = scratch_dir("healthy");
     let golden = golden(&lib, FaultPolicy::SkipAndReport, &dir);
 
-    let campaign = run(&lib, &config(), &worker_spawner(), "healthy");
+    let campaign = run(&lib, &config(), &worker_spawner(), &dir);
     assert_eq!(projection(&campaign.outcome), projection(&golden));
     assert!(campaign.skipped_cells.is_empty());
     assert_eq!(campaign.report.retries, 0, "{}", campaign.report.render());
@@ -173,7 +174,8 @@ fn worker_crashed_mid_journal_is_retried_and_converges() {
             max_attempt: 1,
             action: HookAction::Halt(halt),
         }];
-        let campaign = run(&lib, &config, &worker_spawner(), &format!("crash-{halt}"));
+        let halt_dir = dir.join(format!("crash-{halt}"));
+        let campaign = run(&lib, &config, &worker_spawner(), &halt_dir);
         assert_eq!(
             projection(&campaign.outcome),
             projection(&golden),
@@ -208,7 +210,7 @@ fn hung_worker_is_killed_on_heartbeat_timeout_and_retried() {
         max_attempt: 1,
         action: HookAction::Hang,
     }];
-    let campaign = run(&lib, &config, &worker_spawner(), "hang");
+    let campaign = run(&lib, &config, &worker_spawner(), &dir);
     assert_eq!(projection(&campaign.outcome), projection(&golden));
     assert!(
         campaign.report.heartbeat_timeouts >= 1,
@@ -225,6 +227,7 @@ fn hung_worker_is_killed_on_heartbeat_timeout_and_retried() {
 #[test]
 fn persistently_failing_shard_quarantines_without_failing_the_campaign() {
     let lib = campaign_library();
+    let dir = scratch_dir("quarantine");
     let victim = victim_shard(&lib);
 
     let mut config = config();
@@ -235,7 +238,7 @@ fn persistently_failing_shard_quarantines_without_failing_the_campaign() {
         max_attempt: 99,
         action: HookAction::Fail(7),
     }];
-    let campaign = run(&lib, &config, &worker_spawner(), "quarantine");
+    let campaign = run(&lib, &config, &worker_spawner(), &dir);
 
     let victim_report = shard_report(&campaign, victim);
     assert_eq!(victim_report.status, ShardStatus::Quarantined);
@@ -256,7 +259,6 @@ fn persistently_failing_shard_quarantines_without_failing_the_campaign() {
 
     // The rest of the library still matches the golden run restricted
     // to the surviving cells.
-    let dir = scratch_dir("quarantine-golden");
     let mut rest = lib.clone();
     rest.cells
         .retain(|lc| shard_of(lc.cell.name(), SHARDS) != victim);
@@ -275,7 +277,7 @@ fn spawn_failure_degrades_to_in_process_and_converges() {
         program: PathBuf::from("/nonexistent/ca-shard-worker"),
         args: Vec::new(),
     };
-    let campaign = run(&lib, &config(), &spawner, "nospawn");
+    let campaign = run(&lib, &config(), &spawner, &dir);
     assert_eq!(projection(&campaign.outcome), projection(&golden));
     assert!(
         campaign.report.spawn_failures >= 1,
@@ -293,29 +295,27 @@ fn explicit_in_process_spawner_converges() {
     let dir = scratch_dir("inproc");
     let golden = golden(&lib, FaultPolicy::SkipAndReport, &dir);
 
-    let campaign = run(&lib, &config(), &Spawner::InProcess, "inproc");
+    let campaign = run(&lib, &config(), &Spawner::InProcess, &dir);
     assert_eq!(projection(&campaign.outcome), projection(&golden));
     assert!(campaign.skipped_cells.is_empty());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `final_attempt_retries` makes the last attempt run under
-/// `RetryWithReducedBudget`; with `max_attempts = 1` every attempt is
-/// final, so the whole campaign must equal the unsharded golden run
-/// under that policy (quarantine verdicts carry the retry count).
+/// Under `RetryWithReducedBudget` a single-attempt campaign must equal
+/// the unsharded golden run under that policy (quarantine verdicts
+/// carry the retry count).
 #[test]
-fn final_attempt_budget_degradation_matches_reduced_budget_golden() {
+fn reduced_budget_campaign_matches_reduced_budget_golden() {
     let lib = campaign_library();
     let dir = scratch_dir("reduced");
     let golden = golden(&lib, FaultPolicy::RetryWithReducedBudget(1), &dir);
 
     let mut config = config();
     config.max_attempts = 1;
-    config.final_attempt_retries = Some(1);
-    // Final pass still replays the workers' journaled verdicts; only
-    // never-journaled cells would see this policy.
+    // Workers and the final pass both run under this policy; the final
+    // pass replays the workers' journaled verdicts.
     config.retry_policy = FaultPolicy::RetryWithReducedBudget(1);
-    let campaign = run(&lib, &config, &worker_spawner(), "reduced");
+    let campaign = run(&lib, &config, &worker_spawner(), &dir);
     assert_eq!(projection(&campaign.outcome), projection(&golden));
     let _ = std::fs::remove_dir_all(&dir);
 }
