@@ -3,7 +3,8 @@
 //! A zero-dependency stand-in for Criterion so `cargo bench` works in a
 //! hermetic (offline) build: each benchmark is auto-calibrated to a small
 //! time budget, sampled several times, and reported as min/median/max
-//! time per iteration on stdout.
+//! time per iteration on stdout (plus the median ns/byte when a byte
+//! throughput is set).
 
 use std::hint::black_box as std_black_box;
 use std::time::{Duration, Instant};
@@ -20,6 +21,7 @@ const SAMPLE_BUDGET: Duration = Duration::from_millis(200);
 pub struct BenchGroup {
     name: String,
     samples: usize,
+    bytes: Option<usize>,
 }
 
 impl BenchGroup {
@@ -28,12 +30,21 @@ impl BenchGroup {
         BenchGroup {
             name: name.to_string(),
             samples: 7,
+            bytes: None,
         }
     }
 
     /// Overrides the number of timed samples (default 7).
     pub fn sample_size(&mut self, samples: usize) -> &mut BenchGroup {
         self.samples = samples.max(1);
+        self
+    }
+
+    /// Sets the bytes one iteration of the following benchmarks handles,
+    /// so each also reports its median ns/byte (Criterion's
+    /// `Throughput::Bytes`).
+    pub fn throughput_bytes(&mut self, bytes: usize) -> &mut BenchGroup {
+        self.bytes = Some(bytes);
         self
     }
 
@@ -72,8 +83,15 @@ impl BenchGroup {
             .collect();
         times.sort();
         let median = times[times.len() / 2];
+        let throughput = match self.bytes {
+            Some(bytes) => format!(
+                ", {:.3} ns/byte over {bytes} bytes",
+                median.as_nanos() as f64 / bytes.max(1) as f64
+            ),
+            None => String::new(),
+        };
         println!(
-            "{}/{}: median {:>12?}  (min {:?}, max {:?}; {} samples x {} iters)",
+            "{}/{}: median {:>12?}  (min {:?}, max {:?}; {} samples x {} iters{throughput})",
             self.name,
             id,
             median,
@@ -95,7 +113,7 @@ mod tests {
     #[test]
     fn bench_runs_and_reports() {
         let mut g = BenchGroup::new("selftest");
-        g.sample_size(2);
+        g.sample_size(2).throughput_bytes(8);
         let mut calls = 0u64;
         g.bench("count", || {
             calls += 1;

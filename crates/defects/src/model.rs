@@ -102,8 +102,9 @@ impl CaModel {
     /// Panics if `rows` is not aligned with `universe`.
     pub fn from_rows(cell: &Cell, universe: DefectUniverse, rows: Vec<BitRow>) -> CaModel {
         assert_eq!(rows.len(), universe.len(), "rows/universe mismatch");
-        let stimuli = Stimulus::all(cell.num_inputs());
-        let static_count = stimuli.iter().filter(|s| s.is_static()).count();
+        // `Stimulus::all` lists the 2^n static stimuli first; counting
+        // them needs no stimulus list.
+        let static_count = 1usize << cell.num_inputs();
         // Rebuild classes from the provided rows.
         let classes = {
             use std::collections::BTreeMap;

@@ -28,6 +28,33 @@ impl BitRow {
         }
     }
 
+    /// A row of `len` bits from its 64-bit words, bit `i` at bit `i % 64`
+    /// of word `i / 64`: the layout [`BitRow::words`] exposes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words` is not `len.div_ceil(64)` long or sets a bit at
+    /// or past `len` (rows compare word by word, so a stray high bit
+    /// would make equal rows unequal).
+    pub(crate) fn from_words(words: Vec<u64>, len: usize) -> BitRow {
+        assert_eq!(
+            words.len(),
+            len.div_ceil(64),
+            "{len} bits in {} words",
+            words.len()
+        );
+        if let (Some(&last), 1..=63) = (words.last(), len % 64) {
+            assert_eq!(last >> (len % 64), 0, "bits set past {len}");
+        }
+        BitRow { bits: words, len }
+    }
+
+    /// The row's 64-bit words, bit `i` at bit `i % 64` of word `i / 64`;
+    /// the bits of the last word at or past [`BitRow::len`] are zero.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.bits
+    }
+
     /// Number of bits.
     pub fn len(&self) -> usize {
         self.len

@@ -71,11 +71,15 @@ pub const HEADER_LEN: u64 = 8;
 const MAX_PAYLOAD: u32 = 64 * 1024 * 1024;
 
 // ---------------------------------------------------------------------
-// CRC32 (IEEE), table-driven, computed at compile time
+// CRC32 (IEEE), slicing-by-16 over tables computed at compile time
 // ---------------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `CRC_TABLES[0]` is the classic bytewise table of the reflected IEEE
+/// polynomial; `CRC_TABLES[k][b]` is what byte `b` followed by `k` zero
+/// bytes leaves in a zero register, so 16 independent lookups advance
+/// the CRC over 16 bytes.
+const fn crc32_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -88,19 +92,46 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; 16] = crc32_tables();
 
 /// IEEE CRC32 of `bytes` (the polynomial used by zip/png/ethernet).
+///
+/// Slicing-by-16: each 16-byte block folds the running CRC into its
+/// first four bytes and XORs one table lookup per byte, so the lookups
+/// of a block are independent instead of a chain of 16. The value is
+/// the bytewise table loop's, which the tests keep as the oracle.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let (blocks, tail) = bytes.as_chunks::<16>();
+    for block in blocks {
+        let mut folded = *block;
+        for (byte, register) in folded.iter_mut().zip(c.to_le_bytes()) {
+            *byte ^= register;
+        }
+        // Byte `i` of the block is followed by `15 - i` more bytes.
+        c = folded
+            .iter()
+            .zip(CRC_TABLES.iter().rev())
+            .fold(0, |sum, (&byte, table)| sum ^ table[usize::from(byte)]);
+    }
+    for &b in tail {
+        c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -795,6 +826,45 @@ mod tests {
         // The classic check value for IEEE CRC32.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The bytewise table loop `crc32` replaced: one dependent lookup
+    /// per byte. The oracle of the sliced loop.
+    fn bytewise_crc(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    fn pseudo_random_bytes(len: usize, seed: u64) -> Vec<u8> {
+        let mut rng = ca_rng::SplitMix64::new(seed);
+        (0..len).map(|_| rng.next_u64() as u8).collect()
+    }
+
+    #[test]
+    fn crc32_matches_bytewise_reference_at_every_length_and_offset() {
+        // Every start offset within a 16-byte block and every length up
+        // to five blocks: each tail length 0..16 behind 0..=5 blocks.
+        let bytes = pseudo_random_bytes(16 + 80, 0xC3C3);
+        for offset in 0..16 {
+            for len in 0..=80 {
+                let slice = &bytes[offset..offset + len];
+                assert_eq!(
+                    crc32(slice),
+                    bytewise_crc(slice),
+                    "offset {offset}, length {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sliced_checksum_matches_bytewise_reference_over_a_mebibyte() {
+        let bytes = pseudo_random_bytes(1 << 20, 0x5EED);
+        assert_eq!(crc32(&bytes), bytewise_crc(&bytes));
+        assert_eq!(crc32(&bytes[3..]), bytewise_crc(&bytes[3..]));
     }
 
     #[test]
