@@ -4,12 +4,14 @@
 // stray unwrap must not be able to abort the whole experiment run.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use ca_core::{CharCache, MlFlowParams, PreparedCell};
+use ca_core::{characterize_library_robust, CharCache, FaultPolicy, MlFlowParams, PreparedCell};
 use ca_defects::GenerateOptions;
 use ca_exec::Executor;
 use ca_ml::ForestParams;
-use ca_netlist::library::{generate_library, LibraryCell, LibraryConfig};
+use ca_netlist::library::{generate_library, Library, LibraryConfig};
 use ca_netlist::Technology;
+use ca_sim::SimBudget;
+use std::collections::BTreeMap;
 use std::ops::Deref;
 
 /// Experiment scale.
@@ -165,43 +167,53 @@ impl CorpusBuild {
     }
 }
 
-/// Characterizes `cells` on the [`CA_THREADS`](Executor::from_env)-sized
-/// executor with a shared structure-keyed cache, isolating per-cell
-/// failures: an error or a panic skips that cell (with its reason
-/// recorded) instead of aborting the batch.
-pub fn characterize_cells(cells: &[LibraryCell]) -> CorpusBuild {
-    characterize_cells_with(cells, &Executor::from_env(), &CharCache::new())
-}
-
-/// [`characterize_cells`] with explicit executor and cache.
-pub fn characterize_cells_with(
-    cells: &[LibraryCell],
-    executor: &Executor,
-    cache: &CharCache,
-) -> CorpusBuild {
-    let results = executor.map_isolated(cells, |_, lc| {
-        cache.characterize(lc.cell.clone(), GenerateOptions::default())
-    });
-    let mut build = CorpusBuild::default();
-    for (lc, outcome) in cells.iter().zip(results) {
-        match outcome {
-            Ok(Ok(prepared)) => build.cells.push(CorpusCell {
+/// Characterizes `library` through the library driver
+/// ([`characterize_library_robust`] under
+/// [`FaultPolicy::SkipAndReport`]) on the
+/// [`CA_THREADS`](Executor::from_env)-sized executor with a shared
+/// structure-keyed cache: a cell that fails lint or characterization,
+/// or panics, is skipped with its reason instead of aborting the batch.
+pub fn characterize_cells(library: &Library) -> CorpusBuild {
+    let outcome = characterize_library_robust(
+        library,
+        GenerateOptions::default(),
+        &SimBudget::unlimited(),
+        FaultPolicy::SkipAndReport,
+        &Executor::from_env(),
+        &CharCache::new(),
+        None,
+    )
+    .unwrap_or_else(|e| unreachable!("only a fail-fast run returns an error: {e}"));
+    let templates: BTreeMap<&str, &str> = library
+        .cells
+        .iter()
+        .map(|lc| (lc.cell.name(), lc.template.as_str()))
+        .collect();
+    let template = |name: &str| {
+        templates
+            .get(name)
+            .map_or_else(String::new, |t| t.to_string())
+    };
+    CorpusBuild {
+        skipped: outcome
+            .quarantine
+            .entries
+            .into_iter()
+            .map(|e| SkippedCell {
+                template: template(&e.cell),
+                name: e.cell,
+                reason: e.reason,
+            })
+            .collect(),
+        cells: outcome
+            .prepared
+            .into_iter()
+            .map(|prepared| CorpusCell {
+                template: template(prepared.cell.name()),
                 prepared,
-                template: lc.template.clone(),
-            }),
-            Ok(Err(e)) => build.skipped.push(SkippedCell {
-                name: lc.cell.name().to_string(),
-                template: lc.template.clone(),
-                reason: e.to_string(),
-            }),
-            Err(panic) => build.skipped.push(SkippedCell {
-                name: lc.cell.name().to_string(),
-                template: lc.template.clone(),
-                reason: format!("panic: {panic}"),
-            }),
-        }
+            })
+            .collect(),
     }
-    build
 }
 
 /// Generates and characterizes the full synthetic library of `tech`.
@@ -231,7 +243,7 @@ pub fn build_corpus(tech: Technology, profile: Profile) -> std::sync::Arc<Corpus
     // Characterization is embarrassingly parallel: the executor pulls
     // cells one at a time (each cell's conventional flow is independent),
     // and the shared cache deduplicates structurally identical variants.
-    let corpus = Arc::new(characterize_cells(&lib.cells));
+    let corpus = Arc::new(characterize_cells(&lib));
     cache
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
@@ -277,7 +289,7 @@ mod tests {
         lib.cells.truncate(12);
         let salted = salt_library(&mut lib, 4, 99);
         assert_eq!(salted.len(), 4);
-        let build = characterize_cells(&lib.cells);
+        let build = characterize_cells(&lib);
         assert_eq!(build.cells.len() + build.skipped.len(), 12);
         assert_eq!(build.skipped.len(), salted.len(), "{}", build.skip_report());
         for s in &salted {

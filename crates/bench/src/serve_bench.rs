@@ -235,8 +235,9 @@ pub fn run(profile: Profile) -> ServeBench {
                 for _round in 0..rounds {
                     for i in 0..names.len() {
                         // Stagger start points so workers collide on
-                        // cells (exercising coalescing) without all
-                        // hammering the same cell in lockstep.
+                        // cells (concurrent identical requests, which
+                        // share one simulation and one append) without
+                        // all hammering the same cell in lockstep.
                         let name = &names[(i + w) % names.len()];
                         let t = Instant::now();
                         match client

@@ -30,7 +30,10 @@
 //! The cache is shared across executor workers. Per-key slots use
 //! leader election (first claimant simulates, followers block on a
 //! condvar): no duplicate simulation work, and the hit/miss *counts* are
-//! deterministic regardless of thread count or scheduling.
+//! deterministic regardless of thread count or scheduling. A follower
+//! waits no longer than its budget's wall clock: one that runs out
+//! fails with a wall-clock [`CoreError::BudgetExceeded`] without
+//! simulating, and counts as neither a hit nor a miss.
 
 // Shared by long-running batch drivers; a stray unwrap here can abort a
 // whole characterization run.
@@ -41,10 +44,11 @@ use crate::error::CoreError;
 use crate::matrix::{budgeted_model, rank_prepare_error, PreparedCell};
 use ca_defects::{BitRow, CaModel, DefectClass, DefectId, DefectUniverse, GenerateOptions};
 use ca_netlist::{Cell, NetId, Terminal, TransistorId};
+use ca_obs::clock::Deadline;
 use ca_sim::{DetectionPolicy, Injection, SimBudget};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Node budget of the isomorphism search: orientation backtracking is
 /// almost always resolved by propagation, so hitting this bound means an
@@ -95,7 +99,7 @@ enum SlotState {
     Ready(Option<Arc<Donor>>),
 }
 
-struct Slot {
+pub(crate) struct Slot {
     state: Mutex<SlotState>,
     ready: Condvar,
 }
@@ -113,15 +117,26 @@ impl Slot {
         self.ready.notify_all();
     }
 
-    fn wait(&self) -> Option<Arc<Donor>> {
+    /// The leader's publication, or `None` when `deadline` passes
+    /// first.
+    fn wait(&self, deadline: Deadline) -> Option<Option<Arc<Donor>>> {
         let mut state = lock_recover(&self.state);
         loop {
             match &*state {
-                SlotState::Ready(donor) => return donor.clone(),
+                SlotState::Ready(donor) => return Some(donor.clone()),
                 SlotState::Pending => {
-                    state = match self.ready.wait(state) {
-                        Ok(guard) => guard,
-                        Err(poisoned) => poisoned.into_inner(),
+                    state = match deadline.remaining() {
+                        None => self
+                            .ready
+                            .wait(state)
+                            .unwrap_or_else(PoisonError::into_inner),
+                        Some(left) if left.is_zero() => return None,
+                        Some(left) => {
+                            self.ready
+                                .wait_timeout(state, left)
+                                .unwrap_or_else(PoisonError::into_inner)
+                                .0
+                        }
                     };
                 }
             }
@@ -248,7 +263,8 @@ impl CharCache {
     // Each bump lands in both this cache's own stats and the global
     // metric registry — the registry aggregates across every cache in
     // the process, `stats()` stays per-batch. Leader election makes
-    // all four counts scheduling-invariant, hence `work`-class.
+    // all four counts scheduling-invariant, hence `work`-class. (A
+    // follower whose wall clock ends its wait counts in none of them.)
     fn note_hit(&self) {
         self.hits.fetch_add(1, Ordering::Relaxed);
         ca_obs::counter!("ca_core.cache.hits", Work).inc();
@@ -293,6 +309,12 @@ impl CharCache {
     /// simulated model is generated for the cell prepared for the key
     /// lookup, so a miss prepares once.
     ///
+    /// The wall clock runs from entry: a follower waits for its leader
+    /// until then and fails with a wall-clock
+    /// [`CoreError::BudgetExceeded`] when it passes first, and a
+    /// follower whose leader published no donor simulates under what is
+    /// left of it.
+    ///
     /// # Errors
     ///
     /// Exactly those of [`PreparedCell::characterize_budgeted`].
@@ -302,6 +324,7 @@ impl CharCache {
         options: GenerateOptions,
         budget: &SimBudget,
     ) -> Result<PreparedCell, CoreError> {
+        let deadline = budget.wall_clock.map_or(Deadline::never(), Deadline::after);
         if budget.max_stimuli.is_some()
             || budget.max_defects.is_some()
             || budget.max_solver_iterations.is_some()
@@ -339,7 +362,13 @@ impl CharCache {
                 result
             }
             Claim::Follower(slot) => {
-                if let Some(donor) = slot.wait() {
+                let Some(published) = slot.wait(deadline) else {
+                    return Err(CoreError::BudgetExceeded {
+                        cell: prepared.cell.name().to_string(),
+                        resource: "wall clock".to_string(),
+                    });
+                };
+                if let Some(donor) = published {
                     if let Some(model) = remap_model(&donor, &prepared, options) {
                         self.note_hit();
                         return Ok(prepared.with_model(model));
@@ -347,7 +376,11 @@ impl CharCache {
                     self.note_rejected();
                 }
                 self.note_miss();
-                budgeted_model(&prepared.cell, options, budget).map(|m| prepared.with_model(m))
+                let left = SimBudget {
+                    wall_clock: deadline.remaining(),
+                    ..*budget
+                };
+                budgeted_model(&prepared.cell, options, &left).map(|m| prepared.with_model(m))
             }
         }
     }
@@ -423,6 +456,22 @@ impl CharCache {
             model: donor.model.clone().expect("donor must be characterized"),
         })));
         lock_recover(&self.slots).insert(key, slot);
+    }
+
+    /// TEST SUPPORT: claims the slot of `canonical`'s key as a leader
+    /// that has not published yet, so lookups of the key follow it; the
+    /// test publishes through the returned slot.
+    #[cfg(test)]
+    pub(crate) fn plant_pending(
+        &self,
+        canonical: &CanonicalCell,
+        options: GenerateOptions,
+    ) -> Arc<Slot> {
+        let key = CacheKey::for_canonical(canonical, options).expect("plantable key");
+        match self.claim(key) {
+            Claim::Leader(slot) => slot,
+            Claim::Follower(_) => panic!("key already claimed"),
+        }
     }
 }
 
@@ -736,6 +785,7 @@ fn remap_model(
 mod tests {
     use super::*;
     use ca_netlist::spice;
+    use std::time::Duration;
 
     const NAND2: &str = "\
 .SUBCKT NAND2 A B Z VDD VSS
@@ -883,6 +933,62 @@ MN1 Z B VSS VSS nch
             PreparedCell::characterize(spice::parse_cell(NAND2_SHUFFLED).unwrap(), opts).unwrap();
         assert_eq!(hit.model, cold.model);
         assert_eq!(hit.universe, cold.universe);
+    }
+
+    #[test]
+    fn followers_wait_no_longer_than_their_wall_clock() {
+        let cache = Arc::new(CharCache::new());
+        let opts = GenerateOptions::default();
+        let donor = PreparedCell::characterize(spice::parse_cell(NAND2).unwrap(), opts).unwrap();
+        // A leader that is still characterizing the key.
+        let slot = cache.plant_pending(&donor.canonical, opts);
+        // Each follower reports through a channel, so a follower that
+        // never returns fails the test instead of hanging it; one that
+        // reported is joined.
+        let limit = Duration::from_secs(10);
+        let follow = |wall_clock| {
+            let cache = Arc::clone(&cache);
+            let (tx, rx) = std::sync::mpsc::channel();
+            let follower = std::thread::spawn(move || {
+                let budget = SimBudget {
+                    wall_clock,
+                    ..SimBudget::unlimited()
+                };
+                let watch = ca_obs::clock::Stopwatch::start();
+                let cell = spice::parse_cell(NAND2_SHUFFLED).unwrap();
+                let result = cache.characterize_budgeted(cell, opts, &budget);
+                tx.send((result, watch.elapsed())).unwrap();
+            });
+            move || {
+                let report = rx.recv_timeout(limit).expect("the follower never returned");
+                follower.join().unwrap();
+                report
+            }
+        };
+        let (result, waited) = follow(Some(Duration::from_millis(50)))();
+        match result {
+            Err(CoreError::BudgetExceeded { resource, .. }) => assert_eq!(resource, "wall clock"),
+            other => panic!("{other:?}"),
+        }
+        assert!(
+            (Duration::from_millis(50)..limit).contains(&waited),
+            "{waited:?}"
+        );
+        assert_eq!(cache.stats(), CacheStats::default(), "neither hit nor miss");
+        // Without a wall clock a follower waits for the publication and
+        // remaps it.
+        let patient = follow(None);
+        slot.publish(Some(Arc::new(Donor {
+            cell: donor.cell.clone(),
+            canonical: donor.canonical.clone(),
+            model: donor.model.clone().unwrap(),
+        })));
+        let (result, _) = patient();
+        let cold =
+            PreparedCell::characterize(spice::parse_cell(NAND2_SHUFFLED).unwrap(), opts).unwrap();
+        assert_eq!(result.unwrap().model, cold.model);
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (1, 0), "{stats:?}");
     }
 
     #[test]

@@ -9,18 +9,23 @@
 //! - **Open** binds a [`Session`] store to a [`Library`]: journaled
 //!   records are re-verified exactly as a batch resume would (stale/
 //!   invalid evicted, complete models seeded into the donor cache,
-//!   degraded models and quarantine verdicts scheduled for replay).
+//!   degraded models and quarantine verdicts memoized for replay).
 //! - **Characterize** runs one cell through the batch driver's guarded
 //!   pipeline and retry loop (lint, then prepare/characterize with its
 //!   golden check; reduced-budget retries) and journals results under
 //!   the *configured* budget, so a killed server resumes — and a batch
 //!   run over the same store converges — byte-identically.
+//! - **Concurrent identical requests** share one simulation through the
+//!   cache's per-key leader election, and each verdict is appended once:
+//!   the check for an existing record and the append happen under one
+//!   lock.
 //! - **Repeats** of a netlist whose complete model is the store's live
 //!   record under its name (journaled by this service, verified at open,
 //!   or, for a netlist the library does not hold, verified on its first
 //!   request) skip lint, golden and the journal: they resolve through
 //!   the certified donor path alone, exactly as a restarted service
-//!   answers a store-verified cell.
+//!   answers a store-verified cell. Repeats of a degraded model or a
+//!   quarantine verdict replay it from the memo.
 //! - **Deadlines** clamp every attempt's [`SimBudget::wall_clock`] to
 //!   the request's remaining time. When the deadline rather than the
 //!   cell ends the work, the answer is [`CellVerdict::DeadlineExceeded`]
@@ -36,7 +41,7 @@ use crate::cache::CharCache;
 use crate::error::CoreError;
 use crate::matrix::PreparedCell;
 use crate::robust::{characterize_with_retries, isolated, FailurePhase};
-use crate::session::{cell_fingerprint, Reuse, Session, SessionPlan, SessionReport};
+use crate::session::{cell_fingerprint, Reuse, Session, SessionReport};
 use ca_defects::GenerateOptions;
 use ca_netlist::library::Library;
 use ca_netlist::Cell;
@@ -46,8 +51,11 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::{Mutex, MutexGuard};
 
+/// Reduced-budget retries a request spends before quarantining a cell.
+const MAX_RETRIES: u32 = 2;
+
 /// The outcome of one service request.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum CellVerdict {
     /// A model landed: fresh simulation, certified donor hit, or
     /// store-verified reuse. `model` is always populated.
@@ -85,40 +93,37 @@ pub enum StoredVerdict {
     },
 }
 
-/// Memoized fresh outcomes, keyed by whole-netlist fingerprint so a
-/// name collision between unrelated cells can never replay the wrong
-/// verdict (the same identity check the session store uses).
-enum Memo {
-    Degraded(Box<PreparedCell>),
-    Quarantined {
-        phase: FailurePhase,
-        reason: String,
-        retries: u32,
-    },
-}
-
 /// Per-cell characterization service over one durable session; see the
 /// module docs. `Sync`: requests may run concurrently from any number of
 /// threads, serializing only on the journal append and the small
-/// journaled/memo maps.
+/// verdict maps.
 pub struct CellService {
     session: Session,
     cache: CharCache,
     options: GenerateOptions,
     budget: SimBudget,
-    max_retries: u32,
-    plan: SessionPlan,
-    /// Fingerprint of each library cell, guarding plan reuse and
-    /// journaling against same-name lookalikes submitted inline.
+    /// Fingerprint of each library cell, guarding journaling against
+    /// same-name lookalikes submitted inline.
     library_fp: BTreeMap<String, u64>,
+    /// What the store holds, as requests consult it. Every append goes
+    /// through [`CellService::journal`], which holds this lock across the
+    /// check and the append (always before the store lock), so the maps
+    /// never disagree with the store and no verdict is appended twice.
+    verdicts: Mutex<Verdicts>,
+}
+
+/// The verdict maps of a [`CellService`], under one lock.
+#[derive(Default)]
+struct Verdicts {
     /// Cell name → fingerprint of the netlist whose complete model is the
-    /// store's live record under that name, with its donor in `cache`.
-    /// A request that matches an entry takes the donor path alone. Every
-    /// append goes through [`CellService::journal_model`] or
-    /// [`CellService::journal_quarantine`], which hold this lock across
-    /// the append, so the map never disagrees with the store.
-    journaled: Mutex<BTreeMap<String, u64>>,
-    memo: Mutex<BTreeMap<u64, Memo>>,
+    /// store's live record under that name, with its donor in the cache.
+    /// A request that matches an entry takes the donor path alone.
+    journaled: BTreeMap<String, u64>,
+    /// Degraded models and quarantine verdicts by whole-netlist
+    /// fingerprint, so a name collision between unrelated cells can
+    /// never replay the wrong verdict (the same identity check the
+    /// session store uses).
+    memo: BTreeMap<u64, CellVerdict>,
 }
 
 impl std::fmt::Debug for CellService {
@@ -145,7 +150,6 @@ impl CellService {
         library: &Library,
         options: GenerateOptions,
         budget: SimBudget,
-        max_retries: u32,
     ) -> Result<CellService, CoreError> {
         let session = Session::open(store)?;
         let cache = CharCache::new();
@@ -156,22 +160,38 @@ impl CellService {
             .map(|lc| (lc.cell.name().to_string(), cell_fingerprint(&lc.cell)))
             .collect();
         // The plan verified these records against the library netlists
-        // and seeded their donors.
-        let journaled = library_fp
-            .iter()
-            .filter(|(name, _)| matches!(plan.reuse(name), Some(Reuse::Complete)))
-            .map(|(name, fp)| (name.clone(), *fp))
-            .collect();
+        // (and seeded the donors of the complete ones).
+        let mut verdicts = Verdicts::default();
+        for (name, &fp) in &library_fp {
+            match plan.reuse(name) {
+                Some(Reuse::Complete) => {
+                    verdicts.journaled.insert(name.clone(), fp);
+                }
+                Some(Reuse::Degraded(p)) => {
+                    verdicts.memo.insert(fp, CellVerdict::Model(p.clone()));
+                }
+                Some(Reuse::Quarantined {
+                    phase,
+                    retries,
+                    reason,
+                }) => {
+                    let verdict = CellVerdict::Quarantined {
+                        phase: *phase,
+                        reason: reason.clone(),
+                        retries: *retries,
+                    };
+                    verdicts.memo.insert(fp, verdict);
+                }
+                None => {}
+            }
+        }
         Ok(CellService {
             session,
             cache,
             options,
             budget,
-            max_retries,
-            plan,
             library_fp,
-            journaled: Mutex::new(journaled),
-            memo: Mutex::new(BTreeMap::new()),
+            verdicts: Mutex::new(verdicts),
         })
     }
 
@@ -226,61 +246,31 @@ impl CellService {
         }
         let name = cell.name();
         let fp = cell_fingerprint(cell);
+        let (journaled, memoized) = {
+            let verdicts = lock(&self.verdicts);
+            let journaled = verdicts.journaled.get(name) == Some(&fp);
+            (journaled, verdicts.memo.get(&fp).cloned())
+        };
         // 1. The store's live record under `name` is this netlist's
         // complete model, and its donor is in the cache: resolve through
         // the certified donor path without lint, golden or an append.
         // The fingerprint covers every netlist field lint and golden
         // read, and the remap re-certifies the answer.
-        if lock(&self.journaled).get(name) == Some(&fp) {
+        if journaled {
             return self.donor_path(cell);
         }
-        // 2. Store-verified degraded models and quarantine verdicts from
-        // the open-time plan — only when the request's netlist *is* the
-        // library cell the plan verified. (Its complete models seeded
-        // `journaled` at open.)
-        if self.library_fp.get(name) == Some(&fp) {
-            match self.plan.reuse(name) {
-                Some(Reuse::Degraded(p)) => return CellVerdict::Model(p.clone()),
-                Some(Reuse::Quarantined {
-                    phase,
-                    retries,
-                    reason,
-                }) => {
-                    return CellVerdict::Quarantined {
-                        phase: *phase,
-                        reason: reason.clone(),
-                        retries: *retries,
-                    }
-                }
-                Some(Reuse::Complete) | None => {}
-            }
+        // 2. A degraded model or quarantine verdict of this very netlist:
+        // verified from the store at open, or journaled since.
+        if let Some(verdict) = memoized {
+            return verdict;
         }
-        // 3. Memoized fresh verdicts (exact-identity key).
-        {
-            let memo = lock(&self.memo);
-            match memo.get(&fp) {
-                Some(Memo::Degraded(p)) => return CellVerdict::Model(p.clone()),
-                Some(Memo::Quarantined {
-                    phase,
-                    reason,
-                    retries,
-                }) => {
-                    return CellVerdict::Quarantined {
-                        phase: *phase,
-                        reason: reason.clone(),
-                        retries: *retries,
-                    }
-                }
-                None => {}
-            }
-        }
-        // 4. A netlist the library does not hold, journaled before the
+        // 3. A netlist the library does not hold, journaled before the
         // service opened: verify its record as the plan verifies a
         // library cell's, then take the donor path.
         if !self.library_fp.contains_key(name) && self.verify_journaled(cell, fp) {
             return self.donor_path(cell);
         }
-        // 5. Fresh guarded pipeline. (Complete models need no memo:
+        // 4. Fresh guarded pipeline. (Complete models need no memo:
         // step 1 serves repeats of journaled ones, the donor cache the
         // rest.)
         self.fresh(cell, fp, deadline)
@@ -288,16 +278,16 @@ impl CellService {
 
     /// Whether the store's live record under `cell`'s name verifies as
     /// a complete model of this netlist (fingerprint `fp`); if so its
-    /// donor is seeded and the name enters `journaled`. The `journaled`
+    /// donor is seeded and the name enters `journaled`. The verdict
     /// lock is taken before the store lock, as in
-    /// [`journal_model`](CellService::journal_model).
+    /// [`journal`](CellService::journal).
     fn verify_journaled(&self, cell: &Cell, fp: u64) -> bool {
-        let mut journaled = lock(&self.journaled);
+        let mut verdicts = lock(&self.verdicts);
         let verified = self
             .session
             .verify_complete(cell, self.options, &self.budget, &self.cache);
         if verified {
-            journaled.insert(cell.name().to_string(), fp);
+            verdicts.journaled.insert(cell.name().to_string(), fp);
         }
         verified
     }
@@ -307,7 +297,7 @@ impl CellService {
             cell,
             self.options,
             &self.budget,
-            self.max_retries,
+            MAX_RETRIES,
             deadline,
             &self.cache,
         );
@@ -319,100 +309,93 @@ impl CellService {
         }
         // Everything else is what the configured budget produces:
         // journal it under that budget.
-        let journal = self.journal_allowed(cell.name(), fp);
-        let retries = guarded.retries;
-        match guarded.outcome {
-            Ok(p) => {
-                if journal {
-                    self.journal_model(&p, fp);
-                    if p.model.as_ref().is_some_and(|m| m.degraded) {
-                        // Mirror what a restart would plan from the
-                        // store: degraded models replay to this exact
-                        // cell (never as donors).
-                        lock(&self.memo).insert(fp, Memo::Degraded(Box::new(p.clone())));
-                    }
+        let verdict = match guarded.outcome {
+            Ok(p) => CellVerdict::Model(Box::new(p)),
+            Err((phase, err)) => CellVerdict::Quarantined {
+                phase,
+                reason: err.to_string(),
+                retries: guarded.retries,
+            },
+        };
+        self.journal(cell, fp, &verdict);
+        verdict
+    }
+
+    /// Appends a fresh `verdict` for `cell` (fingerprint `fp`) unless the
+    /// store already holds it — a complete model that is the live record
+    /// under the name, or a degraded model or quarantine verdict memoized
+    /// for `fp` — and updates `journaled` and `memo` to match the store:
+    ///
+    /// - a complete model whose append landed enters `journaled`, after
+    ///   its donor is seeded as [`Session::plan`] seeds one on open (so a
+    ///   repeat finds a donor even when the budget made the first run
+    ///   bypass the cache); after a failed append or a netlist-ordered
+    ///   canonical (no cache key) the name has no entry;
+    /// - any other verdict removes the name's entry and enters `memo`.
+    ///
+    /// The verdict lock is held across the check and the append, always
+    /// before the store lock, so concurrent identical requests append
+    /// one record and the maps never disagree with the store's live
+    /// record. Same-name lookalikes of a library cell are served but
+    /// never journaled: their record would clobber the library cell's
+    /// and force an eviction and a re-simulation on the next restart.
+    fn journal(&self, cell: &Cell, fp: u64, verdict: &CellVerdict) {
+        let name = cell.name();
+        let allowed = self.library_fp.get(name).is_none_or(|lib| *lib == fp);
+        let mut verdicts = lock(&self.verdicts);
+        let Verdicts { journaled, memo } = &mut *verdicts;
+        if let CellVerdict::Model(p) = verdict {
+            if let Some(model) = p.model.as_ref().filter(|m| !m.degraded) {
+                if !allowed || journaled.get(name) == Some(&fp) {
+                    return;
                 }
-                CellVerdict::Model(Box::new(p))
+                // Out until the append lands, so a failure or a panic in
+                // between leaves no entry rather than a stale one.
+                journaled.remove(name);
+                if self.session.journal_model(p, self.options, &self.budget)
+                    && !p.canonical.is_netlist_ordered()
+                {
+                    self.cache.seed_donor(
+                        p.cell.clone(),
+                        p.canonical.clone(),
+                        model.clone(),
+                        self.options,
+                    );
+                    journaled.insert(name.to_string(), fp);
+                }
+                return;
             }
-            Err((phase, err)) => {
-                let reason = err.to_string();
-                if journal {
-                    self.journal_quarantine(cell, phase, &reason, retries);
+        }
+        if memo.contains_key(&fp) {
+            return;
+        }
+        if allowed {
+            journaled.remove(name);
+            match verdict {
+                CellVerdict::Model(p) => {
+                    self.session.journal_model(p, self.options, &self.budget);
                 }
-                lock(&self.memo).insert(
-                    fp,
-                    Memo::Quarantined {
-                        phase,
-                        reason: reason.clone(),
-                        retries,
-                    },
-                );
                 CellVerdict::Quarantined {
                     phase,
                     reason,
                     retries,
-                }
+                } => self.session.journal_quarantine(
+                    cell,
+                    *phase,
+                    reason,
+                    *retries,
+                    self.options,
+                    &self.budget,
+                ),
+                CellVerdict::DeadlineExceeded => return,
             }
         }
+        memo.insert(fp, verdict.clone());
     }
 
-    /// Journals `p` (fingerprint `fp`) and updates `journaled` to match
-    /// the store: a complete model whose append landed enters the map,
-    /// after its donor is seeded as [`Session::plan`] seeds one on open
-    /// (so a repeat finds a donor even when the budget made the first run
-    /// bypass the cache); after a degraded model, a failed append or a
-    /// netlist-ordered canonical (no cache key) the name has no entry.
-    /// The `journaled` lock is held across the append, always before the
-    /// store lock, so concurrent appends cannot leave the map
-    /// disagreeing with the store's live record.
-    fn journal_model(&self, p: &PreparedCell, fp: u64) {
-        let name = p.cell.name();
-        let mut journaled = lock(&self.journaled);
-        // Out until the append lands, so a failure or a panic in between
-        // leaves no entry rather than a stale one.
-        journaled.remove(name);
-        if !self.session.journal_model(p, self.options, &self.budget) {
-            return;
-        }
-        let Some(model) = p.model.as_ref().filter(|m| !m.degraded) else {
-            return;
-        };
-        if p.canonical.is_netlist_ordered() {
-            return;
-        }
-        self.cache.seed_donor(
-            p.cell.clone(),
-            p.canonical.clone(),
-            model.clone(),
-            self.options,
-        );
-        journaled.insert(name.to_string(), fp);
-    }
-
-    /// Journals a quarantine verdict for `cell`: the store's live record
-    /// under its name is then no model, so the name has no entry (lock
-    /// held across the append, as in
-    /// [`journal_model`](CellService::journal_model)).
-    fn journal_quarantine(&self, cell: &Cell, phase: FailurePhase, reason: &str, retries: u32) {
-        let mut journaled = lock(&self.journaled);
-        journaled.remove(cell.name());
-        self.session
-            .journal_quarantine(cell, phase, reason, retries, self.options, &self.budget);
-    }
-
-    /// Follower fast path for request coalescing: resolves `cell`
-    /// through the certified donor cache without re-running lint or the
-    /// golden simulation — the leader that just published the donor
-    /// already did both on a structure-identical netlist, and the donor
-    /// remap re-certifies equivalence per cell. Journals nothing (the
-    /// leader's journal entry is the durable copy).
-    pub fn coalesced_characterize(&self, cell: &Cell) -> CellVerdict {
-        self.donor_path(cell)
-    }
-
-    /// The certified donor path shared by repeats, store-verified cells
-    /// and coalesced followers: prepare, iso-certify against the cached
-    /// donor, remap — no lint, no golden pass, no append.
+    /// The certified donor path shared by repeats and store-verified
+    /// cells: prepare, iso-certify against the cached donor, remap — no
+    /// lint, no golden pass, no append.
     fn donor_path(&self, cell: &Cell) -> CellVerdict {
         match isolated(cell.name(), || {
             self.cache.characterize(cell.clone(), self.options)
@@ -424,15 +407,6 @@ impl CellService {
                 retries: 0,
             },
         }
-    }
-
-    /// Whether a fresh outcome for `name` may be journaled: yes for
-    /// library cells when the request matches the library netlist, yes
-    /// for names the library does not own, no for same-name lookalikes
-    /// (journaling one would clobber the library cell's record and force
-    /// an eviction/re-simulation on the next restart).
-    fn journal_allowed(&self, name: &str, fp: u64) -> bool {
-        self.library_fp.get(name).is_none_or(|lib| *lib == fp)
     }
 }
 
@@ -470,7 +444,6 @@ mod tests {
             lib,
             GenerateOptions::default(),
             SimBudget::unlimited(),
-            2,
         )
         .unwrap()
     }
@@ -505,7 +478,6 @@ mod tests {
             &lib,
             GenerateOptions::default(),
             SimBudget::unlimited(),
-            2,
         )
         .unwrap();
         let mut first = Vec::new();
@@ -521,7 +493,6 @@ mod tests {
             &lib,
             GenerateOptions::default(),
             SimBudget::unlimited(),
-            2,
         )
         .unwrap();
         assert_eq!(svc.report().reused_complete, lib.len());
@@ -621,7 +592,6 @@ mod tests {
             &lib,
             GenerateOptions::default(),
             budget,
-            2,
         )
         .unwrap();
         let cell = &lib.cells[0].cell;
@@ -647,13 +617,13 @@ mod tests {
         let first = cam_of(service.characterize_cell(&cell, Deadline::never()));
         let report = service.report();
         assert_eq!((report.journaled, report.journal_errors.len()), (0, 1));
-        assert!(lock(&service.journaled).is_empty());
+        assert!(lock(&service.verdicts).journaled.is_empty());
         // Not entered: the repeat runs lint, golden and the append again.
         let repeat = cam_of(service.characterize_cell(&cell, Deadline::never()));
         assert_eq!(repeat, first);
         let report = service.report();
         assert_eq!((report.journaled, report.journal_errors.len()), (0, 2));
-        assert!(lock(&service.journaled).is_empty());
+        assert!(lock(&service.verdicts).journaled.is_empty());
     }
 
     #[test]
@@ -686,6 +656,134 @@ mod tests {
         );
         assert_eq!(service.report().journaled, 3);
         assert_eq!(service.lookup("ADHOC"), Some(StoredVerdict::Complete(cam)));
+    }
+
+    /// Runs `cell` on four threads released together by a barrier.
+    fn four_at_once(service: &CellService, cell: &Cell) -> Vec<CellVerdict> {
+        let barrier = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        service.characterize_cell(cell, Deadline::never())
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        })
+    }
+
+    #[test]
+    fn concurrent_identical_requests_share_one_simulation_and_one_append() {
+        let lib = tiny_library();
+        let service = open_service("concurrent-model", &lib);
+        let cams: Vec<String> = four_at_once(&service, &lib.cells[0].cell)
+            .into_iter()
+            .map(cam_of)
+            .collect();
+        assert!(cams.windows(2).all(|w| w[0] == w[1]), "divergent models");
+        let stats = service.cache_stats();
+        assert_eq!((stats.misses, stats.hits), (1, 3), "{stats:?}");
+        assert_eq!(service.report().journaled, 1);
+    }
+
+    #[test]
+    fn concurrent_identical_failures_append_one_verdict() {
+        let lib = tiny_library();
+        let service = open_service("concurrent-quarantine", &lib);
+        // A floating gate fails lint deterministically.
+        let broken = spice::parse_cell(
+            ".SUBCKT BROKEN A Z VDD VSS\nMP0 Z X VDD VDD pch\nMN0 Z X VSS VSS nch\n.ENDS",
+        )
+        .unwrap();
+        let reasons: Vec<String> = four_at_once(&service, &broken)
+            .into_iter()
+            .map(|verdict| match verdict {
+                CellVerdict::Quarantined {
+                    phase: FailurePhase::Lint,
+                    reason,
+                    retries: 0,
+                } => reason,
+                other => panic!("{other:?}"),
+            })
+            .collect();
+        assert!(reasons.windows(2).all(|w| w[0] == w[1]), "{reasons:?}");
+        assert_eq!(service.report().journaled, 1);
+    }
+
+    #[test]
+    fn a_follower_answers_deadline_exceeded_within_its_deadline() {
+        let lib = tiny_library();
+        let service = std::sync::Arc::new(open_service("follower-deadline", &lib));
+        let cell = lib.cells[0].cell.clone();
+        let canonical = PreparedCell::prepare(cell.clone()).unwrap().canonical;
+        // A leader that is still characterizing the cell's structure.
+        let _slot = service
+            .cache
+            .plant_pending(&canonical, GenerateOptions::default());
+        let (tx, rx) = std::sync::mpsc::channel();
+        let follower = {
+            let service = std::sync::Arc::clone(&service);
+            std::thread::spawn(move || {
+                let deadline = Deadline::after(Duration::from_millis(50));
+                tx.send(service.characterize_cell(&cell, deadline)).unwrap();
+            })
+        };
+        let verdict = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the follower outwaited its deadline");
+        follower.join().unwrap();
+        assert!(
+            matches!(verdict, CellVerdict::DeadlineExceeded),
+            "{verdict:?}"
+        );
+        assert_eq!(service.report().journaled, 0);
+    }
+
+    #[test]
+    fn restart_replays_a_journaled_library_quarantine_without_appending() {
+        let mut lib = tiny_library();
+        let cell = &mut lib.cells[0].cell;
+        *cell = ca_netlist::corrupt::corrupt_cell(
+            cell,
+            ca_netlist::corrupt::Corruption::DanglingGate,
+            1,
+        )
+        .unwrap();
+        let cell = lib.cells[0].cell.clone();
+        let store = tmp_store("restart-quarantine");
+        let first = CellService::open(
+            &store,
+            &lib,
+            GenerateOptions::default(),
+            SimBudget::unlimited(),
+        )
+        .unwrap();
+        let verdict = first.characterize_cell(&cell, Deadline::never());
+        let CellVerdict::Quarantined { reason, .. } = &verdict else {
+            panic!("{verdict:?}");
+        };
+        assert_eq!(first.report().journaled, 1);
+        drop(first);
+        let service = CellService::open(
+            &store,
+            &lib,
+            GenerateOptions::default(),
+            SimBudget::unlimited(),
+        )
+        .unwrap();
+        assert_eq!(service.report().reused_quarantined, 1);
+        for _ in 0..2 {
+            match service.characterize_cell(&cell, Deadline::never()) {
+                CellVerdict::Quarantined {
+                    reason: replayed, ..
+                } => assert_eq!(&replayed, reason),
+                other => panic!("{other:?}"),
+            }
+        }
+        assert_eq!(service.report().journaled, 0, "a replay appends nothing");
+        let _ = std::fs::remove_file(&store);
     }
 
     #[test]

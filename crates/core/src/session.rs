@@ -174,8 +174,9 @@ impl SessionPlan {
 /// Stable whole-netlist fingerprint of a cell (names, net kinds, pins,
 /// connectivity and sizes — everything). Exposed for callers that need a
 /// cheap exact-identity key *before* the expensive canonical analysis:
-/// `ca-serve` coalesces concurrent requests on it, and it is the same
-/// hash the session layer stores to re-verify quarantine records.
+/// [`CellService`](crate::CellService) keys its journaled and memoized
+/// verdicts on it, and it is the same hash the session layer stores to
+/// re-verify quarantine records.
 pub fn cell_fingerprint(cell: &Cell) -> u64 {
     fingerprint(cell)
 }

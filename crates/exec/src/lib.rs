@@ -13,8 +13,8 @@
 //!   one thread).
 //! - **Per-item panic isolation** — a panicking item never takes down a
 //!   worker or poisons its siblings' results. [`Executor::map`] re-raises
-//!   the lowest-index panic after the batch; [`Executor::map_isolated`]
-//!   converts each panic into an `Err(message)` for quarantine flows.
+//!   the lowest-index panic after the batch; quarantine flows catch
+//!   panics inside their items instead.
 //! - **`CA_THREADS` override** — [`Executor::from_env`] honours the
 //!   `CA_THREADS` environment variable, else uses
 //!   [`std::thread::available_parallelism`]. `CA_THREADS=1` reproduces
@@ -174,22 +174,8 @@ impl Executor {
         out
     }
 
-    /// Like [`map`](Executor::map), but converts each item's panic into
-    /// `Err(message)` instead of re-raising, preserving item order.
-    pub fn map_isolated<T, R, F>(&self, items: &[T], f: F) -> Vec<Result<R, String>>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        self.run(items, &f)
-            .into_iter()
-            .map(|r| r.map_err(|payload| panic_message(payload.as_ref())))
-            .collect()
-    }
-
-    /// Shared driver: runs every item under `catch_unwind`, returning the
-    /// raw per-item outcomes in item order.
+    /// Runs every item under `catch_unwind`, returning the raw per-item
+    /// outcomes in item order.
     fn run<T, R, F>(&self, items: &[T], f: &F) -> Vec<Result<R, Box<dyn std::any::Any + Send>>>
     where
         T: Sync,
@@ -349,26 +335,6 @@ mod tests {
     }
 
     #[test]
-    fn map_isolated_converts_panics_per_item() {
-        let exec = Executor::with_threads(4);
-        let items: Vec<usize> = (0..20).collect();
-        let out = exec.map_isolated(&items, |_, &x| {
-            if x % 5 == 0 {
-                panic!("boom {x}");
-            }
-            x
-        });
-        assert_eq!(out.len(), 20);
-        for (i, r) in out.iter().enumerate() {
-            if i % 5 == 0 {
-                assert_eq!(r.as_ref().unwrap_err(), &format!("boom {i}"));
-            } else {
-                assert_eq!(*r.as_ref().unwrap(), i);
-            }
-        }
-    }
-
-    #[test]
     fn map_reraises_lowest_index_panic() {
         for threads in [1, 3] {
             let exec = Executor::with_threads(threads);
@@ -464,13 +430,16 @@ mod tests {
     fn batches_feed_the_metric_registry() {
         let before = ca_obs::global().snapshot();
         let items: Vec<usize> = (0..40).collect();
-        let out = Executor::with_threads(4).map_isolated(&items, |_, &x| {
-            if x == 3 {
-                panic!("instrumented panic");
-            }
-            x
-        });
-        assert_eq!(out.iter().filter(|r| r.is_err()).count(), 1);
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            Executor::with_threads(4).map(&items, |_, &x| {
+                if x == 3 {
+                    panic!("instrumented panic");
+                }
+                x
+            })
+        }))
+        .unwrap_err();
+        assert_eq!(panic_message(caught.as_ref()), "instrumented panic");
         let delta = ca_obs::global().snapshot().delta(&before);
         let count = |name: &str| delta.counters.get(name).map(|(_, v)| *v).unwrap_or(0);
         assert!(count("ca_exec.batches") >= 1);

@@ -13,16 +13,16 @@
 //!   quotas. Overload sheds with typed `Overloaded`/`QuotaExceeded`
 //!   frames at the socket, in constant time, instead of queueing
 //!   without bound or dropping connections silently.
-//! - [`engine`]: request coalescing (concurrent identical netlists
-//!   elect one leader; followers ride the certified donor cache) and
-//!   one panic catch per request — a panic that escapes the guarded
-//!   pipeline is answered as a structured `Quarantined` verdict.
 //! - [`server`]: thread-per-connection daemon with per-request
 //!   deadlines that propagate into the simulation budget. A request
 //!   whose deadline ends the work journals nothing; any other result is
 //!   what the configured budget produces and is journaled, so the store
 //!   — and therefore a crash-resumed or batch-converged export — stays
-//!   byte-identical to a deadline-free run.
+//!   byte-identical to a deadline-free run. Concurrent identical
+//!   requests share one simulation through the characterization
+//!   cache's per-key leader election, and one panic catch per request
+//!   answers a panic that escapes the guarded pipeline as a structured
+//!   `Quarantined` verdict.
 //! - Drain: `SIGTERM` (or a `Drain` request) stops admissions,
 //!   finishes and journals in-flight work, compacts, and exits;
 //!   `SIGKILL` at any instant leaves a journal the next start recovers
@@ -53,13 +53,11 @@
 
 pub mod admission;
 pub mod client;
-pub mod engine;
 pub mod protocol;
 pub mod server;
 pub mod signal;
 
 pub use admission::{Admission, AdmissionConfig, Denial};
 pub use client::{ClientError, ServeClient};
-pub use engine::Engine;
 pub use protocol::{ErrorKind, ModelSource, ProtocolError, Request, Response, Target, Timing};
 pub use server::{Endpoint, ServeConfig, ServeError, Server};

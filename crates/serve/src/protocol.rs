@@ -19,7 +19,7 @@
 //! through both decoders to hold that line.
 
 use ca_obs::trace::TraceContext;
-use ca_store::frame::{self, FrameError};
+use ca_store::frame::{self, FrameError, FRAME_HEADER_LEN};
 use std::io::{Read, Write};
 
 /// Wire protocol version; the first payload byte of every message.
@@ -35,6 +35,10 @@ pub const MAX_REQUEST_PAYLOAD: u32 = 1 << 20;
 /// Response frames larger than this are rejected before allocation.
 /// Sized for a full `.cam` body plus headroom.
 pub const MAX_RESPONSE_PAYLOAD: u32 = 16 << 20;
+/// An upper bound on the bytes of a payload's fixed-width fields
+/// (version, tag, length prefixes, integers, trace context, timing);
+/// its strings come on top.
+const FIXED_FIELDS_BOUND: usize = 64;
 
 /// What a characterize request points at.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,25 +85,23 @@ pub enum Request {
 pub struct Timing {
     /// Admission-to-slot wait.
     pub queue_us: u64,
-    /// Engine service time (simulation, cache, store, coalescing).
+    /// Service time (simulation, cache, store).
     pub service_us: u64,
-    /// Portion of service spent in journal appends (leader requests;
-    /// `0` for followers and store-served lookups).
+    /// Portion of service spent in journal appends (`0` when the
+    /// request appended nothing).
     pub journal_us: u64,
 }
 
-/// Where a served model came from.
+/// Where a served model came from. The discriminants are the wire
+/// bytes; 1 and 3 are unassigned and decode as
+/// [`ProtocolError::BadField`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModelSource {
-    /// Simulated by this request (possibly via the in-process caches).
+    /// Characterized for this request: simulated, or remapped from a
+    /// certified donor by the in-process cache.
     Fresh = 0,
-    /// Reserved: certified donor remap (reported as `Fresh` today
-    /// because donor hits resolve inside the characterization cache).
-    Donor = 1,
     /// Journaled record served without simulation.
     Store = 2,
-    /// This request rode a concurrent identical request's simulation.
-    Coalesced = 3,
 }
 
 /// Structured failure classes; every error frame carries one.
@@ -207,9 +209,50 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
+/// An upper bound on the length of `req`'s payload.
+fn request_len_bound(req: &Request) -> usize {
+    FIXED_FIELDS_BOUND
+        + match req {
+            Request::Characterize { client, target, .. } => {
+                client.len()
+                    + match target {
+                        Target::Name(text) | Target::Spice(text) => text.len(),
+                    }
+            }
+            Request::Lookup { name } => name.len(),
+            Request::Ping { .. } | Request::Stats | Request::Drain | Request::MetricsSnapshot => 0,
+        }
+}
+
+/// An upper bound on the length of `resp`'s payload.
+fn response_len_bound(resp: &Response) -> usize {
+    FIXED_FIELDS_BOUND
+        + match resp {
+            Response::Model { cell, cam, .. } => cell.len() + cam.len(),
+            Response::Error { detail: text, .. }
+            | Response::Stats { body: text }
+            | Response::MetricsSnapshot { json: text } => text.len(),
+            Response::Pong { .. } | Response::Draining => 0,
+        }
+}
+
 /// Serializes a request payload (unframed).
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut out = vec![WIRE_VERSION];
+    let mut out = Vec::with_capacity(request_len_bound(req));
+    put_request(&mut out, req);
+    out
+}
+
+/// Serializes a response payload (unframed).
+pub fn encode_response(resp: &Response) -> Vec<u8> {
+    let mut out = Vec::with_capacity(response_len_bound(resp));
+    put_response(&mut out, resp);
+    out
+}
+
+/// Appends `req`'s payload to `out`.
+fn put_request(out: &mut Vec<u8>, req: &Request) {
+    out.push(WIRE_VERSION);
     match req {
         Request::Ping { token } => {
             out.push(1);
@@ -222,16 +265,16 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             trace,
         } => {
             out.push(2);
-            put_str(&mut out, client);
+            put_str(out, client);
             out.extend_from_slice(&deadline_ms.to_le_bytes());
             match target {
                 Target::Name(name) => {
                     out.push(0);
-                    put_str(&mut out, name);
+                    put_str(out, name);
                 }
                 Target::Spice(src) => {
                     out.push(1);
-                    put_str(&mut out, src);
+                    put_str(out, src);
                 }
             }
             match trace {
@@ -246,18 +289,17 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
         }
         Request::Lookup { name } => {
             out.push(3);
-            put_str(&mut out, name);
+            put_str(out, name);
         }
         Request::Stats => out.push(4),
         Request::Drain => out.push(5),
         Request::MetricsSnapshot => out.push(6),
     }
-    out
 }
 
-/// Serializes a response payload (unframed).
-pub fn encode_response(resp: &Response) -> Vec<u8> {
-    let mut out = vec![WIRE_VERSION];
+/// Appends `resp`'s payload to `out`.
+fn put_response(out: &mut Vec<u8>, resp: &Response) {
+    out.push(WIRE_VERSION);
     match resp {
         Response::Pong { token } => {
             out.push(1);
@@ -271,10 +313,10 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             timing,
         } => {
             out.push(2);
-            put_str(&mut out, cell);
+            put_str(out, cell);
             out.push(u8::from(*degraded));
             out.push(*source as u8);
-            put_str(&mut out, cam);
+            put_str(out, cam);
             out.extend_from_slice(&timing.queue_us.to_le_bytes());
             out.extend_from_slice(&timing.service_us.to_le_bytes());
             out.extend_from_slice(&timing.journal_us.to_le_bytes());
@@ -282,19 +324,18 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
         Response::Error { kind, detail } => {
             out.push(3);
             out.push(*kind as u8);
-            put_str(&mut out, detail);
+            put_str(out, detail);
         }
         Response::Stats { body } => {
             out.push(4);
-            put_str(&mut out, body);
+            put_str(out, body);
         }
         Response::Draining => out.push(5),
         Response::MetricsSnapshot { json } => {
             out.push(6);
-            put_str(&mut out, json);
+            put_str(out, json);
         }
     }
-    out
 }
 
 // ---------------------------------------------------------------------
@@ -446,9 +487,7 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, ProtocolError> {
             };
             let source = match r.u8("source")? {
                 0 => ModelSource::Fresh,
-                1 => ModelSource::Donor,
                 2 => ModelSource::Store,
-                3 => ModelSource::Coalesced,
                 _ => return Err(ProtocolError::BadField("source")),
             };
             let cam = r.str("cam")?;
@@ -503,14 +542,36 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, ProtocolError> {
 // Framed stream I/O
 // ---------------------------------------------------------------------
 
-/// Writes one framed request to `w`.
+/// Writes one framed request to `w` with a single `write_all`; an
+/// over-cap request writes nothing.
 pub fn write_request<W: Write>(w: &mut W, req: &Request) -> std::io::Result<()> {
-    frame::write_frame(w, &encode_request(req), MAX_REQUEST_PAYLOAD)
+    write_message(w, MAX_REQUEST_PAYLOAD, request_len_bound(req), |out| {
+        put_request(out, req)
+    })
 }
 
-/// Writes one framed response to `w`.
+/// Writes one framed response to `w` with a single `write_all`; an
+/// over-cap response writes nothing.
 pub fn write_response<W: Write>(w: &mut W, resp: &Response) -> std::io::Result<()> {
-    frame::write_frame(w, &encode_response(resp), MAX_RESPONSE_PAYLOAD)
+    write_message(w, MAX_RESPONSE_PAYLOAD, response_len_bound(resp), |out| {
+        put_response(out, resp)
+    })
+}
+
+/// Builds one frame in a single buffer sized up front for a payload of
+/// at most `len_bound` bytes, then writes it whole.
+fn write_message<W: Write>(
+    w: &mut W,
+    cap: u32,
+    len_bound: usize,
+    put: impl FnOnce(&mut Vec<u8>),
+) -> std::io::Result<()> {
+    let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + len_bound);
+    frame::append_frame(&mut frame, cap, |out| {
+        put(out);
+        Ok(())
+    })?;
+    w.write_all(&frame)
 }
 
 /// Reads one framed request from `r`; `Ok(None)` is clean EOF between
@@ -586,7 +647,7 @@ mod tests {
             Response::Model {
                 cell: "ND2_X1".into(),
                 degraded: true,
-                source: ModelSource::Coalesced,
+                source: ModelSource::Store,
                 cam: String::new(),
                 timing: Timing::default(),
             },
@@ -662,6 +723,71 @@ mod tests {
         }
         for resp in sample_responses() {
             assert_eq!(decode_response(&encode_response(&resp)).unwrap(), resp);
+        }
+    }
+
+    /// The writers frame in place exactly as `frame::encode` frames the
+    /// payload, in a buffer that never outgrows its reservation.
+    #[test]
+    fn writers_frame_in_place_as_encode_frames_them() {
+        for req in sample_requests() {
+            let mut framed = Vec::new();
+            write_request(&mut framed, &req).unwrap();
+            assert_eq!(framed, frame::encode(&encode_request(&req)), "{req:?}");
+            assert!(framed.len() <= FRAME_HEADER_LEN + request_len_bound(&req));
+        }
+        // A response the size of a served model's (~28 KB `.cam`).
+        let model = Response::Model {
+            cell: "AOI22_X4".into(),
+            degraded: false,
+            source: ModelSource::Fresh,
+            cam: "row 0 0110\n".repeat(2_500),
+            timing: Timing {
+                queue_us: u64::MAX,
+                service_us: 0,
+                journal_us: 1,
+            },
+        };
+        for resp in sample_responses().into_iter().chain([model]) {
+            let mut framed = Vec::new();
+            write_response(&mut framed, &resp).unwrap();
+            assert_eq!(framed, frame::encode(&encode_response(&resp)), "{resp:?}");
+            assert!(framed.len() <= FRAME_HEADER_LEN + response_len_bound(&resp));
+        }
+    }
+
+    #[test]
+    fn over_cap_requests_write_nothing() {
+        let req = Request::Lookup {
+            name: "X".repeat(MAX_REQUEST_PAYLOAD as usize),
+        };
+        let mut wire = Vec::new();
+        let err = write_request(&mut wire, &req).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(wire.is_empty());
+    }
+
+    /// `Fresh` and `Store` keep their bytes; the retired bytes 1 and 3
+    /// are out of domain.
+    #[test]
+    fn retired_sources_are_bad_fields() {
+        let sources = [
+            (0, Some(ModelSource::Fresh)),
+            (1, None),
+            (2, Some(ModelSource::Store)),
+            (3, None),
+        ];
+        for (byte, want) in sources {
+            let mut payload = vec![WIRE_VERSION, 2];
+            put_str(&mut payload, "INV_X1");
+            payload.extend_from_slice(&[0, byte]);
+            put_str(&mut payload, "");
+            payload.extend_from_slice(&[0; 24]);
+            match (decode_response(&payload), want) {
+                (Ok(Response::Model { source, .. }), Some(want)) => assert_eq!(source, want),
+                (Err(ProtocolError::BadField("source")), None) => {}
+                (other, _) => panic!("source byte {byte}: {other:?}"),
+            }
         }
     }
 

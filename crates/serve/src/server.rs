@@ -2,8 +2,8 @@
 //!
 //! A [`Server`] binds any mix of Unix-domain and TCP endpoints, runs a
 //! thread per connection, and pushes every characterize request through
-//! admission control ([`crate::admission`]) into the coalescing engine
-//! ([`crate::engine`]). The lifecycle contract (DESIGN.md §13):
+//! admission control ([`crate::admission`]) into one [`CellService`]
+//! under a panic catch. The lifecycle contract (DESIGN.md §13):
 //!
 //! - **Admission before work**: a request that cannot be served — queue
 //!   full, quota hit, draining — is answered with a structured error
@@ -20,11 +20,10 @@
 //!   cheapest layer that can answer.
 
 use crate::admission::{Admission, AdmissionConfig, Denial};
-use crate::engine::Engine;
 use crate::protocol::{
     self, ErrorKind, ModelSource, ProtocolError, Request, Response, Target, Timing,
 };
-use ca_core::{CellService, CellVerdict, CoreError, StoredVerdict};
+use ca_core::{panic_message, CellService, CellVerdict, CoreError, FailurePhase, StoredVerdict};
 use ca_defects::GenerateOptions;
 use ca_netlist::library::Library;
 use ca_netlist::{spice, Cell};
@@ -50,30 +49,27 @@ const LATENCY_BOUNDS_US: &[u64] = &[
 /// reads re-check the drain flag.
 const POLL: Duration = Duration::from_millis(25);
 
-/// Reduced-budget retries inside the guarded pipeline.
-const REDUCED_RETRIES: u32 = 2;
-
 /// Concurrent connections before accepts shed with `Overloaded`.
 const MAX_CONNECTIONS: usize = 64;
 
 /// Everything a server needs to start; every knob has a serving-safe
-/// default from [`ServeConfig::new`].
+/// default from [`ServeConfig::new`]. Models are characterized under
+/// the default options and an unlimited budget, which is also the
+/// budget results are journaled under; request deadlines only ever
+/// tighten a *copy* of it.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Journal path (created on first start, resumed afterwards).
     pub store: PathBuf,
     /// The cell library served by name.
     pub library: Library,
-    /// Characterization options (canonical; affect model bytes).
-    pub options: GenerateOptions,
-    /// Configured simulation budget — the budget results are journaled
-    /// under; request deadlines only ever tighten a *copy* of it.
-    pub budget: SimBudget,
     /// Queue/slot/quota sizing.
     pub admission: AdmissionConfig,
     /// Deadline applied to requests that carry none; `None` = no limit.
     pub default_deadline: Option<Duration>,
-    /// Test hook: artificial per-request service time in the engine.
+    /// Test hook: artificial service time before each characterization,
+    /// so overload tests get deterministic contention without depending
+    /// on cell complexity.
     pub service_delay: Duration,
 }
 
@@ -82,8 +78,6 @@ impl ServeConfig {
         ServeConfig {
             store: store.into(),
             library,
-            options: GenerateOptions::default(),
-            budget: SimBudget::unlimited(),
             admission: AdmissionConfig::default(),
             default_deadline: None,
             service_delay: Duration::ZERO,
@@ -137,11 +131,12 @@ impl From<io::Error> for ServeError {
 }
 
 struct Shared {
-    engine: Engine,
+    service: CellService,
     admission: Admission,
     /// Library netlists, resolved for `Target::Name`.
     cells: BTreeMap<String, Cell>,
     default_deadline: Option<Duration>,
+    service_delay: Duration,
     connections: AtomicUsize,
 }
 
@@ -167,9 +162,8 @@ impl Server {
         let service = CellService::open(
             &config.store,
             &config.library,
-            config.options,
-            config.budget,
-            REDUCED_RETRIES,
+            GenerateOptions::default(),
+            SimBudget::unlimited(),
         )?;
         let cells = config
             .library
@@ -178,10 +172,11 @@ impl Server {
             .map(|lc| (lc.cell.name().to_string(), lc.cell.clone()))
             .collect();
         let shared = Arc::new(Shared {
-            engine: Engine::new(service, config.service_delay),
+            service,
             admission: Admission::new(config.admission.clone()),
             cells,
             default_deadline: config.default_deadline,
+            service_delay: config.service_delay,
             connections: AtomicUsize::new(0),
         });
         let mut accepters = Vec::new();
@@ -263,7 +258,7 @@ impl Server {
 
     /// The served [`CellService`] (reports, snapshot lookups).
     pub fn service(&self) -> &CellService {
-        self.shared.engine.service()
+        &self.shared.service
     }
 
     /// Graceful exit: drain, wait for in-flight work and connections,
@@ -280,13 +275,13 @@ impl Server {
         while self.shared.connections.load(Ordering::SeqCst) > 0 && !patience.expired() {
             std::thread::sleep(POLL);
         }
-        self.shared.engine.service().compact();
+        self.shared.service.compact();
         ca_obs::info_status(
             "ca_serve.server",
             "drained",
             &[(
                 "journaled",
-                &self.shared.engine.service().report().journaled.to_string(),
+                &self.shared.service.report().journaled.to_string(),
             )],
         );
     }
@@ -467,7 +462,7 @@ fn dispatch(shared: &Shared, request: Request) -> Response {
         Request::MetricsSnapshot => Response::MetricsSnapshot {
             json: ca_obs::global().snapshot().to_json(),
         },
-        Request::Lookup { name } => match shared.engine.service().lookup(&name) {
+        Request::Lookup { name } => match shared.service.lookup(&name) {
             Some(StoredVerdict::Complete(cam)) => Response::Model {
                 cell: name,
                 degraded: false,
@@ -576,12 +571,12 @@ fn characterize(
     let queue_us = micros(queue_span.finish());
     ca_obs::histogram!("ca_serve.latency.queue_us", Ops, LATENCY_BOUNDS_US).observe(queue_us);
     // Journal time is attributed per request via a thread-local the
-    // session bumps on append; the leader journals on its own
+    // session bumps on append; each request journals on its own
     // connection thread, so draining before the call isolates this
-    // request's share (followers report zero).
+    // request's share (zero when it appended nothing).
     let _ = ca_core::take_journal_ns();
     let service_span = ca_obs::span!("service");
-    let (verdict, source) = shared.engine.characterize(&cell, deadline);
+    let verdict = characterize_caught(shared, &cell, deadline);
     let service_us = micros(service_span.finish());
     let timing = Timing {
         queue_us,
@@ -599,7 +594,7 @@ fn characterize(
                 Some(model) => Response::Model {
                     cell: cell.name().to_string(),
                     degraded: model.degraded,
-                    source,
+                    source: ModelSource::Fresh,
                     cam: ca_defects::to_cam(model),
                     timing,
                 },
@@ -626,6 +621,35 @@ fn characterize(
     }
 }
 
+/// Runs the guarded pipeline once, after the `service_delay` test hook.
+/// The pipeline already isolates panics in characterization and retries
+/// a budget-starved cell under a reduced budget, so a panic that still
+/// escapes it is answered as a `Quarantined` verdict and the connection
+/// stays open. Running the same call again would see the same cell,
+/// deadline and store, so there is no retry loop.
+fn characterize_caught(shared: &Shared, cell: &Cell, deadline: Deadline) -> CellVerdict {
+    if !shared.service_delay.is_zero() {
+        std::thread::sleep(shared.service_delay);
+    }
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        shared.service.characterize_cell(cell, deadline)
+    }))
+    .unwrap_or_else(|panic| {
+        ca_obs::counter!("ca_serve.retry.worker_failures", Ops).inc();
+        let reason = panic_message(&panic);
+        ca_obs::warn(
+            "ca_serve.server",
+            "request worker failed",
+            &[("cell", cell.name()), ("reason", &reason)],
+        );
+        CellVerdict::Quarantined {
+            phase: FailurePhase::Characterize,
+            reason: format!("worker failed: {reason}"),
+            retries: 0,
+        }
+    })
+}
+
 /// Whole microseconds of `d`, saturating.
 fn micros(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
@@ -645,7 +669,7 @@ fn render_stats(shared: &Shared) -> String {
             let _ = writeln!(out, "{name} {value}");
         }
     }
-    let report = shared.engine.service().report();
+    let report = shared.service.report();
     let _ = writeln!(out, "session.journaled {}", report.journaled);
     let _ = writeln!(out, "session.reused_complete {}", report.reused_complete);
     let _ = writeln!(

@@ -333,7 +333,6 @@ fn drain_request_stops_admissions_and_finishes_in_flight() {
         &tiny_library(2),
         GenerateOptions::default(),
         SimBudget::unlimited(),
-        2,
     )
     .expect("reopen");
     assert_eq!(service.report().reused_complete, 1);
@@ -466,7 +465,6 @@ fn daemon_sigterm_drains_cleanly_and_store_resumes() {
         &lib,
         GenerateOptions::default(),
         SimBudget::unlimited(),
-        2,
     )
     .expect("reopen");
     assert_eq!(service.report().reused_complete, cells);
@@ -532,7 +530,6 @@ fn daemon_sigkill_mid_campaign_resumes_byte_identical() {
         &lib,
         GenerateOptions::default(),
         SimBudget::unlimited(),
-        2,
     )
     .expect("reopen");
     assert_eq!(service.report().reused_complete, cells);

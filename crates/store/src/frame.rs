@@ -7,17 +7,21 @@
 //! allocation, a CRC mismatch is a structured error, and a short read is
 //! "torn", never a panic.
 //!
-//! Two shapes cover both consumers:
+//! Three shapes cover both consumers:
 //!
+//! - [`append_frame`]: builds a frame in place at the end of a buffer —
+//!   header reserved, payload encoded after it, length and CRC patched
+//!   in — so a journal record or a wire message is written once, in one
+//!   buffer sized up front. [`encode`] is its reference: same bytes.
 //! - [`decode`]: frame-at-offset over an in-memory byte slice (journal
 //!   replay; the caller maps [`FrameError`] onto its recovery policy).
-//! - [`read_frame`] / [`write_frame`]: streaming over any
-//!   `Read`/`Write` (sockets). EOF *between* frames is a clean `None`;
-//!   EOF *inside* a frame is [`FrameError::Torn`].
+//! - [`read_frame`]: streaming over any `Read` (sockets). EOF *between*
+//!   frames is a clean `None`; EOF *inside* a frame is
+//!   [`FrameError::Torn`].
 
 use crate::crc32;
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 
 /// Size of a frame header: 4 length bytes + 4 CRC bytes.
 pub const FRAME_HEADER_LEN: usize = 8;
@@ -76,6 +80,42 @@ pub fn encode(payload: &[u8]) -> Vec<u8> {
     frame
 }
 
+/// Appends one frame to `out`: a header placeholder, then the payload
+/// that `payload` appends, then the payload's length and CRC patched
+/// into the header — [`encode`]'s bytes without a second buffer. Reserve
+/// `out`'s capacity first to build it without reallocating.
+///
+/// # Errors
+///
+/// `payload`'s error, or `InvalidInput` when the payload exceeds `cap`;
+/// `out` is then left as it was.
+pub fn append_frame(
+    out: &mut Vec<u8>,
+    cap: u32,
+    payload: impl FnOnce(&mut Vec<u8>) -> io::Result<()>,
+) -> io::Result<()> {
+    let at = out.len();
+    out.extend_from_slice(&[0; FRAME_HEADER_LEN]);
+    let result = payload(out).and_then(|()| {
+        let (header, body) = out[at..].split_at_mut(FRAME_HEADER_LEN);
+        match u32::try_from(body.len()) {
+            Ok(len) if len <= cap => {
+                header[..4].copy_from_slice(&len.to_le_bytes());
+                header[4..].copy_from_slice(&crc32(body).to_le_bytes());
+                Ok(())
+            }
+            _ => Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("payload length {} exceeds frame cap {cap}", body.len()),
+            )),
+        }
+    });
+    if result.is_err() {
+        out.truncate(at);
+    }
+    result
+}
+
 /// Decodes the frame starting at `offset` in `bytes`, returning the
 /// payload slice and the offset of the next frame.
 ///
@@ -124,22 +164,6 @@ pub fn decode(bytes: &[u8], offset: usize, cap: u32) -> Result<(&[u8], usize), F
         });
     }
     Ok((payload, start + len as usize))
-}
-
-/// Writes one frame to `w` (no flush; the caller owns durability).
-///
-/// # Errors
-///
-/// `InvalidInput` when the payload exceeds `cap` (nothing is written),
-/// otherwise the writer's own I/O errors.
-pub fn write_frame<W: Write>(w: &mut W, payload: &[u8], cap: u32) -> io::Result<()> {
-    if payload.len() > cap as usize {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("payload length {} exceeds frame cap {cap}", payload.len()),
-        ));
-    }
-    w.write_all(&encode(payload))
 }
 
 /// Reads one whole frame from `r`.
@@ -262,11 +286,26 @@ mod tests {
         }
     }
 
+    /// `append_frame` builds `encode`'s bytes in place, after whatever
+    /// the buffer already holds.
+    #[test]
+    fn append_frame_matches_encode() {
+        let mut buf = b"prefix".to_vec();
+        for payload in [&b""[..], b"x", b"hello frame", &[7u8; 1024]] {
+            let at = buf.len();
+            append_frame(&mut buf, 1 << 20, |out| {
+                out.extend_from_slice(payload);
+                Ok(())
+            })
+            .unwrap();
+            assert_eq!(&buf[at..], encode(payload));
+        }
+    }
+
     #[test]
     fn stream_round_trip_and_clean_eof() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"alpha", 64).unwrap();
-        write_frame(&mut buf, b"beta", 64).unwrap();
+        let mut buf = encode(b"alpha");
+        buf.extend_from_slice(&encode(b"beta"));
         let mut cursor = io::Cursor::new(buf);
         assert_eq!(read_frame(&mut cursor, 64).unwrap().unwrap(), b"alpha");
         assert_eq!(read_frame(&mut cursor, 64).unwrap().unwrap(), b"beta");
@@ -275,8 +314,7 @@ mod tests {
 
     #[test]
     fn stream_eof_mid_frame_is_torn() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"interrupted", 64).unwrap();
+        let buf = encode(b"interrupted");
         for cut in 1..buf.len() {
             let mut cursor = io::Cursor::new(buf[..cut].to_vec());
             let err = read_frame(&mut cursor, 64).unwrap_err();
@@ -285,10 +323,20 @@ mod tests {
     }
 
     #[test]
-    fn write_frame_refuses_over_cap_payloads() {
-        let mut buf = Vec::new();
-        let err = write_frame(&mut buf, &[0u8; 100], 64).unwrap_err();
+    fn append_frame_refuses_over_cap_and_failed_payloads() {
+        let mut buf = b"kept".to_vec();
+        let err = append_frame(&mut buf, 64, |out| {
+            out.extend_from_slice(&[0u8; 100]);
+            Ok(())
+        })
+        .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
-        assert!(buf.is_empty(), "nothing must be written on refusal");
+        let err = append_frame(&mut buf, 64, |out| {
+            out.push(1);
+            Err(io::Error::other("refused"))
+        })
+        .unwrap_err();
+        assert_eq!(err.to_string(), "refused");
+        assert_eq!(buf, b"kept", "a refused frame leaves nothing behind");
     }
 }

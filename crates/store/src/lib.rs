@@ -205,8 +205,26 @@ pub struct Record {
 }
 
 impl Record {
-    fn encode(&self) -> Result<Vec<u8>, String> {
-        let mut out = Vec::with_capacity(64 + self.cell.len());
+    /// An upper bound on the encoded payload's length: the fixed-width
+    /// fields take at most 64 bytes, the strings come on top.
+    fn len_bound(&self) -> usize {
+        let body = match &self.payload {
+            Payload::Complete { cam } | Payload::Degraded { cam } => cam.len(),
+            Payload::Quarantined { reason, .. } => reason.len(),
+        };
+        64 + self.cell.len() + body
+    }
+
+    /// Appends the record to `out` as one journal frame, encoded in
+    /// place.
+    fn append_frame(&self, out: &mut Vec<u8>) -> io::Result<()> {
+        frame::append_frame(out, MAX_PAYLOAD, |out| {
+            self.encode_into(out)
+                .map_err(|msg| io::Error::new(io::ErrorKind::InvalidInput, msg))
+        })
+    }
+
+    fn encode_into(&self, out: &mut Vec<u8>) -> Result<(), String> {
         out.push(self.payload.tag());
         let name = self.cell.as_bytes();
         if name.len() > u16::MAX as usize {
@@ -248,7 +266,7 @@ impl Record {
                 out.extend_from_slice(reason);
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     fn decode(bytes: &[u8]) -> Result<Record, String> {
@@ -598,12 +616,12 @@ impl Store {
     ///
     /// # Errors
     ///
-    /// I/O failures, or a record with an over-long field.
+    /// I/O failures, or a record with an over-long field or a payload
+    /// over the cap replay accepts (which would otherwise be written,
+    /// then truncated away as a torn tail on the next open).
     pub fn append(&mut self, record: &Record) -> io::Result<bool> {
-        let payload = record
-            .encode()
-            .map_err(|msg| io::Error::new(io::ErrorKind::InvalidInput, msg))?;
-        let frame = frame::encode(&payload);
+        let mut frame = Vec::with_capacity(frame::FRAME_HEADER_LEN + record.len_bound());
+        record.append_frame(&mut frame)?;
         self.file.seek(SeekFrom::End(0))?;
         self.file.write_all(&frame)?;
         self.file.sync_data()?;
@@ -636,13 +654,15 @@ impl Store {
     ///
     /// I/O failures; the original journal is untouched on error.
     pub fn compact(&mut self) -> io::Result<()> {
-        let mut snapshot = Vec::with_capacity(HEADER_LEN as usize);
+        let frames: usize = self
+            .live
+            .values()
+            .map(|record| frame::FRAME_HEADER_LEN + record.len_bound())
+            .sum();
+        let mut snapshot = Vec::with_capacity(HEADER_LEN as usize + frames);
         snapshot.extend_from_slice(&MAGIC);
         for record in self.live.values() {
-            let payload = record
-                .encode()
-                .map_err(|msg| io::Error::new(io::ErrorKind::InvalidInput, msg))?;
-            snapshot.extend_from_slice(&frame::encode(&payload));
+            record.append_frame(&mut snapshot)?;
         }
         write_atomic(&self.path, &snapshot)?;
         // The old handle points at the replaced inode; reopen.
@@ -1119,12 +1139,69 @@ mod tests {
         assert_eq!(store.get("STALE"), None);
     }
 
+    fn payload(record: &Record) -> Vec<u8> {
+        let mut out = Vec::new();
+        record.encode_into(&mut out).unwrap();
+        out
+    }
+
+    /// Every record shape, framed in place in a buffer sized by
+    /// `len_bound`, is exactly `frame::encode` of its payload, and never
+    /// outgrows the reservation.
+    #[test]
+    fn records_frame_in_place_as_encode_frames_them() {
+        let quarantined = |reason: &str| Record {
+            payload: Payload::Quarantined {
+                phase: 3,
+                retries: u32::MAX,
+                reason: reason.to_string(),
+            },
+            ..record("Q", 9, "")
+        };
+        let samples = [
+            record("A", 1, "CAM-A"),
+            record("", 0, ""),
+            record(&"N".repeat(300), u64::MAX, &"0 1\n".repeat(7_000)),
+            Record {
+                payload: Payload::Degraded {
+                    cam: "degraded".to_string(),
+                },
+                ..record("D", 2, "")
+            },
+            quarantined(""),
+            quarantined("lint: floating gate"),
+        ];
+        for record in &samples {
+            let bound = frame::FRAME_HEADER_LEN + record.len_bound();
+            let mut out = Vec::with_capacity(bound);
+            record.append_frame(&mut out).unwrap();
+            assert_eq!(out, frame::encode(&payload(record)), "{}", record.cell);
+            assert!(out.len() <= bound, "{} outgrew its bound", record.cell);
+        }
+        // The journal and its compaction hold the same frames.
+        let tmp = TempDir::new("in-place");
+        let path = tmp.path("store.caj");
+        let mut store = Store::open(&path).unwrap();
+        let mut journal = MAGIC.to_vec();
+        for record in &samples {
+            store.append(record).unwrap();
+            journal.extend_from_slice(&frame::encode(&payload(record)));
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), journal);
+        store.compact().unwrap();
+        let mut snapshot = MAGIC.to_vec();
+        for record in store.records().values() {
+            snapshot.extend_from_slice(&frame::encode(&payload(record)));
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), snapshot);
+    }
+
     #[test]
     fn decode_rejects_trailing_bytes_and_bad_tags() {
-        let mut bytes = record("A", 1, "a").encode().unwrap();
+        let mut bytes = payload(&record("A", 1, "a"));
         bytes.push(0);
         assert!(Record::decode(&bytes).unwrap_err().contains("trailing"));
-        let mut bytes = record("A", 1, "a").encode().unwrap();
+        let mut bytes = payload(&record("A", 1, "a"));
         bytes[0] = 9;
         assert!(Record::decode(&bytes).unwrap_err().contains("unknown"));
         assert!(Record::decode(&[]).is_err());

@@ -280,9 +280,14 @@ in_gate_dir "$bench" profile-check BENCH_profile.json
 # Serve load gate: daemon load-gen over a Unix socket, closed loop for
 # latency percentiles and an open loop that must shed with structured
 # frames; fails hard unless every served model is byte-identical to the
-# batch golden (DESIGN.md §13).
+# batch golden and the daemon journaled each distinct cell once
+# (DESIGN.md §13). At CA_THREADS=4 the closed loop's four staggered
+# workers send concurrent identical requests, so the journal count
+# checks that such requests append one record between them.
 echo "==> ca-bench serve --quick (daemon load-gen + byte-identity)"
 in_gate_dir "$bench" serve --quick
+echo "==> ca-bench serve --quick (CA_THREADS=4, concurrent identical requests)"
+in_gate_dir env CA_THREADS=4 "$bench" serve --quick
 
 # Trace round-trip gate: a traced 2-shard campaign (real worker
 # processes) plus one served request must stitch into a single Chrome

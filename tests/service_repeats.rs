@@ -48,7 +48,6 @@ fn open(path: &Path, lib: &Library) -> CellService {
         lib,
         GenerateOptions::default(),
         SimBudget::unlimited(),
-        2,
     )
     .expect("open service")
 }
