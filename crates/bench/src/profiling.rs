@@ -3,8 +3,9 @@
 //! Runs a representative characterization campaign through every
 //! instrumented layer — lint, a journaled robust characterization
 //! (simulator, cache, session, store), a session resume, CAM export,
-//! forest training, batch prediction, and a short in-process serving
-//! pass through the `ca-serve` daemon — wrapping each phase in a
+//! forest training, batch prediction, a short in-process serving pass
+//! through the `ca-serve` daemon and a two-shard `ca-shard` campaign run
+//! in process — wrapping each phase in a
 //! [`FlowProfile`] stage. The result renders as a human table and as
 //! the machine artifact `BENCH_profile.json` (schema `ca-obs-profile/1`,
 //! validated by `ca-bench profile-check` in CI).
@@ -191,6 +192,22 @@ pub fn run_with(
         Ok(())
     })?;
 
+    // A two-shard campaign over the same workload, next to the store.
+    // Its workers run in this process (`Spawner::InProcess`): no process
+    // is spawned, and the profile covers the `ca_shard` layer too.
+    fp.stage("shard", || -> Result<(), String> {
+        ca_obs::counter!("ca_bench.profile.stages", Work).inc();
+        let config = ca_shard::CampaignConfig::new(2);
+        ca_shard::run_campaign(
+            &library,
+            &config,
+            &ca_shard::Spawner::InProcess,
+            &store.with_extension("shard"),
+        )
+        .map(|_| ())
+        .map_err(|e| e.to_string())
+    })?;
+
     let stats = cache.stats();
     fp.set_rate("cache_hit_rate", stats.hit_rate());
     fp.set_rate("cache_bypass_rate", stats.bypass_rate());
@@ -237,7 +254,7 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         let json = fp.to_json();
         ca_obs::validate_profile_json(&json).expect("emitted profile validates");
-        assert_eq!(fp.stages.len(), 7, "lint..serve stages");
+        assert_eq!(fp.stages.len(), 8, "lint..shard stages");
         // The corrupted cell must travel the quarantine path.
         assert!(fp.counter_total("ca_core.flow.quarantined") >= 1);
         // The resume stage must replay, not re-simulate.

@@ -114,7 +114,6 @@ pub fn run(profile: Profile, shards: usize) -> ShardBench {
     let mut config = CampaignConfig::new(shards);
     config.options = options;
     config.budget = budget;
-    config.heartbeat_interval = Duration::from_millis(50);
     config.heartbeat_timeout = Duration::from_secs(30);
     let spawner = Spawner::current_exe(vec!["shard-worker".into()])
         .unwrap_or_else(|e| panic!("cannot locate own executable: {e}"));

@@ -339,7 +339,6 @@ fn demo_inner(profile: Profile, out: &Path) -> Result<TraceSummary, String> {
         Profile::Full => 24,
     });
     let mut config = CampaignConfig::new(2);
-    config.heartbeat_interval = Duration::from_millis(50);
     config.heartbeat_timeout = Duration::from_secs(30);
     let spawner = Spawner::current_exe(vec!["shard-worker".into()])
         .map_err(|e| format!("cannot locate own executable: {e}"))?;

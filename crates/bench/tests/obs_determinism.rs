@@ -54,6 +54,8 @@ fn profile_counts_are_identical_across_thread_counts() {
         "ca_ml.forest.trees_fitted",
         "ca_store.journal.appends",
         "ca_exec.items",
+        "[shard]",
+        "ca_shard.merge.records",
     ] {
         assert!(
             serial_fpr.contains(needle),

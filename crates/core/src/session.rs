@@ -94,6 +94,16 @@ pub struct Session {
     lifted_store: Mutex<StoreStats>,
 }
 
+/// Why [`Session::evict`] drops a record.
+#[derive(Debug, Clone, Copy)]
+enum Eviction {
+    /// A hash or tag no longer matches the library or the run
+    /// configuration.
+    Stale,
+    /// The body failed to parse or re-verify.
+    Invalid,
+}
+
 /// Snapshot of a session's lifetime counters, for reporting.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SessionReport {
@@ -356,7 +366,7 @@ impl Session {
         let name = cell.name();
         let record = store.get(name).cloned()?;
         if record.options_tag != options_tag(options) || record.budget_tag != budget_tag(budget) {
-            self.evict(store, name, &self.evicted_stale);
+            self.evict(store, name, Eviction::Stale);
             return None;
         }
         match record.payload {
@@ -369,11 +379,11 @@ impl Session {
                     return None;
                 }
                 if record.fingerprint != fingerprint(cell) {
-                    self.evict(store, name, &self.evicted_stale);
+                    self.evict(store, name, Eviction::Stale);
                     return None;
                 }
                 let Some(phase) = decode_phase(phase) else {
-                    self.evict(store, name, &self.evicted_invalid);
+                    self.evict(store, name, Eviction::Invalid);
                     return None;
                 };
                 self.planned_quarantined.fetch_add(1, Ordering::Relaxed);
@@ -394,7 +404,7 @@ impl Session {
                 let Ok(prepared) = prepared else {
                     // The record promises a model but the live cell no
                     // longer even prepares: the library was edited.
-                    self.evict(store, name, &self.evicted_stale);
+                    self.evict(store, name, Eviction::Stale);
                     return None;
                 };
                 if prepared.canonical.is_netlist_ordered()
@@ -402,15 +412,15 @@ impl Session {
                     || record.wiring != prepared.canonical.wiring_hash()
                     || record.reduced != prepared.canonical.reduced_hash()
                 {
-                    self.evict(store, name, &self.evicted_stale);
+                    self.evict(store, name, Eviction::Stale);
                     return None;
                 }
                 let Ok(model) = from_cam(cam, &prepared.cell) else {
-                    self.evict(store, name, &self.evicted_invalid);
+                    self.evict(store, name, Eviction::Invalid);
                     return None;
                 };
                 if model.degraded != degraded_record {
-                    self.evict(store, name, &self.evicted_invalid);
+                    self.evict(store, name, Eviction::Invalid);
                     return None;
                 }
                 if degraded_record {
@@ -557,20 +567,19 @@ impl Session {
         landed
     }
 
-    fn evict(&self, store: &mut MutexGuard<'_, Store>, cell: &str, counter: &AtomicUsize) {
+    fn evict(&self, store: &mut MutexGuard<'_, Store>, cell: &str, why: Eviction) {
         store.evict(cell);
-        counter.fetch_add(1, Ordering::Relaxed);
+        match why {
+            Eviction::Stale => {
+                self.evicted_stale.fetch_add(1, Ordering::Relaxed);
+                ca_obs::counter!("ca_core.session.evicted_stale", Work).inc();
+            }
+            Eviction::Invalid => {
+                self.evicted_invalid.fetch_add(1, Ordering::Relaxed);
+                ca_obs::counter!("ca_core.session.evicted_invalid", Work).inc();
+            }
+        }
         self.evicted_this_run.fetch_add(1, Ordering::Relaxed);
-        // One call site serves both eviction kinds, so the metric name
-        // varies and the site-cached `counter!` macro cannot be used.
-        let metric = if std::ptr::eq(counter, &self.evicted_stale) {
-            "ca_core.session.evicted_stale"
-        } else {
-            "ca_core.session.evicted_invalid"
-        };
-        ca_obs::global()
-            .counter(metric, ca_obs::MetricClass::Work)
-            .inc();
         self.lift_store_stats(store);
     }
 

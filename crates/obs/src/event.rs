@@ -225,17 +225,25 @@ pub fn info_status(target: &str, msg: &str, fields: &[(&str, &str)]) {
     event(Level::Info, target, msg, fields, Mirror::Always);
 }
 
-/// Prints a machine-readable protocol marker to stdout and flushes it.
+/// Writes a machine-readable protocol marker line to stdout and flushes
+/// it.
 ///
-/// Test harnesses that drive the flow as a child process (the
-/// crash-recovery SIGKILL harness) grep stdout for fixed markers like
-/// `CA-SESSION-HALT`. Those are inter-process protocol, not logging, so
-/// they bypass the event sink — but they still live here so library
-/// crates stay free of raw `println!` (invariant D5, DESIGN.md §10).
+/// Parents read their children's stdout for fixed markers: the
+/// crash-recovery SIGKILL harness waits for `CA-SESSION-HALT`, callers
+/// of the `ca-serve` daemon for `CA-SERVE-READY`, and the shard
+/// supervisor takes each `CA-SHARD-BEAT` as a worker's proof of life.
+/// Those are inter-process protocol, not logging, so they bypass the
+/// event sink — but they still live here so library crates stay free of
+/// raw stdout writes (invariant D5, DESIGN.md §10). The line goes to
+/// the locked `io::stdout()` handle, not through `println!`, which a
+/// test harness's output capture swallows on the test's threads and
+/// the threads they spawn. Write errors are ignored: a parent that
+/// closed the pipe has stopped listening.
 pub fn protocol_marker(msg: &str) {
     use std::io::Write as _;
-    println!("{msg}");
-    let _ = std::io::stdout().flush();
+    let mut out = std::io::stdout().lock();
+    let _ = writeln!(out, "{msg}");
+    let _ = out.flush();
 }
 
 /// Info-level event with no stderr echo.

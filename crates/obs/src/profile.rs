@@ -312,8 +312,8 @@ impl StageProfile {
     }
 }
 
-/// The seven crates whose counters a complete profile must carry.
-pub const INSTRUMENTED_PREFIXES: [&str; 7] = [
+/// The eight crates whose counters a complete profile must carry.
+pub const INSTRUMENTED_PREFIXES: [&str; 8] = [
     "ca_exec.",
     "ca_sim.",
     "ca_ml.",
@@ -321,10 +321,11 @@ pub const INSTRUMENTED_PREFIXES: [&str; 7] = [
     "ca_store.",
     "ca_bench.",
     "ca_serve.",
+    "ca_shard.",
 ];
 
 /// Validates a `BENCH_profile.json` document against schema
-/// `ca-obs-profile/1`, including coverage of all seven instrumented
+/// `ca-obs-profile/1`, including coverage of all eight instrumented
 /// crates. Used by the `ca-bench profile-check` CI gate; audit rule D11
 /// keeps [`INSTRUMENTED_PREFIXES`] equal to the prefixes of the
 /// workspace's metric macro sites.
@@ -451,7 +452,7 @@ mod tests {
         assert!(!outcome.contains("obs_test.profile.work"));
     }
 
-    /// A profile whose counters cover all seven instrumented crates
+    /// A profile whose counters cover all eight instrumented crates
     /// must round-trip through its own validator.
     #[test]
     fn emitted_json_passes_validator() {

@@ -11,9 +11,9 @@
 //!    a cell's shard assignment never depends on library order, retry
 //!    history or shard launch order.
 //! 2. **Ship** ([`spec`]): before each attempt the supervisor writes
-//!    one text document — journal and heartbeat paths, options,
-//!    budget, policy, trace context, test hooks and the shard's cells —
-//!    and names it in the worker's only variable, `CA_SHARD_SPEC`. The
+//!    one text document — journal path, beat interval, options, budget,
+//!    policy, trace context, test hooks and the shard's cells — and
+//!    names it in the worker's only variable, `CA_SHARD_SPEC`. The
 //!    cells round-trip the exact netlist model (explicit net kinds,
 //!    exact net/transistor order), so even deliberately broken cells
 //!    (the robustness pipeline's whole point) arrive at the worker
@@ -21,16 +21,17 @@
 //!    characterized in-process.
 //! 3. **Work** ([`worker`]): each worker process runs the crash-safe
 //!    robust session driver against a *private* `.caj` journal and
-//!    proves liveness by atomically rewriting a heartbeat file.
-//! 4. **Supervise** ([`supervisor`]): the supervisor watches exit
-//!    status and heartbeats. A crashed (SIGKILL/abort), hung
-//!    (heartbeat timeout → SIGKILL) or failing (nonzero exit) worker
-//!    gets its shard retried under a deterministic capped
-//!    [`ca_obs::Backoff`], optionally with a reduced budget on the
-//!    final attempt; a shard that exhausts retries is quarantined with
-//!    a structured report instead of failing the campaign; if process
-//!    spawning itself is unavailable the shard degrades to in-process
-//!    execution with a loud event.
+//!    proves liveness by writing a `CA-SHARD-BEAT` line to its stdout
+//!    every quarter of the heartbeat timeout.
+//! 4. **Supervise** ([`supervisor`]): the supervisor holds the other
+//!    end of each worker's stdout pipe and blocks on it: any output is
+//!    a beat, a closed pipe an exit. A crashed (SIGKILL/abort), hung
+//!    (silent for the heartbeat timeout → SIGKILL) or failing (nonzero
+//!    exit) worker gets its shard retried under a deterministic capped
+//!    [`ca_obs::Backoff`]; a shard that exhausts retries is quarantined
+//!    with a structured report instead of failing the campaign; if
+//!    process spawning itself is unavailable the shard degrades to
+//!    in-process execution with a loud event.
 //! 5. **Merge** ([`merge`]): all shard journals are replayed through
 //!    `ca-store` torn-tail recovery and folded — order-independently,
 //!    last conflict resolved by a total record order — into one store,
@@ -63,7 +64,6 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
 )]
 
-pub mod heartbeat;
 pub mod merge;
 pub mod plan;
 pub mod spec;

@@ -4,9 +4,9 @@
 //! `shard-{i}.spec` and starts the worker with the single environment
 //! variable [`ENV_SPEC`] naming it, so any host binary whose entry
 //! point calls [`crate::worker::run_from_env`] can be a worker. The
-//! document carries everything the attempt needs: where to journal and
-//! heartbeat, the campaign's options, budget and policy, the attempt's
-//! trace context and test hooks, and the shard's cells.
+//! document carries everything the attempt needs: where to journal,
+//! how often to beat, the campaign's options, budget and policy, the
+//! attempt's trace context and test hooks, and the shard's cells.
 //!
 //! The cells travel as the netlist model itself, not as SPICE: the
 //! SPICE parser *infers* pin roles from channel connectivity, which a
@@ -24,9 +24,8 @@
 //! fields come in any order, `trace` is optional and `hook` repeats):
 //!
 //! ```text
-//! calib/2
+//! calib/3
 //! store <path>
-//! heartbeat <path>
 //! heartbeat_ms <n>
 //! options <bits>           driven_x | floating_x << 1 | inter_transistor << 2
 //! budget <iters>,<stimuli>,<defects>,<wall_ns>      `-` for unlimited
@@ -44,7 +43,7 @@
 //! end
 //! ```
 //!
-//! A path field takes the rest of its line after one space, so work
+//! The store path takes the rest of its line after one space, so work
 //! directories containing spaces survive. Net references are indices
 //! into the cell's net list, preserving ids exactly. Names containing
 //! whitespace cannot be framed; such cells fail [`round_trips`] and stay
@@ -67,7 +66,7 @@ use std::time::Duration;
 pub const ENV_SPEC: &str = "CA_SHARD_SPEC";
 
 /// Format tag of the first line; bump on any grammar change.
-const MAGIC: &str = "calib/2";
+const MAGIC: &str = "calib/3";
 
 /// A fault a supervision test injects into one shard's workers.
 ///
@@ -78,8 +77,8 @@ const MAGIC: &str = "calib/2";
 pub enum HookAction {
     /// Exit with this code before doing any work.
     Fail(i32),
-    /// Write one heartbeat, then sleep forever, so the supervisor must
-    /// diagnose a hang and kill the worker.
+    /// Sleep forever without a beat, so the supervisor must diagnose a
+    /// hang and kill the worker.
     Hang,
     /// Abort the worker after this many journal appends (a real
     /// SIGABRT: fsynced records survive, nothing else does).
@@ -113,9 +112,7 @@ impl TestHook {
 pub struct WorkerSpec {
     /// Path of the worker's private `.caj` journal.
     pub store_path: PathBuf,
-    /// Path of the heartbeat file the worker must keep rewriting.
-    pub heartbeat_path: PathBuf,
-    /// How often the worker rewrites the heartbeat file.
+    /// How often a spawned worker writes a beat line to its stdout.
     pub heartbeat_interval: Duration,
     /// Model-generation options (must match the campaign's).
     pub options: GenerateOptions,
@@ -159,7 +156,6 @@ impl WorkerSpec {
         let mut out = String::new();
         let _ = writeln!(out, "{MAGIC}");
         let _ = writeln!(out, "store {}", self.store_path.display());
-        let _ = writeln!(out, "heartbeat {}", self.heartbeat_path.display());
         let _ = writeln!(out, "heartbeat_ms {}", self.heartbeat_interval.as_millis());
         let _ = writeln!(out, "options {}", encode_options(self.options));
         let _ = writeln!(out, "budget {}", encode_budget(&self.budget));
@@ -212,8 +208,8 @@ impl WorkerSpec {
             match key {
                 "tech" => break,
                 "hook" => hooks.push(parse_hook(value)?),
-                "store" | "heartbeat" | "heartbeat_ms" | "options" | "budget" | "policy"
-                | "shard" | "attempt" | "trace" => {
+                "store" | "heartbeat_ms" | "options" | "budget" | "policy" | "shard"
+                | "attempt" | "trace" => {
                     if fields.insert(key, value).is_some() {
                         return Err(SpecError(format!(
                             "line {no}: header field `{key}` is repeated"
@@ -237,7 +233,6 @@ impl WorkerSpec {
         let (technology, cells) = decode_body(&mut lines)?;
         Ok(WorkerSpec {
             store_path: PathBuf::from(field("store")?),
-            heartbeat_path: PathBuf::from(field("heartbeat")?),
             heartbeat_interval: Duration::from_millis(number(
                 "heartbeat_ms",
                 field("heartbeat_ms")?,
@@ -585,7 +580,6 @@ mod tests {
         lib.cells.truncate(3);
         WorkerSpec {
             store_path: PathBuf::from("/tmp/shard-2.caj"),
-            heartbeat_path: PathBuf::from("/tmp/shard-2.hb"),
             heartbeat_interval: Duration::from_millis(50),
             options: GenerateOptions {
                 policy: DetectionPolicy {
@@ -656,10 +650,9 @@ mod tests {
             options: GenerateOptions::default(),
             ..spec.clone()
         });
-        // Path fields take the rest of their line, spaces included.
+        // The store path takes the rest of its line, spaces included.
         round_trip(&WorkerSpec {
-            store_path: PathBuf::from("/tmp/my campaign/shard 2.caj"),
-            heartbeat_path: PathBuf::from("/tmp/my campaign/ shard-2.hb "),
+            store_path: PathBuf::from("/tmp/my campaign/ shard 2.caj "),
             ..spec.clone()
         });
         round_trip(&WorkerSpec {
@@ -686,7 +679,6 @@ mod tests {
         };
         for field in [
             "store",
-            "heartbeat",
             "heartbeat_ms",
             "options",
             "budget",
@@ -722,16 +714,31 @@ mod tests {
         let repeated = doc.replacen("shard 2\n", "shard 2\nshard 3\n", 1);
         let err = WorkerSpec::parse(&repeated).unwrap_err().to_string();
         assert!(err.contains("`shard` is repeated"), "{err}");
-        let unknown = doc.replacen("shard 2\n", "shard 2\nlibrary x\n", 1);
-        let err = WorkerSpec::parse(&unknown).unwrap_err().to_string();
-        assert!(err.contains("unknown header field `library`"), "{err}");
+        // Neither a stray field nor the `heartbeat <path>` line of the
+        // `calib/2` grammar is accepted.
+        for (line, key) in [
+            ("library x", "library"),
+            ("heartbeat /tmp/h.hb", "heartbeat"),
+        ] {
+            let unknown = doc.replacen("shard 2\n", &format!("shard 2\n{line}\n"), 1);
+            let err = WorkerSpec::parse(&unknown).unwrap_err().to_string();
+            assert!(
+                err.contains(&format!("unknown header field `{key}`")),
+                "{err}"
+            );
+        }
     }
 
     #[test]
     fn malformed_documents_error_cleanly() {
-        let header = "calib/2\nstore s\nheartbeat h\nheartbeat_ms 5\noptions 0\n\
+        let header = "calib/3\nstore s\nheartbeat_ms 5\noptions 0\n\
                       budget -,-,-,-\npolicy skip\nshard 0\nattempt 1\n";
-        assert!(WorkerSpec::parse(&format!("{header}tech C40\ncells 0\nend\n")).is_ok());
+        let doc = format!("{header}tech C40\ncells 0\nend\n");
+        assert!(WorkerSpec::parse(&doc).is_ok());
+        // A document of the previous grammar fails on its magic.
+        let old = doc.replacen("calib/3", "calib/2", 1);
+        let err = WorkerSpec::parse(&old).unwrap_err().to_string();
+        assert!(err.contains("bad magic"), "{err}");
         for doc in [
             String::new(),
             "calib/1\ntech C40\ncells 0\nend\n".to_string(),

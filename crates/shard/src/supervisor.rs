@@ -6,8 +6,9 @@
 //! * **Crash** (abort/SIGKILL mid-journal): the worker's exit status has
 //!   no code; the shard is retried and its successor *resumes* from the
 //!   fsynced prefix of the same journal.
-//! * **Hang** (no heartbeat progress for `heartbeat_timeout`): the
-//!   supervisor SIGKILLs the worker and retries the shard.
+//! * **Hang** (no output on the worker's stdout pipe for
+//!   `heartbeat_timeout`, while a healthy worker beats every quarter of
+//!   it): the supervisor SIGKILLs the worker and retries the shard.
 //! * **Failure** (nonzero exit): retried like a crash.
 //! * **Retries** are paced by a deterministic capped [`Backoff`] — no
 //!   ambient randomness, identical pacing on every run.
@@ -24,7 +25,6 @@
 //! *excluded* and reported). The certified-donor session path makes the
 //! resulting `.cam` exports byte-identical to an unsharded run.
 
-use crate::heartbeat::{HeartbeatMonitor, HeartbeatStatus};
 use crate::merge::{merge_shard_stores, MergeReport};
 use crate::plan::ShardPlan;
 use crate::spec::{round_trips, TestHook, WorkerSpec, ENV_SPEC};
@@ -35,12 +35,13 @@ use ca_core::{
 use ca_exec::Executor;
 use ca_netlist::library::Library;
 use ca_netlist::Cell;
-use ca_obs::{Backoff, MetricClass, Stopwatch};
+use ca_obs::{Backoff, Stopwatch};
 use std::collections::BTreeSet;
 use std::fmt;
-use std::io;
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::Duration;
 
 /// How worker processes are launched.
@@ -79,7 +80,8 @@ impl Spawner {
 const CONCURRENCY: usize = 4;
 
 /// Campaign-level knobs. Everything is explicit and deterministic;
-/// the only wall-clock inputs are the heartbeat pacing values.
+/// the only wall-clock inputs are the backoff and the heartbeat
+/// timeout.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignConfig {
     /// Shard count (clamped to at least 1).
@@ -97,10 +99,9 @@ pub struct CampaignConfig {
     pub retry_policy: FaultPolicy,
     /// Deterministic pacing between a shard's attempts.
     pub backoff: Backoff,
-    /// How often workers rewrite their heartbeat file.
-    pub heartbeat_interval: Duration,
-    /// Heartbeat silence after which a worker is declared hung and
-    /// killed. Must comfortably exceed `heartbeat_interval`.
+    /// Silence on a spawned worker's stdout after which it is declared
+    /// hung and killed. Workers beat every quarter of it (but at most
+    /// once a millisecond), so a healthy worker never comes close.
     pub heartbeat_timeout: Duration,
     /// Faults injected into workers, for supervision tests; each is
     /// written into the spec of every attempt it
@@ -118,7 +119,6 @@ impl CampaignConfig {
             max_attempts: 3,
             retry_policy: FaultPolicy::SkipAndReport,
             backoff: Backoff::new(Duration::from_millis(50), Duration::from_secs(2)),
-            heartbeat_interval: Duration::from_millis(100),
             heartbeat_timeout: Duration::from_secs(5),
             test_hooks: Vec::new(),
         }
@@ -137,7 +137,8 @@ pub enum AttemptOutcome {
     /// Worker died without an exit code (crash signal, e.g. abort or
     /// SIGKILL).
     Killed,
-    /// Worker stopped heartbeating and was killed by the supervisor.
+    /// Worker fell silent on its stdout and was killed by the
+    /// supervisor.
     HeartbeatTimeout,
     /// Spawning failed *and* the in-process fallback failed too.
     SpawnFailed(String),
@@ -277,8 +278,7 @@ impl From<CoreError> for ShardError {
 }
 
 /// Runs a sharded campaign over `library`, using `work_dir` for worker
-/// specs, journals and heartbeat files. See the module docs for
-/// the failure model.
+/// specs and journals. See the module docs for the failure model.
 ///
 /// # Errors
 ///
@@ -343,9 +343,7 @@ pub fn run_campaign(
         .filter(|(_, cells)| !cells.is_empty())
         .map(|(i, _)| i)
         .collect();
-    ca_obs::global()
-        .counter("ca_shard.campaign.shards", MetricClass::Work)
-        .add(indices.len() as u64);
+    ca_obs::counter!("ca_shard.campaign.shards", Work).add(indices.len() as u64);
 
     // Supervise shards concurrently.
     let pool = Executor::with_threads(CONCURRENCY);
@@ -369,9 +367,7 @@ pub fn run_campaign(
         .collect();
     for report in &shard_reports {
         if report.status == ShardStatus::Quarantined {
-            ca_obs::global()
-                .counter("ca_shard.campaign.quarantined_shards", MetricClass::Ops)
-                .inc();
+            ca_obs::counter!("ca_shard.campaign.quarantined_shards", Ops).inc();
             ca_obs::warn(
                 "ca_shard.supervisor",
                 "shard exhausted every attempt; its cells are skipped",
@@ -491,15 +487,12 @@ fn supervise_shard(
             std::thread::sleep(pause);
         }
         if attempt > 1 {
-            ca_obs::global()
-                .counter("ca_shard.campaign.retries", MetricClass::Ops)
-                .inc();
+            ca_obs::counter!("ca_shard.campaign.retries", Ops).inc();
         }
         let attempt_span = ca_obs::span_keyed!("shard_attempt", u64::from(attempt));
         let spec = WorkerSpec {
             store_path: shard_path(work_dir, index, "caj"),
-            heartbeat_path: shard_path(work_dir, index, "hb"),
-            heartbeat_interval: config.heartbeat_interval,
+            heartbeat_interval: (config.heartbeat_timeout / 4).max(Duration::from_millis(1)),
             options: config.options,
             budget: config.budget,
             policy: config.retry_policy,
@@ -566,9 +559,6 @@ fn run_attempt(
     config: &CampaignConfig,
     spawner: &Spawner,
 ) -> io::Result<AttemptOutcome> {
-    // A stale heartbeat from the previous attempt must not count as
-    // liveness for this one.
-    let _ = std::fs::remove_file(&spec.heartbeat_path);
     ca_store::write_atomic(spec_path, spec.render())?;
     let (program, args) = match spawner {
         Spawner::InProcess => return Ok(in_process_attempt(spec, None)),
@@ -579,16 +569,15 @@ fn run_attempt(
         .args(args)
         .env(ENV_SPEC, spec_path)
         .stdin(Stdio::null())
-        .stdout(Stdio::null())
+        .stdout(Stdio::piped())
         .stderr(Stdio::null());
     if ca_obs::trace::enabled() {
         // The worker inherits tracing and flushes its own span events
-        // to a per-attempt JSONL file next to the heartbeat; the
-        // stitcher later merges every such file into one trace.
+        // to a per-attempt JSONL file next to its spec; the stitcher
+        // later merges every such file into one trace.
         command.env("CA_TRACE", "1").env(
             "CA_OBS_PATH",
-            spec.heartbeat_path
-                .with_extension(format!("a{}.trace.jsonl", spec.attempt)),
+            spec_path.with_extension(format!("a{}.trace.jsonl", spec.attempt)),
         );
     }
     let mut child = match command.spawn() {
@@ -596,9 +585,7 @@ fn run_attempt(
         Err(e) => {
             // The environment cannot start worker processes: degrade to
             // in-process execution, loudly.
-            ca_obs::global()
-                .counter("ca_shard.campaign.spawn_failures", MetricClass::Ops)
-                .inc();
+            ca_obs::counter!("ca_shard.campaign.spawn_failures", Ops).inc();
             ca_obs::warn(
                 "ca_shard.supervisor",
                 "cannot spawn worker process; degrading to in-process execution",
@@ -610,65 +597,79 @@ fn run_attempt(
             return Ok(in_process_attempt(spec, Some(e.to_string())));
         }
     };
-    // Watch exit status and heartbeat progress. The monitor classifies
-    // each read (fresh / stale / unreadable): a partially-written or
-    // briefly unreadable heartbeat file is an observation problem, not
-    // proof of a hang, and only a Stale verdict — no progress for the
-    // whole timeout — kills the worker.
-    let mut monitor = HeartbeatMonitor::new(spec.heartbeat_path.clone(), config.heartbeat_timeout);
-    let mut was_unreadable = false;
-    loop {
-        match child.try_wait() {
-            Ok(Some(status)) => {
-                return Ok(match status.code() {
-                    Some(0) => AttemptOutcome::Completed,
-                    Some(code) => AttemptOutcome::ExitCode(code),
-                    // No code: the worker died to a signal (abort,
-                    // SIGKILL, OOM-killer...).
-                    None => AttemptOutcome::Killed,
-                });
-            }
-            Ok(None) => {}
-            Err(_) => return Ok(AttemptOutcome::Killed),
-        }
-        match monitor.poll() {
-            HeartbeatStatus::Fresh => was_unreadable = false,
-            HeartbeatStatus::Unreadable => {
-                // Counted once per unreadable episode, not per 10 ms
-                // poll; the liveness window keeps running unchanged.
-                if !was_unreadable {
-                    was_unreadable = true;
-                    ca_obs::global()
-                        .counter("ca_shard.campaign.heartbeat_unreadable", MetricClass::Ops)
-                        .inc();
-                    ca_obs::warn(
-                        "ca_shard.supervisor",
-                        "worker heartbeat unreadable; keeping the liveness window open",
-                        &[
-                            ("shard", &spec.shard_index.to_string()),
-                            ("attempt", &spec.attempt.to_string()),
-                        ],
-                    );
+    // Watch the worker's stdout: any output is a beat, a closed pipe
+    // means the worker exited, and silence for the whole timeout is a
+    // hang, killed before the reader can see the pipe close.
+    let watched = match child.stdout.take() {
+        Some(stdout) => watch(stdout, config.heartbeat_timeout, || {
+            let _ = child.kill();
+        }),
+        // Not reached: stdout is piped above.
+        None => Watch::Closed,
+    };
+    let status = child.wait();
+    if watched == Watch::Silent {
+        ca_obs::counter!("ca_shard.campaign.heartbeat_timeouts", Ops).inc();
+        ca_obs::warn(
+            "ca_shard.supervisor",
+            "worker stdout silent past the heartbeat timeout; killed it",
+            &[
+                ("shard", &spec.shard_index.to_string()),
+                ("attempt", &spec.attempt.to_string()),
+            ],
+        );
+        return Ok(AttemptOutcome::HeartbeatTimeout);
+    }
+    Ok(match status.map(|s| s.code()) {
+        Ok(Some(0)) => AttemptOutcome::Completed,
+        Ok(Some(code)) => AttemptOutcome::ExitCode(code),
+        // No code: the worker died to a signal (abort, SIGKILL,
+        // OOM-killer...).
+        Ok(None) | Err(_) => AttemptOutcome::Killed,
+    })
+}
+
+/// How [`watch`] ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Watch {
+    /// The pipe closed: the worker exited.
+    Closed,
+    /// No output for a whole timeout.
+    Silent,
+}
+
+/// Drains `stdout` on a scoped reader thread and blocks until the pipe
+/// closes or stays silent for `timeout`; any output re-arms the window.
+/// On silence `on_silence` runs before the reader is joined, so it must
+/// close the pipe's far end (the supervisor kills the worker).
+fn watch(stdout: impl Read + Send, timeout: Duration, on_silence: impl FnOnce()) -> Watch {
+    let (beat, beats) = mpsc::channel::<()>();
+    std::thread::scope(|scope| {
+        scope.spawn(move || drain(stdout, &beat));
+        loop {
+            match beats.recv_timeout(timeout) {
+                Ok(()) => {}
+                Err(RecvTimeoutError::Disconnected) => return Watch::Closed,
+                Err(RecvTimeoutError::Timeout) => {
+                    on_silence();
+                    return Watch::Silent;
                 }
             }
-            HeartbeatStatus::Stale => {
-                ca_obs::global()
-                    .counter("ca_shard.campaign.heartbeat_timeouts", MetricClass::Ops)
-                    .inc();
-                ca_obs::warn(
-                    "ca_shard.supervisor",
-                    "worker heartbeat stalled; killing it",
-                    &[
-                        ("shard", &spec.shard_index.to_string()),
-                        ("attempt", &spec.attempt.to_string()),
-                    ],
-                );
-                let _ = child.kill();
-                let _ = child.wait();
-                return Ok(AttemptOutcome::HeartbeatTimeout);
-            }
         }
-        std::thread::sleep(Duration::from_millis(10));
+    })
+}
+
+/// Sends one message per read of `stdout` until it reaches its end.
+fn drain(mut stdout: impl Read, beat: &mpsc::Sender<()>) {
+    let mut buf = [0u8; 256];
+    loop {
+        match stdout.read(&mut buf) {
+            Ok(n) if n > 0 => {
+                let _ = beat.send(());
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            _ => return,
+        }
     }
 }
 
@@ -741,6 +742,61 @@ mod tests {
         let text = report.render();
         assert!(text.contains("1 retry"), "{text}");
         assert!(text.contains("shard 0: 1 cell(s), 2 attempt(s)"), "{text}");
+    }
+
+    /// Runs `scenario` on its own thread and waits at most 10 s for it,
+    /// so a watch that never returns fails the test instead of hanging.
+    fn within_10s<T: Send + 'static>(scenario: impl FnOnce() -> T + Send + 'static) -> T {
+        let (done, result) = mpsc::channel();
+        std::thread::spawn(move || done.send(scenario()));
+        result
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a verdict within 10 s")
+    }
+
+    #[test]
+    fn beats_hold_the_watch_and_silence_ends_it_after_a_timeout() {
+        use std::io::Write as _;
+        let timeout = Duration::from_millis(200);
+        let (verdict, watched_for, silent_for) = within_10s(move || {
+            let (reader, mut writer) = std::io::pipe().expect("pipe");
+            // Beats every quarter timeout across three timeouts, then a
+            // last beat and silence with the pipe still open.
+            let beater = std::thread::spawn(move || {
+                for beat in 0..12 {
+                    let _ = writeln!(writer, "CA-SHARD-BEAT {beat}");
+                    std::thread::sleep(timeout / 4);
+                }
+                let since_last_beat = Stopwatch::start();
+                let _ = writeln!(writer, "CA-SHARD-BEAT 12");
+                (writer, since_last_beat)
+            });
+            let watched = Stopwatch::start();
+            let mut silent_for = Duration::ZERO;
+            let verdict = watch(reader, timeout, || {
+                let (writer, since_last_beat) = beater.join().expect("beater");
+                silent_for = since_last_beat.elapsed();
+                drop(writer);
+            });
+            (verdict, watched.elapsed(), silent_for)
+        });
+        assert_eq!(verdict, Watch::Silent);
+        assert!(watched_for >= timeout * 3, "{watched_for:?}");
+        assert!(silent_for >= timeout, "{silent_for:?}");
+    }
+
+    #[test]
+    fn a_closed_pipe_ends_the_watch() {
+        use std::io::Write as _;
+        let verdict = within_10s(|| {
+            let (reader, mut writer) = std::io::pipe().expect("pipe");
+            let _ = writeln!(writer, "CA-SHARD-BEAT 1");
+            drop(writer);
+            watch(reader, Duration::from_secs(3600), || {
+                panic!("a closed pipe is not silence")
+            })
+        });
+        assert_eq!(verdict, Watch::Closed);
     }
 
     #[test]

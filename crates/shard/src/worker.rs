@@ -8,13 +8,17 @@
 //!
 //! 1. reads and parses the spec document it names ([`crate::spec`]),
 //! 2. obeys the spec's test hooks, if the supervisor wrote any,
-//! 3. starts a heartbeat thread that atomically rewrites the heartbeat
-//!    file every interval (liveness proof for the supervisor),
+//! 3. starts a beat thread that writes one `CA-SHARD-BEAT <n>` line to
+//!    stdout every interval (liveness proof for the supervisor, which
+//!    holds the other end of the pipe),
 //! 4. opens a [`ca_core::Session`] on its private journal and runs the
 //!    crash-safe robust driver — so a retried worker resumes from the
 //!    records its predecessor got durable before dying,
 //! 5. exits 0 on success, or a nonzero code the supervisor treats as a
 //!    retryable shard failure.
+//!
+//! [`run`], the supervisor's in-process path, does the same without
+//! the beat thread: it writes nothing to the host's stdout.
 //!
 //! Exit codes: `0` success, `2` bad spec, `3` run failure.
 
@@ -22,8 +26,7 @@ use crate::spec::{HookAction, WorkerSpec, ENV_SPEC};
 use ca_core::{characterize_library_robust, CharCache, Session};
 use ca_exec::Executor;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::Duration;
 
 /// Worker success.
@@ -43,13 +46,14 @@ pub fn run_from_env() -> Option<i32> {
     Some(run_file(Path::new(&path)))
 }
 
-/// Reads, parses and runs the spec document at `path`.
+/// Reads, parses and runs the spec document at `path`, beating on
+/// stdout while it works.
 fn run_file(path: &Path) -> i32 {
     let spec = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read worker spec {}: {e}", path.display()))
         .and_then(|text| WorkerSpec::parse(&text).map_err(|e| e.to_string()));
     match spec {
-        Ok(spec) => run(&spec),
+        Ok(spec) => execute(&spec, true),
         Err(e) => {
             ca_obs::warn("ca_shard.worker", &e, &[]);
             EXIT_BAD_SPEC
@@ -57,9 +61,16 @@ fn run_file(path: &Path) -> i32 {
     }
 }
 
-/// Runs one worker to completion. The supervisor's in-process path
-/// calls it directly with the spec it would have written.
+/// Runs one worker to completion without beating. The supervisor's
+/// in-process path calls it directly with the spec it would have
+/// written.
 pub fn run(spec: &WorkerSpec) -> i32 {
+    execute(spec, false)
+}
+
+/// The worker proper; with `beat` a beat thread proves liveness on
+/// stdout while the shard is characterized.
+fn execute(spec: &WorkerSpec, beat: bool) -> i32 {
     let shard = spec.shard_index.to_string();
     let attempt = spec.attempt.to_string();
     let fields: &[(&str, &str)] = &[("shard", shard.as_str()), ("attempt", attempt.as_str())];
@@ -89,9 +100,8 @@ pub fn run(spec: &WorkerSpec) -> i32 {
             return finish(code, worker_span);
         }
         Some(HookAction::Hang) => {
-            // One heartbeat, then silence: the supervisor must diagnose
-            // this as a hang (heartbeat timeout) and SIGKILL us.
-            let _ = ca_store::write_atomic(&spec.heartbeat_path, b"0\n");
+            // No beat, ever: the supervisor must diagnose this as a hang
+            // (heartbeat timeout) and SIGKILL us.
             loop {
                 std::thread::sleep(Duration::from_secs(3600));
             }
@@ -100,7 +110,24 @@ pub fn run(spec: &WorkerSpec) -> i32 {
         None => {}
     }
 
-    let heartbeat = Heartbeat::start(spec);
+    // Dropping `stop` ends the beat thread's wait at once, whatever the
+    // interval, and the scope joins it before the worker reports.
+    let (stop, stopped) = mpsc::channel::<()>();
+    let code = std::thread::scope(|scope| {
+        if beat {
+            scope.spawn(move || beat_until(&stopped, spec.heartbeat_interval));
+        }
+        let code = characterize(spec, halt_after, fields);
+        drop(stop);
+        code
+    });
+    finish(code, worker_span)
+}
+
+/// Opens the worker's session and runs the robust driver over its
+/// shard, aborting after `halt_after` journal appends when a test hook
+/// asks for it.
+fn characterize(spec: &WorkerSpec, halt_after: Option<usize>, fields: &[(&str, &str)]) -> i32 {
     let session = match Session::open(&spec.store_path) {
         Ok(session) => session,
         Err(e) => {
@@ -109,14 +136,12 @@ pub fn run(spec: &WorkerSpec) -> i32 {
                 &format!("cannot open store: {e}"),
                 fields,
             );
-            heartbeat.stop();
-            return finish(EXIT_RUN_FAILED, worker_span);
+            return EXIT_RUN_FAILED;
         }
     };
     if let Some(appends) = halt_after {
         session.abort_after_journal(appends);
     }
-
     let outcome = characterize_library_robust(
         &spec.library(),
         spec.options,
@@ -126,56 +151,23 @@ pub fn run(spec: &WorkerSpec) -> i32 {
         &CharCache::new(),
         Some(&session),
     );
-    heartbeat.stop();
     match outcome {
-        Ok(_) => finish(EXIT_OK, worker_span),
+        Ok(_) => EXIT_OK,
         Err(e) => {
             ca_obs::warn("ca_shard.worker", &format!("shard run failed: {e}"), fields);
-            finish(EXIT_RUN_FAILED, worker_span)
+            EXIT_RUN_FAILED
         }
     }
 }
 
-/// The liveness thread: rewrites the heartbeat file (atomically, via
-/// the durability layer) with an incrementing counter every interval.
-struct Heartbeat {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Heartbeat {
-    fn start(spec: &WorkerSpec) -> Heartbeat {
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&stop);
-        let path = spec.heartbeat_path.clone();
-        let interval = spec.heartbeat_interval.max(Duration::from_millis(1));
-        let handle = std::thread::spawn(move || {
-            let mut beat = 0u64;
-            while !flag.load(Ordering::Relaxed) {
-                beat += 1;
-                // A failed beat is not fatal here: the supervisor will
-                // diagnose the silence as a hang and retry the shard.
-                let _ = ca_store::write_atomic(&path, format!("{beat}\n"));
-                // Sleep in small slices so stop() returns promptly.
-                let mut remaining = interval;
-                while !flag.load(Ordering::Relaxed) && remaining > Duration::ZERO {
-                    let slice = remaining.min(Duration::from_millis(10));
-                    std::thread::sleep(slice);
-                    remaining = remaining.saturating_sub(slice);
-                }
-            }
-        });
-        Heartbeat {
-            stop,
-            handle: Some(handle),
-        }
-    }
-
-    fn stop(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
+/// The beat thread: `CA-SHARD-BEAT <n>` on stdout every `interval` (at
+/// least 1 ms) until `stop`'s sender is dropped.
+fn beat_until(stop: &mpsc::Receiver<()>, interval: Duration) {
+    let interval = interval.max(Duration::from_millis(1));
+    let mut beat = 0u64;
+    while let Err(RecvTimeoutError::Timeout) = stop.recv_timeout(interval) {
+        beat += 1;
+        ca_obs::protocol_marker(&format!("CA-SHARD-BEAT {beat}"));
     }
 }
 
@@ -201,8 +193,7 @@ mod tests {
         lib.cells.truncate(3);
         WorkerSpec {
             store_path: dir.join("shard.caj"),
-            heartbeat_path: dir.join("shard.hb"),
-            heartbeat_interval: Duration::from_millis(5),
+            heartbeat_interval: Duration::from_secs(15),
             options: GenerateOptions::default(),
             budget: SimBudget::unlimited(),
             policy: FaultPolicy::SkipAndReport,
@@ -221,12 +212,13 @@ mod tests {
         let spec = spec_for(&dir);
         let path = dir.join("shard.spec");
         ca_store::write_atomic(&path, spec.render()).expect("write spec");
+        let watch = ca_obs::Stopwatch::start();
         assert_eq!(run_file(&path), EXIT_OK);
-        // Every cell journaled; heartbeat file exists and counts up.
+        // The beat thread stops when the run ends, not at its first beat.
+        assert!(watch.elapsed() < spec.heartbeat_interval);
+        // Every cell journaled.
         let session = Session::open(&spec.store_path).expect("reopen");
         assert_eq!(session.len(), spec.cells.len());
-        let beat = std::fs::read_to_string(&spec.heartbeat_path).expect("heartbeat");
-        assert!(beat.trim().parse::<u64>().expect("counter") >= 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

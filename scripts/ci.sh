@@ -72,10 +72,10 @@ echo "==> crash recovery (SIGKILL + resume, CA_THREADS=4)"
 CA_THREADS=4 cargo test -q --test crash_recovery --offline
 
 # The sharded-campaign crash matrix: real worker processes crashed
-# mid-journal, hung (heartbeat timeout -> SIGKILL), failing and
-# unspawnable, each campaign converging to the single-process golden
-# byte-for-byte (DESIGN.md §11). Both thread counts, like the
-# crash-recovery gate above.
+# mid-journal, hung (stdout silent past the heartbeat timeout ->
+# SIGKILL), failing and unspawnable, each campaign converging to the
+# single-process golden byte-for-byte (DESIGN.md §11). Both thread
+# counts, like the crash-recovery gate above.
 echo "==> shard supervision (worker crash matrix, CA_THREADS=1)"
 CA_THREADS=1 cargo test -q --test shard_supervision --test shard_merge --offline
 
@@ -270,7 +270,7 @@ awk -v base="$base_med" -v traced="$traced_med" -v spread="$spread" 'BEGIN {
 
 # End-to-end profile gate: the instrumented flow must run, emit
 # BENCH_profile.json, and that artifact must validate against schema
-# ca-obs-profile/1 with counters from all seven crates in
+# ca-obs-profile/1 with counters from all eight crates in
 # INSTRUMENTED_PREFIXES (DESIGN.md §9), which audit rule D11 keeps equal
 # to the prefixes of the sources' metric macro sites.
 echo "==> ca-bench profile --quick (flow profile + schema check)"
@@ -296,5 +296,12 @@ in_gate_dir env CA_THREADS=4 "$bench" serve --quick
 # serve request (DESIGN.md §14). The command dies on any violation.
 echo "==> ca-bench trace --quick (cross-process trace round-trip)"
 in_gate_dir "$bench" trace --quick --out "$gate_dir/TRACE_campaign.json"
+
+# Shard identity gate: a 4-shard campaign whose workers are this release
+# binary itself (`ca-bench shard-worker`, beating on its stdout pipe);
+# the command fails unless the sharded `.cam` exports match the
+# unsharded run byte for byte (DESIGN.md §11).
+echo "==> ca-bench shard --quick (4 worker processes, byte-identity)"
+in_gate_dir "$bench" shard --quick
 
 echo "==> OK"

@@ -3,7 +3,7 @@
 //! The campaign re-spawns this test binary as its worker executable
 //! (`shard_worker_entry`, inert without `CA_SHARD_SPEC`). Test hooks in
 //! each campaign's `CampaignConfig` make a worker abort mid-journal (a
-//! real SIGABRT, no destructors), hang (heartbeat silence → supervisor
+//! real SIGABRT, no destructors), hang (stdout silence → supervisor
 //! SIGKILL) or fail with an exit code, scoped to one shard and an
 //! attempt ceiling so retries then succeed; the supervisor writes them
 //! into the spec of each attempt they apply to, so campaigns share no
@@ -19,12 +19,14 @@ use ca_defects::GenerateOptions;
 use ca_netlist::corrupt::{corrupt_cell, Corruption};
 use ca_netlist::library::{generate_library, Library, LibraryConfig};
 use ca_netlist::Technology;
+use ca_shard::spec::ENV_SPEC;
 use ca_shard::supervisor::{
     run_campaign, AttemptOutcome, CampaignConfig, CampaignOutcome, ShardStatus, Spawner,
 };
-use ca_shard::{shard_of, HookAction, ShardPlan, TestHook};
+use ca_shard::{shard_of, HookAction, ShardPlan, TestHook, WorkerSpec};
 use ca_sim::SimBudget;
 use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
 use std::time::Duration;
 
 const SHARDS: usize = 3;
@@ -58,7 +60,6 @@ fn config() -> CampaignConfig {
     let mut config = CampaignConfig::new(SHARDS);
     config.max_attempts = 3;
     config.backoff = ca_obs::Backoff::none();
-    config.heartbeat_interval = Duration::from_millis(25);
     config.heartbeat_timeout = Duration::from_secs(60);
     config
 }
@@ -138,6 +139,45 @@ fn shard_report(campaign: &CampaignOutcome, index: usize) -> &ca_shard::supervis
 /// removes its `dir` once it has made its assertions.
 fn run(lib: &Library, config: &CampaignConfig, spawner: &Spawner, dir: &Path) -> CampaignOutcome {
     run_campaign(lib, config, spawner, &dir.join("campaign")).expect("campaign runs")
+}
+
+/// A spawned worker proves liveness on its stdout, and libtest's output
+/// capture (the spawner passes no `--nocapture`) must not swallow it.
+#[test]
+fn spawned_worker_beats_on_its_stdout() {
+    let lib = campaign_library();
+    let dir = scratch_dir("beats");
+    let spec = WorkerSpec {
+        store_path: dir.join("shard-0.caj"),
+        heartbeat_interval: Duration::from_millis(1),
+        options: GenerateOptions::default(),
+        budget: SimBudget::unlimited(),
+        policy: FaultPolicy::SkipAndReport,
+        shard_index: 0,
+        attempt: 1,
+        trace: None,
+        hooks: Vec::new(),
+        technology: lib.technology,
+        cells: lib.cells.into_iter().map(|lc| lc.cell).collect(),
+    };
+    let spec_path = dir.join("shard-0.spec");
+    ca_store::write_atomic(&spec_path, spec.render()).expect("write spec");
+    let Spawner::Process { program, args } = worker_spawner() else {
+        unreachable!("the worker spawner spawns processes")
+    };
+    let output = Command::new(program)
+        .args(args)
+        .env(ENV_SPEC, &spec_path)
+        .stdin(Stdio::null())
+        .stderr(Stdio::null())
+        .output()
+        .expect("worker runs");
+    assert!(output.status.success(), "{:?}", output.status);
+    // Substrings, not lines: libtest's un-terminated
+    // `test shard_worker_entry ... ` prefix shares the first beat's line.
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(stdout.matches("CA-SHARD-BEAT").count() >= 2, "{stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
