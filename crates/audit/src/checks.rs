@@ -1,19 +1,18 @@
-//! The rules clippy cannot express: D7, D8, D11 and D12 (DESIGN.md
-//! §10, §15).
+//! The rules clippy cannot express: D7 and D8 (DESIGN.md §10, §15).
 //!
 //! Each check walks the [`crate::model::FileModel`]s of the audited
 //! source set and emits findings through [`Ctx`], which routes them
 //! past the suppression pragmas and records which pragmas fired.
 
 use crate::lexer::TokKind;
-use crate::model::{adjacent, FileModel, LockKind, MetricKind};
+use crate::model::{adjacent, FileModel, LockKind};
 use crate::{Finding, Severity};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One rule: its id, what it forbids, and a one-line fix hint.
 #[derive(Debug, Clone, Copy)]
 pub struct Rule {
-    /// Stable id (`D7`, `D8`, `D11`, `D12`).
+    /// Stable id (`D7`, `D8`).
     pub id: &'static str,
     /// What the rule forbids.
     pub summary: &'static str,
@@ -21,9 +20,10 @@ pub struct Rule {
     pub hint: &'static str,
 }
 
-/// The rules `ca-audit` enforces, in id order. D1–D6, D9 and D13 are
-/// clippy lints and D10 is a round-trip test (DESIGN.md §10).
-pub const RULES: [Rule; 4] = [
+/// The rules `ca-audit` enforces, in id order. D1–D6, D9, D12 and D13
+/// are clippy lints, D10 is a round-trip test and D11 is a compile-time
+/// lookup in `ca_obs::inventory` (DESIGN.md §10).
+pub const RULES: [Rule; 2] = [
     Rule {
         id: "D7",
         summary: "partial float comparison feeding canonical ordering",
@@ -34,29 +34,17 @@ pub const RULES: [Rule; 4] = [
         summary: "lock-order hazard: nested acquisition or a cycle in the static order graph",
         hint: "acquire locks in one global order; audit a deliberate nesting with `// ca-audit: allow(D8, <why>)`",
     },
-    Rule {
-        id: "D11",
-        summary: "metric outside the taxonomy, prefix set, or colliding with another signature",
-        hint: "name metrics `<crate>.<subsystem>.<event>` under an INSTRUMENTED_PREFIXES entry",
-    },
-    Rule {
-        id: "D12",
-        summary: "env-var drift between `CA_*` reads in code and the README env-var table",
-        hint: "keep the README `ca-audit:env-table` rows in lockstep with the `CA_*` reads in code",
-    },
 ];
 
 fn hint_of(rule: &str) -> &'static str {
     RULES.iter().find(|r| r.id == rule).map_or("", |r| r.hint)
 }
 
-/// Shared check context: the parsed files, the optional README, the
-/// findings so far and the pragma-usage ledger.
+/// Shared check context: the parsed files, the findings so far and the
+/// pragma-usage ledger.
 pub struct Ctx<'a> {
     /// Parsed source files.
     pub files: &'a [FileModel],
-    /// README `(label, content)` for D12; absent disables D12.
-    pub readme: Option<(&'a str, &'a str)>,
     /// Findings accumulated by the checks.
     pub findings: Vec<Finding>,
     /// `(file label, pragma line)` pairs that suppressed something.
@@ -83,8 +71,7 @@ impl<'a> Ctx<'a> {
         self.emit_raw(&label, line, col, rule, severity, message);
     }
 
-    /// Emits at a raw label (README rows, cycle summaries) with no
-    /// pragma routing.
+    /// Emits at a raw label (cycle summaries) with no pragma routing.
     fn emit_raw(
         &mut self,
         label: &str,
@@ -110,8 +97,6 @@ impl<'a> Ctx<'a> {
 pub fn run_all(ctx: &mut Ctx<'_>) {
     check_partial_cmp(ctx);
     check_lock_order(ctx);
-    check_metric_inventory(ctx);
-    check_env_inventory(ctx);
 }
 
 // ---------------------------------------------------------------- D7
@@ -731,259 +716,4 @@ fn report_lock_cycles(ctx: &mut Ctx<'_>, edges: &[Edge]) {
             format!("lock-order cycle between {}", members.join(" <-> ")),
         );
     }
-}
-
-// --------------------------------------------------------------- D11
-
-fn check_metric_inventory(ctx: &mut Ctx<'_>) {
-    let prefixes: Option<(usize, usize, Vec<String>)> =
-        ctx.files.iter().enumerate().find_map(|(fi, f)| {
-            f.str_consts
-                .iter()
-                .find(|c| c.name == "INSTRUMENTED_PREFIXES")
-                .map(|c| (fi, c.line, c.values.clone()))
-        });
-    // (name, kind, class, fi, line, col) for every live literal site.
-    let mut named: Vec<(String, MetricKind, String, usize, usize, usize)> = Vec::new();
-    let mut pending: Vec<(usize, usize, usize, Severity, String)> = Vec::new();
-    let mut unlisted: Vec<(usize, usize, usize, String)> = Vec::new();
-    for (fi, file) in ctx.files.iter().enumerate() {
-        for s in &file.metric_sites {
-            if s.is_test {
-                continue;
-            }
-            let Some(name) = &s.name else {
-                pending.push((
-                    fi,
-                    s.line,
-                    s.col,
-                    Severity::Warning,
-                    format!("{} name must be a string literal", s.kind.label()),
-                ));
-                continue;
-            };
-            if !taxonomy_ok(name) {
-                pending.push((
-                    fi,
-                    s.line,
-                    s.col,
-                    Severity::Warning,
-                    format!("metric `{name}` does not parse into the taxonomy"),
-                ));
-                continue;
-            }
-            let prefix = prefix_of(name);
-            if let Some((_, _, values)) = &prefixes {
-                if !values.contains(&prefix) {
-                    unlisted.push((
-                        fi,
-                        s.line,
-                        s.col,
-                        format!(
-                            "metric `{name}`: prefix `{prefix}` is not in INSTRUMENTED_PREFIXES"
-                        ),
-                    ));
-                }
-            }
-            let expected = format!("{}.", file.crate_name.replace('-', "_"));
-            if prefix != expected {
-                pending.push((
-                    fi,
-                    s.line,
-                    s.col,
-                    Severity::Warning,
-                    format!(
-                        "metric `{name}` is recorded under `{prefix}` from crate `{}`",
-                        file.crate_name
-                    ),
-                ));
-            }
-            let class = s.class.clone().unwrap_or_else(|| "-".to_string());
-            named.push((name.clone(), s.kind, class, fi, s.line, s.col));
-        }
-    }
-    for (fi, line, col, sev, msg) in pending {
-        ctx.emit(fi, line, col, "D11", sev, msg);
-    }
-    // A pragma may say why a site records under another crate's prefix,
-    // but never hides a prefix missing from the list: `profile-check`
-    // requires exactly the listed prefixes.
-    for (fi, line, col, msg) in unlisted {
-        let label = ctx.files[fi].label.clone();
-        ctx.emit_raw(&label, line, col, "D11", Severity::Warning, msg);
-    }
-    // Signature collisions: the registry fixes (kind, class) at first
-    // registration, so a second signature is silent data corruption.
-    named.sort_by(|a, b| {
-        (&a.0, &ctx.files[a.3].label, a.4).cmp(&(&b.0, &ctx.files[b.3].label, b.4))
-    });
-    let mut first_sig: BTreeMap<&str, (MetricKind, &str, usize, usize)> = BTreeMap::new();
-    let mut collisions: Vec<(usize, usize, usize, String)> = Vec::new();
-    for (name, kind, class, fi, line, col) in &named {
-        match first_sig.get(name.as_str()) {
-            None => {
-                first_sig.insert(name, (*kind, class, *fi, *line));
-            }
-            Some((k0, c0, fi0, l0)) => {
-                if k0 != kind || *c0 != class.as_str() {
-                    let msg = format!(
-                        "metric `{name}` re-registered as {}/{class}; first registered as {}/{c0} at {}:{l0}",
-                        kind.label(),
-                        k0.label(),
-                        ctx.files[*fi0].label,
-                    );
-                    collisions.push((*fi, *line, *col, msg));
-                }
-            }
-        }
-    }
-    for (fi, line, col, msg) in collisions {
-        ctx.emit(fi, line, col, "D11", Severity::Error, msg);
-    }
-    // Stale prefixes: a declared prefix with no live site is debt.
-    if let Some((fi, line, values)) = prefixes {
-        if !named.is_empty() {
-            for p in values {
-                if !named.iter().any(|(n, ..)| prefix_of(n) == p) {
-                    ctx.emit(
-                        fi,
-                        line,
-                        1,
-                        "D11",
-                        Severity::Warning,
-                        format!("INSTRUMENTED_PREFIXES entry `{p}` has no metric site"),
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// `ca_x.seg(.seg)*`: lower-case dotted path with ≥ 2 segments.
-fn taxonomy_ok(name: &str) -> bool {
-    let segs: Vec<&str> = name.split('.').collect();
-    segs.len() >= 2
-        && segs.iter().all(|s| {
-            !s.is_empty()
-                && s.bytes()
-                    .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_')
-        })
-        && name.as_bytes()[0].is_ascii_lowercase()
-}
-
-/// The taxonomy prefix: everything up to and including the first dot.
-fn prefix_of(name: &str) -> String {
-    match name.find('.') {
-        Some(i) => name[..=i].to_string(),
-        None => name.to_string(),
-    }
-}
-
-// --------------------------------------------------------------- D12
-
-/// The README marker that opens the checked env-var table.
-pub const ENV_TABLE_SENTINEL: &str = "<!-- ca-audit:env-table -->";
-
-fn check_env_inventory(ctx: &mut Ctx<'_>) {
-    let Some((readme_label, readme)) = ctx.readme else {
-        return;
-    };
-    let readme_label = readme_label.to_string();
-    let mut table: BTreeMap<String, usize> = BTreeMap::new();
-    let mut dup_rows: Vec<(String, usize)> = Vec::new();
-    let mut in_table = false;
-    let mut saw_sentinel = false;
-    for (lno, line) in readme.lines().enumerate() {
-        let lno = lno + 1;
-        if line.contains(ENV_TABLE_SENTINEL) {
-            in_table = true;
-            saw_sentinel = true;
-            continue;
-        }
-        if !in_table {
-            continue;
-        }
-        let trimmed = line.trim();
-        if trimmed.is_empty() && table.is_empty() {
-            continue; // blank line between sentinel and table head
-        }
-        if !trimmed.starts_with('|') {
-            in_table = false;
-            continue;
-        }
-        // Row name: the first `CA_*` between backticks.
-        let Some(name) = trimmed.split('`').nth(1).filter(|n| looks_like_env(n)) else {
-            continue; // header / separator rows
-        };
-        if table.insert(name.to_string(), lno).is_some() {
-            dup_rows.push((name.to_string(), lno));
-        }
-    }
-
-    // Live reads grouped by var, first site wins for reporting.
-    let mut reads: BTreeMap<String, (usize, usize, usize)> = BTreeMap::new();
-    for (fi, file) in ctx.files.iter().enumerate() {
-        for s in &file.env_sites {
-            if s.is_test {
-                continue;
-            }
-            reads.entry(s.name.clone()).or_insert((fi, s.line, s.col));
-        }
-    }
-    if reads.is_empty() && table.is_empty() {
-        return;
-    }
-    if !saw_sentinel {
-        ctx.emit_raw(
-            &readme_label,
-            1,
-            1,
-            "D12",
-            Severity::Error,
-            "README has no `ca-audit:env-table` sentinel for the CA_* env-var table".to_string(),
-        );
-        return;
-    }
-    for (name, lno) in dup_rows {
-        ctx.emit_raw(
-            &readme_label,
-            lno,
-            1,
-            "D12",
-            Severity::Error,
-            format!("duplicate env-table row for `{name}`"),
-        );
-    }
-    for (name, (fi, line, col)) in &reads {
-        if !table.contains_key(name) {
-            ctx.emit(
-                *fi,
-                *line,
-                *col,
-                "D12",
-                Severity::Error,
-                format!("env var `{name}` is read here but missing from the README env-var table"),
-            );
-        }
-    }
-    for (name, lno) in &table {
-        if !reads.contains_key(name) {
-            ctx.emit_raw(
-                &readme_label,
-                *lno,
-                1,
-                "D12",
-                Severity::Error,
-                format!("documented env var `{name}` has no reader in the workspace"),
-            );
-        }
-    }
-}
-
-/// `CA_`-prefixed upper-snake name, as the model extracts from code.
-fn looks_like_env(s: &str) -> bool {
-    s.len() > 3
-        && s.starts_with("CA_")
-        && s.bytes()
-            .all(|b| b.is_ascii_uppercase() || b.is_ascii_digit() || b == b'_')
 }

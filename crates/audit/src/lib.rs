@@ -5,23 +5,23 @@
 //! — rest on conventions: no hash-ordered iteration feeding canonical
 //! output, no ambient clocks or randomness, no raw durable writes, no
 //! ad-hoc stdout/stderr in library crates. Clippy enforces the rules it
-//! can express (D1–D6, D9 and D13, through `clippy.toml` and crate-root
-//! lint attributes), and a round-trip test replaces D10. This crate keeps
-//! the four rules clippy cannot express ([`checks::RULES`]): partial
-//! float comparisons (D7), lock order (D8), the metric inventory (D11)
-//! and the env-var table (D12).
+//! can express (D1–D6, D9, D12 and D13, through `clippy.toml` and
+//! crate-root lint attributes), a round-trip test replaces D10, and the
+//! metric macros check D11 at compile time against `ca_obs::inventory`.
+//! This crate keeps the two rules nothing else can express
+//! ([`checks::RULES`]): partial float comparisons (D7) and lock order
+//! (D8).
 //!
 //! The analyzer is dependency-free: a real Rust lexer ([`lexer`]) feeds
 //! an item-level workspace model ([`model`]) — functions with impl
-//! context and body spans, lock fields and statics, metric-macro and
-//! `CA_*` env sites, `#[cfg(test)]` lines — that the checks
-//! ([`checks`]) reason over.
+//! context and body spans, lock fields and statics, `#[cfg(test)]`
+//! lines — that the checks ([`checks`]) reason over.
 //!
 //! Suppressions are explicit and audited themselves:
 //!
 //! ```text
-//! // ca-audit: allow(D11, recorded here on behalf of obs-free ca-store)
-//! crate::counter!("ca_store.recovery.reported", Ops).inc();
+//! // ca-audit: allow(D8, the drain barrier holds the queue while it waits)
+//! let queue = self.queue.lock();
 //! ```
 //!
 //! A pragma covers its own line and the next line, must name a rule of
@@ -73,8 +73,7 @@ pub struct Finding {
     pub line: usize,
     /// 1-based column (byte offset within the line).
     pub col: usize,
-    /// Rule id (`D7`, `D8`, `D11`, `D12`, or `A0`/`A1` for pragma
-    /// hygiene).
+    /// Rule id (`D7`, `D8`, or `A0`/`A1` for pragma hygiene).
     pub rule: &'static str,
     /// Severity.
     pub severity: Severity,
@@ -105,30 +104,16 @@ pub struct SourceFile {
     pub content: String,
 }
 
-/// A full audit input: sources plus the optional README (for D12).
-#[derive(Debug, Clone, Default)]
-pub struct SourceSet {
-    /// The `.rs` sources.
-    pub files: Vec<SourceFile>,
-    /// README `(label, content)`; absent disables D12.
-    pub readme: Option<(String, String)>,
-}
-
-/// Audits a source set with every rule. This is the one entry point both
-/// [`audit_workspace`] and the fixture self-tests drive; findings come
-/// back sorted by `(file, line, col, rule)`.
-pub fn audit_sources(set: &SourceSet) -> Vec<Finding> {
-    let models: Vec<FileModel> = set
-        .files
+/// Audits a set of sources with every rule. This is the one entry
+/// point both [`audit_workspace`] and the fixture self-tests drive;
+/// findings come back sorted by `(file, line, col, rule)`.
+pub fn audit_sources(files: &[SourceFile]) -> Vec<Finding> {
+    let models: Vec<FileModel> = files
         .iter()
         .map(|f| FileModel::build(&f.crate_name, &f.label, &f.content))
         .collect();
     let mut ctx = checks::Ctx {
         files: &models,
-        readme: set
-            .readme
-            .as_ref()
-            .map(|(label, content)| (label.as_str(), content.as_str())),
         findings: Vec::new(),
         used: BTreeSet::new(),
     };
@@ -258,27 +243,22 @@ fn collect_rs(
     Ok(())
 }
 
-/// Loads the workspace under `root` into a [`SourceSet`], including
-/// `README.md` when present (enables D12).
+/// Reads the library sources of the workspace under `root`.
 ///
 /// # Errors
 ///
 /// I/O errors reading the tree.
-pub fn load_workspace(root: &Path) -> std::io::Result<SourceSet> {
-    let mut set = SourceSet::default();
-    for file in workspace_files(root)? {
-        let content = std::fs::read_to_string(&file.path)?;
-        set.files.push(SourceFile {
-            crate_name: file.crate_name,
-            label: file.label,
-            content,
-        });
-    }
-    let readme = root.join("README.md");
-    if readme.is_file() {
-        set.readme = Some(("README.md".to_string(), std::fs::read_to_string(readme)?));
-    }
-    Ok(set)
+pub fn load_workspace(root: &Path) -> std::io::Result<Vec<SourceFile>> {
+    workspace_files(root)?
+        .into_iter()
+        .map(|file| {
+            Ok(SourceFile {
+                content: std::fs::read_to_string(&file.path)?,
+                crate_name: file.crate_name,
+                label: file.label,
+            })
+        })
+        .collect()
 }
 
 /// Audits every library source under `root` with every rule, returning
@@ -289,57 +269,6 @@ pub fn load_workspace(root: &Path) -> std::io::Result<SourceSet> {
 /// I/O errors reading the tree.
 pub fn audit_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
     Ok(audit_sources(&load_workspace(root)?))
-}
-
-/// One record of the statically-extracted metric inventory.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct MetricRecord {
-    /// Metric name (`ca_sim.patterns.simulated`).
-    pub name: String,
-    /// Macro flavour label (`counter`/`histogram`/`timer`).
-    pub kind: &'static str,
-    /// Class ident, or `-` for timers (class is implicit).
-    pub class: String,
-}
-
-/// Extracts the live metric inventory (non-test, literal-named macro
-/// sites) from a source set, deduplicated and sorted.
-pub fn metric_inventory_of(set: &SourceSet) -> Vec<MetricRecord> {
-    let mut records: BTreeSet<MetricRecord> = BTreeSet::new();
-    for f in &set.files {
-        let m = FileModel::build(&f.crate_name, &f.label, &f.content);
-        for s in &m.metric_sites {
-            if s.is_test {
-                continue;
-            }
-            let Some(name) = &s.name else { continue };
-            records.insert(MetricRecord {
-                name: name.clone(),
-                kind: s.kind.label(),
-                class: s.class.clone().unwrap_or_else(|| "-".to_string()),
-            });
-        }
-    }
-    records.into_iter().collect()
-}
-
-/// Extracts the metric inventory from the workspace under `root`.
-///
-/// # Errors
-///
-/// I/O errors reading the tree.
-pub fn metric_inventory(root: &Path) -> std::io::Result<Vec<MetricRecord>> {
-    Ok(metric_inventory_of(&load_workspace(root)?))
-}
-
-/// Renders the inventory one `name kind class` per line
-/// (`ca-audit --metrics`).
-pub fn render_metric_inventory(records: &[MetricRecord]) -> String {
-    let mut out = String::new();
-    for r in records {
-        out.push_str(&format!("{} {} {}\n", r.name, r.kind, r.class));
-    }
-    out
 }
 
 /// Renders findings as a JSON report (`{"schema":"ca-audit/2",...}`).
@@ -432,28 +361,10 @@ mod tests {
     #[test]
     fn rule_ids_are_unique_and_ordered() {
         let ids: Vec<&str> = checks::RULES.iter().map(|r| r.id).collect();
-        assert_eq!(ids, ["D7", "D8", "D11", "D12"]);
+        assert_eq!(ids, ["D7", "D8"]);
         for rule in checks::RULES {
             assert!(!rule.summary.is_empty(), "{}", rule.id);
             assert!(!rule.hint.is_empty(), "{}", rule.id);
         }
-    }
-
-    #[test]
-    fn inventory_renders() {
-        let set = SourceSet {
-            files: vec![SourceFile {
-                crate_name: "ca-sim".into(),
-                label: "crates/sim/src/lib.rs".into(),
-                content: "fn f() {\n    counter!(\"ca_sim.patterns\", Work).inc();\n    timer!(\"ca_sim.wall\").record(d);\n}\n"
-                    .into(),
-            }],
-            readme: None,
-        };
-        let inv = metric_inventory_of(&set);
-        assert_eq!(
-            render_metric_inventory(&inv),
-            "ca_sim.patterns counter Work\nca_sim.wall timer -\n"
-        );
     }
 }

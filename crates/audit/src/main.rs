@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! ca-audit [--root DIR] [--json] [--deny warn] [--list-rules]
-//!          [--metrics] [--env-table]
 //! ```
 //!
 //! Exit codes: 0 clean, 1 findings that fail the selected policy
@@ -16,10 +15,7 @@
     clippy::allow_attributes_without_reason
 )]
 
-use ca_audit::{
-    audit_workspace, checks::RULES, metric_inventory, render_json, render_metric_inventory,
-    Severity,
-};
+use ca_audit::{audit_workspace, checks::RULES, render_json, Severity};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -28,8 +24,6 @@ fn main() -> ExitCode {
     let mut json = false;
     let mut deny_warn = false;
     let mut list_rules = false;
-    let mut metrics = false;
-    let mut env_table = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -42,8 +36,6 @@ fn main() -> ExitCode {
                 Some("warn") => deny_warn = true,
                 _ => return usage("--deny takes the literal `warn`"),
             },
-            "--metrics" => metrics = true,
-            "--env-table" => env_table = true,
             "--list-rules" => list_rules = true,
             "--help" | "-h" => {
                 print_help();
@@ -65,43 +57,6 @@ fn main() -> ExitCode {
     // directory (cargo run sets cwd to the invocation dir).
     if !root.join("crates").is_dir() && root.join("../../crates").is_dir() {
         root = root.join("../..");
-    }
-
-    if metrics {
-        return match metric_inventory(&root) {
-            Ok(inv) => {
-                print!("{}", render_metric_inventory(&inv));
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!(
-                    "ca-audit: cannot extract metrics from {}: {e}",
-                    root.display()
-                );
-                ExitCode::from(2)
-            }
-        };
-    }
-    if env_table {
-        return match ca_audit::load_workspace(&root) {
-            Ok(set) => {
-                for file in &set.files {
-                    let m = ca_audit::model::FileModel::build(
-                        &file.crate_name,
-                        &file.label,
-                        &file.content,
-                    );
-                    for s in m.env_sites.iter().filter(|s| !s.is_test) {
-                        println!("{}\t{}:{}", s.name, file.label, s.line);
-                    }
-                }
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("ca-audit: cannot scan {}: {e}", root.display());
-                ExitCode::from(2)
-            }
-        };
     }
 
     let findings = match audit_workspace(&root) {
@@ -148,14 +103,11 @@ fn usage(msg: &str) -> ExitCode {
 fn print_help() {
     println!(
         "ca-audit — workspace invariant auditor (DESIGN.md \u{a7}10, \u{a7}15)\n\n\
-         USAGE: ca-audit [--root DIR] [--json] [--deny warn] [--list-rules]\n\
-                \u{20}       [--metrics] [--env-table]\n\n\
+         USAGE: ca-audit [--root DIR] [--json] [--deny warn] [--list-rules]\n\n\
          OPTIONS:\n\
            --root DIR            workspace root to audit (default: .)\n\
            --json                emit a ca-audit/2 JSON report instead of text\n\
            --deny warn           exit non-zero on warnings, not just errors\n\
-           --metrics             print the extracted metric inventory (name kind class)\n\
-           --env-table           print the extracted CA_* env-var reads (name\\tfile:line)\n\
            --list-rules          print the rule table and exit"
     );
 }

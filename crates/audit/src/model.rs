@@ -2,11 +2,10 @@
 //! stream (DESIGN.md §15).
 //!
 //! [`FileModel::build`] turns one lexed file into the facts the rules
-//! (D7, D8, D11, D12) reason about: functions with body spans and impl
-//! context, lock-typed struct fields and statics, `const` string arrays,
-//! `counter!` / `histogram!` / `timer!` invocation sites, `CA_*` env-var
-//! string literals, the lines inside `#[cfg(test)]` items, and the
-//! `// ca-audit: allow(rule, reason)` pragmas. It is a *recognizer*, not
+//! (D7, D8) reason about: functions with body spans and impl context,
+//! lock-typed struct fields and statics, the lines inside
+//! `#[cfg(test)]` items, and the `// ca-audit: allow(rule, reason)`
+//! pragmas. It is a *recognizer*, not
 //! a full parser: it only understands the handful of shapes the rules
 //! need, and unknown syntax simply contributes no facts.
 
@@ -70,69 +69,6 @@ pub struct FnModel {
     pub mutex_param: bool,
 }
 
-/// A `const NAME: .. = [ "a", "b", .. ]` string-array constant.
-#[derive(Debug, Clone)]
-pub struct StrArrayConst {
-    /// Constant name.
-    pub name: String,
-    /// Literal values in order.
-    pub values: Vec<String>,
-    /// 1-based declaration line.
-    pub line: usize,
-}
-
-/// Which metric macro a site invokes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum MetricKind {
-    /// `counter!(name, Class)`.
-    Counter,
-    /// `histogram!(name, Class, bounds)`.
-    Histogram,
-    /// `timer!(name)` — class is implicit.
-    Timer,
-}
-
-impl MetricKind {
-    /// Lower-case label used in the rendered inventory.
-    pub fn label(self) -> &'static str {
-        match self {
-            MetricKind::Counter => "counter",
-            MetricKind::Histogram => "histogram",
-            MetricKind::Timer => "timer",
-        }
-    }
-}
-
-/// One `counter!` / `histogram!` / `timer!` invocation.
-#[derive(Debug, Clone)]
-pub struct MetricSite {
-    /// Macro flavour.
-    pub kind: MetricKind,
-    /// Metric name when the first argument is a string literal.
-    pub name: Option<String>,
-    /// Metric class ident (`Outcome`/`Work`/`Ops`); `None` for timers.
-    pub class: Option<String>,
-    /// 1-based line of the macro name.
-    pub line: usize,
-    /// 1-based column of the macro name.
-    pub col: usize,
-    /// Inside a `#[cfg(test)]` region.
-    pub is_test: bool,
-}
-
-/// One `CA_*` env-var string literal.
-#[derive(Debug, Clone)]
-pub struct EnvSite {
-    /// The variable name (cooked literal).
-    pub name: String,
-    /// 1-based line.
-    pub line: usize,
-    /// 1-based column.
-    pub col: usize,
-    /// Inside a `#[cfg(test)]` region.
-    pub is_test: bool,
-}
-
 /// One `// ca-audit: allow(rule, reason)` suppression pragma. It covers
 /// its own line and the next one.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -172,12 +108,6 @@ pub struct FileModel {
     pub lock_fields: Vec<LockField>,
     /// Lock-typed statics.
     pub lock_statics: Vec<LockStatic>,
-    /// String-array constants.
-    pub str_consts: Vec<StrArrayConst>,
-    /// Metric macro sites.
-    pub metric_sites: Vec<MetricSite>,
-    /// `CA_*` env-var literals.
-    pub env_sites: Vec<EnvSite>,
     /// Well-formed suppression pragmas.
     pub pragmas: Vec<Pragma>,
     /// `// ca-audit:` comments that do not parse.
@@ -205,16 +135,12 @@ impl FileModel {
             fns: Vec::new(),
             lock_fields: Vec::new(),
             lock_statics: Vec::new(),
-            str_consts: Vec::new(),
-            metric_sites: Vec::new(),
-            env_sites: Vec::new(),
             pragmas,
             malformed_pragmas,
             test_mask: vec![false; content.lines().count() + 1],
         };
         m.mask_test_items();
         m.scan_items();
-        m.scan_leaf_sites();
         m
     }
 
@@ -272,7 +198,7 @@ impl FileModel {
                 .is_some_and(|n| n.is_punct(':') && adjacent(&self.toks[i], n))
     }
 
-    /// Item scan: impl regions, fns, structs, statics, consts.
+    /// Item scan: impl regions, fns, structs, statics.
     fn scan_items(&mut self) {
         // impl regions, innermost-wins, resolved per fn below.
         let mut impls: Vec<(usize, usize, String)> = Vec::new();
@@ -289,8 +215,6 @@ impl FileModel {
                 self.scan_struct(i);
             } else if t.is_ident("static") {
                 self.scan_static(i);
-            } else if t.is_ident("const") {
-                self.scan_const(i);
             }
             i += 1;
         }
@@ -560,136 +484,6 @@ impl FileModel {
             });
         }
     }
-
-    fn scan_const(&mut self, at: usize) {
-        let Some(name_tok) = self.toks.get(at + 1) else {
-            return;
-        };
-        if name_tok.kind != TokKind::Ident {
-            return;
-        }
-        let name = name_tok.text.clone();
-        let line = name_tok.line;
-        // Walk (group-skipping, so the `[..]` of an array *type* is not
-        // mistaken for the initializer) to the `=`.
-        let mut i = at + 2;
-        while i < self.toks.len() {
-            let t = &self.toks[i];
-            if t.is_punct('=') {
-                break;
-            }
-            if t.is_punct(';') {
-                return;
-            }
-            if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-                i = self.partner(i) + 1;
-                continue;
-            }
-            i += 1;
-        }
-        let mut j = i + 1;
-        while self.toks.get(j).is_some_and(|t| t.is_punct('&')) {
-            j += 1;
-        }
-        let Some(open) = self.toks.get(j) else {
-            return;
-        };
-        if !open.is_punct('[') {
-            return;
-        }
-        let close = self.partner(j);
-        let values: Vec<String> = (j + 1..close)
-            .filter(|&k| self.toks[k].kind == TokKind::Str)
-            .map(|k| self.toks[k].text.clone())
-            .collect();
-        if !values.is_empty() {
-            self.str_consts.push(StrArrayConst { name, values, line });
-        }
-    }
-
-    /// Leaf-site scan: metric macros and env literals.
-    fn scan_leaf_sites(&mut self) {
-        let mut metric_sites = Vec::new();
-        let mut env_sites = Vec::new();
-        for i in 0..self.toks.len() {
-            let t = &self.toks[i];
-            if t.kind == TokKind::Str && is_env_name(&t.text) {
-                env_sites.push(EnvSite {
-                    name: t.text.clone(),
-                    line: t.line,
-                    col: t.col,
-                    is_test: self.is_test_line(t.line),
-                });
-            }
-            let kind = match t.text.as_str() {
-                "counter" => Some(MetricKind::Counter),
-                "histogram" => Some(MetricKind::Histogram),
-                "timer" => Some(MetricKind::Timer),
-                _ => None,
-            };
-            let Some(kind) = kind else { continue };
-            if t.kind != TokKind::Ident {
-                continue;
-            }
-            let Some(bang) = self.toks.get(i + 1) else {
-                continue;
-            };
-            let Some(open) = self.toks.get(i + 2) else {
-                continue;
-            };
-            if !bang.is_punct('!') || !open.is_punct('(') {
-                continue;
-            }
-            let close = self.partner(i + 2);
-            // First argument: a string literal is the metric name.
-            let name = self
-                .toks
-                .get(i + 3)
-                .filter(|a| a.kind == TokKind::Str)
-                .map(|a| a.text.clone());
-            // Second argument: the class ident (counter/histogram).
-            let mut class = None;
-            if kind != MetricKind::Timer {
-                let mut k = i + 3;
-                let mut comma = None;
-                while k < close {
-                    if self.toks[k].is_punct(',') {
-                        comma = Some(k);
-                        break;
-                    }
-                    if self.toks[k].is_punct('(') || self.toks[k].is_punct('[') {
-                        k = self.partner(k) + 1;
-                        continue;
-                    }
-                    k += 1;
-                }
-                if let Some(c) = comma {
-                    class = (c + 1..close)
-                        .take_while(|&k| !self.toks[k].is_punct(','))
-                        .find(|&k| self.toks[k].kind == TokKind::Ident)
-                        .map(|k| self.toks[k].text.clone());
-                }
-            }
-            metric_sites.push(MetricSite {
-                kind,
-                name,
-                class,
-                line: t.line,
-                col: t.col,
-                is_test: self.is_test_line(t.line),
-            });
-        }
-        self.metric_sites = metric_sites;
-        self.env_sites = env_sites;
-    }
-}
-
-/// Whether a cooked string literal is a `CA_*` env-var name.
-fn is_env_name(s: &str) -> bool {
-    s.len() > 3
-        && s.starts_with("CA_")
-        && s.bytes()
-            .all(|b| b.is_ascii_uppercase() || b.is_ascii_digit() || b == b'_')
 }
 
 /// Parses `// ca-audit: allow(rule, reason)` pragmas out of plain line
@@ -822,38 +616,6 @@ mod tests {
         assert_eq!(m.lock_fields[1].kind, LockKind::Condvar);
         assert_eq!(m.lock_statics.len(), 1);
         assert_eq!(m.lock_statics[0].name, "REG");
-    }
-
-    #[test]
-    fn const_str_arrays_extracted() {
-        let m =
-            model("pub const PREFIXES: [&str; 2] = [\n    \"ca_exec.\",\n    \"ca_sim.\",\n];\n");
-        assert_eq!(m.str_consts.len(), 1);
-        assert_eq!(m.str_consts[0].name, "PREFIXES");
-        assert_eq!(m.str_consts[0].values, vec!["ca_exec.", "ca_sim."]);
-    }
-
-    #[test]
-    fn metric_sites_parse_name_and_class() {
-        let m = model(
-            "fn f() {\n    counter!(\"ca_x.hits\", Outcome).inc();\n    histogram!(\"ca_x.sizes\", Ops, &[1, 2]).observe(n);\n    timer!(\"ca_x.wall\").record(d);\n    counter!(DYNAMIC, Ops).inc();\n}\n",
-        );
-        assert_eq!(m.metric_sites.len(), 4);
-        assert_eq!(m.metric_sites[0].name.as_deref(), Some("ca_x.hits"));
-        assert_eq!(m.metric_sites[0].class.as_deref(), Some("Outcome"));
-        assert_eq!(m.metric_sites[1].kind, MetricKind::Histogram);
-        assert_eq!(m.metric_sites[2].kind, MetricKind::Timer);
-        assert_eq!(m.metric_sites[2].class, None);
-        assert_eq!(m.metric_sites[3].name, None);
-    }
-
-    #[test]
-    fn env_sites_match_ca_upper_names() {
-        let m = model(
-            "fn f() {\n    let a = std::env::var(\"CA_THREADS\");\n    let b = \"CA-SERVE-READY\";\n    let c = \"ca_exec.items\";\n}\n",
-        );
-        assert_eq!(m.env_sites.len(), 1);
-        assert_eq!(m.env_sites[0].name, "CA_THREADS");
     }
 
     #[test]

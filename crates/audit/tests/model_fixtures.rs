@@ -1,24 +1,21 @@
-//! Fire/quiet fixture self-tests for the rules (D7, D8, D11, D12) and
-//! pragma hygiene (A0, A1). Each fire fixture seeds exactly one
+//! Fire/quiet fixture self-tests for the rules (D7, D8) and pragma
+//! hygiene (A0, A1). Each fire fixture seeds exactly one
 //! violation and pins the finding's span; each quiet fixture shows the
 //! audited way to write the same code. Fixture code lives in string
 //! literals, which the lexer never reads as code, so these snippets
 //! cannot leak findings into a real workspace audit.
 
-use ca_audit::{audit_sources, Severity, SourceFile, SourceSet};
+use ca_audit::{audit_sources, Severity, SourceFile};
 
-fn set(files: &[(&str, &str, &str)]) -> SourceSet {
-    SourceSet {
-        files: files
-            .iter()
-            .map(|(c, l, s)| SourceFile {
-                crate_name: c.to_string(),
-                label: l.to_string(),
-                content: s.to_string(),
-            })
-            .collect(),
-        readme: None,
-    }
+fn set(files: &[(&str, &str, &str)]) -> Vec<SourceFile> {
+    files
+        .iter()
+        .map(|(c, l, s)| SourceFile {
+            crate_name: c.to_string(),
+            label: l.to_string(),
+            content: s.to_string(),
+        })
+        .collect()
 }
 
 fn rule<'a>(findings: &'a [ca_audit::Finding], id: &str) -> Vec<&'a ca_audit::Finding> {
@@ -208,136 +205,6 @@ impl S {
     let d8 = rule(&findings, "D8");
     assert_eq!(d8.len(), 1, "{findings:?}");
     assert!(d8[0].message.contains("lock-order cycle"), "{}", d8[0]);
-}
-
-// --------------------------------------------------------------- D11
-
-const D11_PREFIXES: &str = r#"
-pub const INSTRUMENTED_PREFIXES: [&str; 2] = ["ca_core.", "ca_sim."];
-"#;
-
-#[test]
-fn d11_fires_on_foreign_prefix_taxonomy_and_collision() {
-    let core = r#"
-pub fn work() {
-    counter!("ca_core.items.done", Outcome).inc();
-    counter!("ca_serve.items.done", Outcome).inc();
-    counter!("ca_core.BadName", Outcome).inc();
-    histogram!("ca_core.items.done", Work, &[1, 2]).observe(1);
-    // ca-audit: allow(D11, recorded here on behalf of an obs-free crate)
-    counter!("ca_store.items.done", Ops).inc();
-}
-"#;
-    let findings = audit_sources(&set(&[
-        ("ca-obs", "crates/obs/src/profile.rs", D11_PREFIXES),
-        ("ca-core", "crates/core/src/fix.rs", core),
-    ]));
-    let d11 = rule(&findings, "D11");
-    assert!(
-        d11.iter().any(|f| f
-            .message
-            .contains("prefix `ca_serve.` is not in INSTRUMENTED_PREFIXES")),
-        "{findings:?}"
-    );
-    // The pragma covers the foreign-crate finding, not the missing prefix.
-    assert!(
-        d11.iter().any(|f| f
-            .message
-            .contains("prefix `ca_store.` is not in INSTRUMENTED_PREFIXES")),
-        "{findings:?}"
-    );
-    assert!(
-        !d11.iter()
-            .any(|f| f.message.contains("under `ca_store.` from crate")),
-        "{findings:?}"
-    );
-    assert!(
-        d11.iter()
-            .any(|f| f.message.contains("does not parse into the taxonomy")),
-        "{findings:?}"
-    );
-    assert!(
-        d11.iter()
-            .any(|f| f.severity == Severity::Error && f.message.contains("ca_core.items.done")),
-        "collision between counter and histogram signatures: {findings:?}"
-    );
-}
-
-#[test]
-fn d11_quiet_on_well_formed_metrics() {
-    let core = r#"
-pub fn work() {
-    counter!("ca_core.items.done", Outcome).inc();
-    timer!("ca_core.items.latency").start();
-}
-"#;
-    let sim = r#"
-pub fn eval() {
-    histogram!("ca_sim.eval.batch", Work, &[1, 2]).observe(1);
-}
-"#;
-    let findings = audit_sources(&set(&[
-        ("ca-obs", "crates/obs/src/profile.rs", D11_PREFIXES),
-        ("ca-core", "crates/core/src/fix.rs", core),
-        ("ca-sim", "crates/sim/src/fix.rs", sim),
-    ]));
-    assert!(rule(&findings, "D11").is_empty(), "{findings:?}");
-}
-
-// --------------------------------------------------------------- D12
-
-fn readme(body: &str) -> Option<(String, String)> {
-    Some(("README.md".to_string(), body.to_string()))
-}
-
-const D12_SRC: &str = r#"
-pub fn threads() -> Option<String> {
-    std::env::var("CA_THREADS").ok()
-}
-"#;
-
-#[test]
-fn d12_fires_on_undocumented_read_and_readerless_row() {
-    let mut s = set(&[("ca-exec", "crates/exec/src/fix.rs", D12_SRC)]);
-    s.readme = readme(
-        "# fixture\n\n<!-- ca-audit:env-table -->\n\n| Variable | Meaning |\n|---|---|\n| `CA_GHOST` | documented but never read |\n",
-    );
-    let findings = audit_sources(&s);
-    let d12 = rule(&findings, "D12");
-    assert!(
-        d12.iter().any(|f| f.file == "crates/exec/src/fix.rs"
-            && f.message.contains("`CA_THREADS` is read here but missing")),
-        "{findings:?}"
-    );
-    assert!(
-        d12.iter().any(|f| f.file == "README.md"
-            && f.line == 7
-            && f.message.contains("`CA_GHOST` has no reader")),
-        "{findings:?}"
-    );
-}
-
-#[test]
-fn d12_fires_on_missing_sentinel() {
-    let mut s = set(&[("ca-exec", "crates/exec/src/fix.rs", D12_SRC)]);
-    s.readme = readme("# fixture with no table\n");
-    let findings = audit_sources(&s);
-    assert!(
-        rule(&findings, "D12")
-            .iter()
-            .any(|f| f.message.contains("no `ca-audit:env-table` sentinel")),
-        "{findings:?}"
-    );
-}
-
-#[test]
-fn d12_quiet_when_table_matches_reads() {
-    let mut s = set(&[("ca-exec", "crates/exec/src/fix.rs", D12_SRC)]);
-    s.readme = readme(
-        "# fixture\n\n<!-- ca-audit:env-table -->\n\n| Variable | Meaning |\n|---|---|\n| `CA_THREADS` | worker count |\n",
-    );
-    let findings = audit_sources(&s);
-    assert!(rule(&findings, "D12").is_empty(), "{findings:?}");
 }
 
 // ---------------------------------------------------------- A0 / A1

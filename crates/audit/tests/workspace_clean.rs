@@ -1,7 +1,8 @@
-//! The live gate: the actual workspace must audit clean, and every
-//! suppression of a determinism, durability or panic-path rule must sit
-//! at a documented site (DESIGN.md §10). `scripts/ci.sh` runs the same
-//! audit via `ca-audit --deny warn`.
+//! The live gate: the actual workspace must audit clean, every
+//! suppression of a determinism, durability, environment or panic-path
+//! rule must sit at a documented site (DESIGN.md §10), and the README's
+//! env-var table must name exactly the variables the programs read.
+//! `scripts/ci.sh` runs the same audit via `ca-audit --deny warn`.
 
 use ca_audit::model::FileModel;
 use ca_audit::workspace_files;
@@ -23,20 +24,6 @@ fn workspace_audits_clean() {
             .collect::<Vec<_>>()
             .join("\n")
     );
-}
-
-/// D11's input, the metric inventory, renders byte-identically on every
-/// read and is not implausibly small (a scanner that stopped seeing
-/// macro sites would otherwise pass D11 vacuously).
-#[test]
-fn metric_inventory_is_deterministic_and_complete() {
-    let inv = ca_audit::metric_inventory(workspace_root()).expect("inventory I/O");
-    let a = ca_audit::render_metric_inventory(&inv);
-    let b = ca_audit::render_metric_inventory(
-        &ca_audit::metric_inventory(workspace_root()).expect("re-read"),
-    );
-    assert_eq!(a, b);
-    assert!(a.lines().count() >= 50, "inventory implausibly small:\n{a}");
 }
 
 #[test]
@@ -88,12 +75,32 @@ fn linted_sources(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
+/// The sanctioned reads of the process environment (rule D12): every
+/// `#[expect(clippy::disallowed_methods, reason = "D12: CA_…")]`, by
+/// file and variable. The non-test ones are the README's env-var table.
+const D12_SITES: &[(&str, &str)] = &[
+    ("crates/exec/src/lib.rs", "CA_THREADS"),
+    ("crates/obs/src/event.rs", "CA_OBS"),
+    ("crates/obs/src/event.rs", "CA_OBS_PATH"),
+    ("crates/obs/src/trace.rs", "CA_TRACE"),
+    ("crates/shard/src/worker.rs", "CA_SHARD_SPEC"),
+    ("tests/crash_recovery.rs", "CA_CRASH_HALT"),
+    ("tests/crash_recovery.rs", "CA_CRASH_STORE"),
+    ("tests/crash_recovery.rs", "CA_PROFILE_STORE"),
+    ("tests/crash_recovery.rs", "CA_THREADS"),
+];
+
+/// The README marker that opens the env-var table.
+const ENV_TABLE: &str = "<!-- ca-audit:env-table -->";
+
 #[test]
 fn suppressions_only_in_documented_sites() {
     // (path prefix, lint) pairs documented in DESIGN.md §10: ca-store's
     // durability primitives and corruption harnesses, the forest
     // trainer's never-iterated dedup map, indexing in the supervised
-    // crates, and the crash-recovery suite's raw journal copy.
+    // crates, and the crash-recovery suite's raw journal copy. D12's
+    // env reads share D4's lint and are told apart by the rule id that
+    // opens their reason; they are pinned one by one in `D12_SITES`.
     const SANCTIONED: &[(&str, &str)] = &[
         ("crates/store/", "disallowed_types"),
         ("crates/store/", "disallowed_methods"),
@@ -103,9 +110,6 @@ fn suppressions_only_in_documented_sites() {
         ("crates/exec/", "indexing_slicing"),
         ("tests/crash_recovery.rs", "disallowed_methods"),
     ];
-    // The one remaining ca-audit pragma: ca-obs records ca-store's
-    // recovery counter (D11).
-    const SANCTIONED_PRAGMAS: &[(&str, &str)] = &[("crates/obs/", "D11")];
     const PINNED: [&str; 3] = ["disallowed_types", "disallowed_methods", "indexing_slicing"];
 
     let root = workspace_root();
@@ -113,6 +117,7 @@ fn suppressions_only_in_documented_sites() {
     linted_sources(root, &mut files);
     assert!(files.len() > 100, "walk found only {} files", files.len());
     let mut seen = 0;
+    let mut d12_sites = Vec::new();
     for path in files {
         let label = path
             .strip_prefix(root)
@@ -132,10 +137,10 @@ fn suppressions_only_in_documented_sites() {
             }
             // The level is the ident before the innermost `(` around
             // the path: `deny(…)` sets a rule, `expect(…)` suppresses it.
-            let level = (1..i)
+            let open = (1..i)
                 .rev()
-                .find(|&k| t[k].is_punct('(') && m.partner(k) > i)
-                .map_or("", |k| t[k - 1].text.as_str());
+                .find(|&k| t[k].is_punct('(') && m.partner(k) > i);
+            let level = open.map_or("", |k| t[k - 1].text.as_str());
             if level == "deny" {
                 continue;
             }
@@ -145,6 +150,16 @@ fn suppressions_only_in_documented_sites() {
                 level, "expect",
                 "{site}: suppress clippy::{lint} with #[expect(.., reason = ..)]"
             );
+            let reason = open
+                .and_then(|k| (i + 3..m.partner(k)).find(|&r| t[r].is_ident("reason")))
+                .and_then(|r| t.get(r + 2))
+                .map_or("", |r| r.text.as_str());
+            if let Some(rest) = reason.strip_prefix("D12: ") {
+                assert_eq!(lint, "disallowed_methods", "{site}");
+                let var = rest.split_whitespace().next().unwrap_or_default();
+                d12_sites.push((label.clone(), var.to_string()));
+                continue;
+            }
             assert!(
                 SANCTIONED
                     .iter()
@@ -152,14 +167,44 @@ fn suppressions_only_in_documented_sites() {
                 "unsanctioned suppression of clippy::{lint} at {site}"
             );
         }
-        for pragma in &m.pragmas {
-            assert!(
-                SANCTIONED_PRAGMAS
-                    .iter()
-                    .any(|&(prefix, rule)| label.starts_with(prefix) && rule == pragma.rule),
-                "unsanctioned ca-audit pragma in {label}: {pragma:?}"
-            );
-        }
+        // D8's audited nesting keeps the pragma grammar, but no site of
+        // the workspace needs one.
+        assert!(
+            m.pragmas.is_empty(),
+            "ca-audit pragma in {label}: {:?}",
+            m.pragmas
+        );
     }
     assert!(seen > 0, "no suppressions found: the scan is broken");
+
+    d12_sites.sort();
+    let mut pinned: Vec<(String, String)> = D12_SITES
+        .iter()
+        .map(|&(file, var)| (file.to_string(), var.to_string()))
+        .collect();
+    pinned.sort();
+    assert_eq!(d12_sites, pinned, "the D12 sites moved");
+
+    // The README documents exactly the variables the programs read.
+    let readme = std::fs::read_to_string(root.join("README.md")).expect("README");
+    let documented: Vec<&str> = readme
+        .lines()
+        .skip_while(|line| !line.contains(ENV_TABLE))
+        .skip(1)
+        .skip_while(|line| line.trim().is_empty())
+        .take_while(|line| line.trim_start().starts_with('|'))
+        .filter_map(|row| row.split('`').nth(1))
+        .filter(|name| name.starts_with("CA_"))
+        .collect();
+    let mut read: Vec<&str> = D12_SITES
+        .iter()
+        .filter(|(file, _)| file.contains("src/"))
+        .map(|&(_, var)| var)
+        .collect();
+    read.sort();
+    read.dedup();
+    let mut table = documented.clone();
+    table.sort();
+    assert_eq!(table.len(), documented.len(), "duplicate env-table rows");
+    assert_eq!(table, read, "README env-var table vs the D12 sites");
 }

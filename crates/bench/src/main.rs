@@ -296,7 +296,7 @@ fn main() {
                     "ca_bench",
                     &format!(
                         "{check_path} is valid ({} required prefixes)",
-                        ca_obs::INSTRUMENTED_PREFIXES.len()
+                        ca_obs::instrumented_prefixes().len()
                     ),
                     &[],
                 ),

@@ -79,10 +79,10 @@ pub fn run_with(
     // Root span for the whole profiled flow (traced only when CA_TRACE
     // is set): stage spans and everything the stages call parent here.
     // The fingerprint is the workload size — deterministic per profile.
-    let _profile_span = ca_obs::root!("profile", library.len() as u64, "bench");
+    let _profile_span = ca_obs::root!("ca_bench.profile", library.len() as u64, "bench");
 
     let lint_rejects = fp.stage("lint", || {
-        ca_obs::counter!("ca_bench.profile.stages", Work).inc();
+        ca_obs::counter!("ca_bench.profile.stages").inc();
         library
             .cells
             .iter()
@@ -94,7 +94,7 @@ pub fn run_with(
     // Fresh characterization: every layer under a journaling session.
     let cache = CharCache::new();
     let outcome = fp.stage("characterize", || -> Result<RobustOutcome, String> {
-        ca_obs::counter!("ca_bench.profile.stages", Work).inc();
+        ca_obs::counter!("ca_bench.profile.stages").inc();
         let session = Session::open(store).map_err(|e| e.to_string())?;
         characterize_library_robust(
             &library,
@@ -111,7 +111,7 @@ pub fn run_with(
     // Resume against the same store: models and verdicts replay from
     // the journal instead of re-simulating.
     let resumed = fp.stage("resume", || -> Result<RobustOutcome, String> {
-        ca_obs::counter!("ca_bench.profile.stages", Work).inc();
+        ca_obs::counter!("ca_bench.profile.stages").inc();
         let session = Session::open(store).map_err(|e| e.to_string())?;
         characterize_library_robust(
             &library,
@@ -133,29 +133,29 @@ pub fn run_with(
     }
 
     let exported = fp.stage("export", || {
-        ca_obs::counter!("ca_bench.profile.stages", Work).inc();
+        ca_obs::counter!("ca_bench.profile.stages").inc();
         let cams = export_cam_with(&outcome.prepared, true);
         let bytes: usize = cams.iter().map(|(_, body)| body.len()).sum();
-        ca_obs::counter!("ca_bench.export.models", Work).add(cams.len() as u64);
-        ca_obs::counter!("ca_bench.export.bytes", Work).add(bytes as u64);
+        ca_obs::counter!("ca_bench.export.models").add(cams.len() as u64);
+        ca_obs::counter!("ca_bench.export.bytes").add(bytes as u64);
         cams.len() as u64
     });
     fp.set_meta("exported_models", exported);
 
     let ml = fp.stage("forest_fit", || {
-        ca_obs::counter!("ca_bench.profile.stages", Work).inc();
+        ca_obs::counter!("ca_bench.profile.stages").inc();
         MlFlow::train(&outcome.prepared, profile.ml_params()).map_err(|e| e.to_string())
     })?;
 
     fp.stage("predict", || -> Result<(), String> {
-        ca_obs::counter!("ca_bench.profile.stages", Work).inc();
+        ca_obs::counter!("ca_bench.profile.stages").inc();
         let covered: Vec<_> = outcome
             .prepared
             .iter()
             .filter(|p| ml.covers(p))
             .cloned()
             .collect();
-        ca_obs::counter!("ca_bench.predict.cells", Work).add(covered.len() as u64);
+        ca_obs::counter!("ca_bench.predict.cells").add(covered.len() as u64);
         ml.predict_batch(&covered, executor)
             .map(|_| ())
             .map_err(|e| e.to_string())
@@ -167,7 +167,7 @@ pub fn run_with(
     // `ca_serve` layer too. Sequential requests keep every Work/Outcome
     // counter thread-invariant.
     fp.stage("serve", || -> Result<(), String> {
-        ca_obs::counter!("ca_bench.profile.stages", Work).inc();
+        ca_obs::counter!("ca_bench.profile.stages").inc();
         let mut serve_lib = library.clone();
         serve_lib.cells.truncate(2);
         let mut config = ca_serve::ServeConfig::new(store.with_extension("serve.caj"), serve_lib);
@@ -188,7 +188,7 @@ pub fn run_with(
         }
         drop(client);
         server.shutdown();
-        ca_obs::counter!("ca_bench.profile.served", Work).add(served);
+        ca_obs::counter!("ca_bench.profile.served").add(served);
         Ok(())
     })?;
 
@@ -196,7 +196,7 @@ pub fn run_with(
     // Its workers run in this process (`Spawner::InProcess`): no process
     // is spawned, and the profile covers the `ca_shard` layer too.
     fp.stage("shard", || -> Result<(), String> {
-        ca_obs::counter!("ca_bench.profile.stages", Work).inc();
+        ca_obs::counter!("ca_bench.profile.stages").inc();
         let config = ca_shard::CampaignConfig::new(2);
         ca_shard::run_campaign(
             &library,

@@ -229,7 +229,7 @@ pub fn validate_closure(spans: &[SpanRec]) -> Result<(), String> {
 
 /// Requires at least one `child`-named span whose parent is a
 /// `parent`-named span — the structural edges the demo campaign must
-/// produce (worker under shard_attempt, queue/service under request).
+/// produce (worker under shard attempt, queue/service under request).
 fn require_edge(spans: &[SpanRec], child: &str, parent: &str) -> Result<(), String> {
     let parents: BTreeSet<&str> = spans
         .iter()
@@ -359,12 +359,16 @@ fn demo_inner(profile: Profile, out: &Path) -> Result<TraceSummary, String> {
     let (spans, _, _) = collect_dir(&work_dir.join("campaign"))?;
     // The acceptance edges: cross-process nesting and the serve
     // request's server-side breakdown.
-    require_edge(&spans, "shard", "campaign")?;
-    require_edge(&spans, "shard_attempt", "shard")?;
-    require_edge(&spans, "worker", "shard_attempt")?;
-    require_edge(&spans, "request", "rpc")?;
-    require_edge(&spans, "queue", "request")?;
-    require_edge(&spans, "service", "request")?;
+    for (child, parent) in [
+        ("ca_shard.shard", "ca_shard.campaign"),
+        ("ca_shard.shard_attempt", "ca_shard.shard"),
+        ("ca_shard.worker", "ca_shard.shard_attempt"),
+        ("ca_serve.request", "ca_serve.rpc"),
+        ("ca_serve.queue", "ca_serve.request"),
+        ("ca_serve.service", "ca_serve.request"),
+    ] {
+        require_edge(&spans, child, parent)?;
+    }
     let _ = std::fs::remove_dir_all(&work_dir);
     Ok(summary)
 }
@@ -378,7 +382,7 @@ fn serve_once(library: &ca_netlist::library::Library, work_dir: &Path) -> Result
     let uds = work_dir.join("serve.sock");
     let server = ca_serve::Server::start(config, &[ca_serve::Endpoint::Uds(uds.clone())])
         .map_err(|e| format!("serve demo daemon failed to start: {e}"))?;
-    let root = ca_obs::root!("serve_demo", library.len() as u64, "client");
+    let root = ca_obs::root!("ca_bench.serve_demo", library.len() as u64, "client");
     let mut client = ca_serve::ServeClient::connect_uds(&uds)
         .map_err(|e| format!("serve demo connect failed: {e}"))?;
     let name = library
@@ -431,12 +435,18 @@ mod tests {
     #[test]
     fn edges_are_checked_by_name_pairing() {
         let spans = vec![
-            span("0000000000000001", ZERO_ID, "shard_attempt", 0, 1),
-            span("0000000000000002", "0000000000000001", "worker", 1, 2),
+            span("0000000000000001", ZERO_ID, "ca_shard.shard_attempt", 0, 1),
+            span(
+                "0000000000000002",
+                "0000000000000001",
+                "ca_shard.worker",
+                1,
+                2,
+            ),
         ];
-        require_edge(&spans, "worker", "shard_attempt").expect("edge present");
-        let err = require_edge(&spans, "request", "rpc").unwrap_err();
-        assert!(err.contains("request"), "{err}");
+        require_edge(&spans, "ca_shard.worker", "ca_shard.shard_attempt").expect("edge present");
+        let err = require_edge(&spans, "ca_serve.request", "ca_serve.rpc").unwrap_err();
+        assert!(err.contains("ca_serve.request"), "{err}");
     }
 
     #[test]

@@ -16,6 +16,8 @@ use ca_core::{characterize_library_robust, CharCache, Executor, FaultPolicy, Ses
 use ca_defects::GenerateOptions;
 use ca_netlist::library::generate_library;
 use ca_netlist::Technology;
+use ca_obs::trace::Placement;
+use ca_obs::Span;
 use ca_sim::SimBudget;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -25,12 +27,20 @@ use std::path::{Path, PathBuf};
 /// field, empty for every other span.
 type SpanTree = BTreeSet<(String, String, String, String)>;
 
+/// The test's campaign root: a test-only name, so it is opened without
+/// the declared-name macros.
+const ROOT: &str = "bench_test.campaign";
+
 fn traced_run(library: &ca_netlist::library::Library, store: &Path, threads: usize) -> SpanTree {
     // Discard whatever earlier phases buffered, then capture only this
     // run's events.
     let _ = ca_obs::drain_events();
     {
-        let _root = ca_obs::root!("campaign", trace_fp(library), "test");
+        let placement = Placement::Root {
+            fingerprint: trace_fp(library),
+            role: "test",
+        };
+        let _root = Span::open(&ca_obs::global().timer(ROOT), ROOT, placement);
         characterize_library_robust(
             library,
             GenerateOptions::default(),
@@ -82,7 +92,7 @@ fn span_tree_is_identical_across_thread_counts_and_resume() {
     // The tree must actually witness the campaign: one root plus one
     // per-cell span parented under it.
     assert!(
-        serial.iter().any(|(_, _, name, _)| name == "campaign"),
+        serial.iter().any(|(_, _, name, _)| name == ROOT),
         "root span missing: {serial:?}"
     );
     let root_id = serial
@@ -92,9 +102,11 @@ fn span_tree_is_identical_across_thread_counts_and_resume() {
         .expect("exactly one root");
     for lc in &library.cells {
         assert!(
-            serial.iter().any(|(_, parent, name, cell)| name == "cell"
-                && cell == lc.cell.name()
-                && *parent == root_id),
+            serial
+                .iter()
+                .any(|(_, parent, name, cell)| name == "ca_core.cell"
+                    && cell == lc.cell.name()
+                    && *parent == root_id),
             "cell {} has no span under the campaign root",
             lc.cell.name()
         );

@@ -267,22 +267,22 @@ impl CharCache {
     // follower whose wall clock ends its wait counts in none of them.)
     fn note_hit(&self) {
         self.hits.fetch_add(1, Ordering::Relaxed);
-        ca_obs::counter!("ca_core.cache.hits", Work).inc();
+        ca_obs::counter!("ca_core.cache.hits").inc();
     }
 
     fn note_miss(&self) {
         self.misses.fetch_add(1, Ordering::Relaxed);
-        ca_obs::counter!("ca_core.cache.misses", Work).inc();
+        ca_obs::counter!("ca_core.cache.misses").inc();
     }
 
     fn note_rejected(&self) {
         self.rejected.fetch_add(1, Ordering::Relaxed);
-        ca_obs::counter!("ca_core.cache.rejected", Work).inc();
+        ca_obs::counter!("ca_core.cache.rejected").inc();
     }
 
     fn note_bypassed(&self) {
         self.bypassed.fetch_add(1, Ordering::Relaxed);
-        ca_obs::counter!("ca_core.cache.bypassed", Work).inc();
+        ca_obs::counter!("ca_core.cache.bypassed").inc();
     }
 
     /// Drop-in replacement for [`PreparedCell::characterize`] that serves
@@ -523,7 +523,7 @@ fn certify_isomorphism(
     cand: &Cell,
     cand_canon: &CanonicalCell,
 ) -> Option<IsoCert> {
-    ca_obs::counter!("ca_core.iso.attempts", Work).inc();
+    ca_obs::counter!("ca_core.iso.attempts").inc();
     if donor.num_transistors() != cand.num_transistors()
         || donor.num_inputs() != cand.num_inputs()
         || donor.outputs().len() != cand.outputs().len()
@@ -572,11 +572,11 @@ fn certify_isomorphism(
     let mut budget = ISO_SEARCH_BUDGET;
     if !solve(&pairs, 0, &mut state, donor, cand, &mut budget) {
         if budget == 0 {
-            ca_obs::counter!("ca_core.iso.budget_exhausted", Work).inc();
+            ca_obs::counter!("ca_core.iso.budget_exhausted").inc();
         }
         return None;
     }
-    ca_obs::counter!("ca_core.iso.certified", Work).inc();
+    ca_obs::counter!("ca_core.iso.certified").inc();
     Some(IsoCert {
         c2d: state.c2d,
         swapped: state.swapped,

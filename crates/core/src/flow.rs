@@ -145,7 +145,7 @@ impl MlFlow {
             return Err(CoreError::EmptyTrainingSet);
         }
         let _span = ca_obs::span!("ca_core.ml_flow.train");
-        ca_obs::counter!("ca_core.ml_flow.groups_trained", Work).add(by_key.len() as u64);
+        ca_obs::counter!("ca_core.ml_flow.groups_trained").add(by_key.len() as u64);
         let mut groups = BTreeMap::new();
         for (key, cells) in by_key {
             let (forest, data) = train_group_forest(&cells, &params)?;
@@ -207,7 +207,7 @@ impl MlFlow {
         executor: &ca_exec::Executor,
     ) -> Result<Vec<CaModel>, CoreError> {
         let _span = ca_obs::span!("ca_core.ml_flow.predict_batch");
-        ca_obs::counter!("ca_core.ml_flow.cells_predicted", Work).add(prepared.len() as u64);
+        ca_obs::counter!("ca_core.ml_flow.cells_predicted").add(prepared.len() as u64);
         executor
             .map(prepared, |_, p| self.predict(p))
             .into_iter()

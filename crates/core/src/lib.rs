@@ -85,3 +85,45 @@ pub use robust::{
 };
 pub use service::{CellService, CellVerdict, StoredVerdict};
 pub use session::{cell_fingerprint, take_journal_ns, Session, SessionReport};
+
+/// A unit test's journal path, in a scratch directory of its own that
+/// is removed when the test ends — also when it panics.
+#[cfg(test)]
+pub(crate) struct TestStore(std::path::PathBuf);
+
+#[cfg(test)]
+impl TestStore {
+    /// `<temp>/ca-core-unit-<pid>-<tag>/<tag>.caj`, in a fresh directory;
+    /// `tag` is unique among the crate's unit tests.
+    pub(crate) fn new(tag: &str) -> TestStore {
+        let dir = std::env::temp_dir().join(format!("ca-core-unit-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        TestStore(dir.join(format!("{tag}.caj")))
+    }
+}
+
+#[cfg(test)]
+impl std::ops::Deref for TestStore {
+    type Target = std::path::Path;
+
+    fn deref(&self) -> &std::path::Path {
+        &self.0
+    }
+}
+
+#[cfg(test)]
+impl AsRef<std::path::Path> for TestStore {
+    fn as_ref(&self) -> &std::path::Path {
+        &self.0
+    }
+}
+
+#[cfg(test)]
+impl Drop for TestStore {
+    fn drop(&mut self) {
+        if let Some(dir) = self.0.parent() {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+}

@@ -242,7 +242,7 @@ pub fn characterize_library_robust(
         // executor adopted a per-item fork of the caller's context, so
         // the trace id is a pure function of campaign + item — identical
         // at any CA_THREADS and across a crash-resume (DESIGN.md §14).
-        let mut cell_span = ca_obs::span!("cell");
+        let mut cell_span = ca_obs::span!("ca_core.cell");
         cell_span.field("cell", lc.cell.name());
         let item = match plan.reuse(lc.cell.name()) {
             // Store-verified degraded model: served back to this exact
@@ -311,14 +311,14 @@ pub fn characterize_library_robust(
     // `Outcome` class: they describe the converged result of the run and
     // hold across thread counts *and* crash-resume (a replayed verdict
     // counts exactly like the fresh diagnosis it replaces).
-    ca_obs::counter!("ca_core.flow.cells", Outcome).add(library.len() as u64);
+    ca_obs::counter!("ca_core.flow.cells").add(library.len() as u64);
     for (lc, (item, elapsed)) in library.cells.iter().zip(results) {
         match item {
             Item::Done(p) => {
                 if p.model.as_ref().is_some_and(|m| m.degraded) {
-                    ca_obs::counter!("ca_core.flow.models_degraded", Outcome).inc();
+                    ca_obs::counter!("ca_core.flow.models_degraded").inc();
                 } else {
-                    ca_obs::counter!("ca_core.flow.models_complete", Outcome).inc();
+                    ca_obs::counter!("ca_core.flow.models_complete").inc();
                 }
                 prepared.push(*p);
             }
@@ -326,8 +326,8 @@ pub fn characterize_library_robust(
                 if policy == FaultPolicy::FailFast {
                     return Err(err);
                 }
-                ca_obs::counter!("ca_core.flow.quarantined", Outcome).inc();
-                ca_obs::counter!("ca_core.flow.retries", Work).add(u64::from(retries));
+                ca_obs::counter!("ca_core.flow.quarantined").inc();
+                ca_obs::counter!("ca_core.flow.retries").add(u64::from(retries));
                 quarantine.entries.push(QuarantineEntry {
                     cell: lc.cell.name().to_string(),
                     phase,
@@ -337,7 +337,7 @@ pub fn characterize_library_robust(
                 });
             }
             Item::Replay(phase, reason, retries) => {
-                ca_obs::counter!("ca_core.flow.quarantined", Outcome).inc();
+                ca_obs::counter!("ca_core.flow.quarantined").inc();
                 quarantine.entries.push(QuarantineEntry {
                     cell: lc.cell.name().to_string(),
                     phase,
@@ -474,7 +474,7 @@ fn characterize_cell_guarded(
     // Quarantine broken netlists before any simulation effort is spent
     // on them.
     if let Some(finding) = lint_error(cell) {
-        ca_obs::counter!("ca_core.flow.lint_rejects", Work).inc();
+        ca_obs::counter!("ca_core.flow.lint_rejects").inc();
         return Err((
             FailurePhase::Lint,
             CoreError::PrepareFailed {
@@ -719,10 +719,7 @@ MN1 net0 B VSS VSS nch
             inter_transistor: true,
             ..GenerateOptions::default()
         };
-        let dir = std::env::temp_dir().join(format!("ca-robust-unit-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("resume-universe.caj");
-        let _ = std::fs::remove_file(&path);
+        let path = crate::TestStore::new("robust-resume-universe");
         let run = || {
             let session = Session::open(&path).unwrap();
             let (prepared, _) = crate::characterize_library_with_session(
@@ -749,7 +746,6 @@ MN1 net0 B VSS VSS nch
         assert_eq!(first.journaled, lib.len());
         assert_eq!(second.reused_complete, lib.len(), "the rerun resumes");
         assert_eq!(resumed, fresh);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

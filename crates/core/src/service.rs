@@ -419,17 +419,13 @@ fn lock<'a, T>(mutex: &'a Mutex<T>) -> MutexGuard<'a, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TestStore;
     use ca_netlist::library::{generate_library, LibraryConfig};
     use ca_netlist::{spice, Technology};
-    use std::path::PathBuf;
     use std::time::Duration;
 
-    fn tmp_store(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("ca-service-unit-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("{tag}.caj"));
-        let _ = std::fs::remove_file(&path);
-        path
+    fn tmp_store(tag: &str) -> TestStore {
+        TestStore::new(&format!("service-{tag}"))
     }
 
     fn tiny_library() -> Library {
@@ -438,20 +434,24 @@ mod tests {
         lib
     }
 
-    fn open_service(tag: &str, lib: &Library) -> CellService {
-        CellService::open(
-            tmp_store(tag),
+    /// A service over a fresh store; the store's directory goes when
+    /// the returned guard drops.
+    fn open_service(tag: &str, lib: &Library) -> (TestStore, CellService) {
+        let store = tmp_store(tag);
+        let service = CellService::open(
+            &store,
             lib,
             GenerateOptions::default(),
             SimBudget::unlimited(),
         )
-        .unwrap()
+        .unwrap();
+        (store, service)
     }
 
     #[test]
     fn serves_and_journals_library_cells() {
         let lib = tiny_library();
-        let service = open_service("serve", &lib);
+        let (_store, service) = open_service("serve", &lib);
         for lc in &lib.cells {
             match service.characterize_cell(&lc.cell, Deadline::never()) {
                 CellVerdict::Model(p) => assert!(p.model.is_some()),
@@ -505,13 +505,12 @@ mod tests {
             }
         }
         assert_eq!(svc.report().journaled, 0, "reuse must not re-journal");
-        let _ = std::fs::remove_file(&store);
     }
 
     #[test]
     fn expired_deadline_is_rejected_without_work_or_journal() {
         let lib = tiny_library();
-        let service = open_service("deadline", &lib);
+        let (_store, service) = open_service("deadline", &lib);
         let verdict =
             service.characterize_cell(&lib.cells[0].cell, Deadline::after(Duration::ZERO));
         assert!(
@@ -524,7 +523,7 @@ mod tests {
     #[test]
     fn broken_cell_is_quarantined_and_memoized() {
         let lib = tiny_library();
-        let service = open_service("quarantine", &lib);
+        let (_store, service) = open_service("quarantine", &lib);
         // A floating gate fails lint deterministically.
         let broken = spice::parse_cell(
             ".SUBCKT BROKEN A Z VDD VSS\nMP0 Z X VDD VDD pch\nMN0 Z X VSS VSS nch\n.ENDS",
@@ -547,7 +546,7 @@ mod tests {
     #[test]
     fn lookalike_inline_cell_never_clobbers_a_library_record() {
         let lib = tiny_library();
-        let service = open_service("lookalike", &lib);
+        let (_store, service) = open_service("lookalike", &lib);
         let name = lib.cells[0].cell.name().to_string();
         match service.characterize_cell(&lib.cells[0].cell, Deadline::never()) {
             CellVerdict::Model(_) => {}
@@ -587,13 +586,8 @@ mod tests {
             max_defects: Some(100_000),
             ..SimBudget::unlimited()
         };
-        let service = CellService::open(
-            tmp_store("truncating"),
-            &lib,
-            GenerateOptions::default(),
-            budget,
-        )
-        .unwrap();
+        let store = tmp_store("truncating");
+        let service = CellService::open(&store, &lib, GenerateOptions::default(), budget).unwrap();
         let cell = &lib.cells[0].cell;
         let first = cam_of(service.characterize_cell(cell, Deadline::never()));
         assert_eq!(service.cache_stats().bypassed, 1, "first run bypasses");
@@ -610,7 +604,7 @@ mod tests {
     #[test]
     fn failed_append_leaves_the_repeat_on_the_full_path() {
         let lib = tiny_library();
-        let service = open_service("failed-append", &lib);
+        let (_store, service) = open_service("failed-append", &lib);
         // The store refuses a name longer than its u16 length field, so
         // this cell's append fails every time.
         let cell = lib.cells[0].cell.clone().with_name("X".repeat(70_000));
@@ -629,7 +623,7 @@ mod tests {
     #[test]
     fn quarantine_under_a_journaled_name_clears_its_entry() {
         let lib = tiny_library();
-        let service = open_service("requarantine", &lib);
+        let (_store, service) = open_service("requarantine", &lib);
         let good = spice::parse_cell(
             ".SUBCKT ADHOC A Z VDD VSS\nMP0 Z A VDD VDD pch\nMN0 Z A VSS VSS nch\n.ENDS",
         )
@@ -677,7 +671,7 @@ mod tests {
     #[test]
     fn concurrent_identical_requests_share_one_simulation_and_one_append() {
         let lib = tiny_library();
-        let service = open_service("concurrent-model", &lib);
+        let (_store, service) = open_service("concurrent-model", &lib);
         let cams: Vec<String> = four_at_once(&service, &lib.cells[0].cell)
             .into_iter()
             .map(cam_of)
@@ -691,7 +685,7 @@ mod tests {
     #[test]
     fn concurrent_identical_failures_append_one_verdict() {
         let lib = tiny_library();
-        let service = open_service("concurrent-quarantine", &lib);
+        let (_store, service) = open_service("concurrent-quarantine", &lib);
         // A floating gate fails lint deterministically.
         let broken = spice::parse_cell(
             ".SUBCKT BROKEN A Z VDD VSS\nMP0 Z X VDD VDD pch\nMN0 Z X VSS VSS nch\n.ENDS",
@@ -715,7 +709,8 @@ mod tests {
     #[test]
     fn a_follower_answers_deadline_exceeded_within_its_deadline() {
         let lib = tiny_library();
-        let service = std::sync::Arc::new(open_service("follower-deadline", &lib));
+        let (_store, service) = open_service("follower-deadline", &lib);
+        let service = std::sync::Arc::new(service);
         let cell = lib.cells[0].cell.clone();
         let canonical = PreparedCell::prepare(cell.clone()).unwrap().canonical;
         // A leader that is still characterizing the cell's structure.
@@ -783,13 +778,12 @@ mod tests {
             }
         }
         assert_eq!(service.report().journaled, 0, "a replay appends nothing");
-        let _ = std::fs::remove_file(&store);
     }
 
     #[test]
     fn a_generous_deadline_still_journals() {
         let lib = tiny_library();
-        let service = open_service("generous-deadline", &lib);
+        let (_store, service) = open_service("generous-deadline", &lib);
         let cell = &lib.cells[0].cell;
         let deadline = || Deadline::after(Duration::from_secs(600));
         let first = cam_of(service.characterize_cell(cell, deadline()));

@@ -387,7 +387,7 @@ impl Session {
                     return None;
                 };
                 self.planned_quarantined.fetch_add(1, Ordering::Relaxed);
-                ca_obs::counter!("ca_core.session.reused_quarantined", Work).inc();
+                ca_obs::counter!("ca_core.session.reused_quarantined").inc();
                 Some(Reuse::Quarantined {
                     phase,
                     retries,
@@ -425,7 +425,7 @@ impl Session {
                 }
                 if degraded_record {
                     self.planned_degraded.fetch_add(1, Ordering::Relaxed);
-                    ca_obs::counter!("ca_core.session.reused_degraded", Work).inc();
+                    ca_obs::counter!("ca_core.session.reused_degraded").inc();
                     Some(Reuse::Degraded(Box::new(prepared.with_model(model))))
                 } else {
                     cache.seed_donor(
@@ -435,7 +435,7 @@ impl Session {
                         options,
                     );
                     self.planned_complete.fetch_add(1, Ordering::Relaxed);
-                    ca_obs::counter!("ca_core.session.reused_complete", Work).inc();
+                    ca_obs::counter!("ca_core.session.reused_complete").inc();
                     Some(Reuse::Complete)
                 }
             }
@@ -531,7 +531,7 @@ impl Session {
                     self.superseded_this_run.fetch_add(1, Ordering::Relaxed);
                 }
                 self.journaled.fetch_add(1, Ordering::Relaxed);
-                ca_obs::counter!("ca_core.session.journaled", Work).inc();
+                ca_obs::counter!("ca_core.session.journaled").inc();
                 self.lift_store_stats(&store);
                 let count = self.appended.fetch_add(1, Ordering::SeqCst) + 1;
                 let halt = self.halt_after.load(Ordering::SeqCst);
@@ -557,7 +557,7 @@ impl Session {
             Err(e) => {
                 // I/O failures are environment accidents, not work done:
                 // `Ops`, so they never join determinism fingerprints.
-                ca_obs::counter!("ca_core.session.journal_errors", Ops).inc();
+                ca_obs::counter!("ca_core.session.journal_errors").inc();
                 self.lock_errors()
                     .push(format!("journal append for `{}` failed: {e}", record.cell));
                 false
@@ -572,11 +572,11 @@ impl Session {
         match why {
             Eviction::Stale => {
                 self.evicted_stale.fetch_add(1, Ordering::Relaxed);
-                ca_obs::counter!("ca_core.session.evicted_stale", Work).inc();
+                ca_obs::counter!("ca_core.session.evicted_stale").inc();
             }
             Eviction::Invalid => {
                 self.evicted_invalid.fetch_add(1, Ordering::Relaxed);
-                ca_obs::counter!("ca_core.session.evicted_invalid", Work).inc();
+                ca_obs::counter!("ca_core.session.evicted_invalid").inc();
             }
         }
         self.evicted_this_run.fetch_add(1, Ordering::Relaxed);
@@ -595,35 +595,42 @@ impl Session {
             .lifted_store
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
-        let lift = |name: &str, now: u64, then: u64| {
+        for (counter, now, then) in [
+            (
+                ca_obs::counter!("ca_store.journal.appends"),
+                stats.appends,
+                last.appends,
+            ),
+            (
+                ca_obs::counter!("ca_store.journal.append_bytes"),
+                stats.append_bytes,
+                last.append_bytes,
+            ),
+            (
+                ca_obs::counter!("ca_store.journal.fsyncs"),
+                stats.fsyncs,
+                last.fsyncs,
+            ),
+            (
+                ca_obs::counter!("ca_store.journal.compactions"),
+                stats.compactions,
+                last.compactions,
+            ),
+            (
+                ca_obs::counter!("ca_store.journal.evictions"),
+                stats.evictions,
+                last.evictions,
+            ),
+            (
+                ca_obs::counter!("ca_store.recovery.truncated_bytes"),
+                stats.recovery_truncated_bytes,
+                last.recovery_truncated_bytes,
+            ),
+        ] {
             if now > then {
-                ca_obs::global()
-                    .counter(name, ca_obs::MetricClass::Work)
-                    .add(now - then);
+                counter.add(now - then);
             }
-        };
-        lift("ca_store.journal.appends", stats.appends, last.appends);
-        lift(
-            "ca_store.journal.append_bytes",
-            stats.append_bytes,
-            last.append_bytes,
-        );
-        lift("ca_store.journal.fsyncs", stats.fsyncs, last.fsyncs);
-        lift(
-            "ca_store.journal.compactions",
-            stats.compactions,
-            last.compactions,
-        );
-        lift(
-            "ca_store.journal.evictions",
-            stats.evictions,
-            last.evictions,
-        );
-        lift(
-            "ca_store.recovery.truncated_bytes",
-            stats.recovery_truncated_bytes,
-            last.recovery_truncated_bytes,
-        );
+        }
         *last = stats;
     }
 
@@ -777,12 +784,6 @@ MN1 net0 B VSS VSS nch
 .ENDS
 ";
 
-    fn tmp_path(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("ca-session-unit-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(format!("{tag}.caj"))
-    }
-
     #[test]
     fn options_tag_distinguishes_all_axes() {
         use ca_sim::DetectionPolicy;
@@ -871,21 +872,18 @@ MN1 net0 B VSS VSS nch
 
     #[test]
     fn open_reports_recovery_and_counts() {
-        let path = tmp_path("open");
-        let _ = std::fs::remove_file(&path);
+        let path = crate::TestStore::new("session-open");
         let session = Session::open(&path).unwrap();
         assert!(session.recovery().is_clean());
         assert!(session.is_empty());
         let report = session.report();
         assert_eq!(report.journaled, 0);
         assert!(report.render().contains("session:"));
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn duplicates_appended_this_session_are_compacted() {
-        let path = tmp_path("superseded");
-        let _ = std::fs::remove_file(&path);
+        let path = crate::TestStore::new("session-superseded");
         let session = Session::open(&path).unwrap();
         let cell = spice::parse_cell(NAND2).unwrap();
         let journal = |reason: &str| {
@@ -923,7 +921,6 @@ MN1 net0 B VSS VSS nch
             Payload::Quarantined { reason, .. } => assert_eq!(reason, "second"),
             other => panic!("{other:?}"),
         }
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -97,7 +97,12 @@ impl Executor {
     ///
     /// [`BadThreadsVar`] echoing the rejected value.
     pub fn try_from_env() -> Result<Executor, BadThreadsVar> {
-        Executor::parse_threads(std::env::var("CA_THREADS").ok())
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "D12: CA_THREADS sets the worker count"
+        )]
+        let threads = std::env::var("CA_THREADS").ok();
+        Executor::parse_threads(threads)
     }
 
     /// The `CA_THREADS` rule over a value already read: `None` (unset)
@@ -186,11 +191,11 @@ impl Executor {
         // by the input, not by scheduling (DESIGN.md §9). Worker and
         // steal telemetry is `ops`-class — it legitimately varies with
         // CA_THREADS and carries no determinism promise.
-        ca_obs::counter!("ca_exec.batches", Work).inc();
-        ca_obs::counter!("ca_exec.items", Work).add(items.len() as u64);
+        ca_obs::counter!("ca_exec.batches").inc();
+        ca_obs::counter!("ca_exec.items").add(items.len() as u64);
         let results = self.run_inner(items, f);
         let panics = results.iter().filter(|r| r.is_err()).count();
-        ca_obs::counter!("ca_exec.panics", Work).add(panics as u64);
+        ca_obs::counter!("ca_exec.panics").add(panics as u64);
         results
     }
 
@@ -212,7 +217,7 @@ impl Executor {
         // (DESIGN.md §14).
         let fork = ca_obs::trace::fork();
         if workers == 1 {
-            ca_obs::counter!("ca_exec.inline_batches", Ops).inc();
+            ca_obs::counter!("ca_exec.inline_batches").inc();
             return items
                 .iter()
                 .enumerate()
@@ -222,7 +227,7 @@ impl Executor {
                 })
                 .collect();
         }
-        ca_obs::counter!("ca_exec.workers_spawned", Ops).add(workers as u64);
+        ca_obs::counter!("ca_exec.workers_spawned").add(workers as u64);
         let cursor = AtomicUsize::new(0);
         let batch_start = ca_obs::Stopwatch::start();
         let mut parts: Vec<Vec<(usize, Result<R, _>)>> = std::thread::scope(|scope| {
@@ -249,14 +254,9 @@ impl Executor {
                         }
                         // Every pull after a worker's first competes on
                         // the shared cursor: count those as steals.
-                        ca_obs::counter!("ca_exec.steals", Ops)
+                        ca_obs::counter!("ca_exec.steals")
                             .add(local.len().saturating_sub(1) as u64);
-                        ca_obs::histogram!(
-                            "ca_exec.worker_items",
-                            Ops,
-                            &[0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024]
-                        )
-                        .observe(local.len() as u64);
+                        ca_obs::histogram!("ca_exec.worker_items").observe(local.len() as u64);
                         local
                     })
                 })
@@ -320,6 +320,13 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ca_obs::trace::Placement;
+    use ca_obs::Span;
+
+    /// Opens a test-only span, which has no row in the metric inventory.
+    fn test_span(name: &'static str, placement: Placement) -> Span {
+        Span::open(&ca_obs::global().timer(name), name, placement)
+    }
 
     #[test]
     fn map_preserves_item_order() {
@@ -458,9 +465,9 @@ mod tests {
             .into_iter()
             .map(|threads| {
                 let before = ca_obs::global().snapshot();
-                let _outer = ca_obs::span!("ca_exec.test.outer");
+                let _outer = test_span("ca_exec.test.outer", Placement::Next);
                 Executor::with_threads(threads).map(&items, |_, _| {
-                    drop(ca_obs::span!("ca_exec.test.item"));
+                    drop(test_span("ca_exec.test.item", Placement::Next));
                 });
                 let delta = ca_obs::global().snapshot().delta(&before);
                 assert!(
@@ -482,9 +489,15 @@ mod tests {
         ca_obs::trace::set_enabled(Some(true));
         let ids_at = |threads: usize| {
             let exec = Executor::with_threads(threads);
-            let _root = ca_obs::root!("exec-trace-test", 42, "test");
+            let root = Placement::Root {
+                fingerprint: 42,
+                role: "test",
+            };
+            let _root = test_span("ca_exec.test.root", root);
             let items: Vec<usize> = (0..32).collect();
-            exec.map(&items, |_, _| ca_obs::span!("item").id())
+            exec.map(&items, |_, _| {
+                test_span("ca_exec.test.forked", Placement::Next).id()
+            })
         };
         let serial = ids_at(1);
         let parallel = ids_at(4);

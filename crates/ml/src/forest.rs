@@ -113,7 +113,7 @@ impl RandomForest {
     /// Panics if called before [`Classifier::fit`].
     pub fn predict_proba(&self, row: &[f32]) -> Vec<f64> {
         assert!(!self.trees.is_empty(), "predict before fit");
-        ca_obs::counter!("ca_ml.predict.rows", Work).inc();
+        ca_obs::counter!("ca_ml.predict.rows").inc();
         let mut votes = vec![0usize; self.num_classes.max(1)];
         for tree in &self.trees {
             let label = tree.predict(row) as usize;
@@ -143,8 +143,8 @@ impl RandomForest {
         let view = TrainView::new(data);
         // How much the deduplication saves: a tree's work scales with the
         // unique rows its sample hits, not with the rows drawn.
-        ca_obs::counter!("ca_ml.forest.rows", Work).add(data.len() as u64);
-        ca_obs::counter!("ca_ml.forest.unique_rows", Work).add(view.num_unique() as u64);
+        ca_obs::counter!("ca_ml.forest.rows").add(data.len() as u64);
+        ca_obs::counter!("ca_ml.forest.unique_rows").add(view.num_unique() as u64);
         let mut rng = Xoshiro256StarStar::seed_from_u64(self.params.seed);
         let sample_size =
             ((data.len() as f64 * self.params.bootstrap_fraction).round() as usize).max(1);
@@ -182,7 +182,7 @@ impl RandomForest {
             // Per-tree fit time is a wall-clock observation (excluded
             // from determinism checks); the tree count is `work`.
             let _tree_span = ca_obs::span!("ca_ml.forest.fit_tree");
-            ca_obs::counter!("ca_ml.forest.trees_fitted", Work).inc();
+            ca_obs::counter!("ca_ml.forest.trees_fitted").inc();
             let mut sample: Vec<Sample> = counts
                 .iter()
                 .enumerate()
@@ -231,7 +231,7 @@ impl Classifier for RandomForest {
     fn predict_product(&self, left: &Dataset, right: &Dataset) -> Vec<u32> {
         assert!(!self.trees.is_empty(), "predict before fit");
         let pairs = left.len() * right.len();
-        ca_obs::counter!("ca_ml.predict.rows", Work).add(pairs as u64);
+        ca_obs::counter!("ca_ml.predict.rows").add(pairs as u64);
         let k = self.num_classes.max(1);
         // Votes of pair `p` for class `c` at `p * k + c`.
         let mut votes = vec![0u32; pairs * k];

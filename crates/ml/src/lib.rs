@@ -8,7 +8,7 @@
 //! - [`DecisionTree`] — the forest member, usable standalone,
 //! - [`KNearest`] and [`LinearClassifier`] (logistic / ridge / linear SVM)
 //!   — the baselines the paper rejected after comparison (§II.B),
-//! - [`Dataset`], [`metrics`] — containers and evaluation.
+//! - [`Dataset`] — the row container every classifier trains on.
 //!
 //! Everything is deterministic given the seeds in the parameter structs.
 //!
@@ -43,10 +43,8 @@
 pub mod baselines;
 pub mod data;
 pub mod forest;
-pub mod metrics;
 pub mod naive_bayes;
 pub mod tree;
-pub mod validate;
 mod view;
 
 pub use baselines::{KNearest, LinearClassifier, LinearLoss};
@@ -54,7 +52,6 @@ pub use data::Dataset;
 pub use forest::{ForestParams, RandomForest};
 pub use naive_bayes::GaussianNb;
 pub use tree::{DecisionTree, TreeParams};
-pub use validate::{cross_validate, train_test_split, CrossValidation};
 
 /// Common supervised-classifier interface.
 pub trait Classifier {

@@ -194,6 +194,10 @@ fn event_line(
 fn global_sink() -> &'static Sink {
     static SINK: OnceLock<Sink> = OnceLock::new();
     SINK.get_or_init(|| {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "D12: CA_OBS sets the captured event level"
+        )]
         let level = match std::env::var("CA_OBS") {
             Ok(raw) => match parse_level(&raw) {
                 Ok(level) => level,
@@ -270,6 +274,10 @@ pub fn drain_events() -> Vec<String> {
 /// repeated flushes rewrite a superset — crash-safe checkpointing, not
 /// log rotation.
 pub fn flush() -> std::io::Result<Option<PathBuf>> {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "D12: CA_OBS_PATH names the event log file"
+    )]
     let Ok(path) = std::env::var("CA_OBS_PATH") else {
         return Ok(None);
     };

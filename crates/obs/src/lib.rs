@@ -6,9 +6,12 @@
 //!   histograms and timers, each counter tagged with a [`MetricClass`]
 //!   stating its determinism contract (`outcome` / `work` / `ops`). The
 //!   hot path is a single relaxed atomic op via site-cached handles
-//!   ([`counter!`] / [`histogram!`] / [`timer!`]), cheap enough to stay
-//!   always-on. Timings are always reported apart from counts and never
-//!   enter determinism checks.
+//!   ([`counter!`] / [`histogram!`] / [`gauge!`] / [`timer!`]), cheap
+//!   enough to stay always-on. Every name, with its kind, class, bounds
+//!   and recording crate, is declared once in [`inventory`], and the
+//!   macros check their site against it at compile time. Timings are
+//!   always reported apart from counts and never enter determinism
+//!   checks.
 //! - [`Span`], opened by [`span!`], [`span_keyed!`] or [`root!`]: the
 //!   one RAII span guard. It always records the registry timer named
 //!   after it and, when tracing is on, also emits its [`trace`] event —
@@ -46,6 +49,7 @@
 
 pub mod clock;
 pub mod event;
+pub mod inventory;
 pub mod json;
 pub mod profile;
 pub mod recovery;
@@ -57,11 +61,9 @@ pub use event::{
     buffered_events, drain_events, event, flush, flush_to, info, info_status, protocol_marker,
     warn, Level, Mirror,
 };
+pub use inventory::instrumented_prefixes;
 pub use json::{escape_json, parse as parse_json, JsonValue, JsonWriter};
-pub use profile::{
-    cpu_time_s, validate_profile_json, FlowProfile, StageProfile, INSTRUMENTED_PREFIXES,
-    PROFILE_SCHEMA,
-};
+pub use profile::{cpu_time_s, validate_profile_json, FlowProfile, StageProfile, PROFILE_SCHEMA};
 pub use recovery::emit_recovery;
 pub use registry::{
     global, Counter, Gauge, Histogram, HistogramSnapshot, MetricClass, MetricRegistry, Snapshot,

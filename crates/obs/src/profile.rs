@@ -13,9 +13,9 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+use crate::inventory::{self, Kind, METRICS};
 use crate::json::{JsonValue, JsonWriter};
 use crate::registry::{global, HistogramSnapshot, MetricClass, Snapshot};
-use crate::trace::{Placement, Span};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -71,16 +71,16 @@ impl FlowProfile {
 
     /// Runs `f` as a named stage: snapshots the global registry and
     /// both clocks around it and records the delta. The stage is a span
-    /// like any other (recorded as the timer `name`, and traced when
-    /// tracing is on), and its wall time is that span's duration.
+    /// like any other — `ca_obs.profile.stage`, with the stage's name as
+    /// its `stage` field when traced — and its wall time is that span's
+    /// duration.
     pub fn stage<R>(&mut self, name: &'static str, f: impl FnOnce() -> R) -> R {
         let before = global().snapshot();
         let cpu_before = cpu_time_s();
         // Sequential on the calling thread, so stage span ids are
-        // deterministic (DESIGN.md §14). The name varies at this one
-        // site, so the timer is looked up per stage rather than cached;
-        // the snapshots take the same lock anyway.
-        let span = Span::open(&global().timer(name), name, Placement::Next);
+        // deterministic (DESIGN.md §14).
+        let mut span = crate::span!("ca_obs.profile.stage");
+        span.field("stage", name);
         let result = f();
         let wall_s = span.finish().as_secs_f64();
         let cpu_s = match (cpu_before, cpu_time_s()) {
@@ -312,23 +312,12 @@ impl StageProfile {
     }
 }
 
-/// The eight crates whose counters a complete profile must carry.
-pub const INSTRUMENTED_PREFIXES: [&str; 8] = [
-    "ca_exec.",
-    "ca_sim.",
-    "ca_ml.",
-    "ca_core.",
-    "ca_store.",
-    "ca_bench.",
-    "ca_serve.",
-    "ca_shard.",
-];
-
 /// Validates a `BENCH_profile.json` document against schema
-/// `ca-obs-profile/1`, including coverage of all eight instrumented
-/// crates. Used by the `ca-bench profile-check` CI gate; audit rule D11
-/// keeps [`INSTRUMENTED_PREFIXES`] equal to the prefixes of the
-/// workspace's metric macro sites.
+/// `ca-obs-profile/1`: every counter is a counter row of
+/// [`crate::inventory`] in its class's section, every timer is a timer
+/// or span row, and the counters cover every prefix of
+/// [`crate::instrumented_prefixes`]. Used by the `ca-bench
+/// profile-check` CI gate.
 pub fn validate_profile_json(text: &str) -> Result<(), String> {
     let doc = crate::json::parse(text)?;
     let obj = doc.as_object().ok_or("top level must be an object")?;
@@ -386,7 +375,11 @@ pub fn validate_profile_json(text: &str) -> Result<(), String> {
             Some(JsonValue::Null) | Some(JsonValue::Number(_)) => {}
             other => return Err(format!("stage {name:?} cpu_s invalid: {other:?}")),
         }
-        for section in ["counts", "work", "ops"] {
+        for (section, class) in [
+            ("counts", MetricClass::Outcome),
+            ("work", MetricClass::Work),
+            ("ops", MetricClass::Ops),
+        ] {
             let map = stage
                 .get(section)
                 .and_then(JsonValue::as_object)
@@ -395,6 +388,15 @@ pub fn validate_profile_json(text: &str) -> Result<(), String> {
                 value.as_u64().ok_or_else(|| {
                     format!("stage {name:?} counter {counter:?} must be a non-negative integer")
                 })?;
+                match inventory::find(METRICS, counter) {
+                    Some(row) if row.kind == Kind::Counter(class) => {}
+                    _ => {
+                        return Err(format!(
+                            "stage {name:?}: {counter:?} is not a declared {} counter",
+                            class.as_str()
+                        ))
+                    }
+                }
                 seen_counters.push(counter.clone());
             }
         }
@@ -403,6 +405,13 @@ pub fn validate_profile_json(text: &str) -> Result<(), String> {
             .and_then(JsonValue::as_object)
             .ok_or_else(|| format!("stage {name:?} missing object field: timers"))?;
         for (timer, value) in timers {
+            if !inventory::find(METRICS, timer)
+                .is_some_and(|row| matches!(row.kind, Kind::Timer | Kind::Span))
+            {
+                return Err(format!(
+                    "stage {name:?}: {timer:?} is not a declared timer or span"
+                ));
+            }
             for field in ["count", "total_ms", "max_ms"] {
                 value
                     .get(field)
@@ -411,7 +420,7 @@ pub fn validate_profile_json(text: &str) -> Result<(), String> {
             }
         }
     }
-    for prefix in INSTRUMENTED_PREFIXES {
+    for prefix in inventory::instrumented_prefixes() {
         if !seen_counters.iter().any(|c| c.starts_with(prefix)) {
             return Err(format!("no counters from instrumented crate {prefix:?}"));
         }
@@ -434,13 +443,14 @@ mod tests {
     #[test]
     fn stage_captures_deltas_and_fingerprints() {
         let mut profile = FlowProfile::new("test", 2);
+        let count = |name, class| global().counter(name, class);
         profile.stage("alpha", || {
-            crate::counter!("obs_test.profile.outcome", Outcome).add(2);
-            crate::counter!("obs_test.profile.work", Work).add(3);
-            crate::counter!("obs_test.profile.ops", Ops).add(5);
+            count("obs_test.profile.outcome", MetricClass::Outcome).add(2);
+            count("obs_test.profile.work", MetricClass::Work).add(3);
+            count("obs_test.profile.ops", MetricClass::Ops).add(5);
         });
         profile.stage("beta", || {
-            crate::counter!("obs_test.profile.outcome", Outcome).inc();
+            count("obs_test.profile.outcome", MetricClass::Outcome).inc();
         });
         assert_eq!(profile.counter_total("obs_test.profile.outcome"), 3);
         let det = profile.deterministic_fingerprint();
@@ -452,26 +462,51 @@ mod tests {
         assert!(!outcome.contains("obs_test.profile.work"));
     }
 
-    /// A profile whose counters cover all eight instrumented crates
-    /// must round-trip through its own validator.
+    /// A profile whose counters cover every instrumented prefix must
+    /// round-trip through its own validator; an undeclared counter or
+    /// timer fails it. The stage deltas come from a private registry,
+    /// so sibling tests recording into the global one cannot leak into
+    /// them.
     #[test]
     fn emitted_json_passes_validator() {
+        let reg = crate::registry::MetricRegistry::new();
+        for prefix in inventory::instrumented_prefixes() {
+            let row = METRICS
+                .iter()
+                .find(|m| m.prefix() == prefix && matches!(m.kind, Kind::Counter(_)))
+                .expect("every instrumented prefix has a counter row");
+            reg.counter(row.name, row.class()).inc();
+        }
+        reg.timer("ca_obs.profile.stage").record_ns(1_000);
         let mut profile = FlowProfile::new("quick", 4);
         profile.set_meta("cells", 8);
         profile.set_rate("cache_hit_rate", 0.5);
-        profile.stage("all", || {
-            for prefix in INSTRUMENTED_PREFIXES {
-                global()
-                    .counter(&format!("{prefix}validator_probe"), MetricClass::Work)
-                    .inc();
-            }
-            drop(crate::span!("probe"));
-        });
+        let stage = |delta| StageProfile {
+            name: "all".into(),
+            wall_s: 0.5,
+            cpu_s: None,
+            delta,
+        };
+        profile.stages.push(stage(reg.snapshot()));
         let json = profile.to_json();
         validate_profile_json(&json).expect("emitted profile validates");
         let parsed = crate::json::parse(&json).expect("parses");
         assert_eq!(parsed.get("threads").and_then(JsonValue::as_u64), Some(4));
         assert_eq!(parsed.get("cells").and_then(JsonValue::as_u64), Some(8));
+        for (undeclared, class) in [
+            ("obs_test.undeclared", None),
+            ("ca_core.flow.cells", Some(MetricClass::Work)),
+        ] {
+            let reg = crate::registry::MetricRegistry::new();
+            match class {
+                Some(class) => reg.counter(undeclared, class).inc(),
+                None => reg.timer(undeclared).record_ns(1),
+            }
+            let mut bad = profile.clone();
+            bad.stages.push(stage(reg.snapshot()));
+            let err = validate_profile_json(&bad.to_json()).expect_err(undeclared);
+            assert!(err.contains(undeclared), "{err}");
+        }
 
         // A fixed profile renders as the hand-rendered writer before
         // `JsonWriter` rendered it.

@@ -5,7 +5,8 @@
 //! The hot path is one relaxed atomic op: call sites cache their
 //! [`Counter`] handle in a `OnceLock` (the [`crate::counter!`] macro
 //! does this), so the registry's interior mutex is only taken at first
-//! touch and at snapshot time.
+//! touch and at snapshot time. The macros take their names, classes and
+//! bounds from [`crate::inventory`].
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -442,35 +443,66 @@ pub fn global() -> &'static MetricRegistry {
     GLOBAL.get_or_init(MetricRegistry::new)
 }
 
-/// Registers (on first use) and bumps a counter in the global registry,
-/// caching the handle at the call site so the steady-state cost is one
-/// relaxed `fetch_add`.
+/// The [`Metric`](crate::inventory::Metric) row a macro site of
+/// `$kind` names, resolved in a `const` item of the calling crate: an
+/// undeclared name, a row of another kind, or a row another crate
+/// records fails that crate's build.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __declared {
+    ($name:literal, $kind:literal) => {
+        match $crate::inventory::lookup($name, $kind, module_path!()) {
+            Ok(metric) => metric,
+            Err(err) => panic!("{}", err.message()),
+        }
+    };
+}
+
+/// The counter declared as `$name` in [`crate::inventory`], registered
+/// on first use with the row's class. The handle is cached at the call
+/// site, so the steady-state cost is one relaxed `fetch_add`.
 #[macro_export]
 macro_rules! counter {
-    ($name:expr, $class:ident) => {{
+    ($name:literal) => {{
+        const METRIC: &$crate::inventory::Metric = $crate::__declared!($name, "counter");
         static SITE: std::sync::OnceLock<$crate::Counter> = std::sync::OnceLock::new();
-        SITE.get_or_init(|| $crate::global().counter($name, $crate::MetricClass::$class))
+        SITE.get_or_init(|| $crate::global().counter(METRIC.name, METRIC.class()))
     }};
 }
 
-/// Site-cached histogram handle in the global registry, mirroring
-/// [`crate::counter!`].
+/// Site-cached handle to the histogram declared as `$name`, with the
+/// row's class and bounds, mirroring [`crate::counter!`].
 #[macro_export]
 macro_rules! histogram {
-    ($name:expr, $class:ident, $bounds:expr) => {{
+    ($name:literal) => {{
+        const METRIC: &$crate::inventory::Metric = $crate::__declared!($name, "histogram");
         static SITE: std::sync::OnceLock<$crate::Histogram> = std::sync::OnceLock::new();
-        SITE.get_or_init(|| $crate::global().histogram($name, $crate::MetricClass::$class, $bounds))
+        SITE.get_or_init(|| {
+            $crate::global().histogram(METRIC.name, METRIC.class(), METRIC.bounds())
+        })
     }};
 }
 
-/// Site-cached timer handle in the global registry, mirroring
+/// Site-cached handle to the gauge declared as `$name`, mirroring
+/// [`crate::counter!`].
+#[macro_export]
+macro_rules! gauge {
+    ($name:literal) => {{
+        const METRIC: &$crate::inventory::Metric = $crate::__declared!($name, "gauge");
+        static SITE: std::sync::OnceLock<$crate::Gauge> = std::sync::OnceLock::new();
+        SITE.get_or_init(|| $crate::global().gauge(METRIC.name))
+    }};
+}
+
+/// Site-cached handle to the timer declared as `$name`, mirroring
 /// [`crate::counter!`] — for explicit duration recording where an RAII
 /// span guard does not fit.
 #[macro_export]
 macro_rules! timer {
-    ($name:expr) => {{
+    ($name:literal) => {{
+        const METRIC: &$crate::inventory::Metric = $crate::__declared!($name, "timer");
         static SITE: std::sync::OnceLock<$crate::Timer> = std::sync::OnceLock::new();
-        SITE.get_or_init(|| $crate::global().timer($name))
+        SITE.get_or_init(|| $crate::global().timer(METRIC.name))
     }};
 }
 

@@ -7,7 +7,8 @@
 //!
 //! - the metric registry: the elapsed time always lands in the timer
 //!   named after the span, through a handle cached at the opening site
-//!   (names are string literals, so the set of timers is bounded);
+//!   (every opener names a span row of [`crate::inventory`], so the set
+//!   of timers is bounded);
 //! - the trace: when tracing is on and the span has a parent context
 //!   (or is a root), it also emits one `span` event.
 //!
@@ -145,6 +146,10 @@ fn derive_fork_seed(ctx: &TraceContext, key: u64) -> u64 {
 /// 0 = none (read the environment), 1 = force on, 2 = force off.
 static TRACE_OVERRIDE: AtomicU8 = AtomicU8::new(0);
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "D12: CA_TRACE switches tracing on"
+)]
 fn env_enabled() -> bool {
     static FROM_ENV: OnceLock<bool> = OnceLock::new();
     *FROM_ENV.get_or_init(|| match std::env::var("CA_TRACE") {
@@ -293,8 +298,8 @@ struct Traced {
 }
 
 /// Where an opened span attaches in the trace. Chosen by the opener
-/// macros; not meant to be named elsewhere.
-#[doc(hidden)]
+/// macros, or by a test that opens an undeclared span with
+/// [`Span::open`].
 #[derive(Debug, Clone, Copy)]
 pub enum Placement {
     /// The next sequential child of the innermost context.
@@ -310,8 +315,8 @@ pub enum Placement {
 
 impl Span {
     /// Opens a span recording into `timer`. The opener macros call this
-    /// with a handle cached at their site; use them instead.
-    #[doc(hidden)]
+    /// with a declared name and a handle cached at their site; code
+    /// outside tests uses them instead.
     pub fn open(timer: &Timer, name: &'static str, placement: Placement) -> Span {
         let traced = enabled().then(|| Traced::place(name, placement)).flatten();
         Span {
@@ -437,10 +442,10 @@ impl Traced {
     }
 }
 
-/// Opens a span named by the string literal `$name`, as the next
-/// sequential child of this thread's innermost trace context. Always
-/// records the registry timer `$name`; traced only when tracing is on
-/// and a context is active, so instrumentation sites need no
+/// Opens the span declared as `$name` in [`crate::inventory`], as the
+/// next sequential child of this thread's innermost trace context.
+/// Always records the registry timer `$name`; traced only when tracing
+/// is on and a context is active, so instrumentation sites need no
 /// enablement checks of their own.
 #[macro_export]
 macro_rules! span {
@@ -477,16 +482,18 @@ macro_rules! root {
     };
 }
 
-/// Shared body of the opener macros: caches the timer handle at the
-/// call site, like [`counter!`](crate::counter!).
+/// Shared body of the opener macros: resolves the span's row in
+/// [`crate::inventory`] at compile time and caches the timer handle at
+/// the call site, like [`counter!`](crate::counter!).
 #[doc(hidden)]
 #[macro_export]
 macro_rules! __open_span {
     ($name:literal, $placement:expr) => {{
+        const METRIC: &$crate::inventory::Metric = $crate::__declared!($name, "span");
         static SITE: std::sync::OnceLock<$crate::Timer> = std::sync::OnceLock::new();
         $crate::trace::Span::open(
-            SITE.get_or_init(|| $crate::global().timer($name)),
-            $name,
+            SITE.get_or_init(|| $crate::global().timer(METRIC.name)),
+            METRIC.name,
             $placement,
         )
     }};
@@ -602,7 +609,8 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "collides with a span event key")]
     fn span_fields_cannot_shadow_event_keys() {
-        let mut span = crate::span!("obs_test.reserved_field");
+        let timer = crate::MetricRegistry::new().timer("obs_test.reserved_field");
+        let mut span = Span::open(&timer, "obs_test.reserved_field", Placement::Next);
         span.field("name", "INV");
     }
 }

@@ -8,9 +8,14 @@
 //! running concurrently in this binary could flip the switch between
 //! another's open and its assertion, or interleave its events.
 
-use ca_obs::trace::{self, TraceContext};
-use ca_obs::{JsonValue, TimerSnapshot};
+use ca_obs::trace::{self, Placement, TraceContext};
+use ca_obs::{JsonValue, Span, TimerSnapshot};
 use std::time::Duration;
+
+/// Opens a test-only span, which has no row in the metric inventory.
+fn test_span(name: &'static str, placement: Placement) -> Span {
+    Span::open(&ca_obs::global().timer(name), name, placement)
+}
 
 fn ctx(trace_id: u64, span_id: u64) -> TraceContext {
     TraceContext {
@@ -60,7 +65,7 @@ fn spans_record_timers_and_trace_only_when_enabled() {
     let before = ca_obs::global().snapshot();
     {
         let _adopted = trace::adopt(ctx(9, 10));
-        let off = ca_obs::span!("obs_test.off");
+        let off = test_span("obs_test.off", Placement::Next);
         assert!(off.id().is_none());
         assert!(trace::current().is_none());
         std::thread::sleep(Duration::from_millis(1));
@@ -76,9 +81,15 @@ fn spans_record_timers_and_trace_only_when_enabled() {
     trace::set_enabled(Some(true));
     let before = ca_obs::global().snapshot();
     let (root_id, child_id, recorded) = {
-        let root = ca_obs::root!("obs_test.root", 7, "test");
+        let root = test_span(
+            "obs_test.root",
+            Placement::Root {
+                fingerprint: 7,
+                role: "test",
+            },
+        );
         let root_id = root.id().expect("a root is traced when tracing is on");
-        let mut child = ca_obs::span!("obs_test.child");
+        let mut child = test_span("obs_test.child", Placement::Next);
         child.field("cell", "INV");
         let child_id = child.id().expect("traced under the root");
         assert_eq!(trace::current().map(|c| c.span_id), Some(child_id));
@@ -127,11 +138,11 @@ fn spans_record_timers_and_trace_only_when_enabled() {
     // opened now parents under it. Timer names stay flat either way.
     let before = ca_obs::global().snapshot();
     let outer = trace::adopt(ctx(1, 100));
-    let inner = ca_obs::span!("obs_test.inner");
+    let inner = test_span("obs_test.inner", Placement::Next);
     let inner_id = inner.id().expect("traced under the adopted context");
     drop(outer);
     assert_eq!(trace::current().map(|c| c.span_id), Some(inner_id));
-    let late = ca_obs::span!("obs_test.late");
+    let late = test_span("obs_test.late", Placement::Next);
     let late_id = late.id().expect("traced under the inner span");
     drop(inner);
     assert_eq!(trace::current().map(|c| c.span_id), Some(late_id));

@@ -103,7 +103,7 @@ impl Admission {
     /// the next arrival).
     pub fn try_admit<'a>(&'a self, client: &str) -> Result<Ticket<'a>, Denial> {
         if self.draining() {
-            ca_obs::counter!("ca_serve.shed.draining", Ops).inc();
+            ca_obs::counter!("ca_serve.shed.draining").inc();
             return Err(Denial::Draining);
         }
         let mut state = lock(&self.state);
@@ -114,18 +114,18 @@ impl Admission {
                 .client_budget
                 .is_some_and(|cap| entry.admitted >= cap)
         {
-            ca_obs::counter!("ca_serve.shed.quota", Ops).inc();
+            ca_obs::counter!("ca_serve.shed.quota").inc();
             return Err(Denial::QuotaExceeded);
         }
         if state.queued >= self.config.queue {
-            ca_obs::counter!("ca_serve.shed.overloaded", Ops).inc();
+            ca_obs::counter!("ca_serve.shed.overloaded").inc();
             return Err(Denial::Overloaded);
         }
         let entry = state.clients.entry(client.to_string()).or_default();
         entry.active += 1;
         entry.admitted += 1;
         state.queued += 1;
-        ca_obs::counter!("ca_serve.admitted", Ops).inc();
+        ca_obs::counter!("ca_serve.admitted").inc();
         self.publish_depths(&state);
         Ok(Ticket {
             gate: self,
@@ -169,12 +169,8 @@ impl Admission {
     }
 
     fn publish_depths(&self, state: &State) {
-        ca_obs::global()
-            .gauge("ca_serve.queue.depth")
-            .set(state.queued as u64);
-        ca_obs::global()
-            .gauge("ca_serve.executing")
-            .set(state.executing as u64);
+        ca_obs::gauge!("ca_serve.queue.depth").set(state.queued as u64);
+        ca_obs::gauge!("ca_serve.executing").set(state.executing as u64);
     }
 }
 
@@ -210,7 +206,7 @@ impl Ticket<'_> {
                 return Ok(());
             }
             if deadline.expired() {
-                ca_obs::counter!("ca_serve.shed.deadline_in_queue", Ops).inc();
+                ca_obs::counter!("ca_serve.shed.deadline_in_queue").inc();
                 return Err(QueueTimeout);
             }
             // Wait for a slot release, re-checking the deadline at

@@ -97,7 +97,7 @@ impl ServeClient {
         name: &str,
         deadline_ms: u64,
     ) -> Result<Response, ClientError> {
-        let rpc = ca_obs::span!("rpc");
+        let rpc = ca_obs::span!("ca_serve.rpc");
         let trace = rpc.context();
         self.request(&Request::Characterize {
             client: client.to_string(),
@@ -115,7 +115,7 @@ impl ServeClient {
         spice: &str,
         deadline_ms: u64,
     ) -> Result<Response, ClientError> {
-        let rpc = ca_obs::span!("rpc");
+        let rpc = ca_obs::span!("ca_serve.rpc");
         let trace = rpc.context();
         self.request(&Request::Characterize {
             client: client.to_string(),

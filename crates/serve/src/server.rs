@@ -39,12 +39,6 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Microsecond latency buckets: 100µs to 30s, roughly ×3 per step.
-const LATENCY_BOUNDS_US: &[u64] = &[
-    100, 300, 1_000, 3_000, 10_000, 30_000, 100_000, 300_000, 1_000_000, 3_000_000, 10_000_000,
-    30_000_000,
-];
-
 /// How long an accept loop sleeps when idle, and how often blocked
 /// reads re-check the drain flag.
 const POLL: Duration = Duration::from_millis(25);
@@ -297,7 +291,7 @@ fn accept_loop<S: Conn + 'static>(shared: &Arc<Shared>, mut accept: impl FnMut()
         match accept() {
             Ok(mut stream) => {
                 if shared.connections.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
-                    ca_obs::counter!("ca_serve.shed.connections", Ops).inc();
+                    ca_obs::counter!("ca_serve.shed.connections").inc();
                     let _ = protocol::write_response(
                         &mut stream,
                         &Response::Error {
@@ -308,7 +302,7 @@ fn accept_loop<S: Conn + 'static>(shared: &Arc<Shared>, mut accept: impl FnMut()
                     continue;
                 }
                 shared.connections.fetch_add(1, Ordering::SeqCst);
-                ca_obs::counter!("ca_serve.connections", Ops).inc();
+                ca_obs::counter!("ca_serve.connections").inc();
                 let shared = Arc::clone(shared);
                 std::thread::spawn(move || {
                     let decrement = ConnGuard(&shared);
@@ -316,7 +310,7 @@ fn accept_loop<S: Conn + 'static>(shared: &Arc<Shared>, mut accept: impl FnMut()
                         serve_conn(&shared, stream);
                     }));
                     if outcome.is_err() {
-                        ca_obs::counter!("ca_serve.conn_panics", Ops).inc();
+                        ca_obs::counter!("ca_serve.conn_panics").inc();
                     }
                     drop(decrement);
                 });
@@ -431,7 +425,7 @@ fn serve_conn<S: Conn>(shared: &Shared, mut stream: S) {
                 // Malformed input gets a structured answer, then the
                 // connection closes: a desynced stream is not worth
                 // guessing at.
-                ca_obs::counter!("ca_serve.bad_frames", Ops).inc();
+                ca_obs::counter!("ca_serve.bad_frames").inc();
                 let _ = protocol::write_response(
                     &mut stream,
                     &Response::Error {
@@ -509,10 +503,14 @@ fn characterize(
     // canonical output (rule D3 covers model bytes, not trace ids).
     let _adopt = wire_trace.map(trace::adopt);
     let _request_span = if wire_trace.is_some() {
-        ca_obs::span!("request")
+        ca_obs::span!("ca_serve.request")
     } else {
         static REQ_SEQ: AtomicU64 = AtomicU64::new(0);
-        ca_obs::root!("request", REQ_SEQ.fetch_add(1, Ordering::Relaxed), "serve")
+        ca_obs::root!(
+            "ca_serve.request",
+            REQ_SEQ.fetch_add(1, Ordering::Relaxed),
+            "serve"
+        )
     };
     if client.is_empty() {
         return Response::Error {
@@ -547,7 +545,7 @@ fn characterize(
             .default_deadline
             .map_or(Deadline::never(), Deadline::after)
     };
-    let queue_span = ca_obs::span!("queue");
+    let queue_span = ca_obs::span!("ca_serve.queue");
     let mut ticket = match shared.admission.try_admit(client) {
         Ok(ticket) => ticket,
         Err(denial) => {
@@ -569,13 +567,13 @@ fn characterize(
         };
     }
     let queue_us = micros(queue_span.finish());
-    ca_obs::histogram!("ca_serve.latency.queue_us", Ops, LATENCY_BOUNDS_US).observe(queue_us);
+    ca_obs::histogram!("ca_serve.latency.queue_us").observe(queue_us);
     // Journal time is attributed per request via a thread-local the
     // session bumps on append; each request journals on its own
     // connection thread, so draining before the call isolates this
     // request's share (zero when it appended nothing).
     let _ = ca_core::take_journal_ns();
-    let service_span = ca_obs::span!("service");
+    let service_span = ca_obs::span!("ca_serve.service");
     let verdict = characterize_caught(shared, &cell, deadline);
     let service_us = micros(service_span.finish());
     let timing = Timing {
@@ -583,13 +581,12 @@ fn characterize(
         service_us,
         journal_us: ca_core::take_journal_ns() / 1_000,
     };
-    ca_obs::histogram!("ca_serve.latency.service_us", Ops, LATENCY_BOUNDS_US).observe(service_us);
-    ca_obs::histogram!("ca_serve.latency.total_us", Ops, LATENCY_BOUNDS_US)
-        .observe(queue_us + service_us);
+    ca_obs::histogram!("ca_serve.latency.service_us").observe(service_us);
+    ca_obs::histogram!("ca_serve.latency.total_us").observe(queue_us + service_us);
     drop(ticket);
     match verdict {
         CellVerdict::Model(p) => {
-            ca_obs::counter!("ca_serve.served.models", Ops).inc();
+            ca_obs::counter!("ca_serve.served.models").inc();
             match p.model.as_ref() {
                 Some(model) => Response::Model {
                     cell: cell.name().to_string(),
@@ -605,14 +602,14 @@ fn characterize(
             }
         }
         CellVerdict::Quarantined { phase, reason, .. } => {
-            ca_obs::counter!("ca_serve.served.quarantined", Ops).inc();
+            ca_obs::counter!("ca_serve.served.quarantined").inc();
             Response::Error {
                 kind: ErrorKind::Quarantined,
                 detail: format!("{phase}: {reason}"),
             }
         }
         CellVerdict::DeadlineExceeded => {
-            ca_obs::counter!("ca_serve.served.deadline_exceeded", Ops).inc();
+            ca_obs::counter!("ca_serve.served.deadline_exceeded").inc();
             Response::Error {
                 kind: ErrorKind::DeadlineExceeded,
                 detail: "deadline was the binding constraint".into(),
@@ -635,7 +632,7 @@ fn characterize_caught(shared: &Shared, cell: &Cell, deadline: Deadline) -> Cell
         shared.service.characterize_cell(cell, deadline)
     }))
     .unwrap_or_else(|panic| {
-        ca_obs::counter!("ca_serve.retry.worker_failures", Ops).inc();
+        ca_obs::counter!("ca_serve.retry.worker_failures").inc();
         let reason = panic_message(&panic);
         ca_obs::warn(
             "ca_serve.server",

@@ -25,11 +25,27 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
-fn scratch(tag: &str) -> PathBuf {
+/// A test's scratch directory, removed when the test ends — also when
+/// it panics.
+struct Scratch(PathBuf);
+
+impl Scratch {
+    fn join(&self, name: &str) -> PathBuf {
+        self.0.join(name)
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn scratch(tag: &str) -> Scratch {
     let dir = std::env::temp_dir().join(format!("ca-serve-it-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("scratch dir");
-    dir
+    Scratch(dir)
 }
 
 fn tiny_library(cells: usize) -> Library {

@@ -141,7 +141,7 @@ pub fn merge_shard_stores(sources: &[PathBuf], dest: &Path) -> io::Result<MergeR
         out.append(record)?;
     }
     report.merged_records = merged.len();
-    ca_obs::counter!("ca_shard.merge.records", Work).add(report.merged_records as u64);
+    ca_obs::counter!("ca_shard.merge.records").add(report.merged_records as u64);
     Ok(report)
 }
 

@@ -132,8 +132,14 @@ pub enum AttemptOutcome {
     Completed,
     /// Spawning failed; the in-process fallback completed the shard.
     CompletedInProcess,
-    /// Worker exited with this nonzero code.
-    ExitCode(i32),
+    /// Worker exited with this nonzero code, after reporting why on a
+    /// `CA-SHARD-FAIL` line (`None` when it died without one).
+    ExitCode {
+        /// The exit code.
+        code: i32,
+        /// The reason the worker reported.
+        reason: Option<String>,
+    },
     /// Worker died without an exit code (crash signal, e.g. abort or
     /// SIGKILL).
     Killed,
@@ -313,7 +319,7 @@ pub fn run_campaign(
         .fold(0xcbf2_9ce4_8422_2325u64, |acc, lc| {
             acc.wrapping_mul(0x100_0000_01b3) ^ ca_core::cell_fingerprint(&lc.cell)
         });
-    let _campaign_span = ca_obs::root!("campaign", campaign_fp, "supervisor");
+    let _campaign_span = ca_obs::root!("ca_shard.campaign", campaign_fp, "supervisor");
 
     // Cells that cannot cross the process boundary losslessly are held
     // back for the final in-process pass: correctness over parallelism.
@@ -343,7 +349,7 @@ pub fn run_campaign(
         .filter(|(_, cells)| !cells.is_empty())
         .map(|(i, _)| i)
         .collect();
-    ca_obs::counter!("ca_shard.campaign.shards", Work).add(indices.len() as u64);
+    ca_obs::counter!("ca_shard.campaign.shards").add(indices.len() as u64);
 
     // Supervise shards concurrently.
     let pool = Executor::with_threads(CONCURRENCY);
@@ -367,7 +373,7 @@ pub fn run_campaign(
         .collect();
     for report in &shard_reports {
         if report.status == ShardStatus::Quarantined {
-            ca_obs::counter!("ca_shard.campaign.quarantined_shards", Ops).inc();
+            ca_obs::counter!("ca_shard.campaign.quarantined_shards").inc();
             ca_obs::warn(
                 "ca_shard.supervisor",
                 "shard exhausted every attempt; its cells are skipped",
@@ -476,7 +482,7 @@ fn supervise_shard(
     // The executor adopted this closure into the campaign span's fork
     // (keyed by shard position), so this parents under the campaign
     // root at any concurrency level.
-    let _shard_span = ca_obs::span_keyed!("shard", index as u64);
+    let _shard_span = ca_obs::span_keyed!("ca_shard.shard", index as u64);
     let shard_cells: Vec<Cell> = shard.cells.into_iter().map(|lc| lc.cell).collect();
     let cells: Vec<String> = shard_cells.iter().map(|c| c.name().to_string()).collect();
     let spec_path = shard_path(work_dir, index, "spec");
@@ -487,9 +493,9 @@ fn supervise_shard(
             std::thread::sleep(pause);
         }
         if attempt > 1 {
-            ca_obs::counter!("ca_shard.campaign.retries", Ops).inc();
+            ca_obs::counter!("ca_shard.campaign.retries").inc();
         }
-        let attempt_span = ca_obs::span_keyed!("shard_attempt", u64::from(attempt));
+        let attempt_span = ca_obs::span_keyed!("ca_shard.shard_attempt", u64::from(attempt));
         let spec = WorkerSpec {
             store_path: shard_path(work_dir, index, "caj"),
             heartbeat_interval: (config.heartbeat_timeout / 4).max(Duration::from_millis(1)),
@@ -585,7 +591,7 @@ fn run_attempt(
         Err(e) => {
             // The environment cannot start worker processes: degrade to
             // in-process execution, loudly.
-            ca_obs::counter!("ca_shard.campaign.spawn_failures", Ops).inc();
+            ca_obs::counter!("ca_shard.campaign.spawn_failures").inc();
             ca_obs::warn(
                 "ca_shard.supervisor",
                 "cannot spawn worker process; degrading to in-process execution",
@@ -605,11 +611,11 @@ fn run_attempt(
             let _ = child.kill();
         }),
         // Not reached: stdout is piped above.
-        None => Watch::Closed,
+        None => Watch::Closed(None),
     };
     let status = child.wait();
-    if watched == Watch::Silent {
-        ca_obs::counter!("ca_shard.campaign.heartbeat_timeouts", Ops).inc();
+    let Watch::Closed(reason) = watched else {
+        ca_obs::counter!("ca_shard.campaign.heartbeat_timeouts").inc();
         ca_obs::warn(
             "ca_shard.supervisor",
             "worker stdout silent past the heartbeat timeout; killed it",
@@ -619,10 +625,10 @@ fn run_attempt(
             ],
         );
         return Ok(AttemptOutcome::HeartbeatTimeout);
-    }
+    };
     Ok(match status.map(|s| s.code()) {
         Ok(Some(0)) => AttemptOutcome::Completed,
-        Ok(Some(code)) => AttemptOutcome::ExitCode(code),
+        Ok(Some(code)) => AttemptOutcome::ExitCode { code, reason },
         // No code: the worker died to a signal (abort, SIGKILL,
         // OOM-killer...).
         Ok(None) | Err(_) => AttemptOutcome::Killed,
@@ -630,10 +636,11 @@ fn run_attempt(
 }
 
 /// How [`watch`] ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 enum Watch {
-    /// The pipe closed: the worker exited.
-    Closed,
+    /// The pipe closed: the worker exited, having reported this reason
+    /// on its last `CA-SHARD-FAIL` line, if any.
+    Closed(Option<String>),
     /// No output for a whole timeout.
     Silent,
 }
@@ -645,11 +652,13 @@ enum Watch {
 fn watch(stdout: impl Read + Send, timeout: Duration, on_silence: impl FnOnce()) -> Watch {
     let (beat, beats) = mpsc::channel::<()>();
     std::thread::scope(|scope| {
-        scope.spawn(move || drain(stdout, &beat));
+        let reader = scope.spawn(move || drain(stdout, &beat));
         loop {
             match beats.recv_timeout(timeout) {
                 Ok(()) => {}
-                Err(RecvTimeoutError::Disconnected) => return Watch::Closed,
+                Err(RecvTimeoutError::Disconnected) => {
+                    return Watch::Closed(reader.join().ok().flatten())
+                }
                 Err(RecvTimeoutError::Timeout) => {
                     on_silence();
                     return Watch::Silent;
@@ -659,16 +668,37 @@ fn watch(stdout: impl Read + Send, timeout: Duration, on_silence: impl FnOnce())
     })
 }
 
-/// Sends one message per read of `stdout` until it reaches its end.
-fn drain(mut stdout: impl Read, beat: &mpsc::Sender<()>) {
+/// Sends one message per read of `stdout` until it reaches its end,
+/// and returns the reason on the last `CA-SHARD-FAIL` line, if any.
+/// The marker is found anywhere in a line: a test binary's worker may
+/// share the line with the harness's own output.
+fn drain(mut stdout: impl Read, beat: &mpsc::Sender<()>) -> Option<String> {
+    /// Bytes past this length of a line are dropped, so no worker
+    /// output grows the line buffer without bound.
+    const MAX_LINE: usize = 4096;
+    let fail_reason = |line: &[u8]| {
+        String::from_utf8_lossy(line)
+            .split_once(worker::FAIL_MARKER)
+            .map(|(_, reason)| reason.trim().to_string())
+    };
     let mut buf = [0u8; 256];
+    let mut line = Vec::new();
+    let mut reason = None;
     loop {
         match stdout.read(&mut buf) {
             Ok(n) if n > 0 => {
                 let _ = beat.send(());
+                for &b in buf.iter().take(n) {
+                    if b == b'\n' {
+                        reason = fail_reason(&line).or(reason);
+                        line.clear();
+                    } else if line.len() < MAX_LINE {
+                        line.push(b);
+                    }
+                }
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            _ => return,
+            _ => return fail_reason(&line).or(reason),
         }
     }
 }
@@ -677,12 +707,16 @@ fn drain(mut stdout: impl Read, beat: &mpsc::Sender<()>) {
 /// or spawn-failure fallback).
 fn in_process_attempt(spec: &WorkerSpec, spawn_error: Option<String>) -> AttemptOutcome {
     match (worker::run(spec), spawn_error) {
-        (0, None) => AttemptOutcome::Completed,
-        (0, Some(_)) => AttemptOutcome::CompletedInProcess,
-        (code, None) => AttemptOutcome::ExitCode(code),
-        (code, Some(e)) => {
-            AttemptOutcome::SpawnFailed(format!("{e}; in-process fallback exited {code}"))
-        }
+        (Ok(()), None) => AttemptOutcome::Completed,
+        (Ok(()), Some(_)) => AttemptOutcome::CompletedInProcess,
+        (Err(failure), None) => AttemptOutcome::ExitCode {
+            code: failure.code,
+            reason: Some(failure.reason),
+        },
+        (Err(failure), Some(e)) => AttemptOutcome::SpawnFailed(format!(
+            "{e}; in-process fallback exited {}: {}",
+            failure.code, failure.reason
+        )),
     }
 }
 
@@ -796,7 +830,24 @@ mod tests {
                 panic!("a closed pipe is not silence")
             })
         });
-        assert_eq!(verdict, Watch::Closed);
+        assert_eq!(verdict, Watch::Closed(None));
+    }
+
+    #[test]
+    fn the_last_fail_line_is_the_reason() {
+        use std::io::Write as _;
+        let verdict = within_10s(|| {
+            let (reader, mut writer) = std::io::pipe().expect("pipe");
+            let _ = writeln!(writer, "CA-SHARD-BEAT 1\nCA-SHARD-FAIL first");
+            // A test harness's own output may open the line; the last
+            // line may end without a newline.
+            let _ = write!(writer, "test worker ... CA-SHARD-FAIL second reason");
+            drop(writer);
+            watch(reader, Duration::from_secs(3600), || {
+                panic!("a closed pipe is not silence")
+            })
+        });
+        assert_eq!(verdict, Watch::Closed(Some("second reason".to_string())));
     }
 
     #[test]

@@ -14,11 +14,13 @@
 //! 4. opens a [`ca_core::Session`] on its private journal and runs the
 //!    crash-safe robust driver — so a retried worker resumes from the
 //!    records its predecessor got durable before dying,
-//! 5. exits 0 on success, or a nonzero code the supervisor treats as a
-//!    retryable shard failure.
+//! 5. exits 0 on success, or writes one `CA-SHARD-FAIL <reason>` line
+//!    to stdout and exits with a nonzero code the supervisor treats as
+//!    a retryable shard failure.
 //!
 //! [`run`], the supervisor's in-process path, does the same without
-//! the beat thread: it writes nothing to the host's stdout.
+//! the beat thread and returns the [`Failure`] instead: it writes
+//! nothing to the host's stdout.
 //!
 //! Exit codes: `0` success, `2` bad spec, `3` run failure.
 
@@ -36,41 +38,70 @@ pub const EXIT_BAD_SPEC: i32 = 2;
 /// The session or the robust driver failed.
 pub const EXIT_RUN_FAILED: i32 = 3;
 
+/// Opens the stdout line on which a failing worker reports why.
+pub(crate) const FAIL_MARKER: &str = "CA-SHARD-FAIL";
+
+/// A failed worker run: the exit code it ends with and why.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Failure {
+    /// Nonzero exit code.
+    pub code: i32,
+    /// One line saying what went wrong.
+    pub reason: String,
+}
+
 /// Runs as a shard worker if [`ENV_SPEC`] names a spec document.
 ///
 /// Returns `None` when the process is not a worker (caller proceeds
 /// normally) and `Some(exit_code)` when it is — the caller should
-/// `std::process::exit` with that code.
+/// `std::process::exit` with that code. A failing worker has written
+/// its reason to stdout first, on the pipe the supervisor drains.
 pub fn run_from_env() -> Option<i32> {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "D12: CA_SHARD_SPEC names a worker's spec document"
+    )]
     let path = std::env::var_os(ENV_SPEC)?;
-    Some(run_file(Path::new(&path)))
+    Some(match run_file(Path::new(&path)) {
+        Ok(()) => EXIT_OK,
+        Err(failure) => {
+            let reason = failure.reason.replace('\n', " ");
+            ca_obs::protocol_marker(&format!("{FAIL_MARKER} {reason}"));
+            failure.code
+        }
+    })
 }
 
 /// Reads, parses and runs the spec document at `path`, beating on
 /// stdout while it works.
-fn run_file(path: &Path) -> i32 {
+fn run_file(path: &Path) -> Result<(), Failure> {
     let spec = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read worker spec {}: {e}", path.display()))
-        .and_then(|text| WorkerSpec::parse(&text).map_err(|e| e.to_string()));
-    match spec {
-        Ok(spec) => execute(&spec, true),
-        Err(e) => {
-            ca_obs::warn("ca_shard.worker", &e, &[]);
-            EXIT_BAD_SPEC
-        }
-    }
+        .and_then(|text| WorkerSpec::parse(&text).map_err(|e| e.to_string()))
+        .map_err(|reason| fail(EXIT_BAD_SPEC, reason, &[]))?;
+    execute(&spec, true)
 }
 
 /// Runs one worker to completion without beating. The supervisor's
 /// in-process path calls it directly with the spec it would have
 /// written.
-pub fn run(spec: &WorkerSpec) -> i32 {
+///
+/// # Errors
+///
+/// The [`Failure`] a spawned worker would have exited with.
+pub fn run(spec: &WorkerSpec) -> Result<(), Failure> {
     execute(spec, false)
+}
+
+/// Reports a failure as a warn event and returns it.
+fn fail(code: i32, reason: String, fields: &[(&str, &str)]) -> Failure {
+    ca_obs::warn("ca_shard.worker", &reason, fields);
+    Failure { code, reason }
 }
 
 /// The worker proper; with `beat` a beat thread proves liveness on
 /// stdout while the shard is characterized.
-fn execute(spec: &WorkerSpec, beat: bool) -> i32 {
+fn execute(spec: &WorkerSpec, beat: bool) -> Result<(), Failure> {
     let shard = spec.shard_index.to_string();
     let attempt = spec.attempt.to_string();
     let fields: &[(&str, &str)] = &[("shard", shard.as_str()), ("attempt", attempt.as_str())];
@@ -80,15 +111,15 @@ fn execute(spec: &WorkerSpec, beat: bool) -> i32 {
     // including per-cell spans inside the robust driver — parents into
     // the campaign trace. Inert when the campaign is untraced.
     let _trace_adopt = spec.trace.map(ca_obs::trace::adopt);
-    let worker_span = ca_obs::span!("worker");
+    let worker_span = ca_obs::span!("ca_shard.worker");
 
     // The spawned-process path exits immediately after this function
     // returns, so the worker flushes its own buffered events (the
     // supervisor points CA_OBS_PATH at a per-attempt JSONL file).
-    let finish = |code: i32, span: ca_obs::Span| {
+    let finish = |result: Result<(), Failure>, span: ca_obs::Span| {
         drop(span);
         let _ = ca_obs::flush();
-        code
+        result
     };
 
     // Of the spec's test hooks only the least in `HookAction`'s order
@@ -96,8 +127,8 @@ fn execute(spec: &WorkerSpec, beat: bool) -> i32 {
     let mut halt_after = None;
     match spec.hooks.iter().min() {
         Some(&HookAction::Fail(code)) => {
-            ca_obs::warn("ca_shard.worker", "test hook: failing", fields);
-            return finish(code, worker_span);
+            let failure = fail(code, "test hook: failing".to_string(), fields);
+            return finish(Err(failure), worker_span);
         }
         Some(HookAction::Hang) => {
             // No beat, ever: the supervisor must diagnose this as a hang
@@ -113,32 +144,27 @@ fn execute(spec: &WorkerSpec, beat: bool) -> i32 {
     // Dropping `stop` ends the beat thread's wait at once, whatever the
     // interval, and the scope joins it before the worker reports.
     let (stop, stopped) = mpsc::channel::<()>();
-    let code = std::thread::scope(|scope| {
+    let result = std::thread::scope(|scope| {
         if beat {
             scope.spawn(move || beat_until(&stopped, spec.heartbeat_interval));
         }
-        let code = characterize(spec, halt_after, fields);
+        let result = characterize(spec, halt_after, fields);
         drop(stop);
-        code
+        result
     });
-    finish(code, worker_span)
+    finish(result, worker_span)
 }
 
 /// Opens the worker's session and runs the robust driver over its
 /// shard, aborting after `halt_after` journal appends when a test hook
 /// asks for it.
-fn characterize(spec: &WorkerSpec, halt_after: Option<usize>, fields: &[(&str, &str)]) -> i32 {
-    let session = match Session::open(&spec.store_path) {
-        Ok(session) => session,
-        Err(e) => {
-            ca_obs::warn(
-                "ca_shard.worker",
-                &format!("cannot open store: {e}"),
-                fields,
-            );
-            return EXIT_RUN_FAILED;
-        }
-    };
+fn characterize(
+    spec: &WorkerSpec,
+    halt_after: Option<usize>,
+    fields: &[(&str, &str)],
+) -> Result<(), Failure> {
+    let session = Session::open(&spec.store_path)
+        .map_err(|e| fail(EXIT_RUN_FAILED, format!("cannot open store: {e}"), fields))?;
     if let Some(appends) = halt_after {
         session.abort_after_journal(appends);
     }
@@ -152,11 +178,12 @@ fn characterize(spec: &WorkerSpec, halt_after: Option<usize>, fields: &[(&str, &
         Some(&session),
     );
     match outcome {
-        Ok(_) => EXIT_OK,
-        Err(e) => {
-            ca_obs::warn("ca_shard.worker", &format!("shard run failed: {e}"), fields);
-            EXIT_RUN_FAILED
-        }
+        Ok(_) => Ok(()),
+        Err(e) => Err(fail(
+            EXIT_RUN_FAILED,
+            format!("shard run failed: {e}"),
+            fields,
+        )),
     }
 }
 
@@ -213,7 +240,7 @@ mod tests {
         let path = dir.join("shard.spec");
         ca_store::write_atomic(&path, spec.render()).expect("write spec");
         let watch = ca_obs::Stopwatch::start();
-        assert_eq!(run_file(&path), EXIT_OK);
+        assert_eq!(run_file(&path), Ok(()));
         // The beat thread stops when the run ends, not at its first beat.
         assert!(watch.elapsed() < spec.heartbeat_interval);
         // Every cell journaled.
@@ -235,7 +262,9 @@ mod tests {
                 hooks,
                 ..spec_for(&dir)
             };
-            assert_eq!(run(&spec), 7);
+            let failure = run(&spec).unwrap_err();
+            assert_eq!(failure.code, 7);
+            assert_eq!(failure.reason, "test hook: failing");
             assert!(!spec.store_path.exists());
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -244,7 +273,12 @@ mod tests {
     #[test]
     fn missing_spec_file_is_a_bad_spec() {
         let dir = scratch("missing");
-        assert_eq!(run_file(&dir.join("absent.spec")), EXIT_BAD_SPEC);
+        let failure = run_file(&dir.join("absent.spec")).unwrap_err();
+        assert_eq!(failure.code, EXIT_BAD_SPEC);
+        assert!(
+            failure.reason.contains("cannot read worker spec"),
+            "{failure:?}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -253,7 +287,7 @@ mod tests {
         let dir = scratch("garbled");
         let path = dir.join("shard.spec");
         ca_store::write_atomic(&path, "not a worker spec").expect("write");
-        assert_eq!(run_file(&path), EXIT_BAD_SPEC);
+        assert_eq!(run_file(&path).map_err(|f| f.code), Err(EXIT_BAD_SPEC));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -63,8 +63,8 @@ impl SimBudget {
     pub fn clamp_stimuli(&self, n: usize) -> usize {
         let kept = self.max_stimuli.map_or(n, |cap| n.min(cap));
         if kept < n {
-            ca_obs::counter!("ca_sim.budget.stimuli_clamped", Work).inc();
-            ca_obs::counter!("ca_sim.budget.stimuli_dropped", Work).add((n - kept) as u64);
+            ca_obs::counter!("ca_sim.budget.stimuli_clamped").inc();
+            ca_obs::counter!("ca_sim.budget.stimuli_dropped").add((n - kept) as u64);
         }
         kept
     }
@@ -74,8 +74,8 @@ impl SimBudget {
     pub fn clamp_defects(&self, n: usize) -> usize {
         let kept = self.max_defects.map_or(n, |cap| n.min(cap));
         if kept < n {
-            ca_obs::counter!("ca_sim.budget.defects_clamped", Work).inc();
-            ca_obs::counter!("ca_sim.budget.defects_dropped", Work).add((n - kept) as u64);
+            ca_obs::counter!("ca_sim.budget.defects_clamped").inc();
+            ca_obs::counter!("ca_sim.budget.defects_dropped").add((n - kept) as u64);
         }
         kept
     }
@@ -94,7 +94,7 @@ impl BudgetClock {
     pub fn expired(&self) -> bool {
         let expired = self.deadline.expired();
         if expired {
-            ca_obs::counter!("ca_sim.budget.wall_clock_expired", Ops).inc();
+            ca_obs::counter!("ca_sim.budget.wall_clock_expired").inc();
         }
         expired
     }

@@ -51,7 +51,7 @@ impl CellKernel {
         let n_nets = cell.nets().len();
         let n_transistors = cell.num_transistors();
         if n_nets > MAX_KERNEL_NETS || n_transistors > MAX_KERNEL_TRANSISTORS {
-            ca_obs::counter!("ca_sim.kernel.fallback", Work).inc();
+            ca_obs::counter!("ca_sim.kernel.fallback").inc();
             return None;
         }
         let mut t_gate = Vec::with_capacity(n_transistors);
@@ -66,7 +66,7 @@ impl CellKernel {
             t_bulk.push(t.bulk().index() as u32);
             t_pmos.push(t.kind() == MosKind::Pmos);
         }
-        ca_obs::counter!("ca_sim.kernel.compiled", Work).inc();
+        ca_obs::counter!("ca_sim.kernel.compiled").inc();
         Some(CellKernel {
             n_nets,
             n_inputs: cell.num_inputs(),

@@ -307,10 +307,6 @@ impl DistScratch {
     }
 }
 
-/// Bucket bounds for the iterations-to-convergence histogram, shared
-/// with the scalar solver so both paths feed one distribution.
-pub(crate) const ITER_HIST_BOUNDS: &[u64] = &[1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128];
-
 /// The packed evaluator for one cell kernel with one injected defect:
 /// the word-parallel counterpart of
 /// [`Simulator`](crate::simulator::Simulator).
@@ -363,8 +359,8 @@ impl<'k> PackedSim<'k> {
     ///
     /// [`Simulator::run`]: crate::simulator::Simulator::run
     pub fn run_block(&self, block: &StimulusBlock) -> BlockResult {
-        ca_obs::counter!("ca_sim.packed.blocks", Work).inc();
-        ca_obs::counter!("ca_sim.packed.lanes", Work).add(u64::from(block.lanes.count_ones()));
+        ca_obs::counter!("ca_sim.packed.blocks").inc();
+        ca_obs::counter!("ca_sim.packed.lanes").add(u64::from(block.lanes.count_ones()));
         let n = self.kernel.n_nets();
         let fresh = vec![PackedValue::splat(Value::Xf); n];
         let (phase1, p1) = self.solve_phase(&block.initial, &fresh, block.lanes);
@@ -413,9 +409,9 @@ impl<'k> PackedSim<'k> {
         let n = self.kernel.n_nets();
         let skip1 = golden.p1.off_all[t] & block.lanes;
         let solve1 = block.lanes & !skip1;
-        ca_obs::counter!("ca_sim.packed.cone_skips", Work).add(u64::from(skip1.count_ones()));
-        ca_obs::counter!("ca_sim.packed.blocks", Work).inc();
-        ca_obs::counter!("ca_sim.packed.lanes", Work).add(u64::from(solve1.count_ones()));
+        ca_obs::counter!("ca_sim.packed.cone_skips").add(u64::from(skip1.count_ones()));
+        ca_obs::counter!("ca_sim.packed.blocks").inc();
+        ca_obs::counter!("ca_sim.packed.lanes").add(u64::from(solve1.count_ones()));
         let fresh = vec![PackedValue::splat(Value::Xf); n];
         let (mut phase1, mut p1) = if solve1 != 0 {
             self.solve_phase(&block.initial, &fresh, solve1)
@@ -437,7 +433,7 @@ impl<'k> PackedSim<'k> {
         }
         let skip2 = block.dynamic & same_retained & golden.p2.off_all.get(t).copied().unwrap_or(0);
         let solve2 = block.dynamic & !skip2;
-        ca_obs::counter!("ca_sim.packed.cone_skips", Work).add(u64::from(skip2.count_ones()));
+        ca_obs::counter!("ca_sim.packed.cone_skips").add(u64::from(skip2.count_ones()));
         let (final_values, p2) = if block.dynamic != 0 {
             let (mut p2v, mut p2) = if solve2 != 0 {
                 self.solve_phase(&block.final_inputs, &retained1, solve2)
@@ -480,7 +476,7 @@ impl<'k> PackedSim<'k> {
         let kernel = self.kernel;
         let n = kernel.n_nets();
         let n_t = kernel.n_transistors();
-        ca_obs::counter!("ca_sim.solver.solves", Work).add(u64::from(solve.count_ones()));
+        ca_obs::counter!("ca_sim.solver.solves").add(u64::from(solve.count_ones()));
 
         let mut values = stored.to_vec();
         // Seed drivers so the first conduction pass sees them, exactly
@@ -505,7 +501,7 @@ impl<'k> PackedSim<'k> {
         let mut iters = [0u32; LANES];
 
         for iteration in 0..self.max_iterations {
-            ca_obs::counter!("ca_sim.solver.iterations", Work).add(u64::from(active.count_ones()));
+            ca_obs::counter!("ca_sim.solver.iterations").add(u64::from(active.count_ones()));
             let mut m = active;
             while m != 0 {
                 iters[m.trailing_zeros() as usize] += 1;
@@ -542,11 +538,7 @@ impl<'k> PackedSim<'k> {
             let newly = active & !changed;
             if newly != 0 {
                 outcomes.converged |= newly;
-                let hist = ca_obs::histogram!(
-                    "ca_sim.solver.iterations_to_convergence",
-                    Work,
-                    ITER_HIST_BOUNDS
-                );
+                let hist = ca_obs::histogram!("ca_sim.solver.iterations_to_convergence");
                 let mut m = newly;
                 while m != 0 {
                     hist.observe(u64::from(iters[m.trailing_zeros() as usize]));
@@ -572,11 +564,11 @@ impl<'k> PackedSim<'k> {
                 }
                 let natural = CellGraph::natural_iterations(n);
                 if self.max_iterations < natural {
-                    ca_obs::counter!("ca_sim.solver.budget_exceeded", Work)
+                    ca_obs::counter!("ca_sim.solver.budget_exceeded")
                         .add(u64::from(active.count_ones()));
                     outcomes.budget_exceeded = active;
                 } else {
-                    ca_obs::counter!("ca_sim.solver.oscillations", Work)
+                    ca_obs::counter!("ca_sim.solver.oscillations")
                         .add(u64::from(active.count_ones()));
                     outcomes.oscillated = active;
                 }
@@ -787,7 +779,7 @@ pub fn detection_flags(
     // One trace span per packed batch (a whole golden+faulty sweep for
     // one injection), not per 64-lane block: coarse enough to stay
     // within the event cap and the <3% tracing-overhead budget.
-    let _span = ca_obs::span!("packed_batch");
+    let _span = ca_obs::span!("ca_sim.packed.batch");
     let packed = PackedStimulus::pack(cell.num_inputs(), stimuli);
     let outputs: Vec<usize> = cell.outputs().iter().map(|o| o.index()).collect();
     let golden = PackedSim::new(&kernel, Injection::None, None);

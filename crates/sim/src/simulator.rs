@@ -171,7 +171,7 @@ impl<'c> Simulator<'c> {
             "stimulus pin count mismatch for cell `{}`",
             self.cell.name()
         );
-        ca_obs::counter!("ca_sim.sim.runs", Work).inc();
+        ca_obs::counter!("ca_sim.sim.runs").inc();
         let fresh = vec![Value::Xf; self.cell.nets().len()];
         let initial: Vec<bool> = stimulus.waves().iter().map(|w| w.initial()).collect();
         let phase1 = self.graph.solve_phase(&initial, &fresh);
@@ -208,7 +208,7 @@ impl<'c> Simulator<'c> {
             "stimulus pin count mismatch for cell `{}`",
             self.cell.name()
         );
-        ca_obs::counter!("ca_sim.sim.checked_runs", Work).inc();
+        ca_obs::counter!("ca_sim.sim.checked_runs").inc();
         let fresh = vec![Value::Xf; self.cell.nets().len()];
         let initial: Vec<bool> = stimulus.waves().iter().map(|w| w.initial()).collect();
         let phase1 = self.checked_phase(&initial, &fresh)?;

@@ -186,7 +186,7 @@ impl<'c> CellGraph<'c> {
         // fixpoint sweep count is a function of the graph and stimulus
         // alone (all nets update per sweep), so it is invariant across
         // thread counts and net orderings (DESIGN.md §9).
-        ca_obs::counter!("ca_sim.solver.solves", Work).inc();
+        ca_obs::counter!("ca_sim.solver.solves").inc();
         let mut values = stored.to_vec();
         // Seed with driver levels so the first conduction pass sees them.
         self.apply_drivers(&mut values, inputs);
@@ -195,19 +195,15 @@ impl<'c> CellGraph<'c> {
             let conduction = self.conduction(&values);
             let next = self.net_values(&conduction, inputs, stored);
             if next == values {
-                ca_obs::counter!("ca_sim.solver.iterations", Work).add(iteration as u64 + 1);
+                ca_obs::counter!("ca_sim.solver.iterations").add(iteration as u64 + 1);
                 // Iterations-to-convergence distribution, shared with the
                 // packed solver so both paths feed one histogram.
-                ca_obs::histogram!(
-                    "ca_sim.solver.iterations_to_convergence",
-                    Work,
-                    crate::packed::ITER_HIST_BOUNDS
-                )
-                .observe(iteration as u64 + 1);
+                ca_obs::histogram!("ca_sim.solver.iterations_to_convergence")
+                    .observe(iteration as u64 + 1);
                 return SolveOutcome::Converged(next);
             }
             if iteration + 1 == self.max_iterations {
-                ca_obs::counter!("ca_sim.solver.iterations", Work).add(self.max_iterations as u64);
+                ca_obs::counter!("ca_sim.solver.iterations").add(self.max_iterations as u64);
                 // No fixpoint within the cap: conservatively mark the
                 // unstable nets as driven-unknown and report why.
                 let mut unstable = Vec::new();
@@ -220,10 +216,10 @@ impl<'c> CellGraph<'c> {
                 }
                 let natural = CellGraph::natural_iterations(self.cell.nets().len());
                 return if self.max_iterations < natural {
-                    ca_obs::counter!("ca_sim.solver.budget_exceeded", Work).inc();
+                    ca_obs::counter!("ca_sim.solver.budget_exceeded").inc();
                     SolveOutcome::BudgetExceeded { values: forced }
                 } else {
-                    ca_obs::counter!("ca_sim.solver.oscillations", Work).inc();
+                    ca_obs::counter!("ca_sim.solver.oscillations").inc();
                     SolveOutcome::Oscillated {
                         values: forced,
                         nets: unstable,

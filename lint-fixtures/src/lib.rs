@@ -60,6 +60,11 @@ pub fn d4_create() -> std::io::Result<std::fs::File> {
     std::fs::File::create("lint-fixture.out")
 }
 
+/// D12: reading the process environment outside a documented site.
+pub fn d12_var() -> Option<String> {
+    std::env::var("LINT_FIXTURE").ok()
+}
+
 /// D13: mutating the process environment.
 pub fn d13_set_var() {
     std::env::set_var("LINT_FIXTURE", "1");

@@ -95,8 +95,8 @@ CA_THREADS=4 cargo test -q -p ca-serve --test serve_robustness --offline
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
-# This gate also enforces the workspace rules D1-D6, D9 and D13 (DESIGN.md
-# §10): clippy.toml's disallowed types and methods, the crate-root
+# This gate also enforces the workspace rules D1-D6, D9, D12 and D13
+# (DESIGN.md §10): clippy.toml's disallowed types and methods, the crate-root
 # print/dbg/unsafe/panic-path lints, and every #[expect] suppression
 # (unfulfilled_lint_expectations, allow_attributes_without_reason).
 echo "==> cargo clippy (all targets, warnings are errors)"
@@ -119,6 +119,7 @@ for want in \
     'disallowed method `std::time::SystemTime::now`' \
     'disallowed method `std::fs::write`' \
     'disallowed method `std::fs::File::create`' \
+    'disallowed method `std::env::var`' \
     'disallowed method `std::env::set_var`' \
     '#print_stdout' '#print_stderr' '#dbg_macro' '#undocumented_unsafe_blocks' \
     '#unwrap_used' '#expect_used' '#indexing_slicing' \
@@ -157,15 +158,15 @@ cargo clippy -p ca-serve --all-targets --offline -- -D warnings
 echo "==> cargo doc (workspace, rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
-# The auditor keeps the rules clippy cannot express: D7 (partial float
-# comparisons) and the cross-crate analyses D8, D11 and D12 (DESIGN.md
-# §10, §15). It must never itself carry clippy debt, and the workspace
-# must audit clean with warnings denied; its one pragma site is pinned
-# by crates/audit/tests/workspace_clean.rs.
+# The auditor keeps the rules neither clippy nor the compiler can
+# express: D7 (partial float comparisons) and the cross-crate lock-order
+# analysis D8 (DESIGN.md §10, §15). It must never itself carry clippy
+# debt, and the workspace must audit clean with warnings denied;
+# crates/audit/tests/workspace_clean.rs allows no ca-audit pragma.
 echo "==> cargo clippy (ca-audit, standalone gate)"
 cargo clippy -p ca-audit --all-targets --offline -- -D warnings
 
-echo "==> ca-audit --deny warn (workspace invariant audit, D7 D8 D11 D12)"
+echo "==> ca-audit --deny warn (workspace invariant audit, D7 D8)"
 cargo run -q --release --offline -p ca-audit -- --deny warn
 
 # Opt-in Miri smoke over the byte-level codecs: undefined behaviour in
@@ -270,9 +271,9 @@ awk -v base="$base_med" -v traced="$traced_med" -v spread="$spread" 'BEGIN {
 
 # End-to-end profile gate: the instrumented flow must run, emit
 # BENCH_profile.json, and that artifact must validate against schema
-# ca-obs-profile/1 with counters from all eight crates in
-# INSTRUMENTED_PREFIXES (DESIGN.md §9), which audit rule D11 keeps equal
-# to the prefixes of the sources' metric macro sites.
+# ca-obs-profile/1: every counter and timer a row of ca_obs::inventory,
+# and a counter under each prefix of its counter and histogram rows
+# (DESIGN.md §9).
 echo "==> ca-bench profile --quick (flow profile + schema check)"
 in_gate_dir "$bench" profile --quick
 in_gate_dir "$bench" profile-check BENCH_profile.json

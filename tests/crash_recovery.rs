@@ -97,9 +97,17 @@ fn quarantine_keys(q: &Quarantine) -> QuarantineKeys {
 /// journal appends.
 #[test]
 fn crash_child() {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "D12: CA_CRASH_STORE makes this test a crash child"
+    )]
     let Ok(store) = std::env::var(STORE_ENV) else {
         return;
     };
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "D12: CA_CRASH_HALT tells a crash child when to freeze"
+    )]
     let halt: usize = std::env::var(HALT_ENV)
         .expect("harness sets halt point")
         .parse()
@@ -131,9 +139,17 @@ fn crash_child() {
 /// their counts into the stage and poison the byte comparison.
 #[test]
 fn profile_child() {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "D12: CA_PROFILE_STORE makes this test a profile child"
+    )]
     let Ok(store) = std::env::var(PROFILE_STORE_ENV) else {
         return;
     };
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "D12: CA_THREADS sets a profile child's worker count"
+    )]
     let threads: usize = std::env::var("CA_THREADS")
         .ok()
         .and_then(|s| s.parse().ok())

@@ -34,12 +34,31 @@ fn library() -> Library {
     lib
 }
 
-fn store(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ca-service-repeats-{}", std::process::id()));
+/// A test's journal path, in a scratch directory of its own that is
+/// removed when the test ends — also when it panics.
+struct TmpStore(PathBuf);
+
+impl std::ops::Deref for TmpStore {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TmpStore {
+    fn drop(&mut self) {
+        if let Some(dir) = self.0.parent() {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+}
+
+fn store(tag: &str) -> TmpStore {
+    let dir = std::env::temp_dir().join(format!("ca-service-repeats-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("scratch dir");
-    let path = dir.join(format!("{tag}.caj"));
-    let _ = std::fs::remove_file(&path);
-    path
+    TmpStore(dir.join(format!("{tag}.caj")))
 }
 
 fn open(path: &Path, lib: &Library) -> CellService {
@@ -102,7 +121,6 @@ fn repeats_reuse_the_first_answer_without_journaling() {
     for (cell, first) in &firsts {
         assert_eq!(&cam(&service, cell), first, "{} after reopen", cell.name());
     }
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
@@ -126,7 +144,6 @@ fn alternating_netlists_under_one_name_keep_the_store_current() {
     // And now A is current: a further repeat appends nothing.
     assert_eq!(cam(&service, &a), cam_a);
     assert_eq!(service.report().journaled, 3);
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
@@ -150,7 +167,6 @@ fn a_deadline_does_not_stop_journaling() {
     assert_eq!(answer(&service), first);
     assert_eq!(service.report().journaled, 1, "a repeat appended");
     assert_eq!(file_len(&path), len, "the journal grew on a repeat");
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
@@ -175,5 +191,4 @@ fn inline_netlists_journaled_before_a_restart_are_not_journaled_again() {
         assert_eq!(file_len(&path), len, "the journal grew after reopen");
     }
     assert_eq!(service.cache_stats().hits, 2, "{:?}", service.cache_stats());
-    let _ = std::fs::remove_file(&path);
 }

@@ -282,10 +282,19 @@ fn persistently_failing_shard_quarantines_without_failing_the_campaign() {
 
     let victim_report = shard_report(&campaign, victim);
     assert_eq!(victim_report.status, ShardStatus::Quarantined);
-    assert_eq!(
-        victim_report.attempts,
-        vec![AttemptOutcome::ExitCode(7), AttemptOutcome::ExitCode(7)]
-    );
+    // Each attempt exits with the hook's code and says why on its
+    // stdout pipe; libtest's `test … ` prefix can share that line.
+    assert_eq!(victim_report.attempts.len(), 2);
+    for attempt in &victim_report.attempts {
+        let AttemptOutcome::ExitCode {
+            code: 7,
+            reason: Some(reason),
+        } = attempt
+        else {
+            panic!("expected exit code 7 with a reason: {attempt:?}");
+        };
+        assert!(reason.contains("test hook: failing"), "{reason}");
+    }
     assert_eq!(campaign.report.quarantined_shards, 1);
     // Exactly the victim shard's cells are skipped, in library order.
     let expect_skipped: Vec<String> = lib
